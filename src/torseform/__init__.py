@@ -17,10 +17,10 @@ from .jets import Jet, eval_jet, eval_jet_env, jet_variables
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      christoffel, covariant_derivative, riemann,
                      riemann_components, sectional_curvature)
-from .rectifying import (RectifyingSceneReport, check_Avperp_zero,
-                         rectifying_point, rectifying_residual,
-                         rectifying_scene, verify_normal_vanishes,
-                         verify_tangential_vanishes, verify_torqued_props)
+from .rectifying import (RectifyingSceneReport, rectifying_point,
+                         rectifying_residual, rectifying_scene,
+                         verify_normal_vanishes, verify_tangential_vanishes,
+                         verify_torqued_props)
 from .runner import SceneReport, exit_code, render_report, report_to_json, run
 from .scenes import (BUILTIN_DOCUMENTS, Scene, builtin_names, builtin_scene,
                      export_builtins, load_scene, load_scene_file,

@@ -15,16 +15,18 @@ parallel > concircular > anti-torqued > torqued > torse-forming > none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (InconsistentSampleError, PreconditionError,
                      SingularFitError, SingularMetricError, ZeroFieldError)
-from .linalg import solve_spd
-from .metric import (MetricField, VectorField, christoffel,
-                     orthonormal_coordinate_frame)
+from .linalg import reduce_max, solve_spd, worst
+from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
+                     covariant_jacobian, orthonormal_coordinate_frame)
 
 PARALLEL = "parallel"
 CONCIRCULAR = "concircular"
@@ -61,17 +63,12 @@ class ClassificationReport:
 
 
 def _passes(rep: ClassificationReport, cls: str, tols: Tolerances) -> bool:
+    """Membership of one point in a class.  Every test reads `value <= tol`,
+    so a NaN or an infinite residual never passes."""
     if cls == PARALLEL:
         return rep.grad_norm <= tols.parallel_tol
-    if rep.residual_torse > tols.class_tol:
-        return False
-    if cls == CONCIRCULAR:
-        return rep.residual_concircular <= tols.class_tol
-    if cls == ANTI_TORQUED:
-        return rep.residual_antitorqued <= tols.class_tol
-    if cls == TORQUED:
-        return rep.residual_torqued <= tols.class_tol
-    return True  # torse-forming
+    return (rep.residual_torse <= tols.class_tol
+            and _residual_for(rep, cls) <= tols.class_tol)
 
 
 def _residual_for(rep: ClassificationReport, cls: str) -> float:
@@ -79,7 +76,8 @@ def _residual_for(rep: ClassificationReport, cls: str) -> float:
             CONCIRCULAR: rep.residual_concircular,
             ANTI_TORQUED: rep.residual_antitorqued,
             TORQUED: rep.residual_torqued,
-            TORSE_FORMING: rep.residual_torse}[cls]
+            TORSE_FORMING: rep.residual_torse,
+            NONE: rep.residual_torse}[cls]
 
 
 def fit_torse_forming(metric: MetricField, field: VectorField, point,
@@ -87,18 +85,22 @@ def fit_torse_forming(metric: MetricField, field: VectorField, point,
     """Least-squares fit of (f, ω) at one point, with specialization
     residuals and a per-point verdict."""
     point = np.asarray(point, dtype=float)
-    m = metric.dim
     vap = field.at(point, order=1)
-    mp = metric.at(point, order=1)
+    return fit_at_point(metric.at(point, order=1), vap, tols)
+
+
+def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
+                 tols: Tolerances = DEFAULT) -> ClassificationReport:
+    """The fit of fit_torse_forming from order-1 metric and field jets that
+    the caller already holds at mp.point."""
+    m = mp.dim
     G = mp.g
     v_norm = mp.norm(vap.components)
     if v_norm <= tols.min_field_norm:
-        raise ZeroFieldError(f"|V| = {v_norm:.3e} at {point.tolist()}")
+        raise ZeroFieldError(f"|V| = {v_norm:.3e} at {mp.point.tolist()}")
 
     C = orthonormal_coordinate_frame(mp, tols)          # e_i = Σ_j C[i, j] ∂_j
-    gamma = christoffel(mp)
-    # dcoord[j, :] = ∇̃_{∂_j} V (ambient components)
-    dcoord = vap.jacobian.T + np.einsum("kjb,b->jk", gamma, vap.components)
+    dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
     a = C @ dcoord @ G @ C.T                            # a[i, k] = <∇̃_{e_i}V, e_k>
     v = C @ (G @ vap.components)                        # frame components of V
 
@@ -111,35 +113,27 @@ def fit_torse_forming(metric: MetricField, field: VectorField, point,
     try:
         sol = solve_spd(normal, rhs, tols.spd_tol)
     except SingularMetricError as exc:
+        # np.linalg.cond raises on a non-finite matrix (overflowed jets)
+        cond = (float(np.linalg.cond(normal)) if np.isfinite(normal).all()
+                else math.inf)
         raise SingularFitError("torse-forming normal equations are singular",
-                               float(np.linalg.cond(normal))) from exc
+                               cond) from exc
     f = float(sol[0])
     w = sol[1:]
 
     resid = a - f * np.eye(m) - np.outer(w, v)
     grad_norm = float(np.linalg.norm(a))
-    residual_torse = float(np.linalg.norm(resid)) / max(1.0, grad_norm)
-    residual_concircular = float(np.linalg.norm(w))
-    residual_torqued = float(abs(w @ v))
-    residual_antitorqued = float(np.linalg.norm(w + f * v))
-
     omega = np.linalg.solve(C, w)                       # ω(∂_j) from ω(e_i) = w_i
-    w_dual = mp.inverse @ omega
-    geodesic_defect = mp.norm(vap.components @ dcoord)
-
-    verdict = NONE
-    probe = ClassificationReport(point, f, omega, w_dual, residual_torse,
-                                 residual_concircular, residual_torqued,
-                                 residual_antitorqued, NONE, v_norm,
-                                 grad_norm, geodesic_defect)
-    for cls in PRECEDENCE:
-        if _passes(probe, cls, tols):
-            verdict = cls
-            break
-    return ClassificationReport(point, f, omega, w_dual, residual_torse,
-                                residual_concircular, residual_torqued,
-                                residual_antitorqued, verdict, v_norm,
-                                grad_norm, geodesic_defect)
+    report = ClassificationReport(
+        point=mp.point, f=f, omega=omega, w_dual=mp.inverse @ omega,
+        residual_torse=float(np.linalg.norm(resid)) / max(1.0, grad_norm),
+        residual_concircular=float(np.linalg.norm(w)),
+        residual_torqued=float(abs(w @ v)),
+        residual_antitorqued=float(np.linalg.norm(w + f * v)),
+        verdict=NONE, v_norm=v_norm, grad_norm=grad_norm,
+        geodesic_defect=mp.norm(vap.components @ dcoord))
+    verdict = next((cls for cls in PRECEDENCE if _passes(report, cls, tols)), NONE)
+    return replace(report, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -151,11 +145,6 @@ class SceneClassification:
     witness_index: int          # worst residual for the winning class
     witness_residual: float
     f_values: np.ndarray
-    v_norms: np.ndarray
-
-    @property
-    def points(self):
-        return [rep.point for rep in self.reports]
 
     def f_summary(self) -> dict:
         return {"min": float(self.f_values.min()),
@@ -163,8 +152,16 @@ class SceneClassification:
                 "mean": float(self.f_values.mean())}
 
     def class_residuals(self) -> dict:
-        return {cls: max(_residual_for(rep, cls) for rep in self.reports)
+        return {cls: reduce_max([_residual_for(rep, cls) for rep in self.reports])
                 for cls in PRECEDENCE}
+
+    def reports_at(self, points) -> tuple:
+        """The per-point fits, after checking that they were made at `points`."""
+        if not np.array_equal(np.asarray(list(points), dtype=float),
+                              [rep.point for rep in self.reports]):
+            raise PreconditionError(
+                "classification was fitted on a different point sample")
+        return self.reports
 
 
 def classify(metric: MetricField, field: VectorField, points,
@@ -182,37 +179,26 @@ def classify(metric: MetricField, field: VectorField, points,
             f"need at least {tols.class_min_points} sample points, got {len(points)}")
     reports = tuple(fit_torse_forming(metric, field, p, tols) for p in points)
 
-    for cls in PRECEDENCE:
-        if all(_passes(rep, cls, tols) for rep in reports):
-            residuals = [_residual_for(rep, cls) for rep in reports]
-            worst = int(np.argmax(residuals))
-            return SceneClassification(
-                verdict=cls, reports=reports, witness_index=worst,
-                witness_residual=float(residuals[worst]),
-                f_values=np.array([rep.f for rep in reports]),
-                v_norms=np.array([rep.v_norm for rep in reports]))
-
-    if all(rep.residual_torse > tols.class_tol for rep in reports):
-        residuals = [rep.residual_torse for rep in reports]
-        worst = int(np.argmax(residuals))
-        return SceneClassification(
-            verdict=NONE, reports=reports, witness_index=worst,
-            witness_residual=float(residuals[worst]),
-            f_values=np.array([rep.f for rep in reports]),
-            v_norms=np.array([rep.v_norm for rep in reports]))
-
-    histogram: dict = {}
-    for rep in reports:
-        histogram[rep.verdict] = histogram.get(rep.verdict, 0) + 1
-    raise InconsistentSampleError(
-        f"field changes class across the domain: {histogram}", histogram)
+    verdict = next((cls for cls in PRECEDENCE
+                    if all(_passes(rep, cls, tols) for rep in reports)), None)
+    if verdict is None and all(rep.residual_torse > tols.class_tol for rep in reports):
+        verdict = NONE
+    if verdict is None:
+        histogram = dict(Counter(rep.verdict for rep in reports))
+        raise InconsistentSampleError(
+            f"field changes class across the domain: {histogram}", histogram)
+    value, at = worst([_residual_for(rep, verdict) for rep in reports])
+    return SceneClassification(
+        verdict=verdict, reports=reports, witness_index=at, witness_residual=value,
+        f_values=np.array([rep.f for rep in reports]))
 
 
 def geodesic_unit_check(metric: MetricField, field: VectorField, points,
                         classification: SceneClassification,
                         tols: Tolerances = DEFAULT) -> float:
     """max |∇̃_V V| over the points; a unit anti-torqued field is a unit
-    geodesic field, so this must be ~0.
+    geodesic field, so this must be ~0.  Reduces over the fits that
+    `classification` made at `points`.
 
     Preconditions: the scene verdict is anti-torqued and ||V| − 1| <= 1e-8
     over the sample.
@@ -221,16 +207,10 @@ def geodesic_unit_check(metric: MetricField, field: VectorField, points,
         raise PreconditionError(
             f"geodesic check requires an anti-torqued verdict, got "
             f"'{classification.verdict}'")
-    worst = 0.0
-    for p in points:
-        vap = field.at(p, order=1)
-        mp = metric.at(p, order=1)
-        nv = mp.norm(vap.components)
-        if abs(nv - 1.0) > UNIT_NORM_TOL:
+    reports = classification.reports_at(points)
+    for rep in reports:
+        if not abs(rep.v_norm - 1.0) <= UNIT_NORM_TOL:
             raise PreconditionError(
-                f"field is not unit at {np.asarray(p).tolist()}: |V| = {nv!r}",
-                witness=p)
-        gamma = christoffel(mp)
-        dcoord = vap.jacobian.T + np.einsum("kjb,b->jk", gamma, vap.components)
-        worst = max(worst, mp.norm(vap.components @ dcoord))
-    return worst
+                f"field is not unit at {rep.point.tolist()}: |V| = {rep.v_norm!r}",
+                witness=rep.point)
+    return reduce_max([rep.geodesic_defect for rep in reports])

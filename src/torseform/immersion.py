@@ -17,17 +17,20 @@ point u:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
+from .classify import ClassificationReport, fit_at_point
 from .config import DEFAULT, Tolerances
-from .errors import NonNormalVectorError, RankDeficiencyError
+from .errors import NonNormalVectorError, PreconditionError, RankDeficiencyError
 from .jets import chart_names, eval_jet_env, jet_variables
-from .linalg import cholesky_spd, orthonormalize, solve_spd
-from .metric import MetricAtPoint, MetricField, VectorField, christoffel, riemann
+from .linalg import orthonormalize, solve_spd
+from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
+                     jet_inner, riemann)
 
 
 class Immersion:
@@ -60,28 +63,61 @@ class Immersion:
 class FramePacket:
     """Everything extrinsic at one parameter point.
 
+    ambient               order-1 ambient metric at x = Ψ(u)
     tangents[i]           orthonormal tangent frame e_i (ambient components)
     tangent_coeffs[i, k]  e_i = Σ_k B[i, k] ∂Ψ/∂uᵏ
     normals[α]            orthonormal normal frame ξ_α
     h_frame[α, i, j]      g̃(h(e_i, e_j), ξ_α)
     h_coord[i, j, :]      ambient components of h(∂ᵢ, ∂ⱼ)
+
+    ambient2, field_jet, induced and fit are computed on first use and kept:
+    checks that read them share one copy, the others do not pay for them.
     """
 
     u: np.ndarray
     x: np.ndarray
     jacobian: np.ndarray
-    g_ambient: np.ndarray
+    ambient: MetricAtPoint
     g_coord: np.ndarray
     tangents: np.ndarray
     tangent_coeffs: np.ndarray
     normals: np.ndarray
     h_frame: np.ndarray
     h_coord: np.ndarray
-    v: np.ndarray | None = None
+    immersion: Immersion
+    metric: MetricField
+    field: VectorField | None = None
+    tols: Tolerances = DEFAULT
     v_tan: np.ndarray | None = None
     v_nor: np.ndarray | None = None
     v_tan_norm: float = 0.0
     v_nor_norm: float = 0.0
+
+    @property
+    def g_ambient(self) -> np.ndarray:
+        return self.ambient.g
+
+    @cached_property
+    def ambient2(self) -> MetricAtPoint:
+        """Ambient metric at x with 2-jets, for curvature."""
+        return self.metric.at(self.x, order=2)
+
+    @cached_property
+    def field_jet(self) -> VectorAtPoint:
+        """The field and its jacobian at x."""
+        if self.field is None:
+            raise PreconditionError("check needs a vector field on the submanifold")
+        return self.field.at(self.x, order=1)
+
+    @cached_property
+    def induced(self) -> MetricAtPoint:
+        """Induced metric at u with 2-jets."""
+        return induced_metric(self.immersion, self.metric, self.u, self.tols)
+
+    @cached_property
+    def fit(self) -> ClassificationReport:
+        """Torse-forming fit of the field at x."""
+        return fit_at_point(self.ambient, self.field_jet, self.tols)
 
     @property
     def n(self) -> int:
@@ -100,10 +136,6 @@ class FramePacket:
     def normal_project(self, w) -> np.ndarray:
         return sum(self.inner(w, xi) * xi for xi in self.normals)
 
-    def tangent_frame_coords(self, w) -> np.ndarray:
-        """Components of (the tangential part of) w in the e-frame."""
-        return np.array([self.inner(w, e) for e in self.tangents])
-
     def parameter_coords(self, w) -> np.ndarray:
         """Coordinates a with w^⊤ = Σ aⁱ ∂Ψ/∂uⁱ."""
         rhs = self.jacobian.T @ self.g_ambient @ np.asarray(w, float)
@@ -119,43 +151,29 @@ class FirstNormalSpace:
     singular_values: np.ndarray
 
 
-def _rank_check(jac: np.ndarray, u, tols: Tolerances):
+def _jacobian(psi, u, tols: Tolerances) -> np.ndarray:
+    """J[a, i] = ∂Ψ^a/∂uⁱ from Ψ's jets; raises RankDeficiencyError when J
+    loses rank."""
+    jac = np.stack([p.gradient() for p in psi])
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[-1] <= tols.rank_tol * sv[0]:
         raise RankDeficiencyError(
             f"immersion is degenerate at u={np.asarray(u).tolist()}: "
             f"singular values {sv.tolist()}")
+    return jac
 
 
 def induced_metric(imm: Immersion, metric: MetricField, u,
                    tols: Tolerances = DEFAULT) -> MetricAtPoint:
     """Pullback metric at u with 2-jets, differentiated through Ψ's 3-jets."""
     psi = imm.jets(u, 3)
-    jac = np.stack([p.gradient() for p in psi])
-    _rank_check(jac, u, tols)
+    _jacobian(psi, u, tols)
     env = {name: psi[a].truncate(2) for a, name in enumerate(metric.var_names)}
     gj = metric.entry_jets(env)
-    dpsi = [[psi[a].derivative_jet(i) for i in range(imm.n)] for a in range(imm.m)]
-    n = imm.n
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            acc = None
-            for a in range(imm.m):
-                for b in range(imm.m):
-                    term = gj[a][b] * dpsi[a][i] * dpsi[b][j]
-                    acc = term if acc is None else acc + term
-            g[i, j] = g[j, i] = acc.value
-            grad = acc.gradient()
-            dg[:, i, j] = dg[:, j, i] = grad
-            hess = acc.hessian()
-            d2g[:, :, i, j] = hess
-            d2g[:, :, j, i] = hess
-    cholesky_spd(g, tols.spd_tol)
-    return MetricAtPoint(point=np.asarray(u, dtype=float), g=g, dg=dg, d2g=d2g,
-                         spd_tol=tols.spd_tol)
+    dpsi = [[p.derivative_jet(i) for p in psi] for i in range(imm.n)]   # ∂Ψ/∂uⁱ
+    pulled = [[jet_inner(gj, dpsi[i], dpsi[j]) for j in range(i + 1)]
+              for i in range(imm.n)]
+    return MetricAtPoint.from_jets(u, pulled, 2, tols.spd_tol)
 
 
 def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = None,
@@ -168,8 +186,7 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
     """
     psi = imm.jets(u, 2)
     x = np.array([p.value for p in psi])
-    jac = np.stack([p.gradient() for p in psi])
-    _rank_check(jac, u, tols)
+    jac = _jacobian(psi, u, tols)
     mp = metric.at(x, order=1)
     G = mp.g
 
@@ -187,32 +204,29 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
 
     # second fundamental tensor in coordinates:
     #   S_ij = ∂²Ψ/∂uⁱ∂uʲ + Γ̃(∂Ψ, ∂Ψ), then h(∂ᵢ,∂ⱼ) = S_ij^⊥
-    gamma = christoffel(mp)
     hess = np.stack([p.hessian() for p in psi])        # hess[a, i, j]
     S = (np.einsum("aij->ija", hess)
-         + np.einsum("abc,bi,cj->ija", gamma, jac, jac))
+         + np.einsum("abc,bi,cj->ija", mp.gamma, jac, jac))
     proj = normals.T @ (normals @ G)                    # normal projector (m, m)
     h_coord = np.einsum("ab,ijb->ija", proj, S)
     h_frame = np.einsum("ik,jl,klb,ab,qa->qij", B, B, S, G, normals)
 
-    g_coord = jac.T @ G @ jac
+    packet = FramePacket(u=np.asarray(u, dtype=float), x=x, jacobian=jac,
+                         ambient=mp, g_coord=jac.T @ G @ jac, tangents=tangents,
+                         tangent_coeffs=B, normals=normals, h_frame=h_frame,
+                         h_coord=h_coord, immersion=imm, metric=metric,
+                         field=field, tols=tols)
+    if field is None:
+        return packet
+    split = decompose_field(packet, field.at(x, order=0).components)
+    return replace(packet, v_tan=split.v_tan, v_nor=split.v_nor,
+                   v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm)
 
-    v = v_tan = v_nor = None
-    v_tan_norm = v_nor_norm = 0.0
-    if field is not None:
-        v = field.at(x, order=0).components
-        coeff_t = np.array([float(v @ G @ e) for e in tangents])
-        coeff_n = np.array([float(v @ G @ xi) for xi in normals])
-        v_tan = coeff_t @ tangents
-        v_nor = coeff_n @ normals
-        v_tan_norm = float(np.linalg.norm(coeff_t))
-        v_nor_norm = float(np.linalg.norm(coeff_n))
 
-    return FramePacket(u=np.asarray(u, dtype=float), x=x, jacobian=jac,
-                       g_ambient=G, g_coord=g_coord, tangents=tangents,
-                       tangent_coeffs=B, normals=normals, h_frame=h_frame,
-                       h_coord=h_coord, v=v, v_tan=v_tan, v_nor=v_nor,
-                       v_tan_norm=v_tan_norm, v_nor_norm=v_nor_norm)
+def frame_packets(imm: Immersion, metric: MetricField, field: VectorField | None,
+                  us, tols: Tolerances = DEFAULT) -> list:
+    """One packet per parameter point, each carrying the field."""
+    return [frames(imm, metric, u, field=field, tols=tols) for u in us]
 
 
 def second_fundamental_form(imm: Immersion, metric: MetricField, u,
@@ -241,10 +255,8 @@ def first_normal_space(packet: FramePacket, tols: Tolerances = DEFAULT) -> First
 def shape_operator(packet: FramePacket, xi, tols: Tolerances = DEFAULT) -> np.ndarray:
     """A_ξ in the orthonormal tangent frame; symmetric, linear in ξ."""
     xi = np.asarray(xi, dtype=float)
-    tan_part = packet.tangent_project(xi)
-    tan_norm = float(np.sqrt(max(packet.inner(tan_part, tan_part), 0.0)))
-    scale = float(np.sqrt(max(packet.inner(xi, xi), 0.0)))
-    if tan_norm > tols.frame_tol * max(1.0, scale):
+    tan_norm = packet.ambient.norm(packet.tangent_project(xi))
+    if tan_norm > tols.frame_tol * max(1.0, packet.ambient.norm(xi)):
         raise NonNormalVectorError(
             f"vector has tangential part of norm {tan_norm:.3e}")
     comps = np.array([packet.inner(xi, nu) for nu in packet.normals])
@@ -280,12 +292,16 @@ def gauss_equation_residual(imm: Immersion, metric: MetricField, u,
                             X, Y, Z, W, tols: Tolerances = DEFAULT) -> float:
     """|LHS − RHS| of the Gauss equation for tangent vectors given in
     parameter coordinates."""
+    return gauss_defect(frames(imm, metric, u, tols=tols), X, Y, Z, W)
+
+
+def gauss_defect(packet: FramePacket, X, Y, Z, W) -> float:
+    """gauss_equation_residual at the packet's parameter point."""
     X, Y, Z, W = (np.asarray(a, dtype=float) for a in (X, Y, Z, W))
-    ind = induced_metric(imm, metric, u, tols)
+    ind = packet.induced
     lhs = float(riemann(ind, X, Y, Z) @ ind.g @ W)
 
-    packet = frames(imm, metric, u, tols=tols)
-    mp2 = metric.at(packet.x, order=2)
+    mp2 = packet.ambient2
     J = packet.jacobian
     Xa, Ya, Za, Wa = (J @ v for v in (X, Y, Z, W))
     ambient_term = float(riemann(mp2, Xa, Ya, Za) @ mp2.g @ Wa)

@@ -75,3 +75,16 @@ def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
         if want is not None and len(kept) >= want:
             break
     return np.asarray(basis), np.asarray(rows), kept
+
+
+def reduce_max(values) -> float:
+    """Largest value, 0 for none.  A NaN propagates, where Python's max
+    drops it whenever it is not the first argument."""
+    return float(np.max(values, initial=0.0))
+
+
+def worst(values) -> tuple[float, int]:
+    """(largest value, index of its first occurrence); a NaN counts as the
+    largest, so it is what gets reported."""
+    index = int(np.argmax(values))
+    return float(values[index]), index

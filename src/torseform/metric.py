@@ -41,6 +41,26 @@ class MetricAtPoint:
     d2g: np.ndarray | None = None
     spd_tol: float = DEFAULT.spd_tol
 
+    @classmethod
+    def from_jets(cls, point, jets, order: int, spd_tol: float) -> "MetricAtPoint":
+        """Metric data from entry jets of the given order, read from the
+        lower triangle jets[i][j], j <= i; g must be positive definite."""
+        m = len(jets)
+        g = np.zeros((m, m))
+        dg = np.zeros((m, m, m)) if order >= 1 else None
+        d2g = np.zeros((m, m, m, m)) if order >= 2 else None
+        for i in range(m):
+            for j in range(i + 1):
+                jet = jets[i][j]
+                g[i, j] = g[j, i] = jet.value
+                if order >= 1:
+                    dg[:, i, j] = dg[:, j, i] = jet.gradient()
+                if order >= 2:
+                    d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hessian()
+        cholesky_spd(g, spd_tol)
+        return cls(point=np.asarray(point, dtype=float), g=g, dg=dg, d2g=d2g,
+                   spd_tol=spd_tol)
+
     @property
     def dim(self) -> int:
         return self.g.shape[0]
@@ -48,6 +68,24 @@ class MetricAtPoint:
     @cached_property
     def inverse(self) -> np.ndarray:
         return inverse_spd(self.g, self.spd_tol)
+
+    @cached_property
+    def koszul(self) -> np.ndarray:
+        """T[l, i, j] = ∂_i g_lj + ∂_j g_li − ∂_l g_ij."""
+        if self.dg is None:
+            raise OrderInsufficientError("christoffel needs metric jets of order >= 1")
+        dg = self.dg
+        return np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Γ[k, i, j] = Γᵏᵢⱼ, computed once per point."""
+        return christoffel(self)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """R[l, k, i, j] = Rˡ_kij, computed once per point."""
+        return riemann_components(self)
 
     def inner(self, u, v) -> float:
         return float(np.asarray(u) @ self.g @ np.asarray(v))
@@ -62,6 +100,12 @@ class VectorAtPoint:
 
     components: np.ndarray
     jacobian: np.ndarray | None = None
+
+    @classmethod
+    def from_jets(cls, jets, order: int) -> "VectorAtPoint":
+        """Components from their jets; the jacobian when order >= 1."""
+        jacobian = np.stack([jet.gradient() for jet in jets]) if order >= 1 else None
+        return cls(components=np.array([jet.value for jet in jets]), jacobian=jacobian)
 
 
 class MetricField:
@@ -88,8 +132,8 @@ class MetricField:
         return cls([[("1" if i == j else "0") for j in range(i + 1)] for i in range(m)])
 
     def entry_jets(self, env) -> list:
-        """Lower-triangle entries evaluated over a jet environment; used for
-        pullbacks through an immersion."""
+        """Entries evaluated over a jet environment, each lower-triangle
+        entry once."""
         m = self.dim
         out = [[None] * m for _ in range(m)]
         for i in range(m):
@@ -100,26 +144,19 @@ class MetricField:
 
     def at(self, point: Sequence[float], order: int = 2) -> MetricAtPoint:
         """Evaluate the metric and its derivatives to the requested order."""
-        m = self.dim
         env = jet_variables(self.var_names, point, order)
-        g = np.zeros((m, m))
-        dg = np.zeros((m, m, m)) if order >= 1 else None
-        d2g = np.zeros((m, m, m, m)) if order >= 2 else None
-        for i in range(m):
-            for j in range(i + 1):
-                jet = eval_jet_env(self.exprs[i][j], env)
-                g[i, j] = g[j, i] = jet.value
-                if order >= 1:
-                    grad = jet.gradient()
-                    dg[:, i, j] = grad
-                    dg[:, j, i] = grad
-                if order >= 2:
-                    hess = jet.hessian()
-                    d2g[:, :, i, j] = hess
-                    d2g[:, :, j, i] = hess
-        cholesky_spd(g, self.spd_tol)  # positive definiteness is a hard requirement
-        return MetricAtPoint(point=np.asarray(point, dtype=float), g=g, dg=dg,
-                             d2g=d2g, spd_tol=self.spd_tol)
+        return MetricAtPoint.from_jets(point, self.entry_jets(env), order,
+                                       self.spd_tol)
+
+
+def jet_inner(gjets, a, b) -> Jet:
+    """Σ_ij g_ij a^i b^j over jets, summed in index order."""
+    acc = None
+    for i, row in enumerate(gjets):
+        for j, gij in enumerate(row):
+            term = gij * a[i] * b[j]
+            acc = term if acc is None else acc + term
+    return acc
 
 
 class VectorField:
@@ -134,45 +171,23 @@ class VectorField:
 
     def at(self, point: Sequence[float], order: int = 1) -> VectorAtPoint:
         env = jet_variables(self.var_names, point, order)
-        comps = np.zeros(self.dim)
-        jac = np.zeros((self.dim, self.dim)) if order >= 1 else None
-        for k, e in enumerate(self.exprs):
-            jet = eval_jet_env(e, env)
-            comps[k] = jet.value
-            if order >= 1:
-                jac[k, :] = jet.gradient()
-        return VectorAtPoint(components=comps, jacobian=jac)
+        return VectorAtPoint.from_jets([eval_jet_env(e, env) for e in self.exprs], order)
 
     def norm_jet(self, point: Sequence[float], metric: MetricField, order: int = 1) -> Jet:
         """Jet of |V|(x) = sqrt(g_ij V^i V^j) at the point."""
-        env = jet_variables(self.var_names, point, order)
-        vjets = [eval_jet_env(e, env) for e in self.exprs]
-        gjets = metric.entry_jets(env)
-        acc = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                term = gjets[i][j] * vjets[i] * vjets[j]
-                acc = term if acc is None else acc + term
-        return acc.sqrt()
+        return self.unit_and_norm(point, metric, order)[1]
 
     def unit_at(self, point: Sequence[float], metric: MetricField) -> VectorAtPoint:
         """V/|V| with jacobian, differentiated through the normalization."""
-        env = jet_variables(self.var_names, point, 1)
+        return self.unit_and_norm(point, metric)[0]
+
+    def unit_and_norm(self, point: Sequence[float], metric: MetricField,
+                      order: int = 1) -> tuple[VectorAtPoint, Jet]:
+        """(V/|V| with jacobian, jet of |V|), both from one |V| jet."""
+        env = jet_variables(self.var_names, point, order)
         vjets = [eval_jet_env(e, env) for e in self.exprs]
-        gjets = metric.entry_jets(env)
-        acc = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                term = gjets[i][j] * vjets[i] * vjets[j]
-                acc = term if acc is None else acc + term
-        norm = acc.sqrt()
-        comps = np.zeros(self.dim)
-        jac = np.zeros((self.dim, self.dim))
-        for k in range(self.dim):
-            unit_k = vjets[k] / norm
-            comps[k] = unit_k.value
-            jac[k, :] = unit_k.gradient()
-        return VectorAtPoint(components=comps, jacobian=jac)
+        norm = jet_inner(metric.entry_jets(env), vjets, vjets).sqrt()
+        return VectorAtPoint.from_jets([v / norm for v in vjets], order), norm
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +196,7 @@ class VectorField:
 
 def christoffel(mp: MetricAtPoint) -> np.ndarray:
     """Γ[k, i, j] = Γᵏᵢⱼ from the Koszul expansion; symmetric in (i, j)."""
-    if mp.dg is None:
-        raise OrderInsufficientError("christoffel needs metric jets of order >= 1")
-    dg = mp.dg
-    # T[l, i, j] = ∂_i g_lj + ∂_j g_li − ∂_l g_ij
-    T = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", mp.inverse, T)
+    return 0.5 * np.einsum("kl,lij->kij", mp.inverse, mp.koszul)
 
 
 def christoffel_derivatives(mp: MetricAtPoint):
@@ -194,15 +204,13 @@ def christoffel_derivatives(mp: MetricAtPoint):
     if mp.d2g is None:
         raise OrderInsufficientError("curvature needs metric jets of order >= 2")
     dg, d2g, ginv = mp.dg, mp.d2g, mp.inverse
-    T = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, T)
     # ∂_a g^{kl} = −g^{kp} (∂_a g_pq) g^{ql}
     dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
     # dT[a, l, i, j] = ∂_a∂_i g_lj + ∂_a∂_j g_li − ∂_a∂_l g_ij
     dT = (np.einsum("ailj->alij", d2g) + np.einsum("ajli->alij", d2g) - d2g)
-    dgamma = 0.5 * (np.einsum("akl,lij->akij", dginv, T)
+    dgamma = 0.5 * (np.einsum("akl,lij->akij", dginv, mp.koszul)
                     + np.einsum("kl,alij->akij", ginv, dT))
-    return gamma, dgamma
+    return mp.gamma, dgamma
 
 
 def riemann_components(mp: MetricAtPoint) -> np.ndarray:
@@ -218,8 +226,7 @@ def riemann_components(mp: MetricAtPoint) -> np.ndarray:
 
 def riemann(mp: MetricAtPoint, X, Y, Z) -> np.ndarray:
     """R(X, Y)Z at the point."""
-    R = riemann_components(mp)
-    return np.einsum("lkij,k,i,j->l", R, np.asarray(Z, float),
+    return np.einsum("lkij,k,i,j->l", mp.curvature, np.asarray(Z, float),
                      np.asarray(X, float), np.asarray(Y, float))
 
 
@@ -240,13 +247,16 @@ def sectional_curvature(mp: MetricAtPoint, u, v,
     return mp.inner(ruvv, u) / denom
 
 
-def covariant_derivative(mp: MetricAtPoint, field: VectorAtPoint, direction) -> np.ndarray:
-    """(∇_X V)^k = X^i ∂_i V^k + Γᵏᵢⱼ X^i V^j at the point."""
+def covariant_jacobian(mp: MetricAtPoint, field: VectorAtPoint) -> np.ndarray:
+    """D[j, k] = (∇_{∂_j} V)^k = ∂_j V^k + Γᵏⱼᵦ V^b at the point."""
     if field.jacobian is None:
         raise PreconditionError("covariant derivative needs the field jacobian")
-    X = np.asarray(direction, float)
-    gamma = christoffel(mp)
-    return field.jacobian @ X + np.einsum("kij,i,j->k", gamma, X, field.components)
+    return field.jacobian.T + np.einsum("kjb,b->jk", mp.gamma, field.components)
+
+
+def covariant_derivative(mp: MetricAtPoint, field: VectorAtPoint, direction) -> np.ndarray:
+    """(∇_X V)^k = X^j (∇_{∂_j} V)^k at the point."""
+    return np.asarray(direction, float) @ covariant_jacobian(mp, field)
 
 
 def orthonormal_coordinate_frame(mp: MetricAtPoint, tols: Tolerances = DEFAULT):

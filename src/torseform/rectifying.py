@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import TORQUED, fit_torse_forming
+from .classify import TORQUED
 from .config import DEFAULT, Tolerances
 from .errors import DegeneratePlaneError, PreconditionError
-from .immersion import (FramePacket, Immersion, decompose_field, frames,
-                        induced_metric, shape_operator)
+from .immersion import (FramePacket, Immersion, decompose_field, frame_packets,
+                        frames, shape_operator)
+from .linalg import reduce_max, worst
 from .metric import (MetricField, VectorField, covariant_derivative, riemann,
                      sectional_curvature)
 
@@ -51,38 +52,30 @@ def rectifying_point(imm: Immersion, metric: MetricField, field: VectorField,
                      u, tols: Tolerances = DEFAULT):
     """Residual, properness and |A_{V^⊥}| at one parameter point."""
     packet = frames(imm, metric, u, field=field, tols=tols)
-    p = packet.codim
+    return rectifying_at(packet, tols), packet
+
+
+def rectifying_at(packet: FramePacket, tols: Tolerances = DEFAULT) -> RectifyingPointReport:
+    """The report of rectifying_point from a packet that carries the field."""
     n = packet.n
     v_nor_frame = np.array([packet.inner(packet.v_nor, xi) for xi in packet.normals])
-    numer = 0.0
-    h_sup = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            h_ij = packet.h_frame[:, i, j]          # normal-frame components
-            numer = max(numer, abs(float(v_nor_frame @ h_ij)))
-            h_sup = max(h_sup, float(np.linalg.norm(h_ij)))
+    h_pairs = [packet.h_frame[:, i, j] for i in range(n) for j in range(i, n)]
+    numer = reduce_max([abs(float(v_nor_frame @ h_ij)) for h_ij in h_pairs])
+    h_sup = reduce_max([float(np.linalg.norm(h_ij)) for h_ij in h_pairs])
     residual = numer / max(1.0, h_sup * packet.v_nor_norm)
     a_vperp = np.einsum("a,aij->ij", v_nor_frame, packet.h_frame)
-    report = RectifyingPointReport(
-        u=np.asarray(u, dtype=float), residual=residual,
+    return RectifyingPointReport(
+        u=packet.u, residual=residual,
         v_tan_norm=packet.v_tan_norm, v_nor_norm=packet.v_nor_norm,
         proper=(packet.v_tan_norm > tols.proper_tol
                 and packet.v_nor_norm > tols.proper_tol),
         a_vperp_frob=float(np.linalg.norm(a_vperp)), h_sup=h_sup)
-    return report, packet
 
 
 def rectifying_residual(imm: Immersion, metric: MetricField, field: VectorField,
                         u, tols: Tolerances = DEFAULT) -> float:
     report, _ = rectifying_point(imm, metric, field, u, tols)
     return report.residual
-
-
-def check_Avperp_zero(packet: FramePacket) -> float:
-    """Frobenius norm of A_{V^⊥}; vanishes on a rectifying submanifold."""
-    v_nor_frame = np.array([packet.inner(packet.v_nor, xi) for xi in packet.normals])
-    a = np.einsum("a,aij->ij", v_nor_frame, packet.h_frame)
-    return float(np.linalg.norm(a))
 
 
 @dataclass(frozen=True)
@@ -105,33 +98,44 @@ def rectifying_scene(imm: Immersion, metric: MetricField, field: VectorField,
     "tangent-axis-hypersurface" mode (determinant corollary checks) and is
     never called proper-rectifying.
     """
-    us = list(us)
-    reports = []
-    for u in us:
-        rep, _ = rectifying_point(imm, metric, field, u, tols)
-        reports.append(rep)
+    return rectifying_over(frame_packets(imm, metric, field, us, tols), tols)
 
-    if imm.n == imm.m - 1 and max(r.v_nor_norm for r in reports) <= tols.proper_tol:
-        normal_rep = verify_normal_vanishes(imm, metric, field, us, tols)
+
+def rectifying_over(packets, tols: Tolerances = DEFAULT) -> RectifyingSceneReport:
+    """rectifying_scene over packets that carry the field."""
+    reports = [rectifying_at(packet, tols) for packet in packets]
+    if (all(packet.codim == 1 for packet in packets)
+            and reduce_max([r.v_nor_norm for r in reports]) <= tols.proper_tol):
+        normal_rep = normal_over(packets, tols)
         return RectifyingSceneReport(
             mode="tangent-axis-hypersurface", points=tuple(reports),
             max_residual=0.0, residual_witness=None, all_proper=False,
             max_a_vperp=0.0, passed=normal_rep.passed, normal_report=normal_rep)
 
-    worst = int(np.argmax([r.residual for r in reports]))
-    max_res = reports[worst].residual
+    max_res, at = worst([r.residual for r in reports])
     all_proper = all(r.proper for r in reports)
-    max_a = max(r.a_vperp_frob for r in reports)
+    max_a = reduce_max([r.a_vperp_frob for r in reports])
     passed = (max_res <= tols.rect_tol and all_proper and max_a <= A_VPERP_TOL)
     return RectifyingSceneReport(
         mode="proper-rectifying", points=tuple(reports), max_residual=max_res,
-        residual_witness=reports[worst].u, all_proper=all_proper,
+        residual_witness=reports[at].u, all_proper=all_proper,
         max_a_vperp=max_a, passed=passed)
 
 
 # ---------------------------------------------------------------------------
 # Tangent/normal characterization checks
 # ---------------------------------------------------------------------------
+
+def _vanishing(packets, attr: str, label: str) -> float:
+    """max of a component norm over the packets; raises PreconditionError
+    unless it is finite and within COMPONENT_TOL."""
+    value, at = worst([getattr(packet, attr) for packet in packets])
+    if not value <= COMPONENT_TOL:
+        u = packets[at].u
+        raise PreconditionError(f"{label} = {value:.3e} at u={u.tolist()}",
+                                witness=u)
+    return value
+
 
 @dataclass(frozen=True)
 class TangentialCaseReport:
@@ -141,43 +145,31 @@ class TangentialCaseReport:
     max_v_tan: float
     max_normal_derivative: float      # max |D_X V^⊥| over frame directions
     max_umbilic_defect: float         # max |A_{V^⊥} + f Id|
-    witness_d: np.ndarray | None
-    witness_umbilic: np.ndarray | None
+    witness_umbilic: np.ndarray
     passed: bool
 
 
 def verify_tangential_vanishes(imm: Immersion, metric: MetricField,
                                field: VectorField, us,
                                tols: Tolerances = DEFAULT) -> TangentialCaseReport:
-    us = list(us)
-    packets = [frames(imm, metric, u, field=field, tols=tols) for u in us]
-    max_v_tan = max(p.v_tan_norm for p in packets)
-    if max_v_tan > COMPONENT_TOL:
-        worst = max(packets, key=lambda p: p.v_tan_norm)
-        raise PreconditionError(
-            f"tangential component does not vanish: |V^⊤| = {max_v_tan:.3e} "
-            f"at u={worst.u.tolist()}", witness=worst.u)
+    return tangential_over(frame_packets(imm, metric, field, us, tols), tols)
 
-    max_d = 0.0
-    max_umb = 0.0
-    wit_d = wit_umb = None
-    for u, packet in zip(us, packets):
-        mp = metric.at(packet.x, order=1)
-        vap = field.at(packet.x, order=1)
-        for e in packet.tangents:
-            dv = covariant_derivative(mp, vap, e)
-            dnorm = float(np.linalg.norm(
-                [packet.inner(dv, xi) for xi in packet.normals]))
-            if dnorm > max_d:
-                max_d, wit_d = dnorm, packet.u
-        f = fit_torse_forming(metric, field, packet.x, tols).f
+
+def tangential_over(packets, tols: Tolerances = DEFAULT) -> TangentialCaseReport:
+    """verify_tangential_vanishes over packets that carry the field."""
+    max_v_tan = _vanishing(packets, "v_tan_norm",
+                           "tangential component does not vanish: |V^⊤|")
+    ds, umb_vals = [], []
+    for packet in packets:
+        ds += [decompose_field(packet, covariant_derivative(
+                   packet.ambient, packet.field_jet, e)).nor_norm for e in packet.tangents]
         a_v = shape_operator(packet, packet.v_nor, tols)
-        umb = float(np.linalg.norm(a_v + f * np.eye(packet.n)))
-        if umb > max_umb:
-            max_umb, wit_umb = umb, packet.u
+        umb_vals.append(float(np.linalg.norm(a_v + packet.fit.f * np.eye(packet.n))))
+    max_d = reduce_max(ds)
+    max_umb, at = worst(umb_vals)
     return TangentialCaseReport(
         max_v_tan=max_v_tan, max_normal_derivative=max_d,
-        max_umbilic_defect=max_umb, witness_d=wit_d, witness_umbilic=wit_umb,
+        max_umbilic_defect=max_umb, witness_umbilic=packets[at].u,
         passed=(max_d <= PARALLEL_NORMAL_TOL and max_umb <= UMBILIC_TOL))
 
 
@@ -196,54 +188,56 @@ class NormalCaseReport:
     passed: bool
 
 
+def _max_det(packet: FramePacket, tols: Tolerances) -> float:
+    """Largest |det A_ξ| over the normal frame."""
+    return reduce_max([abs(float(np.linalg.det(shape_operator(packet, xi, tols))))
+                 for xi in packet.normals])
+
+
 def verify_normal_vanishes(imm: Immersion, metric: MetricField,
                            field: VectorField, us,
                            tols: Tolerances = DEFAULT) -> NormalCaseReport:
-    us = list(us)
-    packets = [frames(imm, metric, u, field=field, tols=tols) for u in us]
-    max_v_nor = max(p.v_nor_norm for p in packets)
-    if max_v_nor > COMPONENT_TOL:
-        worst = max(packets, key=lambda p: p.v_nor_norm)
-        raise PreconditionError(
-            f"normal component does not vanish: |V^⊥| = {max_v_nor:.3e} "
-            f"at u={worst.u.tolist()}", witness=worst.u)
+    return normal_over(frame_packets(imm, metric, field, us, tols), tols)
 
-    max_det = max_h = max_curv = max_sec = 0.0
-    max_amb_sec = max_int_sec = 0.0
-    for u, packet in zip(us, packets):
-        for xi in packet.normals:
-            a = shape_operator(packet, xi, tols)
-            max_det = max(max_det, abs(float(np.linalg.det(a))))
-        t = packet.tangent_frame_coords(packet.v_tan)
+
+def normal_over(packets, tols: Tolerances = DEFAULT) -> NormalCaseReport:
+    """verify_normal_vanishes over packets that carry the field."""
+    max_v_nor = _vanishing(packets, "v_nor_norm",
+                           "normal component does not vanish: |V^⊥|")
+    dets, hs, curvs, secs, amb_secs, int_secs = [], [], [], [], [], []
+    for packet in packets:
+        dets.append(_max_det(packet, tols))
+        t = np.array([packet.inner(packet.v_tan, e) for e in packet.tangents])
         hv = np.einsum("aij,j->ai", packet.h_frame, t)   # h(e_i, V^⊤) components
-        max_h = max(max_h, float(np.max(np.linalg.norm(hv, axis=0))) if hv.size else 0.0)
+        hs.append(reduce_max(np.linalg.norm(hv, axis=0)))
 
-        ind = induced_metric(imm, metric, u, tols)
-        mp2 = metric.at(packet.x, order=2)
+        ind = packet.induced
+        mp2 = packet.ambient2
         vt_par = packet.parameter_coords(packet.v_tan)
         B = packet.tangent_coeffs
+        E = packet.tangents
         for i in range(packet.n):
             for j in range(i + 1, packet.n):
                 for k in range(packet.n):
-                    amb = float(riemann(mp2, packet.tangents[i], packet.tangents[j],
-                                        packet.v_tan) @ mp2.g @ packet.tangents[k])
-                    intr = float(riemann(ind, B[i], B[j], vt_par)
-                                 @ ind.g @ B[k])
-                    max_curv = max(max_curv, abs(amb - intr))
+                    amb = float(riemann(mp2, E[i], E[j], packet.v_tan) @ mp2.g @ E[k])
+                    intr = float(riemann(ind, B[i], B[j], vt_par) @ ind.g @ B[k])
+                    curvs.append(abs(amb - intr))
         for i in range(packet.n):
             try:
-                amb_k = sectional_curvature(mp2, packet.tangents[i], packet.v_tan, tols)
+                amb_k = sectional_curvature(mp2, E[i], packet.v_tan, tols)
                 int_k = sectional_curvature(ind, B[i], vt_par, tols)
             except DegeneratePlaneError:
                 continue
-            max_sec = max(max_sec, abs(amb_k - int_k))
-            max_amb_sec = max(max_amb_sec, abs(amb_k))
-            max_int_sec = max(max_int_sec, abs(int_k))
+            secs.append(abs(amb_k - int_k))
+            amb_secs.append(abs(amb_k))
+            int_secs.append(abs(int_k))
 
+    max_det, max_h, max_curv, max_sec = map(reduce_max, (dets, hs, curvs, secs))
     return NormalCaseReport(
         max_v_nor=max_v_nor, max_det=max_det, max_h_vtan=max_h,
         max_curvature_mismatch=max_curv, max_sectional_mismatch=max_sec,
-        max_ambient_sectional=max_amb_sec, max_intrinsic_sectional=max_int_sec,
+        max_ambient_sectional=reduce_max(amb_secs),
+        max_intrinsic_sectional=reduce_max(int_secs),
         passed=(max_det <= DET_TOL and max_h <= H_TANGENT_TOL
                 and max_curv <= CURV_MATCH_TOL and max_sec <= CURV_MATCH_TOL))
 
@@ -267,32 +261,32 @@ class TorquedCaseReport:
 def verify_torqued_props(imm: Immersion, metric: MetricField,
                          field: VectorField, us, classification,
                          tols: Tolerances = DEFAULT) -> TorquedCaseReport:
+    return torqued_over(frame_packets(imm, metric, field, us, tols), classification, tols)
+
+
+def torqued_over(packets, classification,
+                 tols: Tolerances = DEFAULT) -> TorquedCaseReport:
+    """verify_torqued_props over packets that carry the field."""
     if classification.verdict != TORQUED:
         raise PreconditionError(
             f"torqued characterization requires a torqued verdict, got "
             f"'{classification.verdict}'")
-    us = list(us)
-    packets = [frames(imm, metric, u, field=field, tols=tols) for u in us]
-    max_tan = max(p.v_tan_norm for p in packets)
-    max_nor = max(p.v_nor_norm for p in packets)
+    max_tan = reduce_max([p.v_tan_norm for p in packets])
+    max_nor = reduce_max([p.v_nor_norm for p in packets])
 
     if max_nor <= COMPONENT_TOL:
         # Case V^⊥ = 0: V^⊤ = V on M, concircular intrinsically by the Gauss
         # formula, shape operators singular.
-        max_conc = max_det = 0.0
+        concs, dets = [], []
         for packet in packets:
-            mp = metric.at(packet.x, order=1)
-            vap = field.at(packet.x, order=1)
-            derivs = [covariant_derivative(mp, vap, e) for e in packet.tangents]
+            derivs = [covariant_derivative(packet.ambient, packet.field_jet, e)
+                      for e in packet.tangents]
             f_int = float(np.mean([packet.inner(d, e)
                                    for d, e in zip(derivs, packet.tangents)]))
-            for d, e in zip(derivs, packet.tangents):
-                tan_part = packet.tangent_project(d)
-                max_conc = max(max_conc,
-                               float(np.linalg.norm(tan_part - f_int * e)))
-            for xi in packet.normals:
-                a = shape_operator(packet, xi, tols)
-                max_det = max(max_det, abs(float(np.linalg.det(a))))
+            concs += [float(np.linalg.norm(packet.tangent_project(d) - f_int * e))
+                      for d, e in zip(derivs, packet.tangents)]
+            dets.append(_max_det(packet, tols))
+        max_conc, max_det = reduce_max(concs), reduce_max(dets)
         return TorquedCaseReport(
             case="tangent", max_concircular_residual=max_conc, max_det=max_det,
             passed=(max_conc <= CURV_MATCH_TOL and max_det <= DET_TOL))
@@ -300,14 +294,12 @@ def verify_torqued_props(imm: Immersion, metric: MetricField,
     if max_tan <= COMPONENT_TOL:
         # Case V^⊤ = 0: umbilic direction plus the normal-connection
         # identities along W^⊤.
-        max_umb = max_d = max_wd = 0.0
+        umbs, ds, wds = [], [], []
         w_tan_all_zero = True
         for packet in packets:
-            mp = metric.at(packet.x, order=1)
-            vap = field.at(packet.x, order=1)
-            rep = fit_torse_forming(metric, field, packet.x, tols)
+            mp, vap, rep = packet.ambient, packet.field_jet, packet.fit
             a_v = shape_operator(packet, packet.v_nor, tols)
-            max_umb = max(max_umb, float(np.linalg.norm(a_v + rep.f * np.eye(packet.n))))
+            umbs.append(float(np.linalg.norm(a_v + rep.f * np.eye(packet.n))))
 
             w_split = decompose_field(packet, rep.w_dual)
             if w_split.tan_norm > COMPONENT_TOL:
@@ -316,17 +308,15 @@ def verify_torqued_props(imm: Immersion, metric: MetricField,
                 dv_w = covariant_derivative(mp, vap, w_split.v_tan)
                 d_w = packet.normal_project(dv_w)
                 target = (w_split.tan_norm ** 2) * packet.v_nor
-                max_wd = max(max_wd, float(np.linalg.norm(d_w - target)))
+                wds.append(float(np.linalg.norm(d_w - target)))
             else:
                 w_hat = None
             for e in packet.tangents:
                 x_dir = e if w_hat is None else e - packet.inner(e, w_hat) * w_hat
                 if packet.inner(x_dir, x_dir) < 1e-16:
                     continue
-                dv = covariant_derivative(mp, vap, x_dir)
-                dnorm = float(np.linalg.norm(
-                    [packet.inner(dv, xi) for xi in packet.normals]))
-                max_d = max(max_d, dnorm)
+                ds.append(decompose_field(packet, covariant_derivative(mp, vap, x_dir)).nor_norm)
+        max_umb, max_d, max_wd = reduce_max(umbs), reduce_max(ds), reduce_max(wds)
         return TorquedCaseReport(
             case="normal", max_umbilic_defect=max_umb,
             max_normal_derivative=max_d, max_w_derivative_defect=max_wd,

@@ -20,7 +20,8 @@ from .classify import (GEODESIC_TOL, NONE, SceneClassification,
 from .config import Tolerances
 from .errors import (GeometryError, InconsistentSampleError,
                      PreconditionError)
-from .immersion import gauss_equation_residual
+from .immersion import frame_packets, gauss_defect
+from .linalg import reduce_max, worst
 from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
                      sample_parameter_points)
 
@@ -57,6 +58,7 @@ class _RunContext:
         self._classification = None
         self._ambient_points = None
         self._param_points = None
+        self._packets = None
         self._rect_report = None
 
     def rng(self, purpose: str):
@@ -89,13 +91,20 @@ class _RunContext:
         return self._classification
 
     @property
+    def packets(self) -> list:
+        """One FramePacket per parameter point, shared by every check."""
+        if self._packets is None:
+            self._packets = frame_packets(self.scene.immersion, self.scene.metric,
+                                          self.scene.field, self.param_points,
+                                          self.tols)
+        return self._packets
+
+    @property
     def rect_report(self) -> rect.RectifyingSceneReport:
         if self._rect_report is None:
             if self.scene.immersion is None or self.scene.field is None:
                 raise PreconditionError("rectifying needs a submanifold and a field")
-            self._rect_report = rect.rectifying_scene(
-                self.scene.immersion, self.scene.metric, self.scene.field,
-                self.param_points, self.tols)
+            self._rect_report = rect.rectifying_over(self.packets, self.tols)
         return self._rect_report
 
 
@@ -136,20 +145,15 @@ def _check_gauss(ctx: _RunContext) -> CheckResult:
     scene = ctx.scene
     if scene.immersion is None:
         raise PreconditionError("gauss-equation needs a submanifold")
+    packets = ctx.packets
     rng = ctx.rng("gauss-equation")
     n = scene.immersion.n
-    worst = 0.0
-    worst_u = None
-    for u in ctx.param_points:
-        X, Y, Z, W = (rng.standard_normal(n) for _ in range(4))
-        r = gauss_equation_residual(scene.immersion, scene.metric, u,
-                                    X, Y, Z, W, ctx.tols)
-        if r > worst:
-            worst, worst_u = r, u
-    ok = worst <= GAUSS_TOL
-    return CheckResult("gauss-equation", PASS if ok else FAIL, residual=worst,
-                       witness=_witness(worst_u) if worst_u is not None else None,
-                       details={"points": len(ctx.param_points), "bound": GAUSS_TOL})
+    residuals = [gauss_defect(packet, *(rng.standard_normal(n) for _ in range(4)))
+                 for packet in packets]
+    value, at = worst(residuals)
+    return CheckResult("gauss-equation", PASS if value <= GAUSS_TOL else FAIL,
+                       residual=value, witness=_witness(packets[at].u),
+                       details={"points": len(packets), "bound": GAUSS_TOL})
 
 
 def _check_rectifying(ctx: _RunContext) -> CheckResult:
@@ -162,33 +166,25 @@ def _check_rectifying(ctx: _RunContext) -> CheckResult:
                         "max_sectional_mismatch": nr.max_sectional_mismatch})
         return CheckResult("rectifying", PASS if rep.passed else FAIL,
                            residual=nr.max_det, witness=None, details=details)
-    witness = (_witness(rep.residual_witness)
-               if rep.residual_witness is not None else None)
     return CheckResult("rectifying", PASS if rep.passed else FAIL,
-                       residual=rep.max_residual, witness=witness,
-                       details=details)
+                       residual=rep.max_residual,
+                       witness=_witness(rep.residual_witness), details=details)
 
 
 def _check_tangential(ctx: _RunContext) -> CheckResult:
-    scene = ctx.scene
-    rep = rect.verify_tangential_vanishes(scene.immersion, scene.metric,
-                                          scene.field, ctx.param_points, ctx.tols)
-    residual = max(rep.max_normal_derivative, rep.max_umbilic_defect)
+    rep = rect.tangential_over(ctx.packets, ctx.tols)
+    residual = reduce_max([rep.max_normal_derivative, rep.max_umbilic_defect])
     return CheckResult("tangential-theorem", PASS if rep.passed else FAIL,
-                       residual=residual,
-                       witness=(_witness(rep.witness_umbilic)
-                                if rep.witness_umbilic is not None else None),
+                       residual=residual, witness=_witness(rep.witness_umbilic),
                        details={"max_v_tan": rep.max_v_tan,
                                 "max_normal_derivative": rep.max_normal_derivative,
                                 "max_umbilic_defect": rep.max_umbilic_defect})
 
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
-    scene = ctx.scene
-    rep = rect.verify_normal_vanishes(scene.immersion, scene.metric,
-                                      scene.field, ctx.param_points, ctx.tols)
-    residual = max(rep.max_det, rep.max_h_vtan, rep.max_curvature_mismatch,
-                   rep.max_sectional_mismatch)
+    rep = rect.normal_over(ctx.packets, ctx.tols)
+    residual = reduce_max([rep.max_det, rep.max_h_vtan, rep.max_curvature_mismatch,
+                           rep.max_sectional_mismatch])
     return CheckResult("normal-theorem", PASS if rep.passed else FAIL,
                        residual=residual, witness=None,
                        details={"max_v_nor": rep.max_v_nor,
@@ -199,13 +195,11 @@ def _check_normal(ctx: _RunContext) -> CheckResult:
 
 
 def _check_torqued(ctx: _RunContext) -> CheckResult:
-    scene = ctx.scene
-    rep = rect.verify_torqued_props(scene.immersion, scene.metric, scene.field,
-                                    ctx.param_points, ctx.classification,
-                                    ctx.tols)
-    residual = max(rep.max_concircular_residual, rep.max_det,
-                   rep.max_umbilic_defect, rep.max_normal_derivative,
-                   rep.max_w_derivative_defect)
+    classification = ctx.classification   # a missing verdict outranks frame errors
+    rep = rect.torqued_over(ctx.packets, classification, ctx.tols)
+    residual = reduce_max([rep.max_concircular_residual, rep.max_det,
+                           rep.max_umbilic_defect, rep.max_normal_derivative,
+                           rep.max_w_derivative_defect])
     return CheckResult("torqued-props", PASS if rep.passed else FAIL,
                        residual=residual, witness=None,
                        details={"case": rep.case,
@@ -235,7 +229,7 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
     ok = ode_res <= ctx.tols.ode_tol and fit.deviation <= ctx.tols.warp_tol
     lam = curve.lam_values
     return CheckResult("warp-fit", PASS if ok else FAIL,
-                       residual=max(ode_res, fit.deviation), witness=None,
+                       residual=reduce_max([ode_res, fit.deviation]), witness=None,
                        details={"ode_residual": ode_res,
                                 "model_deviation": fit.deviation,
                                 "integration_constant": fit.integration_constant,
@@ -248,13 +242,11 @@ def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
     rep = wp.verify_ambient_decomposition(ctx.scene.metric, ctx.scene.field,
                                           ctx.ambient_points,
                                           ctx.classification, ctx.tols)
-    residual = max(rep.max_geodesic_defect, rep.max_lambda_ode_defect,
-                   rep.max_connection_form_defect,
-                   rep.max_fiber_lambda_derivative)
+    residual = reduce_max([rep.max_geodesic_defect, rep.max_lambda_ode_defect,
+                           rep.max_connection_form_defect,
+                           rep.max_fiber_lambda_derivative])
     return CheckResult("ambient-decomposition", PASS if rep.passed else FAIL,
-                       residual=residual,
-                       witness=(_witness(rep.witness)
-                                if rep.witness is not None else None),
+                       residual=residual, witness=_witness(rep.witness),
                        details={"max_geodesic_defect": rep.max_geodesic_defect,
                                 "max_lambda_ode_defect": rep.max_lambda_ode_defect,
                                 "max_connection_form_defect": rep.max_connection_form_defect,

@@ -29,7 +29,7 @@ from .config import DEFAULT, Tolerances
 from .errors import DomainEvalError, ModelViolationError, PreconditionError
 from .immersion import Immersion
 from .jets import eval_jet
-from .linalg import orthonormalize, solve_spd
+from .linalg import orthonormalize, reduce_max, solve_spd, worst
 from .metric import MetricField, VectorField, covariant_derivative
 
 GEODESIC_A_TOL = 1e-8    # |∇̃_{E₁}E₁|
@@ -207,7 +207,7 @@ class AmbientDecompositionReport:
     max_lambda_ode_defect: float      # (b) |E₁(λ) − f (1 − λ²)|
     max_connection_form_defect: float  # (c) |<∇̃_{E_j}E₁, E_k> − (f/λ) δ_jk|
     max_fiber_lambda_derivative: float  # (d) |E_j(λ)|, j >= 2
-    witness: np.ndarray | None
+    witness: np.ndarray
     passed: bool
 
 
@@ -215,21 +215,20 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
                                  points, classification: SceneClassification,
                                  tols: Tolerances = DEFAULT) -> AmbientDecompositionReport:
     """Check the proof identities of the warped-product decomposition at the
-    given ambient points (the scene verdict must be anti-torqued)."""
+    given ambient points (the scene verdict must be anti-torqued), with f
+    from the fits that `classification` made there."""
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(
             f"ambient decomposition requires an anti-torqued verdict, got "
             f"'{classification.verdict}'")
-    max_a = max_b = max_c = max_d = 0.0
-    witness = None
-    for p in points:
-        p = np.asarray(p, dtype=float)
+    reports = classification.reports_at(points)
+    values = []                       # (a, b, c, d) per point
+    for rep in reports:
+        p, f = rep.point, rep.f
         mp = metric.at(p, order=1)
-        e1 = field.unit_at(p, metric)
-        norm_jet = field.norm_jet(p, metric, order=1)
-        lam = norm_jet.value
-        grad_lam = norm_jet.gradient()
-        f = fit_torse_forming(metric, field, p, tols).f
+        e1, lam_jet = field.unit_and_norm(p, metric)
+        lam = lam_jet.value
+        grad_lam = lam_jet.gradient()
 
         a_val = mp.norm(covariant_derivative(mp, e1, e1.components))
         b_val = abs(float(grad_lam @ e1.components) - f * (1.0 - lam ** 2))
@@ -237,23 +236,20 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
         frame, _, _ = orthonormalize(list(np.eye(metric.dim)), mp.g,
                                      keep_tol=tols.frame_tol,
                                      start_basis=[e1.components])
-        c_val = d_val = 0.0
+        c_vals, d_vals = [], []
         for j in range(1, metric.dim):
             de1 = covariant_derivative(mp, e1, frame[j])
             for k in range(1, metric.dim):
                 target = (f / lam) if j == k else 0.0
-                c_val = max(c_val, abs(float(de1 @ mp.g @ frame[k]) - target))
-            d_val = max(d_val, abs(float(grad_lam @ frame[j])))
-        if max(a_val, b_val, c_val, d_val) > max(max_a, max_b, max_c, max_d):
-            witness = p
-        max_a = max(max_a, a_val)
-        max_b = max(max_b, b_val)
-        max_c = max(max_c, c_val)
-        max_d = max(max_d, d_val)
+                c_vals.append(abs(float(de1 @ mp.g @ frame[k]) - target))
+            d_vals.append(abs(float(grad_lam @ frame[j])))
+        values.append((a_val, b_val, reduce_max(c_vals), reduce_max(d_vals)))
+    max_a, max_b, max_c, max_d = map(reduce_max, zip(*values))
+    _, at = worst([reduce_max(v) for v in values])
     return AmbientDecompositionReport(
         max_geodesic_defect=max_a, max_lambda_ode_defect=max_b,
         max_connection_form_defect=max_c, max_fiber_lambda_derivative=max_d,
-        witness=witness,
+        witness=reports[at].point,
         passed=(max_a <= GEODESIC_A_TOL and max_b <= DECOMP_TOL
                 and max_c <= DECOMP_TOL and max_d <= DECOMP_TOL))
 

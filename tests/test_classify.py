@@ -1,12 +1,17 @@
 """Torse-forming fit and field classification."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import radial_unit_field
 from torseform import (ANTI_TORQUED, CONCIRCULAR, NONE, PARALLEL, TORQUED,
-                       TORSE_FORMING, MetricField, VectorField, classify,
+                       TORSE_FORMING, ClassificationReport, MetricField,
+                       SceneClassification, VectorField, classify,
                        fit_torse_forming, geodesic_unit_check)
+from torseform.classify import PRECEDENCE, _passes
+from torseform.config import DEFAULT
 from torseform.errors import (InconsistentSampleError, PreconditionError,
                               ZeroFieldError)
 
@@ -196,3 +201,56 @@ class TestGeodesicUnitCheck:
         c = classify(euclid3, field, pts)
         with pytest.raises(PreconditionError):
             geodesic_unit_check(euclid3, field, pts, c)
+
+
+def exact_report(point, **overrides):
+    """A report of an exactly anti-torqued unit field, with overrides."""
+    values = dict(point=np.asarray(point, dtype=float), f=1.0,
+                  omega=np.zeros(3), w_dual=np.zeros(3), residual_torse=0.0,
+                  residual_concircular=1.0, residual_torqued=0.0,
+                  residual_antitorqued=0.0, verdict=ANTI_TORQUED, v_norm=1.0,
+                  grad_norm=1.0, geodesic_defect=0.0)
+    values.update(overrides)
+    return ClassificationReport(**values)
+
+
+class TestNonFiniteResiduals:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls", PRECEDENCE)
+    def test_nonfinite_torse_residual_gets_no_class(self, cls, value):
+        rep = exact_report([1, 2, 3], residual_torse=value,
+                           residual_concircular=0.0, grad_norm=value)
+        assert not _passes(rep, cls, DEFAULT)
+
+    @pytest.mark.parametrize("name, cls", [
+        ("residual_concircular", CONCIRCULAR),
+        ("residual_antitorqued", ANTI_TORQUED),
+        ("residual_torqued", TORQUED)])
+    def test_nan_specialization_residual_gets_no_class(self, name, cls):
+        finite = {"residual_concircular": 0.0}
+        assert _passes(exact_report([1, 2, 3], **finite), cls, DEFAULT)
+        rep = exact_report([1, 2, 3], **{**finite, name: math.nan})
+        assert not _passes(rep, cls, DEFAULT)
+
+    def test_reductions_propagate_nan(self, euclid3):
+        # the NaN sits after a finite value, where Python's max drops it
+        pts = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 3.0])]
+        reports = (exact_report(pts[0]),
+                   exact_report(pts[1], residual_antitorqued=math.nan,
+                                geodesic_defect=math.nan))
+        c = SceneClassification(verdict=ANTI_TORQUED, reports=reports,
+                                witness_index=0, witness_residual=0.0,
+                                f_values=np.ones(2))
+        assert math.isnan(c.class_residuals()[ANTI_TORQUED])
+        field = VectorField(["1", "0", "0"])
+        assert math.isnan(geodesic_unit_check(euclid3, field, pts, c))
+
+    def test_reports_must_match_points(self, euclid3):
+        pts = [np.array([1.0, 2.0, 3.0])]
+        c = SceneClassification(verdict=ANTI_TORQUED, reports=(exact_report(pts[0]),),
+                                witness_index=0, witness_residual=0.0,
+                                f_values=np.ones(1))
+        with pytest.raises(PreconditionError):
+            geodesic_unit_check(euclid3, VectorField(["1", "0", "0"]),
+                                [np.array([3.0, 2.0, 1.0])], c)
+

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import radial_unit_field
-from torseform import (Immersion, MetricField, VectorField, check_Avperp_zero,
+from torseform import (Immersion, MetricField, VectorField,
                        classify, rectifying_point,
                        rectifying_residual, rectifying_scene,
                        verify_normal_vanishes, verify_tangential_vanishes,
@@ -58,7 +58,6 @@ class TestRectifyingResidual:
         assert rep.residual == pytest.approx(1.0, abs=1e-10)
         # umbilic contrast: |A_{V^perp}| = sqrt(n) since A = -Id
         assert rep.a_vperp_frob == pytest.approx(np.sqrt(2.0), abs=1e-10)
-        assert check_Avperp_zero(pk) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
     def test_offset_plane_trivially_rectifying(self, euclid3):
         plane = Immersion(["u1", "u2", "1"], n=2, domain=[[-2, 2], [-2, 2]])

@@ -271,6 +271,25 @@ class TestCli:
         proc = run_cli("check", "/nonexistent/scene.json")
         assert proc.returncode == 2
 
+    def test_overflowing_field_is_numeric_error_not_usage_error(self, tmp_path):
+        # x1^300 overflows on x1 in [10, 30]: the fit's normal equations are
+        # non-finite, which must be reported per check with exit code 3
+        from torseform import cli
+
+        doc = minimal_doc(name="overflow", field=["x1^300", "x2", "x3"])
+        doc["ambient"] = {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                          "domain": [[10, 30], [1, 2], [1, 2]]}
+        path, out = tmp_path / "overflow.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code = cli.main(["check", str(path), "--json", str(out)])
+        assert code == 3
+        payload = json.loads(out.read_text())
+        [check] = payload["checks"]
+        assert check["name"] == "classify"
+        assert check["status"] == "error"
+        assert check["details"]["error"] == "SingularFitError"
+
     def test_byte_identical_machine_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
