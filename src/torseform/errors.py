@@ -36,8 +36,9 @@ class DomainEvalError(GeometryError):
 
 
 class JetDomainError(ValueError):
-    """Internal: a jet operation left its domain (wrapped into DomainEvalError
-    by the expression evaluator)."""
+    """Internal: a row of the function table was asked for a value or a
+    derivative outside its domain (wrapped into DomainEvalError by the
+    expression evaluator, for floats and jets alike)."""
 
 
 class SingularMetricError(GeometryError):

@@ -10,25 +10,133 @@ Grammar, loosest to tightest binding::
 
 so "-x1^2" parses as -(x1^2) and "2^3^2" as 2^(3^2).  Whitespace is
 insignificant.  When a variable set is supplied, identifiers outside it are
-rejected at parse time with their position.
+rejected at parse time with their position, as are literals that overflow.
+
+FUNCTIONS is the one table of calls (sin cos tan sinh cosh tanh asinh atanh
+atan sqrt exp log abs pow): arity plus a row of derivatives at a point, read
+by float evaluation here and by the jet engine in `torseform.jets`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import DomainEvalError, JetDomainError, ParseError
 
-#: supported call names -> arity
+# ---------------------------------------------------------------------------
+# Function table: the one place that knows the supported calls
+# ---------------------------------------------------------------------------
+
+class Function(NamedTuple):
+    """``derivatives(x, k, *params)`` returns [φ(x), φ′(x), …, φ⁽ᵏ⁾(x)], k <= 3,
+    for φ the function of its first argument, further arguments (the exponent
+    of pow) held fixed.  It raises on a domain violation: the value needs x in
+    the domain, derivatives of order >= 1 need x in its interior."""
+
+    arity: int
+    derivatives: Callable
+
+
+def _outside(what: str, x) -> JetDomainError:
+    return JetDomainError(f"{what} {float(x)!r}")
+
+
+def _cyclic(f, g, sign, k):
+    """sin, cos, sinh, cosh: φ'' = sign·φ, so the derivatives cycle through f, g."""
+    return [f, g, sign * f, sign * g][:k + 1]
+
+
+def _tan_like(t, sign, k):
+    """tan (sign 1) and tanh (sign -1) from their value t: φ' = 1 + sign·t²."""
+    d1 = 1.0 + sign * t * t
+    return [t, d1, 2.0 * sign * t * d1, d1 * (2.0 * sign + 6.0 * t * t)][:k + 1]
+
+
+def _atan_like(value, x, sign, k):
+    """atan (sign 1) and atanh (sign -1): φ' = 1 / (1 + sign·x²)."""
+    d1 = 1.0 / (1.0 + sign * x * x)
+    return [value, d1, -2.0 * sign * x * d1 * d1, (6.0 * x * x - 2.0 * sign) * d1 ** 3][:k + 1]
+
+
+def _atanh(x, k):
+    if abs(x) >= 1.0:
+        raise _outside("atanh outside (-1, 1) at", x)
+    return _atan_like(math.atanh(x), x, -1.0, k)
+
+
+def _asinh(x, k):
+    w = 1.0 + x * x
+    return [math.asinh(x), w ** -0.5, -x * w ** -1.5, (2.0 * x * x - 1.0) * w ** -2.5][:k + 1]
+
+
+def _log(x, k):
+    if x <= 0.0:
+        raise _outside("log of non-positive value", x)
+    r = 1.0 / x
+    return [math.log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
+
+
+def _sqrt(x, k):
+    if x < 0.0:
+        raise _outside("sqrt of negative value", x)
+    r = math.sqrt(x)
+    if k == 0:
+        return [r]
+    if x == 0.0:
+        raise JetDomainError("sqrt is not differentiable at 0")
+    d1 = 0.5 / r
+    d2 = -0.5 * d1 / x
+    return [r, d1, d2, -1.5 * d2 / x][:k + 1]
+
+
+def _abs(x, k):
+    if k and x == 0.0:
+        raise JetDomainError("abs is not differentiable at 0")
+    return [abs(x), 1.0 if x >= 0.0 else -1.0, 0.0, 0.0][:k + 1]
+
+
+def _pow(x, k, p):
+    """x^p and its x-derivatives for a constant exponent p."""
+    whole = float(p).is_integer()
+    if x < 0.0 and not whole:
+        raise _outside(f"non-integer power {float(p)!r} of negative value", x)
+    if x == 0.0 and p < 0.0:
+        raise JetDomainError("division by zero")
+    if x == 0.0 and k and not whole:
+        raise JetDomainError(f"non-integer power {float(p)!r} is not differentiable at 0")
+    out, c = [], 1.0
+    for j in range(k + 1):
+        # c = p (p-1) ... (p-j+1), 0 past a non-negative integer p; a negative
+        # integer power divides, so that 1/x is correctly rounded
+        if not c:
+            out.append(0.0)
+        elif whole and p < j:
+            out.append(c / math.pow(x, j - p))
+        else:
+            out.append(c * math.pow(x, p - j))
+        c *= p - j
+    return out
+
+
 FUNCTIONS = {
-    "sin": 1, "cos": 1, "tan": 1,
-    "sinh": 1, "cosh": 1, "tanh": 1,
-    "asinh": 1, "atanh": 1, "atan": 1,
-    "sqrt": 1, "exp": 1, "log": 1, "abs": 1,
-    "pow": 2,
+    "sin": Function(1, lambda x, k: _cyclic(math.sin(x), math.cos(x), -1.0, k)),
+    "cos": Function(1, lambda x, k: _cyclic(math.cos(x), -math.sin(x), -1.0, k)),
+    "tan": Function(1, lambda x, k: _tan_like(math.tan(x), 1.0, k)),
+    "sinh": Function(1, lambda x, k: _cyclic(math.sinh(x), math.cosh(x), 1.0, k)),
+    "cosh": Function(1, lambda x, k: _cyclic(math.cosh(x), math.sinh(x), 1.0, k)),
+    "tanh": Function(1, lambda x, k: _tan_like(math.tanh(x), -1.0, k)),
+    "asinh": Function(1, _asinh),
+    "atanh": Function(1, _atanh),
+    "atan": Function(1, lambda x, k: _atan_like(math.atan(x), x, 1.0, k)),
+    "sqrt": Function(1, _sqrt),
+    "exp": Function(1, lambda x, k: [math.exp(x)] * (k + 1)),
+    "log": Function(1, _log),
+    "abs": Function(1, _abs),
+    "pow": Function(2, _pow),
 }
 
 
@@ -187,7 +295,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text} is out of range", tok.line, tok.col)
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             if self.at_op("("):
@@ -199,7 +310,7 @@ class _Parser:
                     self.advance()
                     args.append(self.expression())
                 self.expect_op(")")
-                arity = FUNCTIONS[tok.text]
+                arity = FUNCTIONS[tok.text].arity
                 if len(args) != arity:
                     raise ParseError(
                         f"'{tok.text}' takes {arity} argument(s), got {len(args)}",
@@ -250,7 +361,7 @@ def _prec(e: Expr) -> int:
 
 
 def _num_text(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if float(value).is_integer() and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 
@@ -283,20 +394,22 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (generic walker; the jet module supplies its own call table)
+# Evaluation (one walker; floats and jets differ only in how they call a row)
 # ---------------------------------------------------------------------------
 
-def evaluate(expr: Expr, env: Mapping, *, calls: Mapping[str, Callable],
-             pow_fn: Callable, lift: Callable):
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def evaluate(expr: Expr, env: Mapping, *, call: Callable):
     """Evaluate `expr` with variable bindings from `env`.
 
-    `lift` converts literal constants into the value domain, `calls` maps
-    function names to implementations and `pow_fn` implements '^'/'pow'.
-    Domain failures are reported with the offending subexpression.
+    Literals evaluate to plain floats; `call(name, *args)` applies the
+    FUNCTIONS row `name`, and '^' is a call of 'pow'.  Domain failures are
+    reported with the offending subexpression.
     """
     def ev(node):
         if isinstance(node, Num):
-            return lift(node.value)
+            return node.value
         if isinstance(node, Var):
             try:
                 return env[node.name]
@@ -308,44 +421,34 @@ def evaluate(expr: Expr, env: Mapping, *, calls: Mapping[str, Callable],
             left = ev(node.left)
             right = ev(node.right)
             try:
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                if node.op == "/":
-                    return left / right
-                return pow_fn(left, right)
-            except (JetDomainError, ZeroDivisionError, ValueError, OverflowError) as exc:
-                raise DomainEvalError(str(exc) or type(exc).__name__, to_source(node)) from exc
-        # Call
+                if node.op == "^":
+                    return call("pow", left, right)
+                return _ARITHMETIC[node.op](left, right)
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise _domain_error(exc, node) from exc
         args = [ev(a) for a in node.args]
         try:
-            if node.func == "pow":
-                return pow_fn(args[0], args[1])
-            return calls[node.func](args[0])
-        except (JetDomainError, ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise DomainEvalError(str(exc) or type(exc).__name__, to_source(node)) from exc
+            return call(node.func, *args)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise _domain_error(exc, node) from exc
 
     return ev(expr)
 
 
-def _float_pow(base: float, exponent: float) -> float:
-    return math.pow(base, exponent)
+def _domain_error(exc: Exception, node: Expr) -> DomainEvalError:
+    # float '/' says "float division by zero", a zero reciprocal in a jet
+    # "division by zero": both evaluators report the same reason
+    reason = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+    return DomainEvalError(reason or type(exc).__name__, to_source(node))
 
 
-_MATH_CALLS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "asinh": math.asinh, "atanh": math.atanh, "atan": math.atan,
-    "sqrt": math.sqrt, "exp": math.exp, "log": math.log, "abs": abs,
-}
+def _float_call(name: str, x: float, *params: float) -> float:
+    return FUNCTIONS[name].derivatives(x, 0, *params)[0]
 
 
 def eval_float(expr: Expr, env: Mapping[str, float]) -> float:
     """Plain floating-point evaluation."""
-    return evaluate(expr, env, calls=_MATH_CALLS, pow_fn=_float_pow, lift=float)
+    return evaluate(expr, env, call=_float_call)
 
 
 def ensure_expr(e, variables=None) -> Expr:

@@ -1,319 +1,199 @@
-"""Truncated multivariate Taylor jets (order <= 3).
+"""Truncated multivariate Taylor jets (order <= 3) as dense derivative tensors.
 
-A Jet stores the Taylor coefficients of a scalar function at a point: the
-coefficient for multi-index α is ∂^α f / α!, for all |α| <= order.  Arithmetic
-and composition with the supported elementary functions are exact truncations
-of the formal Taylor series, so every derivative the toolkit consumes is exact
-to round-off.  Finite differences exist only as a test oracle.
+A Jet of order K in n variables holds d[0..K]: d[0] is the value and d[k] the
+tensor of k-th partial derivatives, shape (n,)*k.  Products follow Leibniz's
+rule; every elementary function, constant power and reciprocal goes through
+one Faà di Bruno composition fed with the function's derivatives at the
+point, read from the single function table `expr.FUNCTIONS`.  Every
+derivative the toolkit consumes is therefore exact to round-off; finite
+differences exist only as a test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .errors import JetDomainError
 
 MAX_ORDER = 3
 
 
-def _factorial_product(alpha) -> float:
-    prod = 1.0
-    for a in alpha:
-        prod *= math.factorial(a)
-    return prod
+def _sym3(t: np.ndarray) -> np.ndarray:
+    """t[i,j,k] + t[j,i,k] + t[k,i,j] for t symmetric in its last two axes;
+    the result keeps that symmetry exactly."""
+    return t + (t.transpose(1, 0, 2) + t.transpose(1, 2, 0))
 
 
 class Jet:
-    """Value plus partial-derivative coefficients up to `order` in `nvars`
-    variables.  Supports +, -, *, /, ** and the elementary functions of the
-    expression language."""
+    """Value plus partial derivatives up to `order` in `nvars` variables.
+    Supports +, -, *, /, ** with jets and floats; functions of the
+    expression language are applied with `call`."""
 
-    __slots__ = ("order", "nvars", "coeffs")
+    __slots__ = ("order", "nvars", "d")
 
-    def __init__(self, order: int, nvars: int, coeffs: dict):
+    def __init__(self, order: int, nvars: int, d: list):
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
         self.order = order
         self.nvars = nvars
-        self.coeffs = coeffs
+        self.d = d
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, nvars: int, order: int) -> "Jet":
-        return cls(order, nvars, {(0,) * nvars: float(value)})
+        return cls(order, nvars, [float(value)] + [np.zeros((nvars,) * k) for k in range(1, order + 1)])
 
     @classmethod
     def variable(cls, index: int, value: float, nvars: int, order: int) -> "Jet":
-        coeffs = {(0,) * nvars: float(value)}
+        jet = cls.constant(value, nvars, order)
         if order >= 1:
-            unit = tuple(1 if k == index else 0 for k in range(nvars))
-            coeffs[unit] = 1.0
-        return cls(order, nvars, coeffs)
+            jet.d[1][index] = 1.0
+        return jet
 
     # -- accessors -----------------------------------------------------------
 
     @property
     def value(self) -> float:
-        return self.coeffs.get((0,) * self.nvars, 0.0)
-
-    def coefficient(self, alpha) -> float:
-        return self.coeffs.get(tuple(alpha), 0.0)
+        return self.d[0]
 
     def partial(self, alpha) -> float:
-        """True partial derivative ∂^α f (coefficient times α!)."""
-        return self.coefficient(alpha) * _factorial_product(alpha)
+        """True partial derivative ∂^α f (0 above the order)."""
+        k = sum(alpha)
+        if k > self.order:
+            return 0.0
+        if k == 0:
+            return self.d[0]
+        return float(self.d[k][tuple(i for i, a in enumerate(alpha) for _ in range(a))])
+
+    def coefficient(self, alpha) -> float:
+        """Taylor coefficient ∂^α f / α!."""
+        return self.partial(alpha) / math.prod(math.factorial(a) for a in alpha)
+
+    @property
+    def coeffs(self) -> Mapping:
+        """Read-only {α: Taylor coefficient} for every multi-index |α| <= order."""
+        out = {}
+        for k in range(self.order + 1):
+            for idx in itertools.combinations_with_replacement(range(self.nvars), k):
+                alpha = tuple(idx.count(i) for i in range(self.nvars))
+                out[alpha] = self.coefficient(alpha)
+        return MappingProxyType(out)
 
     def gradient(self) -> np.ndarray:
-        g = np.zeros(self.nvars)
-        for i in range(self.nvars):
-            g[i] = self.coefficient(tuple(1 if k == i else 0 for k in range(self.nvars)))
-        return g
+        return self.d[1].copy() if self.order >= 1 else np.zeros(self.nvars)
 
     def hessian(self) -> np.ndarray:
-        h = np.zeros((self.nvars, self.nvars))
-        for i in range(self.nvars):
-            for j in range(i, self.nvars):
-                alpha = [0] * self.nvars
-                alpha[i] += 1
-                alpha[j] += 1
-                c = self.coefficient(tuple(alpha))
-                h[i, j] = h[j, i] = c * (2.0 if i == j else 1.0)
-        return h
+        return self.d[2].copy() if self.order >= 2 else np.zeros((self.nvars, self.nvars))
 
     def derivative_jet(self, i: int) -> "Jet":
         """Jet of ∂_i f, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        out = {}
-        for alpha, c in self.coeffs.items():
-            if alpha[i] > 0:
-                beta = list(alpha)
-                beta[i] -= 1
-                out[tuple(beta)] = c * alpha[i]
-        return Jet(self.order - 1, self.nvars, out)
+        return Jet(self.order - 1, self.nvars,
+                   [float(self.d[1][i])] + [t[i] for t in self.d[2:]])
 
     def truncate(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        out = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
-        return Jet(order, self.nvars, out)
+        return Jet(order, self.nvars, self.d[:order + 1])
 
     def is_constant(self) -> bool:
-        zero = (0,) * self.nvars
-        return all(a == zero or c == 0.0 for a, c in self.coeffs.items())
+        return not any(t.any() for t in self.d[1:])
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.nvars != self.nvars:
-                raise ValueError("jets over different variable sets")
-            return other
-        return Jet.constant(float(other), self.nvars, self.order)
-
     def __add__(self, other):
-        o = self._coerce(other)
-        order = min(self.order, o.order)
-        out = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
-        for a, c in o.coeffs.items():
-            if sum(a) <= order:
-                out[a] = out.get(a, 0.0) + c
-        return Jet(order, self.nvars, out)
+        if not isinstance(other, Jet):
+            return Jet(self.order, self.nvars, [self.d[0] + float(other)] + self.d[1:])
+        if other.nvars != self.nvars:
+            raise ValueError("jets over different variable sets")
+        d = [a + b for a, b in zip(self.d, other.d)]
+        return Jet(len(d) - 1, self.nvars, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return -self + other
 
     def __neg__(self):
-        return Jet(self.order, self.nvars, {a: -c for a, c in self.coeffs.items()})
+        return Jet(self.order, self.nvars, [-t for t in self.d])
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        order = min(self.order, o.order)
-        out = {}
-        for a, ca in self.coeffs.items():
-            if ca == 0.0:
-                continue
-            da = sum(a)
-            if da > order:
-                continue
-            rem = order - da
-            for b, cb in o.coeffs.items():
-                if cb == 0.0 or sum(b) > rem:
-                    continue
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Jet(order, self.nvars, out)
+        if not isinstance(other, Jet):
+            c = float(other)
+            return Jet(self.order, self.nvars, [c * t for t in self.d])
+        if other.nvars != self.nvars:
+            raise ValueError("jets over different variable sets")
+        order = min(self.order, other.order)
+        a, b = self.d, other.d
+        d = [a[0] * b[0]]
+        if order >= 1:
+            d.append(a[0] * b[1] + b[0] * a[1])
+        if order >= 2:
+            ab = a[1][:, None] * b[1]
+            d.append(a[0] * b[2] + b[0] * a[2] + (ab + ab.T))
+        if order >= 3:
+            t = a[1][:, None, None] * b[2] + b[1][:, None, None] * a[2]
+            d.append(a[0] * b[3] + b[0] * a[3] + _sym3(t))
+        return Jet(order, self.nvars, d)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
-            raise JetDomainError("division by zero")
-        series = [1.0 / v, -1.0 / v ** 2, 1.0 / v ** 3, -1.0 / v ** 4]
-        return self._compose(series[: self.order + 1])
+        return call("pow", self, -1.0)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.reciprocal()
+        if not isinstance(other, Jet):
+            return self * (1.0 / float(other))
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
+        return self.reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, Jet):
-            return jet_pow(self, p)
-        pf = float(p)
-        if pf.is_integer():
-            return self._int_pow(int(pf))
-        return self._real_pow(pf)
+        return call("pow", self, p)
 
-    def _int_pow(self, k: int) -> "Jet":
-        if k < 0:
-            return self._int_pow(-k).reciprocal()
-        result = Jet.constant(1.0, self.nvars, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    # -- composition -------------------------------------------------------------
 
-    def _real_pow(self, p: float) -> "Jet":
-        x0 = self.value
-        if x0 <= 0.0:
-            raise JetDomainError(f"fractional power of non-positive base {x0!r}")
-        series = []
-        coeff = 1.0
-        for k in range(self.order + 1):
-            series.append(coeff * x0 ** (p - k))
-            coeff *= (p - k) / (k + 1)
-        return self._compose(series)
-
-    # -- composition with scalar series ---------------------------------------
-
-    def _compose(self, series: Sequence[float]) -> "Jet":
-        """Horner evaluation of sum_k series[k] * (self - value)^k."""
-        delta = self - self.value
-        acc = Jet.constant(series[-1], self.nvars, self.order)
-        for c in reversed(series[:-1]):
-            acc = acc * delta + c
-        return acc
-
-    # -- elementary functions --------------------------------------------------
-    # series[k] = f^(k)(x0) / k!, truncated to the jet order
-
-    def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose([s, c, -s / 2.0, -c / 6.0][: self.order + 1])
-
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose([c, -s, -c / 2.0, s / 6.0][: self.order + 1])
-
-    def tan(self):
-        t = math.tan(self.value)
-        d1 = 1.0 + t * t
-        d2 = 2.0 * t * d1
-        d3 = d1 * (2.0 + 6.0 * t * t)
-        return self._compose([t, d1, d2 / 2.0, d3 / 6.0][: self.order + 1])
-
-    def sinh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._compose([s, c, s / 2.0, c / 6.0][: self.order + 1])
-
-    def cosh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._compose([c, s, c / 2.0, s / 6.0][: self.order + 1])
-
-    def tanh(self):
-        u = math.tanh(self.value)
-        d1 = 1.0 - u * u
-        d2 = -2.0 * u * d1
-        d3 = d1 * (6.0 * u * u - 2.0)
-        return self._compose([u, d1, d2 / 2.0, d3 / 6.0][: self.order + 1])
-
-    def asinh(self):
-        x = self.value
-        w = 1.0 + x * x
-        d1 = w ** -0.5
-        d2 = -x * w ** -1.5
-        d3 = (2.0 * x * x - 1.0) * w ** -2.5
-        return self._compose([math.asinh(x), d1, d2 / 2.0, d3 / 6.0][: self.order + 1])
-
-    def atanh(self):
-        x = self.value
-        if abs(x) >= 1.0:
-            raise JetDomainError(f"atanh of {x!r} outside (-1, 1)")
-        d1 = 1.0 / (1.0 - x * x)
-        d2 = 2.0 * x * d1 * d1
-        d3 = (2.0 + 6.0 * x * x) * d1 ** 3
-        return self._compose([math.atanh(x), d1, d2 / 2.0, d3 / 6.0][: self.order + 1])
-
-    def atan(self):
-        x = self.value
-        d1 = 1.0 / (1.0 + x * x)
-        d2 = -2.0 * x * d1 * d1
-        d3 = (6.0 * x * x - 2.0) * d1 ** 3
-        return self._compose([math.atan(x), d1, d2 / 2.0, d3 / 6.0][: self.order + 1])
-
-    def exp(self):
-        e = math.exp(self.value)
-        return self._compose([e, e, e / 2.0, e / 6.0][: self.order + 1])
-
-    def log(self):
-        x = self.value
-        if x <= 0.0:
-            raise JetDomainError(f"log of non-positive value {x!r}")
-        return self._compose([math.log(x), 1.0 / x, -0.5 / x ** 2, (1.0 / 3.0) / x ** 3][: self.order + 1])
-
-    def sqrt(self):
-        x = self.value
-        if x <= 0.0:
-            raise JetDomainError(f"sqrt of non-positive value {x!r}")
-        r = math.sqrt(x)
-        return self._compose([r, 0.5 / r, -0.125 / (x * r), 0.0625 / (x * x * r)][: self.order + 1])
-
-    def abs(self):
-        x = self.value
-        if x == 0.0 and self.order >= 1:
-            raise JetDomainError("abs is not differentiable at 0")
-        sign = 1.0 if x >= 0.0 else -1.0
-        return self._compose([abs(x), sign, 0.0, 0.0][: self.order + 1])
+    def compose(self, phi: Sequence[float]) -> "Jet":
+        """φ∘f by Faà di Bruno's formula from phi = [φ(f₀), φ′(f₀), …]."""
+        u = self.d
+        d = [phi[0]]
+        if self.order >= 1:
+            d.append(phi[1] * u[1])
+        if self.order >= 2:
+            uu = u[1][:, None] * u[1]
+            d.append(phi[1] * u[2] + phi[2] * uu)
+        if self.order >= 3:
+            d.append(phi[1] * u[3] + phi[2] * _sym3(u[1][:, None, None] * u[2])
+                     + phi[3] * (u[1][:, None, None] * uu))
+        return Jet(self.order, self.nvars, d)
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
 
 
-def jet_pow(base: Jet, exponent) -> Jet:
-    """'^' for jets: integer exponents by repeated multiplication, constant
-    real exponents by the binomial series, jet exponents via exp(e*log(b))."""
-    if isinstance(exponent, Jet):
-        if exponent.is_constant():
-            exponent = exponent.value
-        else:
-            return (base.log() * exponent).exp()
-    return base ** exponent
-
-
-_JET_CALLS = {
-    "sin": Jet.sin, "cos": Jet.cos, "tan": Jet.tan,
-    "sinh": Jet.sinh, "cosh": Jet.cosh, "tanh": Jet.tanh,
-    "asinh": Jet.asinh, "atanh": Jet.atanh, "atan": Jet.atan,
-    "sqrt": Jet.sqrt, "exp": Jet.exp, "log": Jet.log, "abs": Jet.abs,
-}
+def call(name: str, x, *params):
+    """The function `name` of expr.FUNCTIONS at a float or a jet; `params`
+    are its further arguments, held fixed (the exponent of pow).  A varying
+    jet exponent goes through exp(exponent·log(base))."""
+    if params and isinstance(params[0], Jet):
+        if not params[0].is_constant():
+            return call("exp", call("log", x) * params[0])
+        params = (params[0].value,)
+    derivatives = ex.FUNCTIONS[name].derivatives
+    if isinstance(x, Jet):
+        return x.compose(derivatives(x.value, x.order, *params))
+    return derivatives(x, 0, *params)[0]
 
 
 def chart_names(dim: int, prefix: str = "x") -> tuple:
@@ -331,10 +211,13 @@ def jet_variables(names: Sequence[str], values: Sequence[float], order: int) -> 
 
 def eval_jet_env(expression: ex.Expr, env: Mapping[str, Jet]) -> Jet:
     """Evaluate an expression over an environment of jets (all sharing the
-    same variable set and order); used directly for pullbacks."""
+    same variable set and order); used directly for pullbacks.  Literals
+    stay floats until they meet a jet."""
+    out = ex.evaluate(expression, env, call=call)
+    if isinstance(out, Jet):
+        return out
     probe = next(iter(env.values()))
-    lift = lambda v: Jet.constant(v, probe.nvars, probe.order)
-    return ex.evaluate(expression, env, calls=_JET_CALLS, pow_fn=jet_pow, lift=lift)
+    return Jet.constant(out, probe.nvars, probe.order)
 
 
 def eval_jet(expression: ex.Expr, point: Sequence[float], order: int,

@@ -23,7 +23,7 @@ from . import expr as ex
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlaneError, OrderInsufficientError,
                      PreconditionError, SingularMetricError)
-from .jets import Jet, chart_names, eval_jet_env, jet_variables
+from .jets import Jet, call, chart_names, eval_jet_env, jet_variables
 from .linalg import cholesky_spd, inverse_spd
 
 
@@ -150,13 +150,17 @@ class MetricField:
 
 
 def jet_inner(gjets, a, b) -> Jet:
-    """Σ_ij g_ij a^i b^j over jets, summed in index order."""
+    """Σ_ij g_ij a^i b^j over jets, summed in index order.  Entries that are
+    the constant 0 add nothing and are skipped: most entries of a diagonal
+    metric, whose products would otherwise dominate the induced metric."""
     acc = None
     for i, row in enumerate(gjets):
         for j, gij in enumerate(row):
+            if gij.value == 0.0 and gij.is_constant():
+                continue
             term = gij * a[i] * b[j]
             acc = term if acc is None else acc + term
-    return acc
+    return acc if acc is not None else gjets[0][0] * a[0] * b[0]
 
 
 class VectorField:
@@ -186,7 +190,7 @@ class VectorField:
         """(V/|V| with jacobian, jet of |V|), both from one |V| jet."""
         env = jet_variables(self.var_names, point, order)
         vjets = [eval_jet_env(e, env) for e in self.exprs]
-        norm = jet_inner(metric.entry_jets(env), vjets, vjets).sqrt()
+        norm = call("sqrt", jet_inner(metric.entry_jets(env), vjets, vjets))
         return VectorAtPoint.from_jets([v / norm for v in vjets], order), norm
 
 

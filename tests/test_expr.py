@@ -79,6 +79,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("1 ? 2")
 
+    @pytest.mark.parametrize("src, col", [("1e400", 1), ("x1 + 2.5e309*x1", 6),
+                                          ("sqrt(x2-1e400)", 9)])
+    def test_overflowing_literal_rejected_with_position(self, src, col):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert "out of range" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, col)
+
 
 class TestPrinter:
     @pytest.mark.parametrize("src", [

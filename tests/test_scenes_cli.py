@@ -1,6 +1,7 @@
 """Scene documents, sampling, the runner, and the command-line driver."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -228,9 +229,11 @@ class TestRunner:
 
 
 def run_cli(*args):
+    # the child imports this checkout's package, installed or not
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "torseform", *args],
-        capture_output=True, text=True, cwd=str(REPO))
+        capture_output=True, text=True, cwd=str(REPO), env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestCli:
@@ -322,6 +325,22 @@ class TestCli:
     def test_eval_unknown_identifier_exit_two(self):
         proc = run_cli("eval", "x1+zz", "--at", "x1=1")
         assert proc.returncode == 2
+
+    def test_eval_overflowing_literal_exit_two(self):
+        # 1e400 is inf as a float; it is a parse error, not a traceback when
+        # the division by zero is reported
+        proc = run_cli("eval", "1e400/(x1-x1)", "--at", "x1=1")
+        assert proc.returncode == 2
+        assert "out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_check_scene_with_overflowing_literal_exit_two(self, tmp_path):
+        path, out = tmp_path / "overflow-literal.json", tmp_path / "report.json"
+        path.write_text(json.dumps(minimal_doc(field=["1", "sqrt(x2-1e400)"])))
+        proc = run_cli("check", str(path), "--json", str(out))
+        assert proc.returncode == 2
+        assert "$.field" in proc.stderr and "out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_checks_flag_selects_subset(self, tmp_path):
         out = tmp_path / "r.json"
