@@ -18,7 +18,7 @@ from . import runner
 from .errors import GeometryError, ParseError, SceneSchemaError
 from .expr import eval_float, parse
 from .jets import MAX_ORDER, eval_jet
-from .scenes import builtin_names, builtin_scene, load_scene_file
+from .scenes import builtin_names, builtin_scene, load_scene_file, with_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,10 +58,7 @@ def _cmd_check(args) -> int:
     else:
         scene = load_scene_file(args.scene)
     if args.seed is not None:
-        doc = dict(scene.document)
-        doc["seed"] = args.seed
-        from .scenes import load_scene
-        scene = load_scene(doc)
+        scene = with_seed(scene, args.seed)
     checks = args.checks.split(",") if args.checks else None
     report = runner.run(scene, checks=checks, points=args.points)
     print(runner.render_report(report))

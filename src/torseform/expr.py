@@ -13,8 +13,9 @@ insignificant.  When a variable set is supplied, identifiers outside it are
 rejected at parse time with their position, as are literals that overflow.
 
 FUNCTIONS is the one table of calls (sin cos tan sinh cosh tanh asinh atanh
-atan sqrt exp log abs pow): arity plus a row of derivatives at a point, read
-by float evaluation here and by the jet engine in `torseform.jets`.
+atan sqrt exp log abs pow): arity plus a row of derivatives at a point (or at
+every point of a batch), read by float evaluation here and by the jet engine
+in `torseform.jets`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
+import numpy as np
+
 from .errors import DomainEvalError, JetDomainError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -34,15 +37,36 @@ from .errors import DomainEvalError, JetDomainError, ParseError
 class Function(NamedTuple):
     """``derivatives(x, k, *params)`` returns [φ(x), φ′(x), …, φ⁽ᵏ⁾(x)], k <= 3,
     for φ the function of its first argument, further arguments (the exponent
-    of pow) held fixed.  It raises on a domain violation: the value needs x in
-    the domain, derivatives of order >= 1 need x in its interior."""
+    of pow) held fixed.  x is a float, or an array holding one value per point
+    of a batch; a row uses math for the one and numpy for the other.  It
+    raises on a domain violation (at any point of a batch): the value needs x
+    in the domain, derivatives of order >= 1 need x in its interior."""
 
     arity: int
     derivatives: Callable
 
 
-def _outside(what: str, x) -> JetDomainError:
-    return JetDomainError(f"{what} {float(x)!r}")
+class _ArrayMath:
+    """numpy's ufuncs under the names of the math module."""
+
+    sin, cos, tan, sinh, cosh, tanh = np.sin, np.cos, np.tan, np.sinh, np.cosh, np.tanh
+    asinh, atanh, atan = np.arcsinh, np.arctanh, np.arctan
+    sqrt, exp, log, pow, copysign = np.sqrt, np.exp, np.log, np.power, np.copysign
+
+
+def _lib(x):
+    """math at a float, numpy at an array of values."""
+    return math if isinstance(x, float) else _ArrayMath
+
+
+def _anywhere(bad) -> bool:
+    """`bad` at a float, or at any point of an array."""
+    return bad if bad.__class__ is bool else bool(bad.any())
+
+
+def _outside(what: str, x, bad) -> JetDomainError:
+    """The domain error for x (at the first point of an array where `bad`)."""
+    return JetDomainError(f"{what} {float(x if np.ndim(x) == 0 else x[bad][0])!r}")
 
 
 def _cyclic(f, g, sign, k):
@@ -63,30 +87,30 @@ def _atan_like(value, x, sign, k):
 
 
 def _atanh(x, k):
-    if abs(x) >= 1.0:
-        raise _outside("atanh outside (-1, 1) at", x)
-    return _atan_like(math.atanh(x), x, -1.0, k)
+    if _anywhere(abs(x) >= 1.0):
+        raise _outside("atanh outside (-1, 1) at", x, abs(x) >= 1.0)
+    return _atan_like(_lib(x).atanh(x), x, -1.0, k)
 
 
 def _asinh(x, k):
     w = 1.0 + x * x
-    return [math.asinh(x), w ** -0.5, -x * w ** -1.5, (2.0 * x * x - 1.0) * w ** -2.5][:k + 1]
+    return [_lib(x).asinh(x), w ** -0.5, -x * w ** -1.5, (2.0 * x * x - 1.0) * w ** -2.5][:k + 1]
 
 
 def _log(x, k):
-    if x <= 0.0:
-        raise _outside("log of non-positive value", x)
+    if _anywhere(x <= 0.0):
+        raise _outside("log of non-positive value", x, x <= 0.0)
     r = 1.0 / x
-    return [math.log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
+    return [_lib(x).log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
 
 
 def _sqrt(x, k):
-    if x < 0.0:
-        raise _outside("sqrt of negative value", x)
-    r = math.sqrt(x)
+    if _anywhere(x < 0.0):
+        raise _outside("sqrt of negative value", x, x < 0.0)
+    r = _lib(x).sqrt(x)
     if k == 0:
         return [r]
-    if x == 0.0:
+    if _anywhere(x == 0.0):
         raise JetDomainError("sqrt is not differentiable at 0")
     d1 = 0.5 / r
     d2 = -0.5 * d1 / x
@@ -94,20 +118,21 @@ def _sqrt(x, k):
 
 
 def _abs(x, k):
-    if k and x == 0.0:
+    if k and _anywhere(x == 0.0):
         raise JetDomainError("abs is not differentiable at 0")
-    return [abs(x), 1.0 if x >= 0.0 else -1.0, 0.0, 0.0][:k + 1]
+    return [abs(x), _lib(x).copysign(1.0, x), 0.0, 0.0][:k + 1]
 
 
 def _pow(x, k, p):
     """x^p and its x-derivatives for a constant exponent p."""
     whole = float(p).is_integer()
-    if x < 0.0 and not whole:
-        raise _outside(f"non-integer power {float(p)!r} of negative value", x)
-    if x == 0.0 and p < 0.0:
+    if not whole and _anywhere(x < 0.0):
+        raise _outside(f"non-integer power {float(p)!r} of negative value", x, x < 0.0)
+    if p < 0.0 and _anywhere(x == 0.0):
         raise JetDomainError("division by zero")
-    if x == 0.0 and k and not whole:
+    if k and not whole and _anywhere(x == 0.0):
         raise JetDomainError(f"non-integer power {float(p)!r} is not differentiable at 0")
+    power = _lib(x).pow
     out, c = [], 1.0
     for j in range(k + 1):
         # c = p (p-1) ... (p-j+1), 0 past a non-negative integer p; a negative
@@ -115,25 +140,25 @@ def _pow(x, k, p):
         if not c:
             out.append(0.0)
         elif whole and p < j:
-            out.append(c / math.pow(x, j - p))
+            out.append(c / power(x, j - p))
         else:
-            out.append(c * math.pow(x, p - j))
+            out.append(c * power(x, p - j))
         c *= p - j
     return out
 
 
 FUNCTIONS = {
-    "sin": Function(1, lambda x, k: _cyclic(math.sin(x), math.cos(x), -1.0, k)),
-    "cos": Function(1, lambda x, k: _cyclic(math.cos(x), -math.sin(x), -1.0, k)),
-    "tan": Function(1, lambda x, k: _tan_like(math.tan(x), 1.0, k)),
-    "sinh": Function(1, lambda x, k: _cyclic(math.sinh(x), math.cosh(x), 1.0, k)),
-    "cosh": Function(1, lambda x, k: _cyclic(math.cosh(x), math.sinh(x), 1.0, k)),
-    "tanh": Function(1, lambda x, k: _tan_like(math.tanh(x), -1.0, k)),
+    "sin": Function(1, lambda x, k: _cyclic(_lib(x).sin(x), _lib(x).cos(x), -1.0, k)),
+    "cos": Function(1, lambda x, k: _cyclic(_lib(x).cos(x), -_lib(x).sin(x), -1.0, k)),
+    "tan": Function(1, lambda x, k: _tan_like(_lib(x).tan(x), 1.0, k)),
+    "sinh": Function(1, lambda x, k: _cyclic(_lib(x).sinh(x), _lib(x).cosh(x), 1.0, k)),
+    "cosh": Function(1, lambda x, k: _cyclic(_lib(x).cosh(x), _lib(x).sinh(x), 1.0, k)),
+    "tanh": Function(1, lambda x, k: _tan_like(_lib(x).tanh(x), -1.0, k)),
     "asinh": Function(1, _asinh),
     "atanh": Function(1, _atanh),
-    "atan": Function(1, lambda x, k: _atan_like(math.atan(x), x, 1.0, k)),
+    "atan": Function(1, lambda x, k: _atan_like(_lib(x).atan(x), x, 1.0, k)),
     "sqrt": Function(1, _sqrt),
-    "exp": Function(1, lambda x, k: [math.exp(x)] * (k + 1)),
+    "exp": Function(1, lambda x, k: [_lib(x).exp(x)] * (k + 1)),
     "log": Function(1, _log),
     "abs": Function(1, _abs),
     "pow": Function(2, _pow),

@@ -53,11 +53,6 @@ class Immersion:
         return np.array([ex.eval_float(e, dict(zip(self.var_names, u)))
                          for e in self.exprs])
 
-    def jacobian(self, u: Sequence[float]) -> np.ndarray:
-        """J[a, i] = ∂Ψ^a/∂uⁱ."""
-        js = self.jets(u, 1)
-        return np.stack([j.gradient() for j in js])
-
 
 @dataclass(frozen=True)
 class FramePacket:
@@ -190,16 +185,16 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
     mp = metric.at(x, order=1)
     G = mp.g
 
-    tangents, rows, kept = orthonormalize(list(jac.T), G, keep_tol=tols.rank_tol)
-    if len(kept) != imm.n:
+    tangents, rows, kept = orthonormalize(jac.T, G, keep_tol=tols.rank_tol)
+    if kept != imm.n:
         raise RankDeficiencyError(f"tangent frame collapsed at u={list(u)}")
     B = rows  # e_i = Σ_k B[i, k] ∂_k
 
-    completion, _, _ = orthonormalize(list(np.eye(imm.m)), G, keep_tol=1e-6,
-                                      start_basis=list(tangents),
-                                      want=imm.m - imm.n)
+    completion, _, kept = orthonormalize(np.eye(imm.m), G, keep_tol=1e-6,
+                                         start_basis=tangents,
+                                         want=imm.m - imm.n)
     normals = completion[imm.n:]
-    if normals.shape[0] != imm.m - imm.n:
+    if kept != imm.m - imm.n:
         raise RankDeficiencyError(f"could not complete the normal frame at u={list(u)}")
 
     # second fundamental tensor in coordinates:

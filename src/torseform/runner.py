@@ -271,6 +271,24 @@ _ORDER = ("classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
           "ambient-decomposition")
 
 
+def _run_check(name: str, ctx: _RunContext) -> CheckResult:
+    """One check's result; a GeometryError it raises becomes its status."""
+    try:
+        return _CHECKS[name](ctx)
+    except InconsistentSampleError as err:
+        # a field that changes class over the domain is a finding, not an
+        # internal error; dependent checks cannot run without a verdict
+        status = FAIL if name == "classify" else NA
+        return CheckResult(name, status, residual=None, witness=None,
+                           details={"reason": str(err), "verdicts": err.verdicts})
+    except PreconditionError as err:
+        return CheckResult(name, NA, residual=None, witness=None,
+                           details={"reason": str(err)})
+    except GeometryError as err:
+        return CheckResult(name, ERROR, residual=None, witness=None,
+                           details={"error": type(err).__name__, "message": str(err)})
+
+
 def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
     """Execute the requested checks (default: the scene's list)."""
     requested = tuple(checks) if checks is not None else scene.checks
@@ -281,25 +299,12 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
                 f"unknown check '{name}' (known: {', '.join(CHECK_NAMES)})")
     ctx = _RunContext(scene, points)
     results = []
-    for name in _ORDER:
-        if name not in requested:
-            continue
-        try:
-            results.append(_CHECKS[name](ctx))
-        except InconsistentSampleError as err:
-            # a field that changes class over the domain is a finding, not an
-            # internal error; dependent checks cannot run without a verdict
-            status = FAIL if name == "classify" else NA
-            results.append(CheckResult(name, status, residual=None, witness=None,
-                                       details={"reason": str(err),
-                                                "verdicts": err.verdicts}))
-        except PreconditionError as err:
-            results.append(CheckResult(name, NA, residual=None, witness=None,
-                                       details={"reason": str(err)}))
-        except GeometryError as err:
-            results.append(CheckResult(name, ERROR, residual=None, witness=None,
-                                       details={"error": type(err).__name__,
-                                                "message": str(err)}))
+    # an overflow or a NaN is judged by the checks' own guards (a non-finite
+    # residual never passes), not announced by numpy on stderr
+    with np.errstate(all="ignore"):
+        for name in _ORDER:
+            if name in requested:
+                results.append(_run_check(name, ctx))
 
     classification = None
     if ctx._classification is not None:

@@ -22,8 +22,9 @@ submanifold must be present.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import jsonschema
@@ -108,12 +109,24 @@ def _fail(path: str, message: str):
     raise SceneSchemaError(f"{path}: {message}")
 
 
+@functools.cache
+def _validator():
+    """SCENE_SCHEMA's validator, checked against its metaschema once."""
+    cls = jsonschema.validators.validator_for(SCENE_SCHEMA)
+    cls.check_schema(SCENE_SCHEMA)
+    return cls(SCENE_SCHEMA)
+
+
+def _validate(document: dict):
+    """Raise SceneSchemaError for the error jsonschema.validate would raise."""
+    err = jsonschema.exceptions.best_match(_validator().iter_errors(document))
+    if err is not None:
+        raise SceneSchemaError(f"{err.json_path}: {err.message}") from err
+
+
 def load_scene(document: dict) -> Scene:
     """Validate a scene document and compile its expressions."""
-    try:
-        jsonschema.validate(document, SCENE_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise SceneSchemaError(f"{err.json_path}: {err.message}") from err
+    _validate(document)
 
     amb = document["ambient"]
     m = amb["dim"]
@@ -191,6 +204,14 @@ def load_scene(document: dict) -> Scene:
         expected_verdict=document.get("expected_verdict"),
         document=json.loads(json.dumps(document)),
     )
+
+
+def with_seed(scene: Scene, seed: int) -> Scene:
+    """The scene with another seed, validated as a document but not parsed
+    again."""
+    document = dict(scene.document, seed=seed)
+    _validate(document)
+    return replace(scene, seed=seed, document=document)
 
 
 def load_scene_file(path) -> Scene:

@@ -30,7 +30,8 @@ from .errors import DomainEvalError, ModelViolationError, PreconditionError
 from .immersion import Immersion
 from .jets import eval_jet
 from .linalg import orthonormalize, reduce_max, solve_spd, worst
-from .metric import MetricField, VectorField, covariant_derivative
+from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
+                     covariant_jacobian, unit_and_norm_at)
 
 GEODESIC_A_TOL = 1e-8    # |∇̃_{E₁}E₁|
 DECOMP_TOL = 1e-7        # items (b), (c), (d) of the ambient decomposition
@@ -83,8 +84,9 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
 
     def tangential(u):
         counter["n"] += 1
-        jac = imm.jacobian(u)
-        x = imm.point(u)
+        psi = imm.jets(u, 1)
+        x = np.array([p.value for p in psi])
+        jac = np.stack([p.gradient() for p in psi])      # J[a, i] = ∂Ψ^a/∂uⁱ
         G = metric.at(x, order=0).g
         k = jac.T @ G @ jac
         coords = solve_spd(k, jac.T @ G @ field.at(x, order=0).components,
@@ -211,41 +213,51 @@ class AmbientDecompositionReport:
     passed: bool
 
 
+def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f,
+                           tols: Tolerances) -> np.ndarray:
+    """Defects (a, b, c, d) on the last axis, at the point or at each point of
+    a batch, from order-1 metric and field data and the fitted f there."""
+    e1, lam, grad_lam = unit_and_norm_at(mp, vap)
+    u = e1.components
+    D = covariant_jacobian(mp, e1)                      # D[j, k] = (∇̃_{∂_j}E₁)^k
+    a_val = mp.norm(np.einsum("...j,...jk->...k", u, D))
+    b_val = abs(np.einsum("...a,...a->...", grad_lam, u) - f * (1.0 - lam ** 2))
+
+    m = mp.dim
+    frame, _, _ = orthonormalize(np.eye(m), mp.g, keep_tol=tols.frame_tol,
+                                 start_basis=u[..., None, :])
+    fiber = frame[..., 1:m, :]                          # E_2 .. E_m
+    conn = fiber @ D @ mp.g @ np.swapaxes(fiber, -1, -2)  # <∇̃_{E_j}E₁, E_k>
+    target = (f / lam)[..., None, None] * np.eye(m - 1)
+    c_val = np.max(abs(conn - target), axis=(-2, -1), initial=0.0)
+    d_val = np.max(abs(np.einsum("...ja,...a->...j", fiber, grad_lam)), axis=-1,
+                   initial=0.0)
+    return np.stack([a_val, b_val, c_val, d_val], axis=-1)
+
+
 def verify_ambient_decomposition(metric: MetricField, field: VectorField,
                                  points, classification: SceneClassification,
                                  tols: Tolerances = DEFAULT) -> AmbientDecompositionReport:
     """Check the proof identities of the warped-product decomposition at the
     given ambient points (the scene verdict must be anti-torqued), with f
-    from the fits that `classification` made there."""
+    from the fits that `classification` made there and the order-1 metric
+    and field data it fitted them from, in one batch.  A classification
+    made point by point is checked point by point."""
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(
             f"ambient decomposition requires an anti-torqued verdict, got "
             f"'{classification.verdict}'")
     reports = classification.reports_at(points)
-    values = []                       # (a, b, c, d) per point
-    for rep in reports:
-        p, f = rep.point, rep.f
-        mp = metric.at(p, order=1)
-        e1, lam_jet = field.unit_and_norm(p, metric)
-        lam = lam_jet.value
-        grad_lam = lam_jet.gradient()
-
-        a_val = mp.norm(covariant_derivative(mp, e1, e1.components))
-        b_val = abs(float(grad_lam @ e1.components) - f * (1.0 - lam ** 2))
-
-        frame, _, _ = orthonormalize(list(np.eye(metric.dim)), mp.g,
-                                     keep_tol=tols.frame_tol,
-                                     start_basis=[e1.components])
-        c_vals, d_vals = [], []
-        for j in range(1, metric.dim):
-            de1 = covariant_derivative(mp, e1, frame[j])
-            for k in range(1, metric.dim):
-                target = (f / lam) if j == k else 0.0
-                c_vals.append(abs(float(de1 @ mp.g @ frame[k]) - target))
-            d_vals.append(abs(float(grad_lam @ frame[j])))
-        values.append((a_val, b_val, reduce_max(c_vals), reduce_max(d_vals)))
-    max_a, max_b, max_c, max_d = map(reduce_max, zip(*values))
-    _, at = worst([reduce_max(v) for v in values])
+    if classification.metric_at is not None:
+        values = _decomposition_defects(classification.metric_at, classification.field_at,
+                                        classification.f_values, tols)
+    else:
+        values = np.array([_decomposition_defects(metric.at(rep.point, order=1),
+                                                  field.at(rep.point, order=1),
+                                                  rep.f, tols)
+                           for rep in reports])
+    max_a, max_b, max_c, max_d = map(reduce_max, values.T)
+    _, at = worst(np.max(values, axis=-1, initial=0.0))
     return AmbientDecompositionReport(
         max_geodesic_defect=max_a, max_lambda_ode_defect=max_b,
         max_connection_form_defect=max_c, max_fiber_lambda_derivative=max_d,

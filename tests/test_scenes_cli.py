@@ -111,6 +111,27 @@ class TestSchema:
             builtin_scene("not-a-scene")
 
 
+@pytest.mark.parametrize("doc", [
+    {"name": "x"},
+    minimal_doc(name=""),
+    minimal_doc(seed=-3),
+    minimal_doc(checks=[]),
+    minimal_doc(extra=1),
+    minimal_doc(ambient={"dim": 0, "metric": [], "domain": []}),
+    minimal_doc(tolerances={"rect_tol": "small"}),
+])
+def test_schema_messages_are_jsonschemas(doc):
+    # the validator is built once; its messages are those of jsonschema.validate
+    import jsonschema
+    from torseform.scenes import SCENE_SCHEMA
+
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, SCENE_SCHEMA)
+    with pytest.raises(SceneSchemaError) as got:
+        load_scene(doc)
+    assert str(got.value) == f"{want.value.json_path}: {want.value.message}"
+
+
 class TestSampling:
     def test_exclusion_ball_respected(self):
         scene = builtin_scene("radial-r4")
@@ -293,6 +314,19 @@ class TestCli:
         assert check["status"] == "error"
         assert check["details"]["error"] == "SingularFitError"
 
+    def test_overflowing_field_prints_no_numpy_warnings(self, tmp_path):
+        # the non-finite values reach the verdict guards; numpy does not
+        # announce them on stderr before the report
+        doc = minimal_doc(name="overflow", field=["x1^300", "x2", "x3"])
+        doc["ambient"] = {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                          "domain": [[10, 30], [1, 2], [1, 2]]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 3
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == ""
+
     def test_byte_identical_machine_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
@@ -311,6 +345,30 @@ class TestCli:
         b = json.loads(out2.read_text())
         assert a["seed"] == 42 and b["seed"] == 7
         assert a["checks"][0]["witness"] != b["checks"][0]["witness"]
+
+    def test_seed_override_loads_the_scene_once(self, monkeypatch, tmp_path):
+        from torseform import cli
+        import torseform.scenes as scenes_mod
+
+        loads = {"calls": 0}
+        load = scenes_mod.load_scene
+
+        def counted(document):
+            loads["calls"] += 1
+            return load(document)
+
+        monkeypatch.setattr(scenes_mod, "load_scene", counted)
+        out = tmp_path / "r.json"
+        code = cli.main(["check", "builtin:cone", "--points", "10", "--seed", "7",
+                         "--json", str(out)])
+        assert code == 0
+        assert loads["calls"] == 1
+        assert json.loads(out.read_text())["seed"] == 7
+
+    def test_negative_seed_is_a_usage_error(self):
+        proc = run_cli("check", "builtin:cone", "--points", "10", "--seed", "-1")
+        assert proc.returncode == 2
+        assert "$.seed" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_eval_subcommand(self):
         proc = run_cli("eval", "tanh(asinh(x1))", "--at", "x1=1")

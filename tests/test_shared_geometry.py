@@ -7,8 +7,11 @@ rebuilds geometry instead of reading the shared copy shows up as extra calls.
 import functools
 import importlib
 
+import numpy as np
+
 import torseform.immersion as immersion_mod
 import torseform.metric as metric_mod
+import torseform.runner as runner_mod
 from torseform import builtin_scene, run
 
 # the package attribute `torseform.classify` is the function, not the module
@@ -50,13 +53,29 @@ def test_clifford_torus_builds_each_packet_once(monkeypatch):
 
 
 def test_radial_fits_each_ambient_point_once(monkeypatch):
-    fits = count_calls(monkeypatch, classify_mod, "fit_torse_forming")
+    # counts points, not calls: the sample is fitted in one batch, and every
+    # sampled point is fitted exactly once
+    sampled, fitted = [], []
+    sample = runner_mod.sample_ambient_points
+    fit = classify_mod.fit_at_point
+
+    def recording_sample(*args):
+        points = sample(*args)
+        sampled.extend(points)
+        return points
+
+    def recording_fit(mp, vap, tols):
+        fitted.extend(np.atleast_2d(mp.point))
+        return fit(mp, vap, tols)
+
+    monkeypatch.setattr(runner_mod, "sample_ambient_points", recording_sample)
+    monkeypatch.setattr(classify_mod, "fit_at_point", recording_fit)
     scene = builtin_scene("radial-r4")
-    points = max(N, scene.tolerances.class_min_points)
     report = run(scene, points=N)
     assert [c.name for c in report.checks] == ["classify", "geodesic-unit"]
     assert all(c.status == "pass" for c in report.checks)
-    assert fits["calls"] == points
+    assert len(sampled) == max(N, scene.tolerances.class_min_points)
+    assert np.array_equal(fitted, sampled)
 
 
 def test_rectifying_does_not_pay_for_unread_geometry(monkeypatch):
