@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import (GeometryError, InconsistentSampleError, PreconditionError,
                      SingularFitError, SingularMetricError, ZeroFieldError)
-from .linalg import dot, first_where, item, norm, reduce_max, solve_spd, worst
+from .linalg import dot, first_where, item, mv, norm, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian, orthonormal_coordinate_frame)
 
@@ -95,11 +95,6 @@ def fit_torse_forming(metric: MetricField, field: VectorField, point,
     return fit_at_point(metric.at(point, order=1), vap, tols)
 
 
-def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x for a matrix and a vector, or for stacks of them."""
-    return (a @ x[..., None])[..., 0]
-
-
 def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
                  tols: Tolerances = DEFAULT) -> ClassificationReport:
     """The fit of fit_torse_forming from order-1 metric and field jets that
@@ -117,7 +112,7 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
     L = mp.factor                                       # C = L⁻¹, so g Cᵀ = L
     dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
     a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
-    v = _mv(np.swapaxes(L, -1, -2), vap.components)     # frame components C g V of V
+    v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
 
     vv = dot(v, v)
     normal = np.zeros(np.shape(vv) + (m + 1, m + 1))
@@ -125,7 +120,7 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
     normal[..., 0, 1:] = v
     normal[..., 1:, 0] = v
     normal[..., 1:, 1:] = vv[..., None, None] * np.eye(m)
-    rhs = np.concatenate((np.trace(a, axis1=-2, axis2=-1)[..., None], _mv(a, v)), axis=-1)
+    rhs = np.concatenate((np.trace(a, axis1=-2, axis2=-1)[..., None], mv(a, v)), axis=-1)
     try:
         sol = solve_spd(normal, rhs, tols.spd_tol)
     except SingularMetricError as exc:
@@ -139,9 +134,9 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
 
     resid = a - f[..., None, None] * np.eye(m) - w[..., :, None] * v[..., None, :]
     grad_norm = norm(a, 2)
-    omega = _mv(L, w)                                   # ω(∂_j) from ω(e_i) = w_i
+    omega = mv(L, w)                                    # ω(∂_j) from ω(e_i) = w_i
     report = ClassificationReport(
-        point=mp.point, f=item(f), omega=omega, w_dual=_mv(mp.inverse, omega),
+        point=mp.point, f=item(f), omega=omega, w_dual=mv(mp.inverse, omega),
         residual_torse=item(norm(resid, 2) / np.maximum(1.0, grad_norm)),
         residual_concircular=item(norm(w)),
         residual_torqued=item(abs(dot(w, v))),

@@ -13,6 +13,10 @@ point u:
   - tangential/normal decomposition of an attached ambient field, and the
     Gauss-equation defect
         g(R(X,Y)Z, W) − [g̃(R̃(X,Y)Z, W) + g̃(h(X,W), h(Y,Z)) − g̃(h(X,Z), h(Y,W))].
+
+Over a sample of N parameter points, an (N, n) array, every quantity carries
+a leading batch axis and is computed with one walk of each expression; one
+point is the batch-free case of the same functions.
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ import numpy as np
 from . import expr as ex
 from .classify import ClassificationReport, fit_at_point
 from .config import DEFAULT, Tolerances
-from .errors import NonNormalVectorError, PreconditionError, RankDeficiencyError
+from .errors import (GeometryError, NonNormalVectorError, PreconditionError,
+                     RankDeficiencyError)
 from .jets import chart_names, eval_jet_env, jet_variables
-from .linalg import orthonormalize, solve_spd
+from .linalg import (cholesky_pivots, first_where, item, mv, norm, orthonormalize,
+                     solve_spd)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     jet_inner, riemann)
+                     _batch_first, jet_inner, riemann)
 
 
 class Immersion:
@@ -46,6 +52,7 @@ class Immersion:
         self.domain = None if domain is None else tuple((float(a), float(b)) for a, b in domain)
 
     def jets(self, u: Sequence[float], order: int):
+        """Jets of Ψ's components at u, or at each row of an (N, n) array."""
         env = jet_variables(self.var_names, u, order)
         return [eval_jet_env(e, env) for e in self.exprs]
 
@@ -56,17 +63,21 @@ class Immersion:
 
 @dataclass(frozen=True)
 class FramePacket:
-    """Everything extrinsic at one parameter point.
+    """Everything extrinsic at one parameter point, or at each point of a
+    sample: then every array below has a leading batch axis (u (N, n),
+    tangents (N, n, m), ...) and every float is an (N,) array.
 
     ambient               order-1 ambient metric at x = Ψ(u)
+    psi                   Ψ's 3-jets at u
     tangents[i]           orthonormal tangent frame e_i (ambient components)
     tangent_coeffs[i, k]  e_i = Σ_k B[i, k] ∂Ψ/∂uᵏ
     normals[α]            orthonormal normal frame ξ_α
     h_frame[α, i, j]      g̃(h(e_i, e_j), ξ_α)
     h_coord[i, j, :]      ambient components of h(∂ᵢ, ∂ⱼ)
 
-    ambient2, field_jet, induced and fit are computed on first use and kept:
-    checks that read them share one copy, the others do not pay for them.
+    ambient2, field_jet, induced and fit are computed on first use, once for
+    the whole sample, and kept: checks that read them share one copy, the
+    others do not pay for them.
     """
 
     u: np.ndarray
@@ -81,6 +92,7 @@ class FramePacket:
     h_coord: np.ndarray
     immersion: Immersion
     metric: MetricField
+    psi: list
     field: VectorField | None = None
     tols: Tolerances = DEFAULT
     v_tan: np.ndarray | None = None
@@ -106,8 +118,8 @@ class FramePacket:
 
     @cached_property
     def induced(self) -> MetricAtPoint:
-        """Induced metric at u with 2-jets."""
-        return induced_metric(self.immersion, self.metric, self.u, self.tols)
+        """Induced metric at u with 2-jets, from the 3-jets of Ψ held."""
+        return pull_back_metric(self.psi, self.metric, self.u, self.tols)
 
     @cached_property
     def fit(self) -> ClassificationReport:
@@ -116,25 +128,31 @@ class FramePacket:
 
     @property
     def n(self) -> int:
-        return self.tangents.shape[0]
+        return self.tangents.shape[-2]
 
     @property
     def codim(self) -> int:
-        return self.normals.shape[0]
+        return self.normals.shape[-2]
 
-    def inner(self, a, b) -> float:
-        return float(np.asarray(a) @ self.g_ambient @ np.asarray(b))
+    def inner(self, a, b):
+        return self.ambient.inner(a, b)
+
+    def coefficients(self, w, frame) -> np.ndarray:
+        """g̃(w, frame[a]) for each vector of a frame (tangents or normals)."""
+        gw = mv(self.g_ambient, np.asarray(w, dtype=float))
+        return mv(frame, gw)
 
     def tangent_project(self, w) -> np.ndarray:
-        return sum(self.inner(w, e) * e for e in self.tangents)
+        return mv(np.swapaxes(self.tangents, -1, -2), self.coefficients(w, self.tangents))
 
     def normal_project(self, w) -> np.ndarray:
-        return sum(self.inner(w, xi) * xi for xi in self.normals)
+        return mv(np.swapaxes(self.normals, -1, -2), self.coefficients(w, self.normals))
 
     def parameter_coords(self, w) -> np.ndarray:
         """Coordinates a with w^⊤ = Σ aⁱ ∂Ψ/∂uⁱ."""
-        rhs = self.jacobian.T @ self.g_ambient @ np.asarray(w, float)
-        return solve_spd(self.g_coord, rhs, DEFAULT.spd_tol)
+        rhs = mv(np.swapaxes(self.jacobian, -1, -2),
+                 mv(self.g_ambient, np.asarray(w, dtype=float)))
+        return solve_spd(self.g_coord, rhs, self.tols.spd_tol)
 
 
 @dataclass(frozen=True)
@@ -147,70 +165,99 @@ class FirstNormalSpace:
 
 
 def _jacobian(psi, u, tols: Tolerances) -> np.ndarray:
-    """J[a, i] = ∂Ψ^a/∂uⁱ from Ψ's jets; raises RankDeficiencyError when J
-    loses rank."""
-    jac = np.stack([p.gradient() for p in psi])
+    """J[a, i] = ∂Ψ^a/∂uⁱ from Ψ's jets (at each point of a batch); raises
+    RankDeficiencyError where J loses rank."""
+    jac = _batch_first(np.array([p.d[1] for p in psi]), 2)
     sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] <= tols.rank_tol * sv[0]:
+    bad = sv[..., -1] <= tols.rank_tol * sv[..., 0]
+    if np.any(bad):
         raise RankDeficiencyError(
-            f"immersion is degenerate at u={np.asarray(u).tolist()}: "
-            f"singular values {sv.tolist()}")
+            f"immersion is degenerate at u={first_where(bad, np.asarray(u)).tolist()}: "
+            f"singular values {first_where(bad, sv).tolist()}")
     return jac
 
 
 def induced_metric(imm: Immersion, metric: MetricField, u,
                    tols: Tolerances = DEFAULT) -> MetricAtPoint:
-    """Pullback metric at u with 2-jets, differentiated through Ψ's 3-jets."""
+    """Pullback metric at u (or at each row of an (N, n) array) with 2-jets,
+    differentiated through Ψ's 3-jets."""
     psi = imm.jets(u, 3)
     _jacobian(psi, u, tols)
+    return pull_back_metric(psi, metric, u, tols)
+
+
+def pull_back_metric(psi, metric: MetricField, u, tols: Tolerances) -> MetricAtPoint:
+    """The induced metric at u from Ψ's 3-jets there."""
     env = {name: psi[a].truncate(2) for a, name in enumerate(metric.var_names)}
     gj = metric.entry_jets(env)
-    dpsi = [[p.derivative_jet(i) for p in psi] for i in range(imm.n)]   # ∂Ψ/∂uⁱ
+    dpsi = [[p.derivative_jet(i) for p in psi] for i in range(psi[0].nvars)]   # ∂Ψ/∂uⁱ
     pulled = [[jet_inner(gj, dpsi[i], dpsi[j]) for j in range(i + 1)]
-              for i in range(imm.n)]
+              for i in range(len(dpsi))]
     return MetricAtPoint.from_jets(u, pulled, 2, tols.spd_tol)
 
 
 def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = None,
            tols: Tolerances = DEFAULT) -> FramePacket:
-    """Orthonormal tangent/normal frames plus the second fundamental form.
+    """Orthonormal tangent/normal frames plus the second fundamental form, at
+    a parameter point or at each row of an (N, n) array.
 
     The tangent frame Gram-Schmidts the coordinate tangents in index order;
     the normal frame completes with the ambient standard basis, again in
-    index order, so packets are reproducible.
+    index order, so packets are reproducible.  A batch that raises a
+    GeometryError is redone point by point in sample order, so the error is
+    the one the first failing point raises at its first failing stage.
     """
-    psi = imm.jets(u, 2)
-    x = np.array([p.value for p in psi])
+    u = np.asarray(u, dtype=float)
+    try:
+        return _frames(imm, metric, u, field, tols)
+    except GeometryError:
+        for point in (u if u.ndim == 2 else ()):
+            _frames(imm, metric, point, field, tols)
+        raise
+
+
+def _frames(imm, metric, u, field, tols) -> FramePacket:
+    psi = imm.jets(u, 3)
+    x = _batch_first(np.array([p.d[0] for p in psi]), 1)
     jac = _jacobian(psi, u, tols)
     mp = metric.at(x, order=1)
     G = mp.g
+    g_coord = np.swapaxes(jac, -1, -2) @ G @ jac
 
-    tangents, rows, kept = orthonormalize(jac.T, G, keep_tol=tols.rank_tol)
-    if kept != imm.n:
-        raise RankDeficiencyError(f"tangent frame collapsed at u={list(u)}")
-    B = rows  # e_i = Σ_k B[i, k] ∂_k
+    # Gram-Schmidt of ∂_1Ψ..∂_nΨ in order is e = B ∂Ψ with B = L⁻¹ for the
+    # Cholesky factor g_coord = L Lᵀ; the residual of ∂_iΨ against the earlier
+    # ones has norm L_ii, and the frame collapses where that is
+    # rank_tol·max(1, |∂_iΨ|) or less
+    L, pivots = cholesky_pivots(g_coord)
+    length2 = np.diagonal(g_coord, axis1=-2, axis2=-1)
+    collapsed = np.any(pivots <= tols.rank_tol ** 2 * np.maximum(1.0, length2), axis=-1)
+    if np.any(collapsed):
+        raise RankDeficiencyError(
+            f"tangent frame collapsed at u={first_where(collapsed, u).tolist()}")
+    B = np.linalg.solve(L, np.eye(imm.n))
+    tangents = B @ np.swapaxes(jac, -1, -2)
 
-    completion, _, kept = orthonormalize(np.eye(imm.m), G, keep_tol=1e-6,
-                                         start_basis=tangents,
-                                         want=imm.m - imm.n)
-    normals = completion[imm.n:]
-    if kept != imm.m - imm.n:
-        raise RankDeficiencyError(f"could not complete the normal frame at u={list(u)}")
+    completion, kept = orthonormalize(np.eye(imm.m), G, keep_tol=1e-6,
+                                      start_basis=tangents, want=imm.m - imm.n)
+    normals = completion[..., imm.n:, :]
+    short = kept != imm.m - imm.n
+    if np.any(short):
+        raise RankDeficiencyError(
+            f"could not complete the normal frame at u={first_where(short, u).tolist()}")
 
     # second fundamental tensor in coordinates:
     #   S_ij = ∂²Ψ/∂uⁱ∂uʲ + Γ̃(∂Ψ, ∂Ψ), then h(∂ᵢ,∂ⱼ) = S_ij^⊥
-    hess = np.stack([p.hessian() for p in psi])        # hess[a, i, j]
-    S = (np.einsum("aij->ija", hess)
-         + np.einsum("abc,bi,cj->ija", mp.gamma, jac, jac))
-    proj = normals.T @ (normals @ G)                    # normal projector (m, m)
-    h_coord = np.einsum("ab,ijb->ija", proj, S)
-    h_frame = np.einsum("ik,jl,klb,ab,qa->qij", B, B, S, G, normals)
+    hess = _batch_first(np.array([p.d[2] for p in psi]), 3)     # hess[a, i, j]
+    S = (np.einsum("...aij->...ija", hess)
+         + np.einsum("...abc,...bi,...cj->...ija", mp.gamma, jac, jac))
+    proj = np.swapaxes(normals, -1, -2) @ (normals @ G)          # normal projector
+    h_coord = np.einsum("...ab,...ijb->...ija", proj, S)
+    h_frame = np.einsum("...ik,...jl,...klb,...ab,...qa->...qij", B, B, S, G, normals)
 
-    packet = FramePacket(u=np.asarray(u, dtype=float), x=x, jacobian=jac,
-                         ambient=mp, g_coord=jac.T @ G @ jac, tangents=tangents,
-                         tangent_coeffs=B, normals=normals, h_frame=h_frame,
-                         h_coord=h_coord, immersion=imm, metric=metric,
-                         field=field, tols=tols)
+    packet = FramePacket(u=u, x=x, jacobian=jac, ambient=mp, g_coord=g_coord,
+                         tangents=tangents, tangent_coeffs=B, normals=normals,
+                         h_frame=h_frame, h_coord=h_coord, immersion=imm,
+                         metric=metric, psi=psi, field=field, tols=tols)
     if field is None:
         return packet
     split = decompose_field(packet, field.at(x, order=0).components)
@@ -218,10 +265,19 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
                    v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm)
 
 
-def frame_packets(imm: Immersion, metric: MetricField, field: VectorField | None,
-                  us, tols: Tolerances = DEFAULT) -> list:
-    """One packet per parameter point, each carrying the field."""
-    return [frames(imm, metric, u, field=field, tols=tols) for u in us]
+def over_sample(terms, packet: FramePacket, *args):
+    """terms(packet, *args) over a batched packet, each of args carrying the
+    batch axis too.  If that raises a GeometryError, terms is applied at each
+    point alone, in sample order, to the packet `frames` builds there; so the
+    error raised is the one the first failing point raises at its first
+    failing stage (the batch's own error if no point fails alone)."""
+    try:
+        return terms(packet, *args)
+    except GeometryError:
+        for i, u in enumerate(packet.u):
+            single = frames(packet.immersion, packet.metric, u, packet.field, packet.tols)
+            terms(single, *(a[i] for a in args))
+        raise
 
 
 def second_fundamental_form(imm: Immersion, metric: MetricField, u,
@@ -232,12 +288,8 @@ def second_fundamental_form(imm: Immersion, metric: MetricField, u,
 
 
 def first_normal_space(packet: FramePacket, tols: Tolerances = DEFAULT) -> FirstNormalSpace:
-    n, p = packet.n, packet.codim
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            rows.append(packet.h_frame[:, i, j])
-    H = np.asarray(rows)                   # (n(n+1)/2, p)
+    rows, cols = np.triu_indices(packet.n)
+    H = packet.h_frame[:, rows, cols].T    # h(e_i, e_j), i <= j: (n(n+1)/2, p)
     if H.size == 0 or np.allclose(H, 0.0):
         return FirstNormalSpace(basis=np.zeros((0, packet.x.size)), rank=0,
                                 singular_values=np.zeros(min(H.shape) if H.size else 0))
@@ -251,11 +303,12 @@ def shape_operator(packet: FramePacket, xi, tols: Tolerances = DEFAULT) -> np.nd
     """A_ξ in the orthonormal tangent frame; symmetric, linear in ξ."""
     xi = np.asarray(xi, dtype=float)
     tan_norm = packet.ambient.norm(packet.tangent_project(xi))
-    if tan_norm > tols.frame_tol * max(1.0, packet.ambient.norm(xi)):
+    tangential = tan_norm > tols.frame_tol * np.fmax(1.0, packet.ambient.norm(xi))
+    if np.any(tangential):
         raise NonNormalVectorError(
-            f"vector has tangential part of norm {tan_norm:.3e}")
-    comps = np.array([packet.inner(xi, nu) for nu in packet.normals])
-    return np.einsum("a,aij->ij", comps, packet.h_frame)
+            f"vector has tangential part of norm {first_where(tangential, tan_norm):.3e}")
+    comps = packet.coefficients(xi, packet.normals)
+    return np.einsum("...a,...aij->...ij", comps, packet.h_frame)
 
 
 def mean_curvature(packet: FramePacket) -> np.ndarray:
@@ -274,13 +327,11 @@ class FieldSplit:
 
 def decompose_field(packet: FramePacket, v) -> FieldSplit:
     """Split an ambient vector at Ψ(u) into tangential and normal parts."""
-    v = np.asarray(v, dtype=float)
-    coeff_t = np.array([packet.inner(v, e) for e in packet.tangents])
-    coeff_n = np.array([packet.inner(v, xi) for xi in packet.normals])
-    return FieldSplit(v_tan=coeff_t @ packet.tangents,
-                      v_nor=coeff_n @ packet.normals,
-                      tan_norm=float(np.linalg.norm(coeff_t)),
-                      nor_norm=float(np.linalg.norm(coeff_n)))
+    coeff_t = packet.coefficients(v, packet.tangents)
+    coeff_n = packet.coefficients(v, packet.normals)
+    return FieldSplit(v_tan=mv(np.swapaxes(packet.tangents, -1, -2), coeff_t),
+                      v_nor=mv(np.swapaxes(packet.normals, -1, -2), coeff_n),
+                      tan_norm=item(norm(coeff_t)), nor_norm=item(norm(coeff_n)))
 
 
 def gauss_equation_residual(imm: Immersion, metric: MetricField, u,
@@ -290,22 +341,21 @@ def gauss_equation_residual(imm: Immersion, metric: MetricField, u,
     return gauss_defect(frames(imm, metric, u, tols=tols), X, Y, Z, W)
 
 
-def gauss_defect(packet: FramePacket, X, Y, Z, W) -> float:
-    """gauss_equation_residual at the packet's parameter point."""
+def gauss_defect(packet: FramePacket, X, Y, Z, W):
+    """gauss_equation_residual at the packet's parameter point, or at each
+    point of its batch for vectors X..W that carry the batch axis too."""
     X, Y, Z, W = (np.asarray(a, dtype=float) for a in (X, Y, Z, W))
     ind = packet.induced
-    lhs = float(riemann(ind, X, Y, Z) @ ind.g @ W)
+    lhs = ind.inner(riemann(ind, X, Y, Z), W)
 
     mp2 = packet.ambient2
-    J = packet.jacobian
-    Xa, Ya, Za, Wa = (J @ v for v in (X, Y, Z, W))
-    ambient_term = float(riemann(mp2, Xa, Ya, Za) @ mp2.g @ Wa)
+    Xa, Ya, Za, Wa = (mv(packet.jacobian, v) for v in (X, Y, Z, W))
+    ambient_term = mp2.inner(riemann(mp2, Xa, Ya, Za), Wa)
 
     def h_of(a, b):
-        return np.einsum("ijc,i,j->c", packet.h_coord, a, b)
+        return np.einsum("...ijc,...i,...j->...c", packet.h_coord, a, b)
 
-    G = packet.g_ambient
     rhs = (ambient_term
-           + float(h_of(X, W) @ G @ h_of(Y, Z))
-           - float(h_of(X, Z) @ G @ h_of(Y, W)))
-    return abs(lhs - rhs)
+           + packet.inner(h_of(X, W), h_of(Y, Z))
+           - packet.inner(h_of(X, Z), h_of(Y, W)))
+    return item(abs(lhs - rhs))

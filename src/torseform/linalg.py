@@ -6,8 +6,6 @@ Every helper takes one matrix or a stack of them with a leading batch axis
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import SingularMetricError
@@ -25,18 +23,16 @@ def dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for a matrix and a vector, or for stacks of them."""
+    return (a @ x[..., None])[..., 0]
+
+
 def norm(x, rank: int = 1):
     """Euclidean (Frobenius) norm over the last `rank` axes, summed as
     np.linalg.norm sums a single vector or matrix."""
     flat = x.reshape(x.shape[:x.ndim - rank] + (-1,))
     return np.sqrt(dot(flat, flat))
-
-
-@functools.cache
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def first_where(bad, values):
@@ -58,6 +54,18 @@ def _cholesky_recurrence(a: np.ndarray):
     return L, d
 
 
+def cholesky_pivots(a: np.ndarray):
+    """(L, pivots): the lower Cholesky factor of a symmetric matrix (or of
+    each of a stack) and its pivots diag(L)², with no floor on them; after a
+    pivot that is not positive, L is NaN."""
+    a = np.asarray(a, dtype=float)
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:       # LAPACK met a pivot <= 0: find which
+        return _cholesky_recurrence(a)
+    return L, np.diagonal(L, axis1=-2, axis2=-1) ** 2
+
+
 def cholesky_spd(a: np.ndarray, spd_tol: float) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix (or of each of a stack).
 
@@ -65,12 +73,7 @@ def cholesky_spd(a: np.ndarray, spd_tol: float) -> np.ndarray:
     of a stack: it names the first such point and, there, the first such
     pivot); positive definiteness is a hard requirement, not a warning.
     """
-    a = np.asarray(a, dtype=float)
-    try:
-        L = np.linalg.cholesky(a)
-        pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    except np.linalg.LinAlgError:       # LAPACK met a pivot <= 0: find which
-        L, pivots = _cholesky_recurrence(a)
+    L, pivots = cholesky_pivots(a)
     bad = ~(pivots > spd_tol)
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
@@ -106,52 +109,46 @@ def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
     them, and once a point has kept `want` it keeps no more.  Slots a point
     does not fill stay zero, so they project nothing.
 
-    Returns (basis, rows, kept): basis (..., slots, m) with slots = len(start
-    basis) + (want or ncand); rows (..., slots, ncand) expresses each basis
-    vector as a combination of the candidates (zero rows for the start
-    basis); kept (...) counts the candidates kept at each point.
+    Returns (basis, kept): basis (..., slots, m) with slots = len(start
+    basis) + (want or ncand); kept (...) counts the candidates kept at each
+    point.
     """
     gram = np.asarray(gram, dtype=float)
     batch, m = gram.shape[:-2], gram.shape[-1]
     candidates = np.asarray(candidates, dtype=float)
-    ncand = len(candidates)
     # residual norm² at or below which each candidate is dropped
     vv = (candidates @ gram * candidates).sum(axis=-1)
     drop_at = keep_tol ** 2 * np.maximum(1.0, vv)
-    # each candidate with its coefficients, [v | e_idx], is updated as one row
-    work = np.concatenate((candidates, _eye(ncand)), axis=1)
     nstart = 0 if start_basis is None else np.shape(start_basis)[-2]
-    slots = nstart + (ncand if want is None else want)
-    # slot s holds [basis vector b | its row] and b @ gram; one more slot at
-    # the end takes the writes of points that have filled every slot
-    store = np.zeros(batch + (slots + 1, m + ncand))
+    slots = nstart + (len(candidates) if want is None else want)
+    # slot s holds basis vector b and b @ gram; one more slot at the end
+    # takes the writes of points that have filled every slot
+    store = np.zeros(batch + (slots + 1, m))
     gstore = np.zeros(batch + (slots + 1, 1, m))
     if nstart:
-        store[..., :nstart, :m] = start_basis
-        gstore[..., :nstart, :, :] = store[..., :nstart, None, :m] @ gram[..., None, :, :]
+        store[..., :nstart, :] = start_basis
+        gstore[..., :nstart, :, :] = store[..., :nstart, None, :] @ gram[..., None, :, :]
     views = [(gstore[..., s, :, :], store[..., s, :]) for s in range(slots)]
     at_points = np.indices(batch, sparse=True)
     count = np.full(batch, nstart)            # slots filled so far, per point
-    for idx in range(ncand):
-        wr = work[idx]
+    for idx, w in enumerate(candidates):
         for _ in range(2):
-            for gb, br in views[:int(count.max())]:
-                wr = wr - (gb @ wr[..., :m, None])[..., 0] * br
-        w = wr[..., None, :m]
-        norm_w_sq = (w @ gram @ w[..., 0, :, None])[..., 0, 0]
+            for gb, b in views[:int(count.max())]:
+                w = w - (gb @ w[..., :, None])[..., 0] * b
+        norm_w_sq = (w[..., None, :] @ gram @ w[..., :, None])[..., 0, 0]
         drop = drop_at[..., idx]
         keep = ~(norm_w_sq <= drop)
         if want is not None:
             keep &= count < slots
         # a point that drops the candidate writes zeros to its next free slot
-        unit = wr / np.sqrt(np.maximum(norm_w_sq, drop))[..., None] * keep[..., None]
+        unit = w / np.sqrt(np.maximum(norm_w_sq, drop))[..., None] * keep[..., None]
         at = at_points + (count,)
         store[at] = unit
-        gstore[at] = unit[..., None, :m] @ gram
+        gstore[at] = unit[..., None, :] @ gram
         count += keep
         if want is not None and (count == slots).all():
             break
-    return store[..., :slots, :m], store[..., :slots, m:], count - nstart
+    return store[..., :slots, :], count - nstart
 
 
 def reduce_max(values) -> float:

@@ -28,7 +28,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlaneError, OrderInsufficientError,
                      PreconditionError, SingularMetricError)
 from .jets import Jet, call, chart_names, eval_jet_env, jet_variables
-from .linalg import cholesky_solve, cholesky_spd, dot, item
+from .linalg import cholesky_solve, cholesky_spd, dot, first_where, item
 
 
 @functools.cache
@@ -267,26 +267,36 @@ def riemann_components(mp: MetricAtPoint) -> np.ndarray:
 
 
 def riemann(mp: MetricAtPoint, X, Y, Z) -> np.ndarray:
-    """R(X, Y)Z at the point."""
-    return np.einsum("lkij,k,i,j->l", mp.curvature, np.asarray(Z, float),
+    """R(X, Y)Z at the point (or points)."""
+    return np.einsum("...lkij,...k,...i,...j->...l", mp.curvature, np.asarray(Z, float),
                      np.asarray(X, float), np.asarray(Y, float))
 
 
-def sectional_curvature(mp: MetricAtPoint, u, v,
-                        tols: Tolerances = DEFAULT) -> float:
-    """K of the plane spanned by u, v; invariant under basis changes of the
-    plane.  Raises DegeneratePlaneError when u, v are nearly dependent."""
+def plane_curvature(mp: MetricAtPoint, u, v, tols: Tolerances = DEFAULT):
+    """(K, denominator, degenerate): K of the plane spanned by u, v at the
+    point (or at each point), its denominator g(u,u) g(v,v) − g(u,v)², and
+    whether u, v are nearly dependent there, where K is NaN.  A NaN
+    denominator does not count as degenerate."""
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     guu = mp.inner(u, u)
     gvv = mp.inner(v, v)
     guv = mp.inner(u, v)
     denom = guu * gvv - guv * guv
-    if denom <= tols.degeneracy_tol * guu * gvv:
-        raise DegeneratePlaneError(
-            f"plane section is degenerate (denominator {denom:.3e})")
+    degenerate = np.asarray(denom <= tols.degeneracy_tol * guu * gvv)
     ruvv = riemann(mp, u, v, v)
-    return mp.inner(ruvv, u) / denom
+    return item(mp.inner(ruvv, u) / np.where(degenerate, np.nan, denom)), denom, degenerate
+
+
+def sectional_curvature(mp: MetricAtPoint, u, v,
+                        tols: Tolerances = DEFAULT) -> float:
+    """K of the plane spanned by u, v; invariant under basis changes of the
+    plane.  Raises DegeneratePlaneError when u, v are nearly dependent."""
+    value, denom, degenerate = plane_curvature(mp, u, v, tols)
+    if np.any(degenerate):
+        raise DegeneratePlaneError(
+            f"plane section is degenerate (denominator {first_where(degenerate, denom):.3e})")
+    return value
 
 
 def covariant_jacobian(mp: MetricAtPoint, field: VectorAtPoint) -> np.ndarray:

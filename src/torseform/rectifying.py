@@ -10,6 +10,9 @@ residual is
 with |h|_sup = max_{i<=j} |h(e_i, e_j)|, which is 0 exactly when V^⊥ ⊥ Im h.
 Hypersurfaces with tangent axis are handled as a separate mode (V^⊥ = 0 is
 outside the definition but the determinant corollary still applies).
+
+Every check reduces over one FramePacket of the whole parameter sample: the
+per-point terms are arrays over its batch axis, computed once per sample.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import numpy as np
 
 from .classify import TORQUED
 from .config import DEFAULT, Tolerances
-from .errors import DegeneratePlaneError, PreconditionError
-from .immersion import (FramePacket, Immersion, decompose_field, frame_packets,
-                        frames, shape_operator)
-from .linalg import reduce_max, worst
-from .metric import (MetricField, VectorField, covariant_derivative, riemann,
-                     sectional_curvature)
+from .errors import PreconditionError
+from .immersion import (FramePacket, Immersion, decompose_field, frames,
+                        over_sample, shape_operator)
+from .linalg import item, mv, norm, reduce_max, worst
+from .metric import (MetricField, VectorField, covariant_derivative,
+                     covariant_jacobian, plane_curvature, riemann)
 
 # contract bounds from the characterization statements
 A_VPERP_TOL = 1e-8        # |A_{V^⊥}| on a rectifying submanifold
@@ -39,6 +42,9 @@ COMPONENT_TOL = 1e-8      # "component vanishes" preconditions
 
 @dataclass(frozen=True)
 class RectifyingPointReport:
+    """At one point, or at each point of a batch (then every field is an
+    array over it)."""
+
     u: np.ndarray
     residual: float
     v_tan_norm: float
@@ -52,24 +58,26 @@ def rectifying_point(imm: Immersion, metric: MetricField, field: VectorField,
                      u, tols: Tolerances = DEFAULT):
     """Residual, properness and |A_{V^⊥}| at one parameter point."""
     packet = frames(imm, metric, u, field=field, tols=tols)
-    return rectifying_at(packet, tols), packet
+    return rectifying_at(packet), packet
 
 
-def rectifying_at(packet: FramePacket, tols: Tolerances = DEFAULT) -> RectifyingPointReport:
-    """The report of rectifying_point from a packet that carries the field."""
-    n = packet.n
-    v_nor_frame = np.array([packet.inner(packet.v_nor, xi) for xi in packet.normals])
-    h_pairs = [packet.h_frame[:, i, j] for i in range(n) for j in range(i, n)]
-    numer = reduce_max([abs(float(v_nor_frame @ h_ij)) for h_ij in h_pairs])
-    h_sup = reduce_max([float(np.linalg.norm(h_ij)) for h_ij in h_pairs])
-    residual = numer / max(1.0, h_sup * packet.v_nor_norm)
-    a_vperp = np.einsum("a,aij->ij", v_nor_frame, packet.h_frame)
+def rectifying_at(packet: FramePacket) -> RectifyingPointReport:
+    """The report of rectifying_point from a packet that carries the field,
+    at its point or at each point of its batch."""
+    rows, cols = np.triu_indices(packet.n)
+    h_pairs = np.swapaxes(packet.h_frame[..., rows, cols], -1, -2)   # h(e_i, e_j), i <= j
+    v_nor_frame = packet.coefficients(packet.v_nor, packet.normals)
+    numer = np.max(np.abs(mv(h_pairs, v_nor_frame)), axis=-1, initial=0.0)
+    h_sup = np.max(norm(h_pairs), axis=-1, initial=0.0)
+    # fmax, like Python's max, keeps 1 against a NaN
+    residual = numer / np.fmax(1.0, h_sup * packet.v_nor_norm)
+    a_vperp = np.einsum("...a,...aij->...ij", v_nor_frame, packet.h_frame)
+    proper_tol = packet.tols.proper_tol
     return RectifyingPointReport(
-        u=packet.u, residual=residual,
+        u=packet.u, residual=item(residual),
         v_tan_norm=packet.v_tan_norm, v_nor_norm=packet.v_nor_norm,
-        proper=(packet.v_tan_norm > tols.proper_tol
-                and packet.v_nor_norm > tols.proper_tol),
-        a_vperp_frob=float(np.linalg.norm(a_vperp)), h_sup=h_sup)
+        proper=(packet.v_tan_norm > proper_tol) & (packet.v_nor_norm > proper_tol),
+        a_vperp_frob=item(norm(a_vperp, 2)), h_sup=item(h_sup))
 
 
 def rectifying_residual(imm: Immersion, metric: MetricField, field: VectorField,
@@ -81,7 +89,6 @@ def rectifying_residual(imm: Immersion, metric: MetricField, field: VectorField,
 @dataclass(frozen=True)
 class RectifyingSceneReport:
     mode: str                  # "proper-rectifying" | "tangent-axis-hypersurface"
-    points: tuple
     max_residual: float
     residual_witness: np.ndarray | None
     all_proper: bool
@@ -98,27 +105,27 @@ def rectifying_scene(imm: Immersion, metric: MetricField, field: VectorField,
     "tangent-axis-hypersurface" mode (determinant corollary checks) and is
     never called proper-rectifying.
     """
-    return rectifying_over(frame_packets(imm, metric, field, us, tols), tols)
+    return rectifying_over(frames(imm, metric, us, field=field, tols=tols))
 
 
-def rectifying_over(packets, tols: Tolerances = DEFAULT) -> RectifyingSceneReport:
-    """rectifying_scene over packets that carry the field."""
-    reports = [rectifying_at(packet, tols) for packet in packets]
-    if (all(packet.codim == 1 for packet in packets)
-            and reduce_max([r.v_nor_norm for r in reports]) <= tols.proper_tol):
-        normal_rep = normal_over(packets, tols)
+def rectifying_over(packet: FramePacket) -> RectifyingSceneReport:
+    """rectifying_scene over a batched packet that carries the field."""
+    tols = packet.tols
+    rep = rectifying_at(packet)
+    if packet.codim == 1 and reduce_max(rep.v_nor_norm) <= tols.proper_tol:
+        normal_rep = normal_over(packet)
         return RectifyingSceneReport(
-            mode="tangent-axis-hypersurface", points=tuple(reports),
-            max_residual=0.0, residual_witness=None, all_proper=False,
-            max_a_vperp=0.0, passed=normal_rep.passed, normal_report=normal_rep)
+            mode="tangent-axis-hypersurface", max_residual=0.0,
+            residual_witness=None, all_proper=False, max_a_vperp=0.0,
+            passed=normal_rep.passed, normal_report=normal_rep)
 
-    max_res, at = worst([r.residual for r in reports])
-    all_proper = all(r.proper for r in reports)
-    max_a = reduce_max([r.a_vperp_frob for r in reports])
+    max_res, at = worst(rep.residual)
+    all_proper = bool(np.all(rep.proper))
+    max_a = reduce_max(rep.a_vperp_frob)
     passed = (max_res <= tols.rect_tol and all_proper and max_a <= A_VPERP_TOL)
     return RectifyingSceneReport(
-        mode="proper-rectifying", points=tuple(reports), max_residual=max_res,
-        residual_witness=reports[at].u, all_proper=all_proper,
+        mode="proper-rectifying", max_residual=max_res,
+        residual_witness=packet.u[at], all_proper=all_proper,
         max_a_vperp=max_a, passed=passed)
 
 
@@ -126,15 +133,35 @@ def rectifying_over(packets, tols: Tolerances = DEFAULT) -> RectifyingSceneRepor
 # Tangent/normal characterization checks
 # ---------------------------------------------------------------------------
 
-def _vanishing(packets, attr: str, label: str) -> float:
-    """max of a component norm over the packets; raises PreconditionError
+def _vanishing(packet: FramePacket, attr: str, label: str) -> float:
+    """max of a component norm over the sample; raises PreconditionError
     unless it is finite and within COMPONENT_TOL."""
-    value, at = worst([getattr(packet, attr) for packet in packets])
+    if packet.field is None:
+        raise PreconditionError("check needs a vector field on the submanifold")
+    value, at = worst(getattr(packet, attr))
     if not value <= COMPONENT_TOL:
-        u = packets[at].u
+        u = packet.u[at]
         raise PreconditionError(f"{label} = {value:.3e} at u={u.tolist()}",
                                 witness=u)
     return value
+
+
+def _along_tangents(packet: FramePacket) -> np.ndarray:
+    """∇̃_{e_i} V for each tangent e_i, as rows."""
+    return packet.tangents @ covariant_jacobian(packet.ambient, packet.field_jet)
+
+
+def _umbilic_defect(packet: FramePacket):
+    """|A_{V^⊥} + f Id|."""
+    a_v = shape_operator(packet, packet.v_nor, packet.tols)
+    return norm(a_v + np.asarray(packet.fit.f)[..., None, None] * np.eye(packet.n), 2)
+
+
+def _max_det(packet: FramePacket):
+    """Largest |det A_ξ| over the normal frame."""
+    return np.max([np.abs(np.linalg.det(shape_operator(packet, packet.normals[..., a, :],
+                                                       packet.tols)))
+                   for a in range(packet.codim)], axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -152,25 +179,27 @@ class TangentialCaseReport:
 def verify_tangential_vanishes(imm: Immersion, metric: MetricField,
                                field: VectorField, us,
                                tols: Tolerances = DEFAULT) -> TangentialCaseReport:
-    return tangential_over(frame_packets(imm, metric, field, us, tols), tols)
+    return tangential_over(frames(imm, metric, us, field=field, tols=tols))
 
 
-def tangential_over(packets, tols: Tolerances = DEFAULT) -> TangentialCaseReport:
-    """verify_tangential_vanishes over packets that carry the field."""
-    max_v_tan = _vanishing(packets, "v_tan_norm",
+def tangential_over(packet: FramePacket) -> TangentialCaseReport:
+    """verify_tangential_vanishes over a batched packet that carries the field."""
+    max_v_tan = _vanishing(packet, "v_tan_norm",
                            "tangential component does not vanish: |V^⊤|")
-    ds, umb_vals = [], []
-    for packet in packets:
-        ds += [decompose_field(packet, covariant_derivative(
-                   packet.ambient, packet.field_jet, e)).nor_norm for e in packet.tangents]
-        a_v = shape_operator(packet, packet.v_nor, tols)
-        umb_vals.append(float(np.linalg.norm(a_v + packet.fit.f * np.eye(packet.n))))
+    ds, umb = over_sample(_tangential_terms, packet)
     max_d = reduce_max(ds)
-    max_umb, at = worst(umb_vals)
+    max_umb, at = worst(umb)
     return TangentialCaseReport(
         max_v_tan=max_v_tan, max_normal_derivative=max_d,
-        max_umbilic_defect=max_umb, witness_umbilic=packets[at].u,
+        max_umbilic_defect=max_umb, witness_umbilic=packet.u[at],
         passed=(max_d <= PARALLEL_NORMAL_TOL and max_umb <= UMBILIC_TOL))
+
+
+def _tangential_terms(packet: FramePacket):
+    """(|D_{e_i} V^⊥| for each tangent e_i, |A_{V^⊥} + f Id|)."""
+    dv = _along_tangents(packet)
+    ds = [decompose_field(packet, dv[..., i, :]).nor_norm for i in range(packet.n)]
+    return np.array(ds), _umbilic_defect(packet)
 
 
 @dataclass(frozen=True)
@@ -188,58 +217,54 @@ class NormalCaseReport:
     passed: bool
 
 
-def _max_det(packet: FramePacket, tols: Tolerances) -> float:
-    """Largest |det A_ξ| over the normal frame."""
-    return reduce_max([abs(float(np.linalg.det(shape_operator(packet, xi, tols))))
-                 for xi in packet.normals])
-
-
 def verify_normal_vanishes(imm: Immersion, metric: MetricField,
                            field: VectorField, us,
                            tols: Tolerances = DEFAULT) -> NormalCaseReport:
-    return normal_over(frame_packets(imm, metric, field, us, tols), tols)
+    return normal_over(frames(imm, metric, us, field=field, tols=tols))
 
 
-def normal_over(packets, tols: Tolerances = DEFAULT) -> NormalCaseReport:
-    """verify_normal_vanishes over packets that carry the field."""
-    max_v_nor = _vanishing(packets, "v_nor_norm",
+def normal_over(packet: FramePacket) -> NormalCaseReport:
+    """verify_normal_vanishes over a batched packet that carries the field."""
+    max_v_nor = _vanishing(packet, "v_nor_norm",
                            "normal component does not vanish: |V^⊥|")
-    dets, hs, curvs, secs, amb_secs, int_secs = [], [], [], [], [], []
-    for packet in packets:
-        dets.append(_max_det(packet, tols))
-        t = np.array([packet.inner(packet.v_tan, e) for e in packet.tangents])
-        hv = np.einsum("aij,j->ai", packet.h_frame, t)   # h(e_i, V^⊤) components
-        hs.append(reduce_max(np.linalg.norm(hv, axis=0)))
-
-        ind = packet.induced
-        mp2 = packet.ambient2
-        vt_par = packet.parameter_coords(packet.v_tan)
-        B = packet.tangent_coeffs
-        E = packet.tangents
-        for i in range(packet.n):
-            for j in range(i + 1, packet.n):
-                for k in range(packet.n):
-                    amb = float(riemann(mp2, E[i], E[j], packet.v_tan) @ mp2.g @ E[k])
-                    intr = float(riemann(ind, B[i], B[j], vt_par) @ ind.g @ B[k])
-                    curvs.append(abs(amb - intr))
-        for i in range(packet.n):
-            try:
-                amb_k = sectional_curvature(mp2, E[i], packet.v_tan, tols)
-                int_k = sectional_curvature(ind, B[i], vt_par, tols)
-            except DegeneratePlaneError:
-                continue
-            secs.append(abs(amb_k - int_k))
-            amb_secs.append(abs(amb_k))
-            int_secs.append(abs(int_k))
-
-    max_det, max_h, max_curv, max_sec = map(reduce_max, (dets, hs, curvs, secs))
+    dets, hs, curvs, secs = over_sample(_normal_terms, packet)
+    max_det, max_h, max_curv = map(reduce_max, (dets, hs, curvs))
+    max_sec, max_amb, max_int = (reduce_max(secs[:, j]) for j in range(3))
     return NormalCaseReport(
         max_v_nor=max_v_nor, max_det=max_det, max_h_vtan=max_h,
         max_curvature_mismatch=max_curv, max_sectional_mismatch=max_sec,
-        max_ambient_sectional=reduce_max(amb_secs),
-        max_intrinsic_sectional=reduce_max(int_secs),
+        max_ambient_sectional=max_amb, max_intrinsic_sectional=max_int,
         passed=(max_det <= DET_TOL and max_h <= H_TANGENT_TOL
                 and max_curv <= CURV_MATCH_TOL and max_sec <= CURV_MATCH_TOL))
+
+
+def _normal_terms(packet: FramePacket):
+    """(max |det A_ξ|, max_i |h(e_i, V^⊤)|, the curvature mismatches over
+    frame triples (i < j, k), and for each plane Span{e_i, V^⊤} the triple
+    |K̃ − K|, |K̃|, |K|, which is 0 where either plane is degenerate)."""
+    dets = _max_det(packet)
+    t = packet.coefficients(packet.v_tan, packet.tangents)
+    hv = np.einsum("...aij,...j->...ai", packet.h_frame, t)   # h(e_i, V^⊤) components
+    hs = np.max(norm(np.swapaxes(hv, -1, -2)), axis=-1, initial=0.0)
+
+    ind = packet.induced
+    mp2 = packet.ambient2
+    vt = packet.v_tan
+    vt_par = packet.parameter_coords(vt)
+    B = [packet.tangent_coeffs[..., i, :] for i in range(packet.n)]
+    E = [packet.tangents[..., i, :] for i in range(packet.n)]
+    curvs = [abs(mp2.inner(riemann(mp2, E[i], E[j], vt), E[k])
+                 - ind.inner(riemann(ind, B[i], B[j], vt_par), B[k]))
+             for i in range(packet.n) for j in range(i + 1, packet.n)
+             for k in range(packet.n)]
+    secs = []
+    for i in range(packet.n):
+        amb_k, _, amb_degenerate = plane_curvature(mp2, E[i], vt, packet.tols)
+        int_k, _, int_degenerate = plane_curvature(ind, B[i], vt_par, packet.tols)
+        kept = ~(amb_degenerate | int_degenerate)
+        secs.append([np.where(kept, value, 0.0)
+                     for value in (abs(amb_k - int_k), abs(amb_k), abs(int_k))])
+    return dets, hs, np.array(curvs), np.array(secs)
 
 
 @dataclass(frozen=True)
@@ -261,31 +286,22 @@ class TorquedCaseReport:
 def verify_torqued_props(imm: Immersion, metric: MetricField,
                          field: VectorField, us, classification,
                          tols: Tolerances = DEFAULT) -> TorquedCaseReport:
-    return torqued_over(frame_packets(imm, metric, field, us, tols), classification, tols)
+    return torqued_over(frames(imm, metric, us, field=field, tols=tols), classification)
 
 
-def torqued_over(packets, classification,
-                 tols: Tolerances = DEFAULT) -> TorquedCaseReport:
-    """verify_torqued_props over packets that carry the field."""
+def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
+    """verify_torqued_props over a batched packet that carries the field."""
     if classification.verdict != TORQUED:
         raise PreconditionError(
             f"torqued characterization requires a torqued verdict, got "
             f"'{classification.verdict}'")
-    max_tan = reduce_max([p.v_tan_norm for p in packets])
-    max_nor = reduce_max([p.v_nor_norm for p in packets])
+    max_tan = reduce_max(packet.v_tan_norm)
+    max_nor = reduce_max(packet.v_nor_norm)
 
     if max_nor <= COMPONENT_TOL:
         # Case V^⊥ = 0: V^⊤ = V on M, concircular intrinsically by the Gauss
         # formula, shape operators singular.
-        concs, dets = [], []
-        for packet in packets:
-            derivs = [covariant_derivative(packet.ambient, packet.field_jet, e)
-                      for e in packet.tangents]
-            f_int = float(np.mean([packet.inner(d, e)
-                                   for d, e in zip(derivs, packet.tangents)]))
-            concs += [float(np.linalg.norm(packet.tangent_project(d) - f_int * e))
-                      for d, e in zip(derivs, packet.tangents)]
-            dets.append(_max_det(packet, tols))
+        concs, dets = over_sample(_concircular_terms, packet)
         max_conc, max_det = reduce_max(concs), reduce_max(dets)
         return TorquedCaseReport(
             case="tangent", max_concircular_residual=max_conc, max_det=max_det,
@@ -294,33 +310,12 @@ def torqued_over(packets, classification,
     if max_tan <= COMPONENT_TOL:
         # Case V^⊤ = 0: umbilic direction plus the normal-connection
         # identities along W^⊤.
-        umbs, ds, wds = [], [], []
-        w_tan_all_zero = True
-        for packet in packets:
-            mp, vap, rep = packet.ambient, packet.field_jet, packet.fit
-            a_v = shape_operator(packet, packet.v_nor, tols)
-            umbs.append(float(np.linalg.norm(a_v + rep.f * np.eye(packet.n))))
-
-            w_split = decompose_field(packet, rep.w_dual)
-            if w_split.tan_norm > COMPONENT_TOL:
-                w_tan_all_zero = False
-                w_hat = w_split.v_tan / w_split.tan_norm
-                dv_w = covariant_derivative(mp, vap, w_split.v_tan)
-                d_w = packet.normal_project(dv_w)
-                target = (w_split.tan_norm ** 2) * packet.v_nor
-                wds.append(float(np.linalg.norm(d_w - target)))
-            else:
-                w_hat = None
-            for e in packet.tangents:
-                x_dir = e if w_hat is None else e - packet.inner(e, w_hat) * w_hat
-                if packet.inner(x_dir, x_dir) < 1e-16:
-                    continue
-                ds.append(decompose_field(packet, covariant_derivative(mp, vap, x_dir)).nor_norm)
+        umbs, ds, wds, w_tangent = over_sample(_torqued_normal_terms, packet)
         max_umb, max_d, max_wd = reduce_max(umbs), reduce_max(ds), reduce_max(wds)
         return TorquedCaseReport(
             case="normal", max_umbilic_defect=max_umb,
             max_normal_derivative=max_d, max_w_derivative_defect=max_wd,
-            w_tangent_vanishes=w_tan_all_zero,
+            w_tangent_vanishes=not np.any(w_tangent),
             passed=(max_umb <= UMBILIC_TOL
                     and max_d <= PARALLEL_NORMAL_TOL
                     and max_wd <= CURV_MATCH_TOL))
@@ -328,3 +323,37 @@ def torqued_over(packets, classification,
     raise PreconditionError(
         f"neither component vanishes on the sample "
         f"(max |V^⊤| = {max_tan:.3e}, max |V^⊥| = {max_nor:.3e})")
+
+
+def _concircular_terms(packet: FramePacket):
+    """(|(∇̃_{e_i} V)^⊤ − f_M e_i| for each tangent e_i, with f_M the mean of
+    g̃(∇̃_{e_i} V, e_i); max |det A_ξ|)."""
+    dv = _along_tangents(packet)
+    E = [packet.tangents[..., i, :] for i in range(packet.n)]
+    f_int = np.mean([packet.inner(dv[..., i, :], e) for i, e in enumerate(E)], axis=0)
+    concs = [norm(packet.tangent_project(dv[..., i, :]) - f_int[..., None] * e)
+             for i, e in enumerate(E)]
+    return np.array(concs), _max_det(packet)
+
+
+def _torqued_normal_terms(packet: FramePacket):
+    """(|A_{V^⊥} + f Id|; |D_X V^⊥| for X each tangent e_i made orthogonal to
+    W^⊤, 0 where X vanishes; |D_{W^⊤} V^⊥ − |W^⊤|² V^⊥|, 0 where W^⊤ vanishes;
+    whether W^⊤ does not vanish), with W the dual of the fitted ω."""
+    mp, vap, rep = packet.ambient, packet.field_jet, packet.fit
+    umb = _umbilic_defect(packet)
+    w_split = decompose_field(packet, rep.w_dual)
+    w_tangent = np.asarray(w_split.tan_norm > COMPONENT_TOL)
+    w_hat = w_split.v_tan / np.where(w_tangent, w_split.tan_norm, 1.0)[..., None]
+    d_w = packet.normal_project(covariant_derivative(mp, vap, w_split.v_tan))
+    target = np.asarray(w_split.tan_norm ** 2)[..., None] * packet.v_nor
+    wds = np.where(w_tangent, norm(d_w - target), 0.0)
+    ds = []
+    for i in range(packet.n):
+        e = packet.tangents[..., i, :]
+        x_dir = np.where(w_tangent[..., None],
+                         e - np.asarray(packet.inner(e, w_hat))[..., None] * w_hat, e)
+        moved = ~np.asarray(packet.inner(x_dir, x_dir) < 1e-16)
+        nor = decompose_field(packet, covariant_derivative(mp, vap, x_dir)).nor_norm
+        ds.append(np.where(moved, nor, 0.0))
+    return umb, np.array(ds), wds, w_tangent

@@ -20,7 +20,7 @@ from .classify import (GEODESIC_TOL, NONE, SceneClassification,
 from .config import Tolerances
 from .errors import (GeometryError, InconsistentSampleError,
                      PreconditionError)
-from .immersion import frame_packets, gauss_defect
+from .immersion import FramePacket, frames, gauss_defect, over_sample
 from .linalg import reduce_max, worst
 from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
                      sample_parameter_points)
@@ -58,7 +58,7 @@ class _RunContext:
         self._classification = None
         self._ambient_points = None
         self._param_points = None
-        self._packets = None
+        self._packet = None
         self._rect_report = None
 
     def rng(self, purpose: str):
@@ -91,20 +91,20 @@ class _RunContext:
         return self._classification
 
     @property
-    def packets(self) -> list:
-        """One FramePacket per parameter point, shared by every check."""
-        if self._packets is None:
-            self._packets = frame_packets(self.scene.immersion, self.scene.metric,
-                                          self.scene.field, self.param_points,
-                                          self.tols)
-        return self._packets
+    def packet(self) -> FramePacket:
+        """The FramePacket of the whole parameter sample, shared by every
+        check."""
+        if self._packet is None:
+            self._packet = frames(self.scene.immersion, self.scene.metric,
+                                  self.param_points, self.scene.field, self.tols)
+        return self._packet
 
     @property
     def rect_report(self) -> rect.RectifyingSceneReport:
         if self._rect_report is None:
             if self.scene.immersion is None or self.scene.field is None:
                 raise PreconditionError("rectifying needs a submanifold and a field")
-            self._rect_report = rect.rectifying_over(self.packets, self.tols)
+            self._rect_report = rect.rectifying_over(self.packet)
         return self._rect_report
 
 
@@ -145,15 +145,15 @@ def _check_gauss(ctx: _RunContext) -> CheckResult:
     scene = ctx.scene
     if scene.immersion is None:
         raise PreconditionError("gauss-equation needs a submanifold")
-    packets = ctx.packets
+    packet = ctx.packet
     rng = ctx.rng("gauss-equation")
-    n = scene.immersion.n
-    residuals = [gauss_defect(packet, *(rng.standard_normal(n) for _ in range(4)))
-                 for packet in packets]
+    # the same draws as four standard_normal(n) per point, point after point
+    vectors = rng.standard_normal((len(packet.u), 4, scene.immersion.n))
+    residuals = over_sample(gauss_defect, packet, *np.moveaxis(vectors, 1, 0))
     value, at = worst(residuals)
     return CheckResult("gauss-equation", PASS if value <= GAUSS_TOL else FAIL,
-                       residual=value, witness=_witness(packets[at].u),
-                       details={"points": len(packets), "bound": GAUSS_TOL})
+                       residual=value, witness=_witness(packet.u[at]),
+                       details={"points": len(packet.u), "bound": GAUSS_TOL})
 
 
 def _check_rectifying(ctx: _RunContext) -> CheckResult:
@@ -172,7 +172,7 @@ def _check_rectifying(ctx: _RunContext) -> CheckResult:
 
 
 def _check_tangential(ctx: _RunContext) -> CheckResult:
-    rep = rect.tangential_over(ctx.packets, ctx.tols)
+    rep = rect.tangential_over(ctx.packet)
     residual = reduce_max([rep.max_normal_derivative, rep.max_umbilic_defect])
     return CheckResult("tangential-theorem", PASS if rep.passed else FAIL,
                        residual=residual, witness=_witness(rep.witness_umbilic),
@@ -182,7 +182,7 @@ def _check_tangential(ctx: _RunContext) -> CheckResult:
 
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
-    rep = rect.normal_over(ctx.packets, ctx.tols)
+    rep = rect.normal_over(ctx.packet)
     residual = reduce_max([rep.max_det, rep.max_h_vtan, rep.max_curvature_mismatch,
                            rep.max_sectional_mismatch])
     return CheckResult("normal-theorem", PASS if rep.passed else FAIL,
@@ -196,7 +196,7 @@ def _check_normal(ctx: _RunContext) -> CheckResult:
 
 def _check_torqued(ctx: _RunContext) -> CheckResult:
     classification = ctx.classification   # a missing verdict outranks frame errors
-    rep = rect.torqued_over(ctx.packets, classification, ctx.tols)
+    rep = rect.torqued_over(ctx.packet, classification)
     residual = reduce_max([rep.max_concircular_residual, rep.max_det,
                            rep.max_umbilic_defect, rep.max_normal_derivative,
                            rep.max_w_derivative_defect])

@@ -32,9 +32,11 @@ import numpy as np
 
 from . import expr as ex
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
-from .errors import DomainEvalError, ParseError, SamplingError, SceneSchemaError
+from .errors import (DomainEvalError, GeometryError, ParseError, SamplingError,
+                     SceneSchemaError)
 from .immersion import Immersion
-from .jets import chart_names
+from .jets import chart_names, eval_jet_env, jet_variables
+from .linalg import norm
 from .metric import MetricField, VectorField
 
 CHECK_NAMES = (
@@ -142,8 +144,14 @@ def load_scene(document: dict) -> Scene:
         if not lo < hi:
             _fail("$.ambient.domain", f"empty interval [{lo}, {hi}]")
 
+    overrides = document.get("tolerances", {})
+    for key in overrides:
+        if key not in TOLERANCE_NAMES:
+            _fail("$.tolerances", f"unknown tolerance '{key}'")
+    tolerances = DEFAULT.override(**overrides) if overrides else DEFAULT
+
     try:
-        metric = MetricField(amb["metric"])
+        metric = MetricField(amb["metric"], spd_tol=tolerances.spd_tol)
     except ParseError as err:
         raise SceneSchemaError(f"$.ambient.metric: {err}") from err
 
@@ -183,12 +191,6 @@ def load_scene(document: dict) -> Scene:
     for c in checks:
         if c not in CHECK_NAMES:
             _fail("$.checks", f"unknown check '{c}' (known: {', '.join(CHECK_NAMES)})")
-
-    overrides = document.get("tolerances", {})
-    for key in overrides:
-        if key not in TOLERANCE_NAMES:
-            _fail("$.tolerances", f"unknown tolerance '{key}'")
-    tolerances = DEFAULT.override(**overrides) if overrides else DEFAULT
 
     return Scene(
         name=document["name"],
@@ -241,7 +243,23 @@ def _admissible_ambient(scene: Scene, x) -> bool:
     return True
 
 
-def _rejection_sample(box, count, rng, admissible):
+def _admissible_ambient_block(scene: Scene, xs) -> np.ndarray:
+    """_admissible_ambient at each row of xs, with one walk of each field
+    expression; raises where a row's field evaluation would."""
+    keep = ~(norm(xs) < scene.exclude_radius)
+    if scene.field is not None and keep.any():
+        env = jet_variables(chart_names(scene.dim), xs[keep], 0)
+        comps = np.stack([eval_jet_env(e, env).value for e in scene.field.exprs], axis=-1)
+        keep[keep] = ~(norm(comps) < scene.tolerances.min_field_norm)
+    return keep
+
+
+def _rejection_sample(box, count, rng, admissible, admissible_block):
+    """count admissible points of the box, drawn uniformly in order.  Each
+    block draws exactly the candidates still needed, so the points, the
+    attempt limit and the generator's state afterwards are those of drawing
+    and testing one candidate at a time; a block whose test raises is tested
+    candidate by candidate."""
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
     out = []
@@ -251,10 +269,14 @@ def _rejection_sample(box, count, rng, admissible):
         if attempts >= limit:
             raise SamplingError(
                 f"could not draw {count} admissible points in {limit} attempts")
-        x = lows + (highs - lows) * rng.random(len(box))
-        attempts += 1
-        if admissible(x):
-            out.append(x)
+        size = min(count - len(out), limit - attempts)
+        block = lows + (highs - lows) * rng.random((size, len(box)))
+        attempts += size
+        try:
+            keep = admissible_block(block)
+        except GeometryError:
+            keep = [admissible(x) for x in block]
+        out.extend(x for x, kept in zip(block, keep) if kept)
     return out
 
 
@@ -262,7 +284,8 @@ def sample_ambient_points(scene: Scene, count: int, rng) -> list:
     """Uniform points of the ambient box, skipping the excluded ball and
     points where the field vanishes."""
     return _rejection_sample(scene.domain, count, rng,
-                             lambda x: _admissible_ambient(scene, x))
+                             lambda x: _admissible_ambient(scene, x),
+                             lambda xs: _admissible_ambient_block(scene, xs))
 
 
 def sample_parameter_points(scene: Scene, count: int, rng) -> list:
@@ -277,7 +300,12 @@ def sample_parameter_points(scene: Scene, count: int, rng) -> list:
             return False
         return _admissible_ambient(scene, x)
 
-    return _rejection_sample(scene.immersion.domain, count, rng, admissible)
+    def admissible_block(us):
+        xs = np.stack([p.value for p in scene.immersion.jets(us, 0)], axis=-1)
+        return _admissible_ambient_block(scene, xs)
+
+    return _rejection_sample(scene.immersion.domain, count, rng, admissible,
+                             admissible_block)
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,8 @@ def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f,
     b_val = abs(np.einsum("...a,...a->...", grad_lam, u) - f * (1.0 - lam ** 2))
 
     m = mp.dim
-    frame, _, _ = orthonormalize(np.eye(m), mp.g, keep_tol=tols.frame_tol,
-                                 start_basis=u[..., None, :])
+    frame, _ = orthonormalize(np.eye(m), mp.g, keep_tol=tols.frame_tol,
+                              start_basis=u[..., None, :])
     fiber = frame[..., 1:m, :]                          # E_2 .. E_m
     conn = fiber @ D @ mp.g @ np.swapaxes(fiber, -1, -2)  # <∇̃_{E_j}E₁, E_k>
     target = (f / lam)[..., None, None] * np.eye(m - 1)

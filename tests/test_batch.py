@@ -100,14 +100,14 @@ class TestLinalg:
         b = rng.standard_normal((6, 4))
         L, x = cholesky_spd(gram, 1e-12), solve_spd(gram, b, 1e-12)
         start = np.stack([np.eye(4)[1] / np.sqrt(gram[i, 1, 1]) for i in range(6)])
-        basis, rows, kept = orthonormalize(np.eye(4), gram, keep_tol=1e-10,
-                                           start_basis=start[:, None, :])
+        basis, kept = orthonormalize(np.eye(4), gram, keep_tol=1e-10,
+                                     start_basis=start[:, None, :])
         for i in range(6):
             assert np.array_equal(L[i], cholesky_spd(gram[i], 1e-12))
             assert_close(x[i], solve_spd(gram[i], b[i], 1e-12))
-            bi, ri, ki = orthonormalize(np.eye(4), gram[i], keep_tol=1e-10,
-                                        start_basis=start[i, None])
-            assert np.array_equal(basis[i], bi) and np.array_equal(rows[i], ri)
+            bi, ki = orthonormalize(np.eye(4), gram[i], keep_tol=1e-10,
+                                    start_basis=start[i, None])
+            assert np.array_equal(basis[i], bi)
             assert kept[i] == ki == 3
 
     def test_dropped_candidates_leave_zero_slots(self):
@@ -115,8 +115,8 @@ class TestLinalg:
         # shift down one slot and the last slot stays zero
         gram = np.stack([np.eye(3), np.eye(3)])
         start = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        basis, _, kept = orthonormalize(np.eye(3), gram, keep_tol=1e-10,
-                                        start_basis=start[:, None, :])
+        basis, kept = orthonormalize(np.eye(3), gram, keep_tol=1e-10,
+                                     start_basis=start[:, None, :])
         assert kept.tolist() == [2, 2]
         assert np.array_equal(basis[0], [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert np.array_equal(basis[1], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -138,8 +138,8 @@ def decomposition_per_point(scene, points, classification):
         lam, grad = lam_jet.value, lam_jet.gradient()
         a = mp.norm(covariant_derivative(mp, e1, e1.components))
         b = abs(grad @ e1.components - rep.f * (1.0 - lam ** 2))
-        frame, _, _ = orthonormalize(np.eye(dim), mp.g, keep_tol=scene.tolerances.frame_tol,
-                                     start_basis=e1.components[None])
+        frame, _ = orthonormalize(np.eye(dim), mp.g, keep_tol=scene.tolerances.frame_tol,
+                                  start_basis=e1.components[None])
         c = max(abs(covariant_derivative(mp, e1, frame[j]) @ mp.g @ frame[k]
                     - (rep.f / lam if j == k else 0.0))
                 for j in range(1, dim) for k in range(1, dim))

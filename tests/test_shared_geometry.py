@@ -20,36 +20,69 @@ classify_mod = importlib.import_module("torseform.classify")
 N = 12
 
 
-def count_calls(monkeypatch, owner, name) -> dict:
-    counter = {"calls": 0}
-    original = getattr(owner, name)
+def record_points(monkeypatch, owners, name, at=0) -> list:
+    """Patch `name` in every owner to record the points it is called on: its
+    positional argument `at`, one point or a row per point."""
+    calls = []
+    original = getattr(owners[0], name)
 
     @functools.wraps(original)
-    def counted(*args, **kwargs):
-        counter["calls"] += 1
+    def recorded(*args, **kwargs):
+        calls.append(np.atleast_2d(args[at]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
-    return counter
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def sampled_parameters(monkeypatch) -> list:
+    """Record the parameter points the run samples."""
+    sampled = []
+    sample = runner_mod.sample_parameter_points
+
+    def recording_sample(*args):
+        points = sample(*args)
+        sampled.extend(points)
+        return points
+
+    monkeypatch.setattr(runner_mod, "sample_parameter_points", recording_sample)
+    return sampled
 
 
 def test_cone_builds_each_packet_once(monkeypatch):
-    frames = count_calls(monkeypatch, immersion_mod, "frames")
-    induced = count_calls(monkeypatch, immersion_mod, "induced_metric")
-    riemann = count_calls(monkeypatch, metric_mod, "riemann_components")
+    # counts points, not calls: frames and the induced metric are computed
+    # once for the whole sample, and every sampled point gets each exactly
+    # once, in sample order; curvature is computed for at most two batches
+    # (the induced and the order-2 ambient metric) of N points each
+    sampled = sampled_parameters(monkeypatch)
+    frames = record_points(monkeypatch, (runner_mod, immersion_mod), "frames", at=2)
+    induced = record_points(monkeypatch, (immersion_mod,), "pull_back_metric", at=2)
+    curvature = []
+    riemann = metric_mod.riemann_components
+
+    def recording_riemann(mp):
+        curvature.append(mp.g.shape[:-2])
+        return riemann(mp)
+
+    monkeypatch.setattr(metric_mod, "riemann_components", recording_riemann)
     report = run(builtin_scene("cone"), points=N)
     assert {c.name for c in report.checks} == {"normal-theorem", "gauss-equation"}
     assert all(c.status == "pass" for c in report.checks)
-    assert frames["calls"] == N
-    assert induced["calls"] == N
-    assert riemann["calls"] <= 2 * N
+    assert len(sampled) == N
+    assert np.array_equal(np.concatenate(frames), sampled)
+    assert np.array_equal(np.concatenate(induced), sampled)
+    assert 1 <= len(curvature) <= 2
+    assert all(batch == (N,) for batch in curvature)
 
 
 def test_clifford_torus_builds_each_packet_once(monkeypatch):
-    frames = count_calls(monkeypatch, immersion_mod, "frames")
+    sampled = sampled_parameters(monkeypatch)
+    frames = record_points(monkeypatch, (runner_mod, immersion_mod), "frames", at=2)
     report = run(builtin_scene("clifford-torus"), points=N)
     assert all(c.status == "pass" for c in report.checks)
-    assert frames["calls"] == N
+    assert len(sampled) == N
+    assert np.array_equal(np.concatenate(frames), sampled)
 
 
 def test_radial_fits_each_ambient_point_once(monkeypatch):
@@ -78,14 +111,29 @@ def test_radial_fits_each_ambient_point_once(monkeypatch):
     assert np.array_equal(fitted, sampled)
 
 
+def record_orders(monkeypatch, owner) -> list:
+    """Patch owner.at to record (order, points) of each call."""
+    calls = []
+    original = owner.at
+
+    @functools.wraps(original)
+    def recorded(self, point, order):
+        calls.append((order, len(np.atleast_2d(point))))
+        return original(self, point, order)
+
+    monkeypatch.setattr(owner, "at", recorded)
+    return calls
+
+
 def test_rectifying_does_not_pay_for_unread_geometry(monkeypatch):
     # rectifying reads frames and the field value only: no order-2 metric,
-    # field 1-jet or induced metric
-    metric_at = count_calls(monkeypatch, metric_mod.MetricField, "at")
-    field_at = count_calls(monkeypatch, metric_mod.VectorField, "at")
-    induced = count_calls(monkeypatch, immersion_mod, "induced_metric")
+    # field 1-jet or induced metric; the order-1 metric and the field value
+    # are evaluated once at each sampled point
+    metric_at = record_orders(monkeypatch, metric_mod.MetricField)
+    field_at = record_orders(monkeypatch, metric_mod.VectorField)
+    induced = record_points(monkeypatch, (immersion_mod,), "pull_back_metric", at=2)
     report = run(builtin_scene("unit-sphere"), points=N)
     assert [c.name for c in report.checks] == ["rectifying"]
-    assert metric_at["calls"] == N
-    assert field_at["calls"] == N
-    assert induced["calls"] == 0
+    assert metric_at == [(1, N)]
+    assert field_at == [(0, N)]
+    assert induced == []
