@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (GeometryError, InconsistentSampleError, PreconditionError,
-                     SingularFitError, SingularMetricError, ZeroFieldError)
+from .errors import (InconsistentSampleError, PreconditionError, SingularFitError,
+                     SingularMetricError, ZeroFieldError, replay)
 from .linalg import dot, first_where, item, mv, norm, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian, orthonormal_coordinate_frame)
@@ -197,9 +197,9 @@ def classify(metric: MetricField, field: VectorField, points,
     """Scene-level verdict: the most specific class whose membership residual
     is within class_tol at every sampled point.
 
-    The sample is fitted in one batch.  If the batch raises a GeometryError
-    the points are fitted one by one in sample order, so the error reported
-    is the one the first failing point raises at its first failing stage.
+    The sample is fitted in one batch, or point by point in sample order if
+    the batch fails (errors.replay), so an error is the first failing
+    point's own.
 
     A sample whose per-point verdicts cannot be covered by a single class
     raises InconsistentSampleError (the field changes class over the domain,
@@ -209,13 +209,14 @@ def classify(metric: MetricField, field: VectorField, points,
     if len(points) < tols.class_min_points:
         raise PreconditionError(
             f"need at least {tols.class_min_points} sample points, got {len(points)}")
-    try:
+
+    def batch():
         vap = field.at(points, order=1)
         mp = metric.at(points, order=1)
-        reports = _point_reports(fit_at_point(mp, vap, tols))
-    except GeometryError:
-        mp = vap = None
-        reports = tuple(fit_torse_forming(metric, field, p, tols) for p in points)
+        return mp, vap, _point_reports(fit_at_point(mp, vap, tols))
+
+    mp, vap, reports = replay(batch, lambda p: fit_torse_forming(metric, field, p, tols),
+                              points, merge=lambda reps: (None, None, tuple(reps)))
 
     verdict = next((cls for cls in PRECEDENCE
                     if all(_passes(rep, cls, tols) for rep in reports)), None)

@@ -425,13 +425,46 @@ def to_source(e: Expr) -> str:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def evaluate(expr: Expr, env: Mapping, *, call: Callable):
+def intern(exprs) -> tuple:
+    """(exprs, shared): the expressions rebuilt so that structurally equal
+    subtrees, within and across them, are one object, and the ids of the
+    subtrees that occur more than once.  Literals are keyed by value and
+    sign, so 0.0 and -0.0 stay apart."""
+    table, shared = {}, set()
+
+    def walk(node):
+        if isinstance(node, Num):
+            key = (Num, node.value, math.copysign(1.0, node.value))
+        elif isinstance(node, Var):
+            key = (Var, node.name)
+        elif isinstance(node, Neg):
+            node = Neg(walk(node.arg))
+            key = (Neg, id(node.arg))
+        elif isinstance(node, BinOp):
+            node = BinOp(node.op, walk(node.left), walk(node.right))
+            key = (BinOp, node.op, id(node.left), id(node.right))
+        else:
+            node = Call(node.func, tuple(map(walk, node.args)))
+            key = (Call, node.func) + tuple(map(id, node.args))
+        if key in table:
+            shared.add(id(table[key]))
+        return table.setdefault(key, node)
+
+    return tuple(map(walk, exprs)), frozenset(shared)
+
+
+def evaluate(expr: Expr, env: Mapping, *, call: Callable, memo: dict | None = None):
     """Evaluate `expr` with variable bindings from `env`.
 
     Literals evaluate to plain floats; `call(name, *args)` applies the
     FUNCTIONS row `name`, and '^' is a call of 'pow'.  Domain failures are
-    reported with the offending subexpression.
+    reported with the offending subexpression.  `memo`, a dict the caller
+    keeps over the expressions of one evaluation, is keyed by the ids of the
+    subtrees they share (see `intern`), each evaluated once and kept there;
+    other values are dropped as soon as their parent is done.
     """
+    memo = {} if memo is None else memo
+
     def ev(node):
         if isinstance(node, Num):
             return node.value
@@ -440,6 +473,14 @@ def evaluate(expr: Expr, env: Mapping, *, call: Callable):
                 return env[node.name]
             except KeyError:
                 raise DomainEvalError(f"unbound variable '{node.name}'", node.name) from None
+        key = id(node)
+        if key not in memo:
+            return compound(node)
+        if memo[key] is None:
+            memo[key] = compound(node)
+        return memo[key]
+
+    def compound(node):
         if isinstance(node, Neg):
             return -ev(node.arg)
         if isinstance(node, BinOp):

@@ -30,8 +30,8 @@ import numpy as np
 from . import expr as ex
 from .classify import ClassificationReport, fit_at_point
 from .config import DEFAULT, Tolerances
-from .errors import (GeometryError, NonNormalVectorError, PreconditionError,
-                     RankDeficiencyError)
+from .errors import (NonNormalVectorError, PreconditionError, RankDeficiencyError,
+                     replay)
 from .jets import chart_names, eval_jet_env, jet_variables
 from .linalg import (cholesky_pivots, first_where, item, mv, norm, orthonormalize,
                      solve_spd)
@@ -48,13 +48,16 @@ class Immersion:
         if not 1 <= n < self.m:
             raise ValueError(f"need 1 <= n < m, got n={n}, m={self.m}")
         self.var_names = chart_names(n, prefix="u")
-        self.exprs = tuple(ex.ensure_expr(c, self.var_names) for c in components)
+        self.exprs, self.shared = ex.intern(ex.ensure_expr(c, self.var_names)
+                                            for c in components)
         self.domain = None if domain is None else tuple((float(a), float(b)) for a, b in domain)
 
     def jets(self, u: Sequence[float], order: int):
-        """Jets of Ψ's components at u, or at each row of an (N, n) array."""
+        """Jets of Ψ's components at u, or at each row of an (N, n) array;
+        common subtrees are walked once."""
         env = jet_variables(self.var_names, u, order)
-        return [eval_jet_env(e, env) for e in self.exprs]
+        memo = dict.fromkeys(self.shared)
+        return [eval_jet_env(e, env, memo) for e in self.exprs]
 
     def point(self, u: Sequence[float]) -> np.ndarray:
         return np.array([ex.eval_float(e, dict(zip(self.var_names, u)))
@@ -203,17 +206,13 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
 
     The tangent frame Gram-Schmidts the coordinate tangents in index order;
     the normal frame completes with the ambient standard basis, again in
-    index order, so packets are reproducible.  A batch that raises a
-    GeometryError is redone point by point in sample order, so the error is
-    the one the first failing point raises at its first failing stage.
+    index order, so packets are reproducible.  A failing batch raises what
+    its first failing point raises alone (errors.replay).
     """
     u = np.asarray(u, dtype=float)
-    try:
-        return _frames(imm, metric, u, field, tols)
-    except GeometryError:
-        for point in (u if u.ndim == 2 else ()):
-            _frames(imm, metric, point, field, tols)
-        raise
+    return replay(lambda: _frames(imm, metric, u, field, tols),
+                  lambda point: _frames(imm, metric, point, field, tols),
+                  u if u.ndim == 2 else ())
 
 
 def _frames(imm, metric, u, field, tols) -> FramePacket:
@@ -267,17 +266,13 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
 
 def over_sample(terms, packet: FramePacket, *args):
     """terms(packet, *args) over a batched packet, each of args carrying the
-    batch axis too.  If that raises a GeometryError, terms is applied at each
-    point alone, in sample order, to the packet `frames` builds there; so the
-    error raised is the one the first failing point raises at its first
-    failing stage (the batch's own error if no point fails alone)."""
-    try:
-        return terms(packet, *args)
-    except GeometryError:
-        for i, u in enumerate(packet.u):
-            single = frames(packet.immersion, packet.metric, u, packet.field, packet.tols)
-            terms(single, *(a[i] for a in args))
-        raise
+    batch axis too.  A failing batch raises what the first failing point
+    raises alone, with the packet `frames` builds there (errors.replay)."""
+    def single(i):
+        return terms(frames(packet.immersion, packet.metric, packet.u[i], packet.field,
+                            packet.tols), *(a[i] for a in args))
+
+    return replay(lambda: terms(packet, *args), single, range(len(packet.u)))
 
 
 def second_fundamental_form(imm: Immersion, metric: MetricField, u,

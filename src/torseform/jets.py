@@ -249,19 +249,27 @@ def jet_variables(names: Sequence[str], values, order: int) -> dict:
     """Seed jets for the chart variables at a point (n values) or at each
     point of a batch (an (N, n) array)."""
     n = len(names)
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != (n,) or values.ndim > 2:
-        raise ValueError("names/values length mismatch")
-    columns = values.T
+    columns = chart_points(values, n).T
     return {name: Jet.variable(i, columns[i], n, order)
             for i, name in enumerate(names)}
 
 
-def eval_jet_env(expression: ex.Expr, env: Mapping[str, Jet]) -> Jet:
+def chart_points(values, n: int) -> np.ndarray:
+    """values as a point of an n-dimensional chart or an (N, n) array of
+    points; ValueError for any other shape."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (n,) or values.ndim > 2:
+        raise ValueError("names/values length mismatch")
+    return values
+
+
+def eval_jet_env(expression: ex.Expr, env: Mapping[str, Jet], memo: dict | None = None) -> Jet:
     """Evaluate an expression over an environment of jets (all sharing the
     same variable set, order and batch); used directly for pullbacks.
-    Literals stay floats until they meet a jet."""
-    out = ex.evaluate(expression, env, call=call)
+    Literals stay floats until they meet a jet.  A `memo` kept over the
+    expressions of one call walks their shared subtrees once (expr.evaluate);
+    jet operations are pure, so sharing a result is safe."""
+    out = ex.evaluate(expression, env, call=call, memo=memo)
     if isinstance(out, Jet):
         return out
     probe = next(iter(env.values()))

@@ -27,7 +27,7 @@ from . import expr as ex
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlaneError, OrderInsufficientError,
                      PreconditionError, SingularMetricError)
-from .jets import Jet, call, chart_names, eval_jet_env, jet_variables
+from .jets import Jet, call, chart_names, chart_points, eval_jet_env, jet_variables
 from .linalg import cholesky_solve, cholesky_spd, dot, first_where, item
 
 
@@ -149,16 +149,21 @@ class MetricField:
         self.dim = m
         self.var_names = chart_names(m)
         self.spd_tol = spd_tol
-        exprs = [[None] * m for _ in range(m)]
+        lower = []
         for i, row in enumerate(entries):
             if len(row) not in (i + 1, m):
                 raise ValueError(
                     f"metric row {i} must have {i + 1} (lower triangle) or {m} entries")
-            for j in range(min(len(row), i + 1)):
-                e = ex.ensure_expr(row[j], self.var_names)
-                exprs[i][j] = e
-                exprs[j][i] = e
+            lower += [ex.ensure_expr(row[j], self.var_names) for j in range(i + 1)]
+        exprs = [[None] * m for _ in range(m)]
+        interned, self.shared = ex.intern(lower)
+        entry = iter(interned)
+        for i in range(m):
+            for j in range(i + 1):
+                exprs[i][j] = exprs[j][i] = next(entry)
         self.exprs = tuple(tuple(row) for row in exprs)
+        self.constant = not any(ex.free_variables(e) for e in lower)
+        self._held = None       # a constant metric's data, once checked
 
     @classmethod
     def euclidean(cls, m: int) -> "MetricField":
@@ -169,19 +174,44 @@ class MetricField:
         entry once."""
         m = self.dim
         out = [[None] * m for _ in range(m)]
+        memo = dict.fromkeys(self.shared)
         for i in range(m):
             for j in range(i + 1):
-                jet = eval_jet_env(self.exprs[i][j], env)
+                jet = eval_jet_env(self.exprs[i][j], env, memo)
                 out[i][j] = out[j][i] = jet
         return out
 
     def at(self, point: Sequence[float], order: int = 2) -> MetricAtPoint:
         """Evaluate the metric and its derivatives to the requested order at
         a point, or at each row of an (N, m) array of points with one walk of
-        each entry expression."""
+        each entry expression.
+
+        A constant metric is walked and checked once, by the first call that
+        succeeds; later calls return its g and Cholesky factor at every
+        point, with zero derivatives."""
+        if not self.constant:
+            return self._walk(point, order)
+        point = chart_points(point, self.dim)
+        if self._held is None:
+            self._held = self._walk(np.zeros(self.dim), 0)
+        batch, m = point.shape[:-1], self.dim
+        if batch:
+            # a walk leaves the batch axis last in memory; so does this g,
+            # so that products with it round alike
+            g = np.moveaxis(np.repeat(self._held.g[..., None], batch[0], -1), -1, 0)
+            factor = np.repeat(self._held.factor[None], batch[0], 0)
+        else:
+            g, factor = self._held.g.copy(), self._held.factor.copy()
+        mp = MetricAtPoint(point=point, g=g,
+                           dg=np.zeros(batch + (m,) * 3) if order >= 1 else None,
+                           d2g=np.zeros(batch + (m,) * 4) if order >= 2 else None,
+                           spd_tol=self.spd_tol)
+        vars(mp)["factor"] = factor
+        return mp
+
+    def _walk(self, point, order: int) -> MetricAtPoint:
         env = jet_variables(self.var_names, point, order)
-        return MetricAtPoint.from_jets(point, self.entry_jets(env), order,
-                                       self.spd_tol)
+        return MetricAtPoint.from_jets(point, self.entry_jets(env), order, self.spd_tol)
 
 
 def jet_inner(gjets, a, b) -> Jet:
@@ -206,13 +236,20 @@ class VectorField:
         if len(components) != self.dim:
             raise ValueError("component count does not match dimension")
         self.var_names = chart_names(self.dim)
-        self.exprs = tuple(ex.ensure_expr(c, self.var_names) for c in components)
+        self.exprs, self.shared = ex.intern(ex.ensure_expr(c, self.var_names)
+                                            for c in components)
+
+    def component_jets(self, env) -> list:
+        """The components evaluated over a jet environment, shared subtrees
+        once."""
+        memo = dict.fromkeys(self.shared)
+        return [eval_jet_env(e, env, memo) for e in self.exprs]
 
     def at(self, point: Sequence[float], order: int = 1) -> VectorAtPoint:
         """The field and (order >= 1) its jacobian at a point, or at each row
         of an (N, m) array of points."""
         env = jet_variables(self.var_names, point, order)
-        return VectorAtPoint.from_jets([eval_jet_env(e, env) for e in self.exprs], order)
+        return VectorAtPoint.from_jets(self.component_jets(env), order)
 
     def norm_jet(self, point: Sequence[float], metric: MetricField, order: int = 1) -> Jet:
         """Jet of |V|(x) = sqrt(g_ij V^i V^j) at the point."""
@@ -227,7 +264,7 @@ class VectorField:
         """(V/|V| with jacobian, jet of |V|), both from one |V| jet; at a
         point or over an (N, m) array of points."""
         env = jet_variables(self.var_names, point, order)
-        vjets = [eval_jet_env(e, env) for e in self.exprs]
+        vjets = self.component_jets(env)
         norm = call("sqrt", jet_inner(metric.entry_jets(env), vjets, vjets))
         return VectorAtPoint.from_jets([v / norm for v in vjets], order), norm
 

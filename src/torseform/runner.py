@@ -291,6 +291,8 @@ def _run_check(name: str, ctx: _RunContext) -> CheckResult:
 
 def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
     """Execute the requested checks (default: the scene's list)."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     requested = tuple(checks) if checks is not None else scene.checks
     for name in requested:
         if name not in _CHECKS:

@@ -32,10 +32,10 @@ import numpy as np
 
 from . import expr as ex
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
-from .errors import (DomainEvalError, GeometryError, ParseError, SamplingError,
-                     SceneSchemaError)
+from .errors import (DomainEvalError, ParseError, SamplingError, SceneSchemaError,
+                     replay)
 from .immersion import Immersion
-from .jets import chart_names, eval_jet_env, jet_variables
+from .jets import chart_names, jet_variables
 from .linalg import norm
 from .metric import MetricField, VectorField
 
@@ -249,7 +249,7 @@ def _admissible_ambient_block(scene: Scene, xs) -> np.ndarray:
     keep = ~(norm(xs) < scene.exclude_radius)
     if scene.field is not None and keep.any():
         env = jet_variables(chart_names(scene.dim), xs[keep], 0)
-        comps = np.stack([eval_jet_env(e, env).value for e in scene.field.exprs], axis=-1)
+        comps = np.stack([jet.value for jet in scene.field.component_jets(env)], axis=-1)
         keep[keep] = ~(norm(comps) < scene.tolerances.min_field_norm)
     return keep
 
@@ -272,10 +272,7 @@ def _rejection_sample(box, count, rng, admissible, admissible_block):
         size = min(count - len(out), limit - attempts)
         block = lows + (highs - lows) * rng.random((size, len(box)))
         attempts += size
-        try:
-            keep = admissible_block(block)
-        except GeometryError:
-            keep = [admissible(x) for x in block]
+        keep = replay(lambda: admissible_block(block), admissible, block, merge=list)
         out.extend(x for x, kept in zip(block, keep) if kept)
     return out
 

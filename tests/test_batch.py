@@ -4,6 +4,7 @@ functions applied point by point, and a failing batch must report what the
 first failing point reports."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -241,3 +242,60 @@ def test_metric_evaluated_once_per_sample_point(monkeypatch):
     assert [c.status for c in report.checks] == ["pass", "pass"]
     assert metric_at == {"points": 60, "calls": 1}
     assert entries["calls"] == 1
+
+
+class TestSharedSubtrees:
+    """Fields, metrics and immersions intern their expressions, and each call
+    walks a subtree they share once; the values must be those of walking
+    every expression on its own."""
+
+    @staticmethod
+    def sources(rng):
+        # compositions of random expressions that repeat them, so that
+        # subtrees are shared within and across components
+        a, b = (random_expression(rng, 3, depth=3) for _ in range(2))
+        return [f"({a})*({b})", f"sin({a})-({b})", f"({b})/(1.5+({a})^2)"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interned_walk_equals_unshared_walks(self, seed):
+        rng = np.random.default_rng(seed)
+        sources = self.sources(rng)
+        field = VectorField(sources, dim=3)
+        assert field.exprs[0].left is field.exprs[1].left.args[0]
+        for points in (rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=(7, 3))):
+            for order in range(4):
+                env = jet_variables(("x1", "x2", "x3"), points, order)
+                shared = field.component_jets(env)
+                alone = [eval_jet_env(parse(src), env) for src in sources]
+                for a, b in zip(shared, alone):
+                    for k in range(order + 1):
+                        assert np.array_equal(a.d[k], b.d[k])
+
+    @pytest.mark.parametrize("points", [[1.0, 0.5, 0.2],
+                                        [[1.0, 0.5, 0.2], [2.5, 0.5, 0.2]]])
+    def test_interned_walk_raises_the_unshared_error(self, points):
+        # log(x1-2) fails at x1 = 1 in the first component that holds it
+        ok = "x2*x3"
+        bad = "log(x1-2)+x2"
+        sources = [ok, f"({ok})+({bad})", f"cos({bad})"]
+        field = VectorField(sources)
+        with pytest.raises(GeometryError) as shared:
+            field.at(np.array(points), order=1)
+        env = jet_variables(("x1", "x2", "x3"), np.array(points), 1)
+        with pytest.raises(GeometryError) as alone:
+            for src in sources:
+                eval_jet_env(parse(src), env)
+        assert type(shared.value) is type(alone.value)
+        assert str(shared.value) == str(alone.value)
+
+    def test_signed_zero_literals_stay_apart(self):
+        from torseform.expr import BinOp, Num, Var, intern
+        (a, b, c), shared = intern([BinOp("*", Var("x1"), Num(0.0)),
+                                    BinOp("*", Var("x1"), Num(-0.0)),
+                                    BinOp("*", Var("x1"), Num(0.0))])
+        assert a is c and a is not b
+        assert id(a) in shared and id(b) not in shared
+        assert math.copysign(1.0, b.right.value) == -1.0
+        field = VectorField([a, b], dim=2)
+        values = field.at([1.0, 2.0], order=0).components
+        assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]

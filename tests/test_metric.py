@@ -17,7 +17,10 @@ from torseform import (MetricField, VectorField, christoffel,
                        sectional_curvature)
 from torseform.errors import (DegeneratePlaneError, OrderInsufficientError,
                               PreconditionError, SingularMetricError)
-from torseform.metric import VectorAtPoint
+from torseform import expr as ex
+from torseform.classify import fit_at_point
+from torseform.jets import jet_variables
+from torseform.metric import MetricAtPoint, VectorAtPoint
 
 
 class TestChristoffel:
@@ -217,3 +220,81 @@ class TestVectorFieldJets:
         nj = field.norm_jet(p, euclid3, order=1)
         assert nj.value == pytest.approx(3.0)
         assert nj.gradient() == pytest.approx(p / 3.0, abs=1e-13)
+
+
+def walked(metric, point, order):
+    """The metric data from a walk of every entry, held or not."""
+    env = jet_variables(metric.var_names, point, order)
+    return MetricAtPoint.from_jets(point, metric.entry_jets(env), order, metric.spd_tol)
+
+
+class TestConstantMetric:
+    """A metric whose entries have no free variables is walked and checked
+    once; every later call must give what a walk gives."""
+
+    DENSE = [["2"], ["0.5", "3"], ["-0.25", "sqrt(2)/3", "1.5"]]
+
+    @pytest.mark.parametrize("entries", [DENSE, "euclidean"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_held_data_equal_a_walk(self, entries, order):
+        metric = MetricField.euclidean(3) if entries == "euclidean" else MetricField(entries)
+        assert metric.constant
+        rng = np.random.default_rng(order)
+        for points in (rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (7, 3))):
+            for _ in range(2):                  # the first call and a held one
+                held, walk = metric.at(points, order), walked(metric, points, order)
+                for name in ("point", "g", "dg", "d2g", "factor", "inverse"):
+                    a, b = getattr(held, name), getattr(walk, name)
+                    assert (a is None and b is None) or (
+                        np.array_equal(a, b) and a.shape == b.shape
+                        and np.signbit(a).tolist() == np.signbit(b).tolist())
+                # the layout too: products with g round by it
+                assert held.g.strides == walk.g.strides
+                assert held.factor.strides == walk.factor.strides
+
+    def test_held_fit_equals_walked_fit(self):
+        metric = MetricField(self.DENSE)
+        field = VectorField(["x1*x2", "x2+x3^2", "1+x1"])
+        points = np.random.default_rng(5).uniform(0.5, 2, (9, 3))
+        vap = field.at(points, 1)
+        held = fit_at_point(metric.at(points, 1), vap)
+        walk = fit_at_point(walked(metric, points, 1), vap)
+        for name in ("f", "omega", "residual_torse", "residual_antitorqued"):
+            assert np.array_equal(getattr(held, name), getattr(walk, name))
+
+    def test_non_spd_metric_raises_the_same_error_every_call(self):
+        metric = MetricField([["1"], ["2", "1"]])
+        with pytest.raises(SingularMetricError) as walk:
+            walked(metric, [0.5, 0.5], 0)
+        for points in ([0.5, 0.5], np.ones((4, 2)), [0.1, 0.2]):
+            with pytest.raises(SingularMetricError) as held:
+                metric.at(points, order=1)
+            assert str(held.value) == str(walk.value)
+
+    def test_bad_point_shape_is_refused(self):
+        with pytest.raises(ValueError, match="names/values length mismatch"):
+            MetricField.euclidean(3).at([1.0, 2.0], order=0)
+
+    def test_metric_with_a_variable_is_walked(self):
+        assert not MetricField([["1"], ["0", "x1^2"]]).constant
+
+
+@pytest.mark.parametrize("points", [[0.3, -1.2, 2.0, 0.5],
+                                    [[0.3, -1.2, 2.0, 0.5], [1.0, 2.0, 0.1, -0.4]]])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_radial_field_walks_its_radius_once(monkeypatch, points, order):
+    # x_i / sqrt(x1^2 + ... + x4^2): the four components share the sqrt
+    sqrt = ex.FUNCTIONS["sqrt"]
+    calls = []
+
+    def counted(x, k):
+        calls.append(k)
+        return sqrt.derivatives(x, k)
+
+    monkeypatch.setitem(ex.FUNCTIONS, "sqrt", ex.Function(1, counted))
+    field = radial_unit_field(4)
+    at = field.at(np.array(points), order=order)
+    assert calls == [order]
+    x = np.array(points)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    assert np.allclose(at.components, x / r, rtol=1e-15, atol=0.0)

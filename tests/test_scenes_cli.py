@@ -370,6 +370,13 @@ class TestCli:
         assert proc.returncode == 2
         assert "$.seed" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_a_usage_error(self, points):
+        # refused before any sampling, with the count in the message
+        proc = run_cli("check", "builtin:unit-sphere", "--points", points)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: points must be >= 1, got {points}\n"
+
     def test_eval_subcommand(self):
         proc = run_cli("eval", "tanh(asinh(x1))", "--at", "x1=1")
         assert proc.returncode == 0

@@ -1,19 +1,27 @@
 """Integral curves, the warping ODE, the tanh model, and the ambient
 decomposition checks."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+import torseform.warped as warped_mod
 from conftest import radial_unit_field
-from torseform import (Immersion, MetricField, VectorField,
+from torseform import (Immersion, MetricField, VectorField, builtin_scene,
                        build_warped_ambient, classify, cumulative_simpson,
-                       fit_tanh_integral, lambda_log_derivative,
+                       fit_tanh_integral, fit_torse_forming, lambda_log_derivative,
                        sample_ambient_points, trace_integral_curve,
                        verify_ambient_decomposition, warping_ode_residual)
-from torseform.errors import (ModelViolationError, PreconditionError)
+from torseform.config import DEFAULT
+from torseform.errors import (DomainEvalError, GeometryError, ModelViolationError,
+                              PreconditionError, SingularMetricError, ZeroFieldError)
+from torseform.linalg import solve_spd
 from torseform.warped import CurveSample, IntegralCurve
+
+# the package attribute `torseform.classify` is the function, not the module
+classify_mod = importlib.import_module("torseform.classify")
 
 
 def vertex_cone4():
@@ -302,3 +310,166 @@ class TestBuildWarpedAmbient:
         c = classify(scene.metric, scene.field, pts)
         assert c.verdict == "anti-torqued"
         assert np.max(np.abs(c.f_values - 0.5)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The traced curve against the per-node loop it replaces
+# ---------------------------------------------------------------------------
+
+def reference_trace(imm, metric, field, u0, length, step, tols=DEFAULT):
+    """The per-node RK4 loop: four fresh stages per step and one
+    single-point fit per node, in node order."""
+    domain = imm.domain
+    counter = {"n": 0}
+
+    def tangential(u):
+        counter["n"] += 1
+        psi = imm.jets(u, 1)
+        x = np.array([p.value for p in psi])
+        jac = np.stack([p.gradient() for p in psi])
+        G = metric.at(x, order=0).g
+        k = jac.T @ G @ jac
+        coords = solve_spd(k, jac.T @ G @ field.at(x, order=0).components,
+                           tols.spd_tol)
+        lam = float(np.sqrt(max(coords @ k @ coords, 0.0)))
+        if lam <= tols.proper_tol:
+            raise PreconditionError(
+                f"|V^⊤| = {lam:.3e} vanishes at u={np.asarray(u).tolist()}",
+                witness=u)
+        return coords / lam, lam, x
+
+    def inside(u):
+        return all(lo <= ui <= hi for ui, (lo, hi) in zip(u, domain))
+
+    nsteps = max(1, int(round(length / step)))
+    u = np.asarray(u0, dtype=float)
+    _, lam0, x0 = tangential(u)
+    samples = [CurveSample(0.0, u.copy(), lam0,
+                           fit_torse_forming(metric, field, x0, tols).f)]
+    h = float(step)
+    exited = False
+    for k in range(nsteps):
+        try:
+            k1, _, _ = tangential(u)
+            k2, _, _ = tangential(u + 0.5 * h * k1)
+            k3, _, _ = tangential(u + 0.5 * h * k2)
+            k4, _, _ = tangential(u + h * k3)
+        except DomainEvalError:
+            exited = True
+            break
+        u_next = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not inside(u_next):
+            exited = True
+            break
+        u = u_next
+        _, lam, x = tangential(u)
+        samples.append(CurveSample((k + 1) * h, u.copy(), lam,
+                                   fit_torse_forming(metric, field, x, tols).f))
+    return IntegralCurve(samples=tuple(samples), step=h, exited_domain=exited,
+                         rhs_evaluations=counter["n"])
+
+
+def centre_curve_args():
+    """rectifying-psi's warp-fit curve: from the box centre, as runner traces it."""
+    scene = builtin_scene("rectifying-psi")
+    box = scene.immersion.domain
+    length = 0.8 * max(hi - lo for lo, hi in box)
+    u0 = np.array([0.5 * (lo + hi) for lo, hi in box])
+    return (scene.immersion, scene.metric, scene.field, u0, length, length / 400.0,
+            scene.tolerances)
+
+
+def cone_curve_args(u0, length, step):
+    return (vertex_cone4(), MetricField.euclidean(4), radial_unit_field(4), u0,
+            length, step)
+
+
+CURVES = {
+    "rectifying-psi": centre_curve_args,
+    "cone-1.5": lambda: cone_curve_args([1.0, 3.0], 1.5, 0.005),
+    "cone-1.8": lambda: cone_curve_args([1.0, 3.0], 1.8, 0.01),
+    "cone-unit-speed": lambda: cone_curve_args([1.0, 2.0], 1.0, 0.005),
+    "cone-exit": lambda: cone_curve_args([2.8, 3.0], 1.0, 0.01),
+}
+
+
+def curve_rows(curve):
+    return [(c.s, c.u.tolist(), c.lam, c.f) for c in curve.samples]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeometryError as err:
+        return type(err), str(err)
+
+
+class TestBatchedNodeFits:
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_samples_bitwise_equal_to_the_per_node_loop(self, name):
+        args = CURVES[name]()
+        curve, reference = trace_integral_curve(*args), reference_trace(*args)
+        assert curve_rows(curve) == curve_rows(reference)
+        assert curve.exited_domain == reference.exited_domain
+        assert all(type(c.f) is float and type(c.lam) is float for c in curve.samples)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_one_fit_on_all_nodes_in_node_order(self, monkeypatch, name):
+        fitted = []
+        fit = classify_mod.fit_at_point
+
+        def recording_fit(mp, vap, tols):
+            fitted.append(np.atleast_2d(mp.point))
+            return fit(mp, vap, tols)
+
+        for owner in (classify_mod, warped_mod):
+            monkeypatch.setattr(owner, "fit_at_point", recording_fit)
+        args = CURVES[name]()
+        curve = trace_integral_curve(*args)
+        imm = args[0]
+        nodes = [[p.value for p in imm.jets(c.u, 1)] for c in curve.samples]
+        assert len(fitted) == 1
+        assert np.array_equal(fitted[0], nodes)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_one_right_hand_side_per_node(self, name):
+        # 1 at the start node, then three fresh stages and the node's own per
+        # step, plus the three stages of a step that leaves the box
+        curve = trace_integral_curve(*CURVES[name]())
+        steps = len(curve.samples) - 1
+        assert curve.rhs_evaluations == 1 + 4 * steps + (3 if curve.exited_domain else 0)
+
+    def test_failing_node_fit_matches_the_per_node_loop(self):
+        # |V| = 1 on the radial unit field: every node's fit trips the raised
+        # floor, and node 0's error is the one reported
+        args = CURVES["cone-1.5"]() + (DEFAULT.override(min_field_norm=2.0),)
+        want = outcome(reference_trace, *args)
+        assert want[0] is ZeroFieldError
+        assert outcome(trace_integral_curve, *args) == want
+
+    def test_earlier_node_fit_error_outranks_a_later_integration_error(self):
+        # g33 = 1.5 - x3 stops being positive definite at u1 = 2.5, inside
+        # the integration; |V| = 1/|x| falls below the floor from u1 = 2 on,
+        # at nodes fitted before that
+        metric = MetricField([["1"], ["0", "1"], ["0", "0", "1.5-x3"],
+                              ["0", "0", "0", "1"]])
+        field = VectorField([f"x{i}/(x1^2+x2^2+x3^2+x4^2)" for i in range(1, 5)])
+        args = (vertex_cone4(), metric, field, [1.0, 3.0], 2.0, 0.01)
+        without_floor = outcome(trace_integral_curve, *args)
+        assert without_floor[0] is SingularMetricError
+        assert outcome(reference_trace, *args) == without_floor
+        floor = DEFAULT.override(min_field_norm=5.0 ** -0.5)
+        want = outcome(reference_trace, *args, floor)
+        assert want[0] is ZeroFieldError
+        assert outcome(trace_integral_curve, *args, floor) == want
+
+
+class TestNonFiniteResiduals:
+    def test_nan_f_fails_the_warping_ode(self):
+        # a NaN at one interior sample must not vanish from the maximum
+        curve = synthetic_curve(lambda s: math.nan if abs(s - 1.0) < 1e-9 else 1.0,
+                                lambda s: math.tanh(s), 0.2, 1.8, step=0.005)
+        assert sum(math.isnan(f) for f in curve.f_values) == 1
+        assert math.isnan(warping_ode_residual(curve))
+        with pytest.raises(PreconditionError, match="warping ODE residual nan"):
+            fit_tanh_integral(curve)
