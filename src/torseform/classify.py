@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (InconsistentSampleError, PreconditionError, SingularFitErro
                      SingularMetricError, ZeroFieldError, replay)
 from .linalg import dot, first_where, item, mv, norm, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     covariant_jacobian, orthonormal_coordinate_frame)
+                     covariant_jacobian, orthonormal_coordinate_frame, stacked)
 
 PARALLEL = "parallel"
 CONCIRCULAR = "concircular"
@@ -41,10 +42,10 @@ PRECEDENCE = (PARALLEL, CONCIRCULAR, ANTI_TORQUED, TORQUED, TORSE_FORMING)
 #: every verdict, in the order of PRECEDENCE
 _CLASSES = np.array(PRECEDENCE + (NONE,))
 
-#: bound on max |∇̃_V V| for a unit anti-torqued field
-GEODESIC_TOL = 1e-8
-#: bound on max | |V| - 1 | for the unit-field precondition
-UNIT_NORM_TOL = 1e-8
+#: the report field that measures membership in each class
+_RESIDUAL = {PARALLEL: "grad_norm", CONCIRCULAR: "residual_concircular",
+             ANTI_TORQUED: "residual_antitorqued", TORQUED: "residual_torqued",
+             TORSE_FORMING: "residual_torse", NONE: "residual_torse"}
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,8 @@ def _passes(rep: ClassificationReport, cls: str, tols: Tolerances):
             & (_residual_for(rep, cls) <= tols.class_tol))
 
 
-def _residual_for(rep: ClassificationReport, cls: str) -> float:
-    return {PARALLEL: rep.grad_norm,
-            CONCIRCULAR: rep.residual_concircular,
-            ANTI_TORQUED: rep.residual_antitorqued,
-            TORQUED: rep.residual_torqued,
-            TORSE_FORMING: rep.residual_torse,
-            NONE: rep.residual_torse}[cls]
+def _residual_for(rep: ClassificationReport, cls: str):
+    return getattr(rep, _RESIDUAL[cls])
 
 
 def fit_torse_forming(metric: MetricField, field: VectorField, point,
@@ -149,30 +145,44 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
 
 
 def _point_reports(batch: ClassificationReport) -> tuple:
-    """One report per point of a batched report."""
-    columns = {f.name: getattr(batch, f.name) for f in fields(ClassificationReport)}
-    values = {name: (col.tolist() if col.ndim == 1 else col)
-              for name, col in columns.items()}
-    return tuple(ClassificationReport(**{name: col[i] for name, col in values.items()})
-                 for i in range(len(batch.f)))
+    """One report per point of a batched report, as fits at single points."""
+    columns = (col.tolist() if col.ndim == 1 else col for col in astuple(batch))
+    return tuple(ClassificationReport(*row) for row in zip(*columns))
+
+
+def _stacked_fits(fits) -> tuple:
+    """(metric data, field data, report) fitted point by point, stacked."""
+    mps, vaps, reports = zip(*fits)
+    columns = zip(*map(astuple, reports))
+    return stacked(mps), stacked(vaps), ClassificationReport(*map(np.array, columns))
 
 
 @dataclass(frozen=True)
 class SceneClassification:
     """Aggregated verdict over a point sample.
 
-    metric_at and field_at are the order-1 metric and field data the sample
-    was fitted from, batched over it, for checks that reduce over the same
-    points; None when the sample was fitted point by point.
+    batch is the fit at every sampled point, one ClassificationReport whose
+    fields carry the sample axis; every scene-level result is a reduction
+    over its columns.  metric_at and field_at are the order-1 metric and
+    field data the sample was fitted from, batched over it, for checks that
+    reduce over the same points.
     """
 
     verdict: str
-    reports: tuple
+    batch: ClassificationReport
     witness_index: int          # worst residual for the winning class
     witness_residual: float
-    f_values: np.ndarray
-    metric_at: MetricAtPoint | None = None
-    field_at: VectorAtPoint | None = None
+    metric_at: MetricAtPoint
+    field_at: VectorAtPoint
+
+    @property
+    def f_values(self) -> np.ndarray:
+        return self.batch.f
+
+    @cached_property
+    def reports(self) -> tuple:
+        """One report per sampled point, built on first use."""
+        return _point_reports(self.batch)
 
     def f_summary(self) -> dict:
         return {"min": float(self.f_values.min()),
@@ -180,16 +190,14 @@ class SceneClassification:
                 "mean": float(self.f_values.mean())}
 
     def class_residuals(self) -> dict:
-        return {cls: reduce_max([_residual_for(rep, cls) for rep in self.reports])
-                for cls in PRECEDENCE}
+        return {cls: reduce_max(_residual_for(self.batch, cls)) for cls in PRECEDENCE}
 
-    def reports_at(self, points) -> tuple:
-        """The per-point fits, after checking that they were made at `points`."""
-        if not np.array_equal(np.asarray(list(points), dtype=float),
-                              [rep.point for rep in self.reports]):
+    def batch_at(self, points) -> ClassificationReport:
+        """The batched fit, after checking that it was made at `points`."""
+        if not np.array_equal(np.asarray(list(points), dtype=float), self.batch.point):
             raise PreconditionError(
                 "classification was fitted on a different point sample")
-        return self.reports
+        return self.batch
 
 
 def classify(metric: MetricField, field: VectorField, points,
@@ -199,7 +207,7 @@ def classify(metric: MetricField, field: VectorField, points,
 
     The sample is fitted in one batch, or point by point in sample order if
     the batch fails (errors.replay), so an error is the first failing
-    point's own.
+    point's own; fits made point by point are stacked into the same batch.
 
     A sample whose per-point verdicts cannot be covered by a single class
     raises InconsistentSampleError (the field changes class over the domain,
@@ -210,26 +218,23 @@ def classify(metric: MetricField, field: VectorField, points,
         raise PreconditionError(
             f"need at least {tols.class_min_points} sample points, got {len(points)}")
 
-    def batch():
-        vap = field.at(points, order=1)
-        mp = metric.at(points, order=1)
-        return mp, vap, _point_reports(fit_at_point(mp, vap, tols))
+    def fit(at):
+        vap = field.at(at, order=1)
+        mp = metric.at(at, order=1)
+        return mp, vap, fit_at_point(mp, vap, tols)
 
-    mp, vap, reports = replay(batch, lambda p: fit_torse_forming(metric, field, p, tols),
-                              points, merge=lambda reps: (None, None, tuple(reps)))
+    mp, vap, batch = replay(lambda: fit(points), fit, points, merge=_stacked_fits)
 
-    verdict = next((cls for cls in PRECEDENCE
-                    if all(_passes(rep, cls, tols) for rep in reports)), None)
-    if verdict is None and all(rep.residual_torse > tols.class_tol for rep in reports):
+    verdict = next((c for c in PRECEDENCE if np.all(_passes(batch, c, tols))), None)
+    if verdict is None and np.all(batch.residual_torse > tols.class_tol):
         verdict = NONE
     if verdict is None:
-        histogram = dict(Counter(rep.verdict for rep in reports))
+        histogram = dict(Counter(batch.verdict.tolist()))
         raise InconsistentSampleError(
             f"field changes class across the domain: {histogram}", histogram)
-    value, at = worst([_residual_for(rep, verdict) for rep in reports])
-    return SceneClassification(
-        verdict=verdict, reports=reports, witness_index=at, witness_residual=value,
-        f_values=np.array([rep.f for rep in reports]), metric_at=mp, field_at=vap)
+    value, at = worst(_residual_for(batch, verdict))
+    return SceneClassification(verdict=verdict, batch=batch, witness_index=at,
+                               witness_residual=value, metric_at=mp, field_at=vap)
 
 
 def geodesic_unit_check(metric: MetricField, field: VectorField, points,
@@ -239,17 +244,17 @@ def geodesic_unit_check(metric: MetricField, field: VectorField, points,
     geodesic field, so this must be ~0.  Reduces over the fits that
     `classification` made at `points`.
 
-    Preconditions: the scene verdict is anti-torqued and ||V| − 1| <= 1e-8
-    over the sample.
+    Preconditions: the scene verdict is anti-torqued and ||V| − 1| <=
+    unit_norm_tol over the sample.
     """
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(
             f"geodesic check requires an anti-torqued verdict, got "
             f"'{classification.verdict}'")
-    reports = classification.reports_at(points)
-    for rep in reports:
-        if not abs(rep.v_norm - 1.0) <= UNIT_NORM_TOL:
-            raise PreconditionError(
-                f"field is not unit at {rep.point.tolist()}: |V| = {rep.v_norm!r}",
-                witness=rep.point)
-    return reduce_max([rep.geodesic_defect for rep in reports])
+    batch = classification.batch_at(points)
+    off = ~(abs(batch.v_norm - 1.0) <= tols.unit_norm_tol)
+    if np.any(off):                                     # name the first such point
+        at = int(np.argmax(off))
+        raise PreconditionError(f"field is not unit at {batch.point[at].tolist()}: "
+                                f"|V| = {float(batch.v_norm[at])!r}", witness=batch.point[at])
+    return reduce_max(batch.geodesic_defect)

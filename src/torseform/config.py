@@ -23,6 +23,8 @@ class Tolerances:
     class_tol: float = 1e-7       # residual cutoff for class membership
     parallel_tol: float = 1e-9    # |grad V| cutoff for the parallel verdict
     class_min_points: int = 50    # minimum sample size for a scene-level verdict
+    geodesic_tol: float = 1e-8    # bound on max |∇̃_V V| for a unit anti-torqued field
+    unit_norm_tol: float = 1e-8   # bound on max ||V| − 1| for the unit-field precondition
 
     # rectifying verification
     proper_tol: float = 1e-8      # both |V_tan| and |V_nor| must exceed this for properness

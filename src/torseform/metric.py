@@ -17,7 +17,7 @@ under which the round unit sphere has K = +1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -139,6 +139,13 @@ class VectorAtPoint:
                     if order >= 1 else None)
         return cls(components=_batch_first(np.array([jet.d[0] for jet in jets]), 1),
                    jacobian=jacobian)
+
+
+def stacked(data: list):
+    """MetricAtPoint or VectorAtPoint data of several points as one batch."""
+    return replace(data[0], **{f.name: np.stack([getattr(d, f.name) for d in data])
+                               for f in fields(data[0])
+                               if isinstance(getattr(data[0], f.name), np.ndarray)})
 
 
 class MetricField:

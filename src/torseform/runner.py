@@ -15,8 +15,8 @@ import numpy as np
 
 from . import rectifying as rect
 from . import warped as wp
-from .classify import (GEODESIC_TOL, NONE, SceneClassification,
-                       classify as classify_field, geodesic_unit_check)
+from .classify import (NONE, SceneClassification, classify as classify_field,
+                       geodesic_unit_check)
 from .config import Tolerances
 from .errors import (GeometryError, InconsistentSampleError,
                      PreconditionError)
@@ -118,16 +118,16 @@ def _check_classify(ctx: _RunContext) -> CheckResult:
     c = ctx.classification
     expected = ctx.scene.expected_verdict
     ok = (c.verdict == expected) if expected else (c.verdict != NONE)
-    worst = c.reports[c.witness_index]
+    fits, at = c.batch, c.witness_index
     details = {"verdict": c.verdict, "f_summary": c.f_summary(),
                "class_residuals": c.class_residuals(),
-               "sample_size": len(c.reports)}
+               "sample_size": len(c.f_values)}
     if expected:
         details["expected_verdict"] = expected
     return CheckResult("classify", PASS if ok else FAIL,
                        residual=c.witness_residual,
-                       witness=_witness(worst.point, f=worst.f,
-                                        residual_torse=worst.residual_torse),
+                       witness=_witness(fits.point[at], f=fits.f[at],
+                                        residual_torse=fits.residual_torse[at]),
                        details=details)
 
 
@@ -135,10 +135,10 @@ def _check_geodesic_unit(ctx: _RunContext) -> CheckResult:
     value = geodesic_unit_check(ctx.scene.metric, ctx.scene.field,
                                 ctx.ambient_points, ctx.classification,
                                 ctx.tols)
-    ok = value <= GEODESIC_TOL
-    return CheckResult("geodesic-unit", PASS if ok else FAIL, residual=value,
-                       witness=None, details={"max_geodesic_defect": value,
-                                              "bound": GEODESIC_TOL})
+    bound = ctx.tols.geodesic_tol
+    return CheckResult("geodesic-unit", PASS if value <= bound else FAIL,
+                       residual=value, witness=None,
+                       details={"max_geodesic_defect": value, "bound": bound})
 
 
 def _check_gauss(ctx: _RunContext) -> CheckResult:

@@ -112,16 +112,17 @@ def _fail(path: str, message: str):
 
 
 @functools.cache
-def _validator():
-    """SCENE_SCHEMA's validator, checked against its metaschema once."""
-    cls = jsonschema.validators.validator_for(SCENE_SCHEMA)
-    cls.check_schema(SCENE_SCHEMA)
-    return cls(SCENE_SCHEMA)
+def _validator(key: str | None = None):
+    """The validator of SCENE_SCHEMA (or of its property `key`), built once."""
+    schema = {"properties": {key: SCENE_SCHEMA["properties"][key]}} if key else SCENE_SCHEMA
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
-def _validate(document: dict):
+def _validate(document: dict, key: str | None = None):
     """Raise SceneSchemaError for the error jsonschema.validate would raise."""
-    err = jsonschema.exceptions.best_match(_validator().iter_errors(document))
+    err = jsonschema.exceptions.best_match(_validator(key).iter_errors(document))
     if err is not None:
         raise SceneSchemaError(f"{err.json_path}: {err.message}") from err
 
@@ -209,11 +210,10 @@ def load_scene(document: dict) -> Scene:
 
 
 def with_seed(scene: Scene, seed: int) -> Scene:
-    """The scene with another seed, validated as a document but not parsed
-    again."""
-    document = dict(scene.document, seed=seed)
-    _validate(document)
-    return replace(scene, seed=seed, document=document)
+    """The scene with another seed: only the seed is validated, as the rest
+    of the document was when the scene was loaded, and nothing is parsed."""
+    _validate({"seed": seed}, "seed")
+    return replace(scene, seed=seed, document=dict(scene.document, seed=seed))
 
 
 def load_scene_file(path) -> Scene:

@@ -19,7 +19,7 @@ prefixes), keeping everything fourth order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .immersion import Immersion
 from .jets import eval_jet
 from .linalg import orthonormalize, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     covariant_jacobian, unit_and_norm_at)
+                     covariant_jacobian, stacked, unit_and_norm_at)
 
 GEODESIC_A_TOL = 1e-8    # |∇̃_{E₁}E₁|
 DECOMP_TOL = 1e-7        # items (b), (c), (d) of the ambient decomposition
@@ -68,14 +68,6 @@ class IntegralCurve:
 
 def _inside(u, domain) -> bool:
     return all(lo <= ui <= hi for ui, (lo, hi) in zip(u, domain))
-
-
-def _stacked(data: list):
-    """Point data (MetricAtPoint or VectorAtPoint) of several points as one
-    batch over them."""
-    return replace(data[0], **{f.name: np.stack([getattr(d, f.name) for d in data])
-                               for f in fields(data[0])
-                               if isinstance(getattr(data[0], f.name), np.ndarray)})
 
 
 def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField,
@@ -115,8 +107,8 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
         # (numpy's function kernels over an array may round unlike math at a
         # point); the fit itself is one batch
         xs = [x for *_, x in nodes]
-        return replay(lambda: fit_at_point(_stacked([metric.at(x, 1) for x in xs]),
-                                           _stacked([field.at(x, 1) for x in xs]), tols).f,
+        return replay(lambda: fit_at_point(stacked([metric.at(x, 1) for x in xs]),
+                                           stacked([field.at(x, 1) for x in xs]), tols).f,
                       lambda x: fit_torse_forming(metric, field, x, tols).f, xs,
                       merge=np.array)
 
@@ -263,27 +255,20 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
     """Check the proof identities of the warped-product decomposition at the
     given ambient points (the scene verdict must be anti-torqued), with f
     from the fits that `classification` made there and the order-1 metric
-    and field data it fitted them from, in one batch.  A classification
-    made point by point is checked point by point."""
+    and field data it fitted them from, in one batch."""
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(
             f"ambient decomposition requires an anti-torqued verdict, got "
             f"'{classification.verdict}'")
-    reports = classification.reports_at(points)
-    if classification.metric_at is not None:
-        values = _decomposition_defects(classification.metric_at, classification.field_at,
-                                        classification.f_values, tols)
-    else:
-        values = np.array([_decomposition_defects(metric.at(rep.point, order=1),
-                                                  field.at(rep.point, order=1),
-                                                  rep.f, tols)
-                           for rep in reports])
+    fits = classification.batch_at(points)
+    values = _decomposition_defects(classification.metric_at, classification.field_at,
+                                    fits.f, tols)
     max_a, max_b, max_c, max_d = map(reduce_max, values.T)
     _, at = worst(np.max(values, axis=-1, initial=0.0))
     return AmbientDecompositionReport(
         max_geodesic_defect=max_a, max_lambda_ode_defect=max_b,
         max_connection_form_defect=max_c, max_fiber_lambda_derivative=max_d,
-        witness=reports[at].point,
+        witness=fits.point[at],
         passed=(max_a <= GEODESIC_A_TOL and max_b <= DECOMP_TOL
                 and max_c <= DECOMP_TOL and max_d <= DECOMP_TOL))
 

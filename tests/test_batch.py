@@ -4,15 +4,17 @@ functions applied point by point, and a failing batch must report what the
 first failing point reports."""
 
 import functools
+import importlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import random_expression
-from torseform import (builtin_names, builtin_scene, build_warped_ambient,
-                       classify, fit_torse_forming, load_scene, run,
-                       sample_ambient_points, verify_ambient_decomposition)
+from torseform import (ClassificationReport, builtin_names, builtin_scene,
+                       build_warped_ambient, classify, fit_torse_forming, load_scene,
+                       run, sample_ambient_points, verify_ambient_decomposition)
 from torseform.errors import GeometryError, ZeroFieldError
 from torseform.expr import parse
 from torseform.jets import eval_jet, eval_jet_env, jet_variables
@@ -20,6 +22,8 @@ from torseform.linalg import cholesky_spd, orthonormalize, solve_spd
 from torseform.metric import MetricField, VectorField, covariant_derivative
 
 REL = 1e-12
+#: the module, which the package's `classify` function shadows as an attribute
+CLASSIFY = importlib.import_module("torseform.classify")
 
 #: dense 3x3 fiber metric in x2..x4, positive definite on [-1, 1]^3
 FIBER = [["1.1+0.4*x3^2"], ["0.2*sin(x2)", "2.1+cos(x3)"],
@@ -299,3 +303,94 @@ class TestSharedSubtrees:
         field = VectorField([a, b], dim=2)
         values = field.at([1.0, 2.0], order=0).components
         assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+
+
+def refuse_batched_fits(monkeypatch):
+    """Make classify's batched fit raise, so that it replays the sample point
+    by point and stacks the fits; a fit at one point runs as before."""
+    fit = CLASSIFY.fit_at_point
+
+    def point_fits_only(mp, vap, tols):
+        if mp.point.ndim == 2:
+            raise GeometryError("batched fit refused")
+        return fit(mp, vap, tols)
+
+    monkeypatch.setattr(CLASSIFY, "fit_at_point", point_fits_only)
+
+
+def assert_reports_close(got, want):
+    """Two reports' checks agree in status and, to REL, in every number."""
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for a, b in zip(got.checks, want.checks):
+        assert a.status == b.status
+        assert_close(a.residual, b.residual)
+        assert a.details.keys() == b.details.keys()
+        for key, value in b.details.items():
+            if isinstance(value, dict):
+                assert value.keys() == a.details[key].keys()
+                assert_close(list(a.details[key].values()), list(value.values()))
+            elif isinstance(value, str):
+                assert a.details[key] == value
+            else:
+                assert_close(a.details[key], value)
+
+
+class TestClassificationBatch:
+    """classify holds its fits as one batched report; the per-point reports
+    are built from it on demand, a sample replayed point by point is stacked
+    into the same batch, and no check builds per-point reports."""
+
+    @pytest.mark.parametrize("scene", [builtin_scene("radial-r4"), warped_chart(WARPS[1])],
+                             ids=lambda s: s.name)
+    def test_reports_are_the_batch_row_by_row(self, scene):
+        points = sample(scene, n=60)
+        c = classify(scene.metric, scene.field, points, scene.tolerances)
+        batch = fit_torse_forming(scene.metric, scene.field, points, scene.tolerances)
+        assert len(c.reports) == len(points)
+        for i, rep in enumerate(c.reports):
+            for f in fields(ClassificationReport):
+                got, want = getattr(rep, f.name), getattr(batch, f.name)[i]
+                if np.ndim(want):
+                    assert np.array_equal(got, want)
+                else:
+                    # floats and strings, as one report per point held them
+                    assert type(got) is type(want.item()) and got == want
+        assert c.reports is c.reports
+
+    @pytest.mark.parametrize("scene", [builtin_scene("radial-r4"), warped_chart(WARPS[0])],
+                             ids=lambda s: s.name)
+    def test_point_by_point_fits_are_stacked(self, monkeypatch, scene):
+        points = sample(scene, n=60)
+        tols = scene.tolerances
+        want = run(scene, points=60)
+        refuse_batched_fits(monkeypatch)
+        c = classify(scene.metric, scene.field, points, tols)
+        singles = [fit_torse_forming(scene.metric, scene.field, p, tols) for p in points]
+        for f in fields(ClassificationReport):
+            assert np.array_equal(getattr(c.batch, f.name),
+                                  np.array([getattr(rep, f.name) for rep in singles]))
+        for p, g, dg in zip(points, c.metric_at.g, c.metric_at.dg):
+            mp = scene.metric.at(p, order=1)
+            assert np.array_equal(g, mp.g) and np.array_equal(dg, mp.dg)
+        for p, v, jac in zip(points, c.field_at.components, c.field_at.jacobian):
+            vap = scene.field.at(p, order=1)
+            assert np.array_equal(v, vap.components) and np.array_equal(jac, vap.jacobian)
+        assert_reports_close(run(scene, points=60), want)
+
+    def test_checks_build_no_point_reports(self, monkeypatch):
+        calls = []
+        build = CLASSIFY._point_reports
+
+        def counted(batch):
+            calls.append(len(batch.f))
+            return build(batch)
+
+        monkeypatch.setattr(CLASSIFY, "_point_reports", counted)
+        for scene in (builtin_scene("radial-r4"), warped_chart(WARPS[2])):
+            report = run(scene, points=200)
+            assert {c.status for c in report.checks} == {"pass"}
+        assert calls == []
+        # the counter sees the reports that are asked for
+        scene = builtin_scene("radial-r4")
+        classify(scene.metric, scene.field, sample(scene, n=50)).reports
+        assert calls == [50]

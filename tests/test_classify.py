@@ -1,6 +1,7 @@
 """Torse-forming fit and field classification."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -156,8 +157,10 @@ class TestClassifyScene:
         generic = [np.array([a, a + 1.0]) for a in rng.uniform(0.2, 1.5, size=30)]
         with pytest.raises(InconsistentSampleError) as err:
             classify(euclid2, field, on_slice + generic)
-        assert NONE in err.value.verdicts
-        assert TORSE_FORMING in err.value.verdicts
+        # the per-point verdicts, counted in order of first appearance
+        assert list(err.value.verdicts.items()) == [(TORSE_FORMING, 30), (NONE, 30)]
+        assert str(err.value) == ("field changes class across the domain: "
+                                  "{'torse-forming': 30, 'none': 30}")
 
     def test_none_verdict(self, euclid3):
         # rotation plus offset is not torse-forming anywhere sampled
@@ -235,22 +238,27 @@ class TestNonFiniteResiduals:
     def test_reductions_propagate_nan(self, euclid3):
         # the NaN sits after a finite value, where Python's max drops it
         pts = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 3.0])]
-        reports = (exact_report(pts[0]),
-                   exact_report(pts[1], residual_antitorqued=math.nan,
-                                geodesic_defect=math.nan))
-        c = SceneClassification(verdict=ANTI_TORQUED, reports=reports,
-                                witness_index=0, witness_residual=0.0,
-                                f_values=np.ones(2))
-        assert math.isnan(c.class_residuals()[ANTI_TORQUED])
         field = VectorField(["1", "0", "0"])
+        c = exact_classification(euclid3, field, [
+            exact_report(pts[0]),
+            exact_report(pts[1], residual_antitorqued=math.nan, geodesic_defect=math.nan)])
+        assert math.isnan(c.class_residuals()[ANTI_TORQUED])
         assert math.isnan(geodesic_unit_check(euclid3, field, pts, c))
 
     def test_reports_must_match_points(self, euclid3):
         pts = [np.array([1.0, 2.0, 3.0])]
-        c = SceneClassification(verdict=ANTI_TORQUED, reports=(exact_report(pts[0]),),
-                                witness_index=0, witness_residual=0.0,
-                                f_values=np.ones(1))
+        field = VectorField(["1", "0", "0"])
+        c = exact_classification(euclid3, field, [exact_report(pts[0])])
         with pytest.raises(PreconditionError):
-            geodesic_unit_check(euclid3, VectorField(["1", "0", "0"]),
-                                [np.array([3.0, 2.0, 1.0])], c)
+            geodesic_unit_check(euclid3, field, [np.array([3.0, 2.0, 1.0])], c)
 
+
+def exact_classification(metric, field, reports):
+    """An anti-torqued classification holding the given per-point reports as
+    one batched report, with the metric and field data at their points."""
+    batch = ClassificationReport(**{f.name: np.array([getattr(rep, f.name) for rep in reports])
+                                    for f in fields(ClassificationReport)})
+    return SceneClassification(verdict=ANTI_TORQUED, batch=batch, witness_index=0,
+                               witness_residual=0.0,
+                               metric_at=metric.at(batch.point, order=1),
+                               field_at=field.at(batch.point, order=1))

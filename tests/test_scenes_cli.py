@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from torseform import (builtin_names, builtin_scene, load_scene,
                        sample_ambient_points, sample_parameter_points)
 from torseform.errors import SceneSchemaError
 from torseform.runner import exit_code, render_report
-from torseform.scenes import BUILTIN_DOCUMENTS
+from torseform.scenes import BUILTIN_DOCUMENTS, with_seed
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -178,6 +179,14 @@ class TestBuiltins:
             assert path.exists(), f"missing exported scene {path}"
             assert json.loads(path.read_text()) == doc
 
+    def test_with_seed_validates_the_seed(self):
+        scene = builtin_scene("cone")
+        seeded = with_seed(scene, 7)
+        assert seeded.seed == 7 and seeded.document["seed"] == 7
+        with pytest.raises(SceneSchemaError) as err:
+            with_seed(scene, -3)
+        assert str(err.value) == "$.seed: -3 is less than the minimum of 0"
+
     def test_exported_files_load(self):
         for name in builtin_names():
             scene = load_scene_file(REPO / "scenes" / f"{name}.json")
@@ -212,6 +221,24 @@ class TestRunner:
         assert report.classification["verdict"] == "anti-torqued"
         payload = json.loads(report_to_json(report))
         assert payload["classification"]["f_summary"]["min"] > 0
+
+    @pytest.mark.parametrize("override, status", [
+        ({}, "pass"),
+        # radial-r4's max |∇̃_V V| is a few 1e-16
+        ({"geodesic_tol": 1e-16}, "fail"),
+        # and its |V| is 1 to within one ulp, not at every point exactly
+        ({"unit_norm_tol": 1e-16}, "n/a")])
+    def test_geodesic_unit_tolerances_are_scene_overrides(self, override, status):
+        doc = dict(BUILTIN_DOCUMENTS["radial-r4"], tolerances=override)
+        by_name = {c.name: c for c in run(load_scene(doc), points=200).checks}
+        check = by_name["geodesic-unit"]
+        assert check.status == status
+        if status == "n/a":
+            # the first point off the unit sphere is named, with |V| in full
+            assert re.fullmatch(r"field is not unit at \[.*\]: \|V\| = [0-9.]+",
+                                check.details["reason"])
+        else:
+            assert check.details["bound"] == override.get("geodesic_tol", 1e-8)
 
     def test_render_contains_rows(self):
         report = run(builtin_scene("cone"), points=10)
