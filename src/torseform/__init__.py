@@ -23,8 +23,8 @@ from .rectifying import (RectifyingSceneReport, rectifying_point,
                          verify_torqued_props)
 from .runner import SceneReport, exit_code, render_report, report_to_json, run
 from .scenes import (BUILTIN_DOCUMENTS, Scene, builtin_names, builtin_scene,
-                     export_builtins, load_scene, load_scene_file,
-                     sample_ambient_points, sample_parameter_points)
+                     load_scene, load_scene_file, sample_ambient_points,
+                     sample_parameter_points)
 from .warped import (IntegralCurve, WarpFit, build_warped_ambient,
                      cumulative_simpson, fit_tanh_integral,
                      lambda_log_derivative, trace_integral_curve,

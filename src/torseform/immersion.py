@@ -283,6 +283,9 @@ def second_fundamental_form(imm: Immersion, metric: MetricField, u,
 
 
 def first_normal_space(packet: FramePacket, tols: Tolerances = DEFAULT) -> FirstNormalSpace:
+    if packet.u.ndim > 1:
+        raise PreconditionError("the first normal space's rank varies by point: "
+                                "it needs a one-point packet")
     rows, cols = np.triu_indices(packet.n)
     H = packet.h_frame[:, rows, cols].T    # h(e_i, e_j), i <= j: (n(n+1)/2, p)
     if H.size == 0 or np.allclose(H, 0.0):
@@ -308,8 +311,8 @@ def shape_operator(packet: FramePacket, xi, tols: Tolerances = DEFAULT) -> np.nd
 
 def mean_curvature(packet: FramePacket) -> np.ndarray:
     """H = (1/n) Σᵢ h(eᵢ, eᵢ), an ambient vector in the normal space."""
-    traces = np.einsum("aii->a", packet.h_frame)
-    return (traces @ packet.normals) / packet.n
+    traces = np.einsum("...aii->...a", packet.h_frame)
+    return np.einsum("...a,...ak->...k", traces, packet.normals) / packet.n
 
 
 @dataclass(frozen=True)

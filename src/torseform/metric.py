@@ -27,7 +27,7 @@ from . import expr as ex
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlaneError, OrderInsufficientError,
                      PreconditionError, SingularMetricError)
-from .jets import Jet, call, chart_names, chart_points, eval_jet_env, jet_variables
+from .jets import Jet, chart_names, chart_points, eval_jet_env, jet_variables
 from .linalg import cholesky_solve, cholesky_spd, dot, first_where, item
 
 
@@ -258,22 +258,14 @@ class VectorField:
         env = jet_variables(self.var_names, point, order)
         return VectorAtPoint.from_jets(self.component_jets(env), order)
 
-    def norm_jet(self, point: Sequence[float], metric: MetricField, order: int = 1) -> Jet:
-        """Jet of |V|(x) = sqrt(g_ij V^i V^j) at the point."""
-        return self.unit_and_norm(point, metric, order)[1]
+    def norm_jet(self, point: Sequence[float], metric: MetricField) -> Jet:
+        """1-jet of |V|(x) = sqrt(g_ij V^i V^j) at the point (or points)."""
+        _, lam, dlam = unit_and_norm_at(metric.at(point, order=1), self.at(point))
+        return Jet(1, self.dim, [lam, np.moveaxis(dlam, -1, 0)])
 
     def unit_at(self, point: Sequence[float], metric: MetricField) -> VectorAtPoint:
         """V/|V| with jacobian, differentiated through the normalization."""
-        return self.unit_and_norm(point, metric)[0]
-
-    def unit_and_norm(self, point: Sequence[float], metric: MetricField,
-                      order: int = 1) -> tuple[VectorAtPoint, Jet]:
-        """(V/|V| with jacobian, jet of |V|), both from one |V| jet; at a
-        point or over an (N, m) array of points."""
-        env = jet_variables(self.var_names, point, order)
-        vjets = self.component_jets(env)
-        norm = call("sqrt", jet_inner(metric.entry_jets(env), vjets, vjets))
-        return VectorAtPoint.from_jets([v / norm for v in vjets], order), norm
+        return unit_and_norm_at(metric.at(point, order=1), self.at(point))[0]
 
 
 # ---------------------------------------------------------------------------

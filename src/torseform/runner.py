@@ -272,9 +272,10 @@ _ORDER = ("classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
 
 
 def _run_check(name: str, ctx: _RunContext) -> CheckResult:
-    """One check's result; a GeometryError it raises becomes its status."""
+    """One check's result; a GeometryError it raises becomes its status, and
+    a verdict on a residual that is not finite becomes an error."""
     try:
-        return _CHECKS[name](ctx)
+        result = _CHECKS[name](ctx)
     except InconsistentSampleError as err:
         # a field that changes class over the domain is a finding, not an
         # internal error; dependent checks cannot run without a verdict
@@ -287,6 +288,11 @@ def _run_check(name: str, ctx: _RunContext) -> CheckResult:
     except GeometryError as err:
         return CheckResult(name, ERROR, residual=None, witness=None,
                            details={"error": type(err).__name__, "message": str(err)})
+    if result.status in (PASS, FAIL) and not np.isfinite(result.residual):
+        return CheckResult(name, ERROR, residual=None, witness=None,
+                           details={"error": "NonFiniteResidual",
+                                    "message": f"residual {result.residual} is not finite"})
+    return result
 
 
 def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:

@@ -25,12 +25,10 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from . import expr as ex
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
 from .errors import (DomainEvalError, ParseError, SamplingError, SceneSchemaError,
                      replay)
@@ -229,23 +227,10 @@ def load_scene_file(path) -> Scene:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _admissible_ambient(scene: Scene, x) -> bool:
-    if scene.exclude_radius > 0.0 and float(np.linalg.norm(x)) < scene.exclude_radius:
-        return False
-    if scene.field is not None:
-        env = dict(zip(chart_names(scene.dim), map(float, x)))
-        try:
-            comps = [ex.eval_float(e, env) for e in scene.field.exprs]
-        except DomainEvalError:
-            return False
-        if float(np.linalg.norm(comps)) < scene.tolerances.min_field_norm:
-            return False
-    return True
-
-
-def _admissible_ambient_block(scene: Scene, xs) -> np.ndarray:
-    """_admissible_ambient at each row of xs, with one walk of each field
-    expression; raises where a row's field evaluation would."""
+def _admissible(scene: Scene, xs) -> np.ndarray:
+    """Whether each row of xs lies outside the excluded ball with the field
+    at least min_field_norm there; one walk of each field expression, which
+    raises where a row's field evaluation does."""
     keep = ~(norm(xs) < scene.exclude_radius)
     if scene.field is not None and keep.any():
         env = jet_variables(chart_names(scene.dim), xs[keep], 0)
@@ -254,14 +239,22 @@ def _admissible_ambient_block(scene: Scene, xs) -> np.ndarray:
     return keep
 
 
-def _rejection_sample(box, count, rng, admissible, admissible_block):
-    """count admissible points of the box, drawn uniformly in order.  Each
-    block draws exactly the candidates still needed, so the points, the
-    attempt limit and the generator's state afterwards are those of drawing
-    and testing one candidate at a time; a block whose test raises is tested
-    candidate by candidate."""
+def _rejection_sample(box, count, rng, admissible):
+    """count points of the box that pass admissible(rows), drawn uniformly in
+    order.  Each block draws exactly the candidates still needed, so the
+    points, the attempt limit and the generator's state afterwards are those
+    of drawing and testing one candidate at a time.  A block whose test
+    raises is tested again one row at a time, and a candidate whose own test
+    raises DomainEvalError is rejected."""
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
+
+    def single(x):
+        try:
+            return admissible(x[None])[0]
+        except DomainEvalError:
+            return False
+
     out = []
     attempts = 0
     limit = 1000 * count
@@ -272,7 +265,7 @@ def _rejection_sample(box, count, rng, admissible, admissible_block):
         size = min(count - len(out), limit - attempts)
         block = lows + (highs - lows) * rng.random((size, len(box)))
         attempts += size
-        keep = replay(lambda: admissible_block(block), admissible, block, merge=list)
+        keep = replay(lambda: admissible(block), single, block, merge=list)
         out.extend(x for x, kept in zip(block, keep) if kept)
     return out
 
@@ -280,9 +273,7 @@ def _rejection_sample(box, count, rng, admissible, admissible_block):
 def sample_ambient_points(scene: Scene, count: int, rng) -> list:
     """Uniform points of the ambient box, skipping the excluded ball and
     points where the field vanishes."""
-    return _rejection_sample(scene.domain, count, rng,
-                             lambda x: _admissible_ambient(scene, x),
-                             lambda xs: _admissible_ambient_block(scene, xs))
+    return _rejection_sample(scene.domain, count, rng, lambda xs: _admissible(scene, xs))
 
 
 def sample_parameter_points(scene: Scene, count: int, rng) -> list:
@@ -290,19 +281,11 @@ def sample_parameter_points(scene: Scene, count: int, rng) -> list:
     if scene.immersion is None:
         raise SceneSchemaError(f"scene '{scene.name}' has no submanifold")
 
-    def admissible(u):
-        try:
-            x = scene.immersion.point(u)
-        except DomainEvalError:
-            return False
-        return _admissible_ambient(scene, x)
-
-    def admissible_block(us):
+    def admissible(us):
         xs = np.stack([p.value for p in scene.immersion.jets(us, 0)], axis=-1)
-        return _admissible_ambient_block(scene, xs)
+        return _admissible(scene, xs)
 
-    return _rejection_sample(scene.immersion.domain, count, rng, admissible,
-                             admissible_block)
+    return _rejection_sample(scene.immersion.domain, count, rng, admissible)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +456,3 @@ def builtin_scene(name: str) -> Scene:
             f"unknown built-in scene '{name}' "
             f"(known: {', '.join(BUILTIN_DOCUMENTS)})") from None
     return load_scene(doc)
-
-
-def export_builtins(directory) -> list:
-    """Write every built-in scene document as <name>.json; returns paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, doc in BUILTIN_DOCUMENTS.items():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        paths.append(path)
-    return paths

@@ -17,9 +17,10 @@ from torseform import (ClassificationReport, builtin_names, builtin_scene,
                        run, sample_ambient_points, verify_ambient_decomposition)
 from torseform.errors import GeometryError, ZeroFieldError
 from torseform.expr import parse
-from torseform.jets import eval_jet, eval_jet_env, jet_variables
+from torseform.jets import call, eval_jet, eval_jet_env, jet_variables
 from torseform.linalg import cholesky_spd, orthonormalize, solve_spd
-from torseform.metric import MetricField, VectorField, covariant_derivative
+from torseform.metric import (MetricField, VectorAtPoint, VectorField,
+                              covariant_derivative, jet_inner)
 
 REL = 1e-12
 #: the module, which the package's `classify` function shadows as an attribute
@@ -132,6 +133,16 @@ class TestLinalg:
             cholesky_spd(gram, 1e-12)
 
 
+def unit_and_norm_jets(field, metric, point):
+    """(V/|V| with jacobian, 1-jet of |V|) from one jet walk of every metric
+    and field expression at the point: the construction that
+    `metric.unit_and_norm_at` replaces with the order-1 data a caller holds."""
+    env = jet_variables(field.var_names, point, 1)
+    vjets = field.component_jets(env)
+    norm = call("sqrt", jet_inner(metric.entry_jets(env), vjets, vjets))
+    return VectorAtPoint.from_jets([v / norm for v in vjets], 1), norm
+
+
 def decomposition_per_point(scene, points, classification):
     """The decomposition maxima from the per-point formulas: one metric,
     one jet of |V| and one frame per point."""
@@ -139,7 +150,7 @@ def decomposition_per_point(scene, points, classification):
     values = []
     for rep in classification.reports:
         mp = metric.at(rep.point, order=1)
-        e1, lam_jet = field.unit_and_norm(rep.point, metric)
+        e1, lam_jet = unit_and_norm_jets(field, metric, rep.point)
         lam, grad = lam_jet.value, lam_jet.gradient()
         a = mp.norm(covariant_derivative(mp, e1, e1.components))
         b = abs(grad @ e1.components - rep.f * (1.0 - lam ** 2))

@@ -13,7 +13,11 @@ from torseform import (Immersion, decompose_field,
                        first_normal_space, frames, gauss_equation_residual,
                        induced_metric, mean_curvature, riemann,
                        second_fundamental_form, shape_operator)
-from torseform.errors import NonNormalVectorError, RankDeficiencyError
+from torseform.errors import (NonNormalVectorError, PreconditionError,
+                              RankDeficiencyError)
+
+#: three parameter points of a sphere, for packets with a batch axis
+SPHERE_US = np.array([[0.9, 0.6], [1.2, 2.0], [2.0, 4.5]])
 
 
 def plane3():
@@ -170,6 +174,12 @@ class TestSecondFundamentalForm:
         n, p = 2, 2
         assert fns.rank <= min(p, n * (n + 1) // 2)
 
+    def test_batched_packet_is_refused(self, euclid3):
+        # the rank varies by point, so there is no batched FirstNormalSpace
+        pk = frames(sphere3(2.0), euclid3, SPHERE_US)
+        with pytest.raises(PreconditionError, match="one-point packet"):
+            first_normal_space(pk)
+
     def test_h_tensorial_in_arguments(self, euclid3):
         pk = frames(sphere3(), euclid3, [1.2, 0.9])
         rng = np.random.default_rng(3)
@@ -244,6 +254,16 @@ class TestMeanCurvature:
         h_coord_trace = np.einsum("ij,ija->a", ginv, pk.h_coord) / pk.n
         assert np.linalg.norm(mean_curvature(pk)) == pytest.approx(
             np.linalg.norm(h_coord_trace), abs=1e-11)
+
+
+    def test_batched_packet(self, euclid3):
+        # each row is the mean curvature of its point's one-point packet
+        batched = mean_curvature(frames(sphere3(2.0), euclid3, SPHERE_US))
+        assert batched.shape == (3, 3)
+        for u, row in zip(SPHERE_US, batched):
+            assert row == pytest.approx(mean_curvature(frames(sphere3(2.0), euclid3, u)),
+                                        abs=1e-14)
+        assert np.linalg.norm(batched, axis=-1) == pytest.approx([0.5] * 3, abs=1e-10)
 
 
 class TestDecomposition:

@@ -217,7 +217,7 @@ class TestVectorFieldJets:
     def test_norm_jet_gradient(self, euclid3):
         field = VectorField(["x1", "x2", "x3"])
         p = np.array([1.0, 2.0, 2.0])
-        nj = field.norm_jet(p, euclid3, order=1)
+        nj = field.norm_jet(p, euclid3)
         assert nj.value == pytest.approx(3.0)
         assert nj.gradient() == pytest.approx(p / 3.0, abs=1e-13)
 

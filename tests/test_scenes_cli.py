@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torseform import (builtin_names, builtin_scene, load_scene,
-                       load_scene_file, report_to_json, run,
-                       sample_ambient_points, sample_parameter_points)
+from torseform import (builtin_names, builtin_scene, load_scene, report_to_json,
+                       run, sample_ambient_points, sample_parameter_points)
 from torseform.errors import SceneSchemaError
 from torseform.runner import exit_code, render_report
 from torseform.scenes import BUILTIN_DOCUMENTS, with_seed
@@ -172,13 +171,6 @@ class TestBuiltins:
             report = run(builtin_scene(name), points=25)
             assert exit_code(report) == expected_exit[name], (name, report)
 
-    def test_exported_files_in_sync(self):
-        scene_dir = REPO / "scenes"
-        for name, doc in BUILTIN_DOCUMENTS.items():
-            path = scene_dir / f"{name}.json"
-            assert path.exists(), f"missing exported scene {path}"
-            assert json.loads(path.read_text()) == doc
-
     def test_with_seed_validates_the_seed(self):
         scene = builtin_scene("cone")
         seeded = with_seed(scene, 7)
@@ -186,11 +178,6 @@ class TestBuiltins:
         with pytest.raises(SceneSchemaError) as err:
             with_seed(scene, -3)
         assert str(err.value) == "$.seed: -3 is less than the minimum of 0"
-
-    def test_exported_files_load(self):
-        for name in builtin_names():
-            scene = load_scene_file(REPO / "scenes" / f"{name}.json")
-            assert scene.name == name
 
 
 class TestRunner:
@@ -311,6 +298,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "from-file" in proc.stdout
 
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_document_as_scene_file(self, name, tmp_path):
+        # a built-in written out as a scene file reports what builtin:NAME does
+        from torseform import cli
+
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(BUILTIN_DOCUMENTS[name]))
+        outs = tmp_path / "file.json", tmp_path / "builtin.json"
+        codes = [cli.main(["check", scene, "--points", "20", "--json", str(out)])
+                 for scene, out in zip((str(path), f"builtin:{name}"), outs)]
+        assert codes[0] == codes[1]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_schema_error_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x"}))
@@ -340,6 +340,26 @@ class TestCli:
         assert check["name"] == "classify"
         assert check["status"] == "error"
         assert check["details"]["error"] == "SingularFitError"
+
+    def test_non_finite_residual_is_an_error_not_a_verdict(self, tmp_path):
+        # Ψ's first component overflows to inf, so both residuals are NaN:
+        # a NaN never yields pass or fail, and the run exits 3
+        from torseform import cli
+
+        doc = minimal_doc(name="non-finite", field=["1", "0", "0"],
+                          checks=["gauss-equation", "rectifying"])
+        doc["ambient"] = {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                          "domain": [[-3, 3], [-3, 3], [-3, 3]]}
+        doc["submanifold"] = {"dim": 2, "immersion": ["u1*u1*1e300*1e300", "u2", "0"],
+                              "domain": [[1, 2], [-1, 1]]}
+        path, out = tmp_path / "non-finite.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path), "--json", str(out)]) == 3
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == ["gauss-equation", "rectifying"]
+        for check in checks:
+            assert check["status"] == "error" and check["residual"] is None
+            assert check["details"]["error"] == "NonFiniteResidual"
 
     def test_overflowing_field_prints_no_numpy_warnings(self, tmp_path):
         # the non-finite values reach the verdict guards; numpy does not
