@@ -65,6 +65,7 @@ class ClassificationReport:
     v_norm: float
     grad_norm: float           # Frobenius norm of <∇̃_{e_i}V, e_k>
     geodesic_defect: float     # |∇̃_V V|
+    membership: np.ndarray | None = None   # [..., c]: in class PRECEDENCE[c]
 
 
 def _passes(rep: ClassificationReport, cls: str, tols: Tolerances):
@@ -139,9 +140,10 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
         residual_antitorqued=item(norm(w + f[..., None] * v)),
         verdict=NONE, v_norm=v_norm, grad_norm=item(grad_norm),
         geodesic_defect=mp.norm((vap.components[..., None, :] @ dcoord)[..., 0, :]))
-    member = [_passes(report, cls, tols) for cls in PRECEDENCE]
-    verdict = _CLASSES[np.argmax(member + [np.ones_like(member[0])], axis=0)]
-    return replace(report, verdict=verdict if verdict.ndim else str(verdict))
+    membership = np.stack([_passes(report, cls, tols) for cls in PRECEDENCE], axis=-1)
+    verdict = _CLASSES[np.where(membership.any(-1), membership.argmax(-1), len(PRECEDENCE))]
+    return replace(report, verdict=verdict if verdict.ndim else str(verdict),
+                   membership=membership)
 
 
 def _point_reports(batch: ClassificationReport) -> tuple:
@@ -189,6 +191,7 @@ class SceneClassification:
                 "max": float(self.f_values.max()),
                 "mean": float(self.f_values.mean())}
 
+    @cached_property
     def class_residuals(self) -> dict:
         return {cls: reduce_max(_residual_for(self.batch, cls)) for cls in PRECEDENCE}
 
@@ -225,7 +228,7 @@ def classify(metric: MetricField, field: VectorField, points,
 
     mp, vap, batch = replay(lambda: fit(points), fit, points, merge=_stacked_fits)
 
-    verdict = next((c for c in PRECEDENCE if np.all(_passes(batch, c, tols))), None)
+    verdict = next((c for c, ok in zip(PRECEDENCE, batch.membership.all(0)) if ok), None)
     if verdict is None and np.all(batch.residual_torse > tols.class_tol):
         verdict = NONE
     if verdict is None:

@@ -20,6 +20,8 @@ in `torseform.jets`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import re
@@ -202,15 +204,7 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 def free_variables(expr: Expr) -> frozenset:
     """Names of all variables occurring in the expression."""
-    if isinstance(expr, Num):
-        return frozenset()
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return free_variables(expr.arg)
-    if isinstance(expr, BinOp):
-        return free_variables(expr.left) | free_variables(expr.right)
-    return frozenset().union(*(free_variables(a) for a in expr.args)) if expr.args else frozenset()
+    return frozenset(Tape((expr,)).names)
 
 
 # ---------------------------------------------------------------------------
@@ -419,86 +413,99 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (one walker; floats and jets differ only in how they call a row)
+# Evaluation (one tape; floats and jets differ only in how they call a row)
 # ---------------------------------------------------------------------------
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def intern(exprs) -> tuple:
-    """(exprs, shared): the expressions rebuilt so that structurally equal
-    subtrees, within and across them, are one object, and the ids of the
-    subtrees that occur more than once.  Literals are keyed by value and
-    sign, so 0.0 and -0.0 stay apart."""
-    table, shared = {}, set()
-
-    def walk(node):
-        if isinstance(node, Num):
-            key = (Num, node.value, math.copysign(1.0, node.value))
-        elif isinstance(node, Var):
-            key = (Var, node.name)
-        elif isinstance(node, Neg):
-            node = Neg(walk(node.arg))
-            key = (Neg, id(node.arg))
-        elif isinstance(node, BinOp):
-            node = BinOp(node.op, walk(node.left), walk(node.right))
-            key = (BinOp, node.op, id(node.left), id(node.right))
-        else:
-            node = Call(node.func, tuple(map(walk, node.args)))
-            key = (Call, node.func) + tuple(map(id, node.args))
-        if key in table:
-            shared.add(id(table[key]))
-        return table.setdefault(key, node)
-
-    return tuple(map(walk, exprs)), frozenset(shared)
+    """(exprs, shared): the expressions with structurally equal subtrees,
+    within and across them, made one object (literals keyed by value and
+    sign, so 0.0 and -0.0 stay apart), and the ids of those seen twice."""
+    tape = Tape(exprs)
+    return tape.exprs, tape.shared
 
 
-def evaluate(expr: Expr, env: Mapping, *, call: Callable, memo: dict | None = None):
-    """Evaluate `expr` with variable bindings from `env`.
+class Tape:
+    """A flat program for a sequence of expressions: one instruction per
+    structurally distinct compound subtree (literals keyed by value and
+    sign), in the post-order in which a recursive walk would first compute
+    it, so a subtree they share is computed once per run.  An instruction
+    writes a register that nothing reads any more, so a run holds no more
+    values than a walk would.  `exprs` are the expressions interned."""
 
-    Literals evaluate to plain floats; `call(name, *args)` applies the
-    FUNCTIONS row `name`, and '^' is a call of 'pow'.  Domain failures are
-    reported with the offending subexpression.  `memo`, a dict the caller
-    keeps over the expressions of one evaluation, is keyed by the ids of the
-    subtrees they share (see `intern`), each evaluated once and kept there;
-    other values are dropped as soon as their parent is done.
-    """
-    memo = {} if memo is None else memo
+    def __init__(self, exprs):
+        self.nodes, self.first_read = [], {}    # variable -> instructions before its read
+        literals, operands, placed, interned, shared = {}, [], {}, {}, set()
 
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            try:
-                return env[node.name]
-            except KeyError:
-                raise DomainEvalError(f"unbound variable '{node.name}'", node.name) from None
-        key = id(node)
-        if key not in memo:
-            return compound(node)
-        if memo[key] is None:
-            memo[key] = compound(node)
-        return memo[key]
+        def visit(node):    # -> the key of node's register: literal, name or instruction
+            if isinstance(node, Num):
+                key = (node.value, math.copysign(1.0, node.value))
+                literals[key] = node.value
+            elif isinstance(node, Var):
+                key = node.name
+                self.first_read.setdefault(key, len(self.nodes))
+            else:
+                op, kids = ((operator.neg, (node.arg,)) if isinstance(node, Neg) else
+                            (node.func, node.args) if isinstance(node, Call) else
+                            (_ARITHMETIC.get(node.op, "pow"), (node.left, node.right)))
+                args = tuple(map(visit, kids))
+                key = placed.setdefault((type(node), op) + args, len(placed))
+                if key == len(self.nodes):
+                    new = [interned[a] for a in args]
+                    if any(map(operator.is_not, new, kids)):
+                        node = (Neg(*new) if isinstance(node, Neg) else
+                                Call(node.func, tuple(new)) if isinstance(node, Call) else
+                                BinOp(node.op, *new))
+                    self.nodes.append(node)
+                    operands.append((op, args))
+            if key in interned:
+                shared.add(id(interned[key]))
+            interned.setdefault(key, node)
+            return key
 
-    def compound(node):
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, BinOp):
-            left = ev(node.left)
-            right = ev(node.right)
-            try:
-                if node.op == "^":
-                    return call("pow", left, right)
-                return _ARITHMETIC[node.op](left, right)
-            except (ZeroDivisionError, ValueError, OverflowError) as exc:
-                raise _domain_error(exc, node) from exc
-        args = [ev(a) for a in node.args]
+        outputs = [visit(e) for e in exprs]
+        self.exprs, self.shared = tuple(interned[o] for o in outputs), frozenset(shared)
+        self.literals, self.names = list(literals.values()), tuple(self.first_read)
+        register = {key: i for i, key in enumerate([*literals, *self.names])}
+        fresh = itertools.count(len(register))
+        last_read = {a: k for k, (_, args) in enumerate(operands) for a in args}
+        last_read.update((o, len(operands)) for o in outputs)
+        free, self.code = [], []
+        for k, (op, args) in enumerate(operands):
+            src = [register[a] for a in args] + [None]
+            free += [register[a] for a in dict.fromkeys(args)
+                     if isinstance(a, int) and last_read[a] == k]
+            register[k] = free.pop() if free else next(fresh)
+            self.code.append((op, src[0], src[1], register[k]))
+        self.blank = [None] * (next(fresh) - len(self.literals) - len(self.names))
+        self.outputs = [register[o] for o in outputs]
+        self._programs = {}     # call -> the code with its calls bound
+
+    def run(self, env: Mapping, call: Callable) -> list:
+        """The value of each expression over `env`; literals are floats, and
+        `call(name, *args)` applies a FUNCTIONS row ('^' calls 'pow').  A domain
+        failure or an unbound variable is raised where a walk would meet it."""
+        program = self._programs.get(call)
+        if program is None:
+            program = self._programs[call] = [
+                (functools.partial(call, op) if isinstance(op, str) else op, a, b, d)
+                for op, a, b, d in self.code]
         try:
-            return call(node.func, *args)
+            regs, unbound = self.literals + [env[n] for n in self.names] + self.blank, None
+        except KeyError:
+            unbound = next(n for n in self.names if n not in env)
+            regs = self.literals + [env.get(n) for n in self.names] + self.blank
+            program = program[:self.first_read[unbound]]
+        try:
+            for k, (fn, a, b, d) in enumerate(program):
+                regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise _domain_error(exc, node) from exc
-
-    return ev(expr)
+            raise _domain_error(exc, self.nodes[k]) from exc
+        if unbound is not None:
+            raise DomainEvalError(f"unbound variable '{unbound}'", unbound)
+        return [regs[i] for i in self.outputs]
 
 
 def _domain_error(exc: Exception, node: Expr) -> DomainEvalError:
@@ -512,9 +519,12 @@ def _float_call(name: str, x: float, *params: float) -> float:
     return FUNCTIONS[name].derivatives(x, 0, *params)[0]
 
 
-def eval_float(expr: Expr, env: Mapping[str, float]) -> float:
-    """Plain floating-point evaluation."""
-    return evaluate(expr, env, call=_float_call)
+def eval_float(expr, env: Mapping[str, float]):
+    """Plain floating-point evaluation of an expression, or of every
+    expression of a Tape (a list)."""
+    if isinstance(expr, Tape):
+        return expr.run(env, _float_call)
+    return Tape((expr,)).run(env, _float_call)[0]
 
 
 def ensure_expr(e, variables=None) -> Expr:

@@ -15,7 +15,7 @@ point u:
         g(R(X,Y)Z, W) − [g̃(R̃(X,Y)Z, W) + g̃(h(X,W), h(Y,Z)) − g̃(h(X,Z), h(Y,W))].
 
 Over a sample of N parameter points, an (N, n) array, every quantity carries
-a leading batch axis and is computed with one walk of each expression; one
+a leading batch axis and is computed with one run of each tape; one
 point is the batch-free case of the same functions.
 """
 
@@ -48,20 +48,17 @@ class Immersion:
         if not 1 <= n < self.m:
             raise ValueError(f"need 1 <= n < m, got n={n}, m={self.m}")
         self.var_names = chart_names(n, prefix="u")
-        self.exprs, self.shared = ex.intern(ex.ensure_expr(c, self.var_names)
-                                            for c in components)
+        self.tape = ex.Tape(ex.ensure_expr(c, self.var_names) for c in components)
+        self.exprs = self.tape.exprs
         self.domain = None if domain is None else tuple((float(a), float(b)) for a, b in domain)
 
     def jets(self, u: Sequence[float], order: int):
-        """Jets of Ψ's components at u, or at each row of an (N, n) array;
-        common subtrees are walked once."""
-        env = jet_variables(self.var_names, u, order)
-        memo = dict.fromkeys(self.shared)
-        return [eval_jet_env(e, env, memo) for e in self.exprs]
+        """Jets of Ψ's components at u, or at each row of an (N, n) array
+        (floats at order 0 at a point), by one run of the tape."""
+        return eval_jet_env(self.tape, jet_variables(self.var_names, u, order))
 
     def point(self, u: Sequence[float]) -> np.ndarray:
-        return np.array([ex.eval_float(e, dict(zip(self.var_names, u)))
-                         for e in self.exprs])
+        return np.array(ex.eval_float(self.tape, dict(zip(self.var_names, u))))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A Jet of order K in n variables holds d[0..K]: d[0] is the value and d[k] the
 tensor of k-th partial derivatives, shape (n,)*k + batch.  At one point the
 batch shape is () and d[0] is a float; over a sample of N points it is (N,),
 a trailing axis, so that the arithmetic below is the same in both cases and
-one walk of an expression evaluates it at every point.  Products follow
+one run of an expression evaluates it at every point.  Products follow
 Leibniz's rule; every elementary function, constant power and reciprocal
 goes through one Faà di Bruno composition fed with the function's
 derivatives at the point, read from the single function table
@@ -247,11 +247,13 @@ def chart_names(dim: int, prefix: str = "x") -> tuple:
 
 def jet_variables(names: Sequence[str], values, order: int) -> dict:
     """Seed jets for the chart variables at a point (n values) or at each
-    point of a batch (an (N, n) array)."""
+    point of a batch (an (N, n) array).  Order 0 at a point binds the
+    coordinates themselves, as floats."""
     n = len(names)
     columns = chart_points(values, n).T
-    return {name: Jet.variable(i, columns[i], n, order)
-            for i, name in enumerate(names)}
+    if order == 0 and columns.ndim == 1:
+        return dict(zip(names, columns.tolist()))
+    return {name: Jet.variable(i, columns[i], n, order) for i, name in enumerate(names)}
 
 
 def chart_points(values, n: int) -> np.ndarray:
@@ -263,17 +265,18 @@ def chart_points(values, n: int) -> np.ndarray:
     return values
 
 
-def eval_jet_env(expression: ex.Expr, env: Mapping[str, Jet], memo: dict | None = None) -> Jet:
-    """Evaluate an expression over an environment of jets (all sharing the
-    same variable set, order and batch); used directly for pullbacks.
-    Literals stay floats until they meet a jet.  A `memo` kept over the
-    expressions of one call walks their shared subtrees once (expr.evaluate);
-    jet operations are pure, so sharing a result is safe."""
-    out = ex.evaluate(expression, env, call=call, memo=memo)
-    if isinstance(out, Jet):
-        return out
+def eval_jet_env(expression, env: Mapping[str, Jet]):
+    """Evaluate an expression, or every expression of a Tape (a list), over
+    an environment of jets sharing variable set, order and batch; literals
+    stay floats until they meet a jet, and a constant result is a constant
+    jet.  Over floats (order 0 at a point, see jet_variables): eval_float."""
     probe = next(iter(env.values()))
-    return Jet.constant(out, probe.nvars, probe.order, probe.batch)
+    if not isinstance(probe, Jet):
+        return ex.eval_float(expression, env)
+    tape = expression if isinstance(expression, ex.Tape) else ex.Tape((expression,))
+    out = [v if isinstance(v, Jet) else Jet.constant(v, probe.nvars, probe.order, probe.batch)
+           for v in tape.run(env, call)]
+    return out if tape is expression else out[0]
 
 
 def eval_jet(expression: ex.Expr, point: Sequence[float], order: int,
@@ -285,4 +288,5 @@ def eval_jet(expression: ex.Expr, point: Sequence[float], order: int,
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     if names is None:
         names = chart_names(np.shape(point)[-1])
-    return eval_jet_env(expression, jet_variables(names, point, order))
+    out = eval_jet_env(expression, jet_variables(names, point, order))
+    return out if isinstance(out, Jet) else Jet(0, len(names), [out])

@@ -64,16 +64,17 @@ class MetricAtPoint:
 
     @classmethod
     def from_jets(cls, point, jets, order: int, spd_tol: float) -> "MetricAtPoint":
-        """Metric data from entry jets of the given order, read from the
-        lower triangle jets[i][j], j <= i; g must be positive definite (at
-        every point of a batch).  Jets over a batch give batched data."""
+        """Metric data from entry jets of the given order (floats at order 0
+        at a point), read from the lower triangle jets[i][j], j <= i; g must
+        be positive definite (at every point of a batch).  Jets over a batch
+        give batched data."""
         m = len(jets)
         lower = [jets[i][j] for i in range(m) for j in range(i + 1)]
         index = _symmetric_index(m)
 
         def tensor(k):
             # t[i, j, a..., batch] = ∂^k g_ij, reordered to [batch, a..., i, j]
-            t = np.array([jet.d[k] for jet in lower])[index]
+            t = np.array([jet.d[k] if isinstance(jet, Jet) else jet for jet in lower])[index]
             return t.transpose(tuple(range(k + 2, t.ndim)) + tuple(range(2, k + 2))
                                + (0, 1))
 
@@ -134,11 +135,12 @@ class VectorAtPoint:
 
     @classmethod
     def from_jets(cls, jets, order: int) -> "VectorAtPoint":
-        """Components from their jets; the jacobian when order >= 1."""
+        """Components from their jets (floats at order 0 at a point); the
+        jacobian when order >= 1."""
         jacobian = (_batch_first(np.array([jet.d[1] for jet in jets]), 2)
                     if order >= 1 else None)
-        return cls(components=_batch_first(np.array([jet.d[0] for jet in jets]), 1),
-                   jacobian=jacobian)
+        values = [jet.d[0] if isinstance(jet, Jet) else jet for jet in jets]
+        return cls(components=_batch_first(np.array(values), 1), jacobian=jacobian)
 
 
 def stacked(data: list):
@@ -162,14 +164,9 @@ class MetricField:
                 raise ValueError(
                     f"metric row {i} must have {i + 1} (lower triangle) or {m} entries")
             lower += [ex.ensure_expr(row[j], self.var_names) for j in range(i + 1)]
-        exprs = [[None] * m for _ in range(m)]
-        interned, self.shared = ex.intern(lower)
-        entry = iter(interned)
-        for i in range(m):
-            for j in range(i + 1):
-                exprs[i][j] = exprs[j][i] = next(entry)
-        self.exprs = tuple(tuple(row) for row in exprs)
-        self.constant = not any(ex.free_variables(e) for e in lower)
+        self.tape = ex.Tape(lower)
+        self.exprs = tuple(tuple(self.tape.exprs[k] for k in row) for row in _symmetric_index(m))
+        self.constant = not self.tape.names
         self._held = None       # a constant metric's data, once checked
 
     @classmethod
@@ -177,21 +174,15 @@ class MetricField:
         return cls([[("1" if i == j else "0") for j in range(i + 1)] for i in range(m)])
 
     def entry_jets(self, env) -> list:
-        """Entries evaluated over a jet environment, each lower-triangle
-        entry once."""
-        m = self.dim
-        out = [[None] * m for _ in range(m)]
-        memo = dict.fromkeys(self.shared)
-        for i in range(m):
-            for j in range(i + 1):
-                jet = eval_jet_env(self.exprs[i][j], env, memo)
-                out[i][j] = out[j][i] = jet
-        return out
+        """Entries evaluated over a jet environment (floats at order 0 at a
+        point), each lower-triangle entry once, by one run of the tape."""
+        values = eval_jet_env(self.tape, env)
+        return [[values[k] for k in row] for row in _symmetric_index(self.dim)]
 
     def at(self, point: Sequence[float], order: int = 2) -> MetricAtPoint:
         """Evaluate the metric and its derivatives to the requested order at
-        a point, or at each row of an (N, m) array of points with one walk of
-        each entry expression.
+        a point, or at each row of an (N, m) array of points with one run of
+        the entries' tape.
 
         A constant metric is walked and checked once, by the first call that
         succeeds; later calls return its g and Cholesky factor at every
@@ -243,14 +234,13 @@ class VectorField:
         if len(components) != self.dim:
             raise ValueError("component count does not match dimension")
         self.var_names = chart_names(self.dim)
-        self.exprs, self.shared = ex.intern(ex.ensure_expr(c, self.var_names)
-                                            for c in components)
+        self.tape = ex.Tape(ex.ensure_expr(c, self.var_names) for c in components)
+        self.exprs = self.tape.exprs
 
     def component_jets(self, env) -> list:
-        """The components evaluated over a jet environment, shared subtrees
-        once."""
-        memo = dict.fromkeys(self.shared)
-        return [eval_jet_env(e, env, memo) for e in self.exprs]
+        """The components evaluated over a jet environment (floats at order 0
+        at a point), shared subtrees once, by one run of the tape."""
+        return eval_jet_env(self.tape, env)
 
     def at(self, point: Sequence[float], order: int = 1) -> VectorAtPoint:
         """The field and (order >= 1) its jacobian at a point, or at each row

@@ -120,7 +120,7 @@ def _check_classify(ctx: _RunContext) -> CheckResult:
     ok = (c.verdict == expected) if expected else (c.verdict != NONE)
     fits, at = c.batch, c.witness_index
     details = {"verdict": c.verdict, "f_summary": c.f_summary(),
-               "class_residuals": c.class_residuals(),
+               "class_residuals": c.class_residuals,
                "sample_size": len(c.f_values)}
     if expected:
         details["expected_verdict"] = expected
@@ -253,22 +253,18 @@ def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
                                 "max_fiber_lambda_derivative": rep.max_fiber_lambda_derivative})
 
 
+#: in execution order: classification first, rectifying before warp
 _CHECKS = {
     "classify": _check_classify,
     "geodesic-unit": _check_geodesic_unit,
-    "gauss-equation": _check_gauss,
-    "rectifying": _check_rectifying,
     "tangential-theorem": _check_tangential,
     "normal-theorem": _check_normal,
     "torqued-props": _check_torqued,
+    "gauss-equation": _check_gauss,
+    "rectifying": _check_rectifying,
     "warp-fit": _check_warp_fit,
     "ambient-decomposition": _check_ambient_decomposition,
 }
-
-#: execution order: classification first, rectifying before warp
-_ORDER = ("classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
-          "torqued-props", "gauss-equation", "rectifying", "warp-fit",
-          "ambient-decomposition")
 
 
 def _run_check(name: str, ctx: _RunContext) -> CheckResult:
@@ -310,7 +306,7 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
     # an overflow or a NaN is judged by the checks' own guards (a non-finite
     # residual never passes), not announced by numpy on stderr
     with np.errstate(all="ignore"):
-        for name in _ORDER:
+        for name in _CHECKS:
             if name in requested:
                 results.append(_run_check(name, ctx))
 
@@ -318,7 +314,7 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
     if ctx._classification is not None:
         c = ctx._classification
         classification = {"verdict": c.verdict, "f_summary": c.f_summary(),
-                          "residuals": c.class_residuals()}
+                          "residuals": c.class_residuals}
     return SceneReport(scene=scene.name, seed=scene.seed, points=points,
                        checks=tuple(results), classification=classification)
 

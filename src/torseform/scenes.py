@@ -229,7 +229,7 @@ def load_scene_file(path) -> Scene:
 
 def _admissible(scene: Scene, xs) -> np.ndarray:
     """Whether each row of xs lies outside the excluded ball with the field
-    at least min_field_norm there; one walk of each field expression, which
+    at least min_field_norm there; one run of the field's tape, which
     raises where a row's field evaluation does."""
     keep = ~(norm(xs) < scene.exclude_radius)
     if scene.field is not None and keep.any():

@@ -89,8 +89,8 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     def tangential(u):
         counter["n"] += 1
         psi = imm.jets(u, 1)
-        x = np.array([p.value for p in psi])
-        jac = np.stack([p.gradient() for p in psi])      # J[a, i] = ∂Ψ^a/∂uⁱ
+        x = np.array([p.d[0] for p in psi])
+        jac = np.array([p.d[1] for p in psi])            # J[a, i] = ∂Ψ^a/∂uⁱ
         G = metric.at(x, order=0).g
         k = jac.T @ G @ jac
         coords = solve_spd(k, jac.T @ G @ field.at(x, order=0).components,
@@ -284,17 +284,17 @@ def build_warped_ambient(lambda_expr, fiber_metric, s_range, fiber_domain,
     """
     from .scenes import load_scene
 
-    lam_ast = ex.ensure_expr(lambda_expr, ("x1",))
+    lam = ex.Tape([ex.ensure_expr(lambda_expr, ("x1",))])     # one tape for the grid
     lo, hi = float(s_range[0]), float(s_range[1])
     for s in np.linspace(lo, hi, 512):
-        if ex.eval_float(lam_ast, {"x1": float(s)}) <= 0.0:
+        if ex.eval_float(lam, {"x1": float(s)})[0] <= 0.0:
             raise ModelViolationError(
                 f"warping function is not positive at s={float(s)!r}", witness=s)
 
     mfiber = len(fiber_metric)
     m = mfiber + 1
     fiber_names = tuple(f"x{i + 2}" for i in range(mfiber))
-    lam_sq = ex.BinOp("*", lam_ast, lam_ast)
+    lam_sq = ex.BinOp("*", lam.exprs[0], lam.exprs[0])
     rows = [["1"]]
     for i in range(mfiber):
         row = ["0"]

@@ -282,9 +282,11 @@ class TestSharedSubtrees:
                 env = jet_variables(("x1", "x2", "x3"), points, order)
                 shared = field.component_jets(env)
                 alone = [eval_jet_env(parse(src), env) for src in sources]
+                # order 0 at a point binds floats, and a float is its own value
                 for a, b in zip(shared, alone):
                     for k in range(order + 1):
-                        assert np.array_equal(a.d[k], b.d[k])
+                        assert np.array_equal(a.d[k] if k else getattr(a, "value", a),
+                                              b.d[k] if k else getattr(b, "value", b))
 
     @pytest.mark.parametrize("points", [[1.0, 0.5, 0.2],
                                         [[1.0, 0.5, 0.2], [2.5, 0.5, 0.2]]])

@@ -1,0 +1,239 @@
+"""Fields, metrics and immersions evaluate their expressions with one flat
+tape each (torseform.expr.Tape).  The recursive walker below is the tape's
+oracle: it evaluates one expression node by node, in post-order, as the
+evaluator did before the tape.  The tape must give the walker's values bit
+for bit, every derivative tensor included, and raise the walker's errors."""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
+import pytest
+
+from conftest import random_expression
+from torseform import (VectorField, build_warped_ambient, builtin_names, builtin_scene,
+                       eval_float)
+from torseform.errors import DomainEvalError
+from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, parse,
+                            to_source)
+from torseform.jets import Jet, call, eval_jet_env, jet_variables
+
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def walk(expr, env, call):
+    """expr over env: literals are floats, call(name, *args) applies the
+    FUNCTIONS row `name` and '^' is a call of 'pow'; a failing node raises
+    DomainEvalError with its subexpression."""
+    def failed(exc, node):
+        reason = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+        return DomainEvalError(reason or type(exc).__name__, to_source(node))
+
+    def ev(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            try:
+                return env[node.name]
+            except KeyError:
+                raise DomainEvalError(f"unbound variable '{node.name}'", node.name) from None
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, BinOp):
+            left, right = ev(node.left), ev(node.right)
+            try:
+                if node.op == "^":
+                    return call("pow", left, right)
+                return ARITHMETIC[node.op](left, right)
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise failed(exc, node) from exc
+        args = [ev(a) for a in node.args]
+        try:
+            return call(node.func, *args)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise failed(exc, node) from exc
+
+    return ev(expr)
+
+
+def float_call(name, x, *params):
+    return FUNCTIONS[name].derivatives(x, 0, *params)[0]
+
+
+def walked(exprs, env):
+    """Each expression walked on its own, over floats or jets; a constant
+    over jets is a constant jet."""
+    probe = next(iter(env.values()))
+    if not isinstance(probe, Jet):
+        return [walk(e, env, float_call) for e in exprs]
+    out = [walk(e, env, call) for e in exprs]
+    return [v if isinstance(v, Jet) else Jet.constant(v, probe.nvars, probe.order, probe.batch)
+            for v in out]
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DomainEvalError as err:
+        return type(err), str(err)
+
+
+def bits(value) -> tuple:
+    """Every number a float or a jet holds, as (shape, raw bytes) per part."""
+    parts = value.d if isinstance(value, Jet) else [value]
+    return tuple((np.shape(p), np.asarray(p, dtype=float).tobytes()) for p in parts)
+
+
+def assert_tape_is_walker(tape, names, point_sets):
+    """At each point set (one point, or a batch) and every order: the tape's
+    values, or its error, are those of walking each expression on its own
+    (parsed again from its source, so that nothing is shared)."""
+    singles = [parse(to_source(e)) for e in tape.exprs]
+    for points in point_sets:
+        for order in range(4):
+            env = jet_variables(names, points, order)
+            got, want = outcome(eval_jet_env, tape, env), outcome(walked, singles, env)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert [type(v) for v in got[1]] == [type(v) for v in want[1]]
+                assert [bits(v) for v in got[1]] == [bits(v) for v in want[1]]
+            else:
+                assert got == want
+
+
+def warped_metric(lam):
+    """The dense, non-constant metric of a warped chart over a 3-d fiber."""
+    fiber = [["1.1+0.4*x3^2"], ["0.2*sin(x2)", "2.1+cos(x3)"],
+             ["0.1*x4", "0.15*x2", "1.0+0.2*x4^2"]]
+    return build_warped_ambient(lam, fiber, (0.2, 1.2), [[-1.0, 1.0]] * 3).metric
+
+
+def random_sources(seed):
+    # random expressions, and compositions that repeat them so that
+    # subtrees are shared within and across components
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_expression(rng, 3, depth=3) for _ in range(3))
+    return [a, f"({a})*({b})", f"sin({a})-({b})", f"({b})/(1.5+({a})^2)", c]
+
+
+class TestTapeIsTheWalker:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_expressions(self, seed):
+        tape = Tape(parse(src) for src in random_sources(seed))
+        rng = np.random.default_rng(100 + seed)
+        assert_tape_is_walker(tape, ("x1", "x2", "x3"),
+                              [rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=(7, 3))])
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_fields_metrics_and_immersions(self, name):
+        scene = builtin_scene(name)
+        rng = np.random.default_rng(7)
+        parts = [(scene.metric, scene.domain)]
+        if scene.field is not None:
+            parts.append((scene.field, scene.domain))
+        if scene.immersion is not None:
+            parts.append((scene.immersion, scene.immersion.domain))
+        for owner, box in parts:
+            lo, hi = np.array(box).T
+            assert_tape_is_walker(owner.tape, owner.var_names,
+                                  [lo + (hi - lo) * rng.random(len(lo)),
+                                   lo + (hi - lo) * rng.random((6, len(lo)))])
+
+    @pytest.mark.parametrize("lam", ["1.2*cosh(0.7*x1)", "2.2+sin(x1)"])
+    def test_dense_warped_metric(self, lam):
+        metric = warped_metric(lam)
+        rng = np.random.default_rng(3)
+        assert_tape_is_walker(metric.tape, metric.var_names,
+                              [rng.uniform(-1, 1, size=4), rng.uniform(-1, 1, size=(6, 4))])
+
+
+class TestTapeErrors:
+    @pytest.mark.parametrize("sources", [
+        ["log(x1-2)+sqrt(x2-5)"],                       # both fail: log comes first
+        ["sqrt(x2-5)+log(x1-2)"],                       # both fail: sqrt comes first
+        ["x2*x3", "(x2*x3)+log(x1-2)", "cos(log(x1-2))"],  # shared, first in component 2
+        ["x3/(x2-x2)", "log(x1-2)"],                    # division by zero first
+        ["(x3-x3-1)^1.5*x1", "atanh(x1)"],              # pow's domain, then atanh's
+        ["2^x1+log(x1-x1)"],                            # a varying exponent passes, log fails
+    ])
+    @pytest.mark.parametrize("points", [[1.0, 1.0, 0.0], [[1.5, 0.5, 0.2], [1.0, 1.0, 0.0]]])
+    def test_first_failing_subtree_in_post_order_wins(self, sources, points):
+        points = np.array(points)
+        exprs = [parse(src) for src in sources]
+        tape = Tape(exprs)
+        for order in range(3):
+            env = jet_variables(("x1", "x2", "x3"), points, order)
+            got, want = outcome(eval_jet_env, tape, env), outcome(walked, exprs, env)
+            assert got[0] is DomainEvalError
+            assert got == want
+
+    @pytest.mark.parametrize("src", ["log(x1-2)+y", "y+log(x1-2)", "x1+y*log(x1-2)"])
+    def test_an_unbound_variable_raises_where_a_walk_meets_it(self, src):
+        env = {"x1": 1.0}
+        got = outcome(eval_float, parse(src), env)
+        want = outcome(walk, parse(src), env, float_call)
+        assert got[0] is DomainEvalError
+        assert got == want
+
+    def test_signed_zero_literals_stay_apart(self):
+        exprs = [BinOp("*", Var("x1"), Num(0.0)), BinOp("*", Var("x1"), Num(-0.0)),
+                 Num(-0.0), Neg(Num(0.0)), Num(0.0)]
+        tape = Tape(exprs)
+        assert tape.exprs[0] is not tape.exprs[1]
+        values = eval_float(tape, {"x1": 2.0})
+        assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, -1.0, 1.0]
+        for order in range(3):
+            env = jet_variables(("x1",), np.array([[2.0], [-3.0]]), order)
+            assert ([bits(v) for v in eval_jet_env(tape, env)]
+                    == [bits(v) for v in walked(exprs, env)])
+
+    def test_a_run_holds_only_live_values(self):
+        # a chain of n calls needs one register beyond its variable, whatever n
+        tape = Tape([parse("sin(cos(sin(cos(sin(x1)))))"), Call("exp", (Var("x2"),))])
+        assert len(tape.blank) == 2
+        assert eval_float(tape, {"x1": 0.5, "x2": 1.0}) == [
+            math.sin(math.cos(math.sin(math.cos(math.sin(0.5))))), math.exp(1.0)]
+        assert tape.blank == [None, None]
+
+
+class TestOrderZeroPoints:
+    """Order 0 at a point binds floats: the values are eval_float's."""
+
+    @staticmethod
+    def same(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_field_components_and_immersion_points(self, name):
+        scene = builtin_scene(name)
+        rng = np.random.default_rng(11)
+        if scene.field is not None:
+            lo, hi = np.array(scene.domain).T
+            for x in lo + (hi - lo) * rng.random((5, len(lo))):
+                env = dict(zip(scene.field.var_names, map(float, x)))
+                self.same(scene.field.at(x, 0).components,
+                          [eval_float(e, env) for e in scene.field.exprs])
+        if scene.immersion is not None:
+            imm = scene.immersion
+            lo, hi = np.array(imm.domain).T
+            for u in lo + (hi - lo) * rng.random((5, len(lo))):
+                env = dict(zip(imm.var_names, map(float, u)))
+                self.same(imm.point(u), [eval_float(e, env) for e in imm.exprs])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_field_components(self, seed):
+        field = VectorField(random_sources(seed)[:3])
+        for x in np.random.default_rng(seed).uniform(-2, 2, size=(5, 3)):
+            env = dict(zip(field.var_names, map(float, x)))
+            self.same(field.at(x, 0).components, [eval_float(e, env) for e in field.exprs])
+
+    def test_metric_on_a_non_constant_warped_chart(self):
+        metric = warped_metric("1.2*cosh(0.7*x1)")
+        assert not metric.constant
+        for x in np.random.default_rng(5).uniform(-1, 1, size=(5, 4)):
+            env = dict(zip(metric.var_names, map(float, x)))
+            self.same(metric.at(x, 0).g,
+                      [[eval_float(e, env) for e in row] for row in metric.exprs])
