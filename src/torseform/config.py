@@ -17,6 +17,8 @@ class Tolerances:
     frame_tol: float = 1e-10      # orthonormality slack for tangent/normal frames
     rank_tol: float = 1e-10       # relative smallest-singular-value floor for immersions
     svd_rank_tol: float = 1e-8    # relative singular-value cutoff for the first normal space
+    zero_h_tol: float = 1e-8      # |h| relative to |∇̃_{e_i}e_j| at or below which h = 0
+    normal_keep_tol: float = 1e-6  # relative residual floor for normal-frame completion
     min_field_norm: float = 1e-12  # points with |V| below this are outside the scene domain
 
     # field classification
@@ -29,6 +31,7 @@ class Tolerances:
     # rectifying verification
     proper_tol: float = 1e-8      # both |V_tan| and |V_nor| must exceed this for properness
     rect_tol: float = 1e-7        # normalized rectifying residual cutoff
+    null_dir_tol: float = 1e-16   # |X|² floor below which X ⊥ W^⊤ counts as zero (torqued)
 
     # warped-product checks
     ode_tol: float = 1e-6         # warping ODE residual cutoff

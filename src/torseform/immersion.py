@@ -36,7 +36,7 @@ from .jets import chart_names, eval_jet_env, jet_variables
 from .linalg import (cholesky_pivots, first_where, item, mv, norm, orthonormalize,
                      solve_spd)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     _batch_first, jet_inner, riemann)
+                     _batch_first, _contract, jet_inner, riemann)
 
 
 class Immersion:
@@ -74,6 +74,7 @@ class FramePacket:
     normals[α]            orthonormal normal frame ξ_α
     h_frame[α, i, j]      g̃(h(e_i, e_j), ξ_α)
     h_coord[i, j, :]      ambient components of h(∂ᵢ, ∂ⱼ)
+    second[:, i, j]       ambient components of ∇̃_{∂ᵢ}∂ⱼΨ, whose normal part is h
 
     ambient2, field_jet, induced and fit are computed on first use, once for
     the whole sample, and kept: checks that read them share one copy, the
@@ -90,6 +91,7 @@ class FramePacket:
     normals: np.ndarray
     h_frame: np.ndarray
     h_coord: np.ndarray
+    second: np.ndarray
     immersion: Immersion
     metric: MetricField
     psi: list
@@ -233,7 +235,7 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
     B = np.linalg.solve(L, np.eye(imm.n))
     tangents = B @ np.swapaxes(jac, -1, -2)
 
-    completion, kept = orthonormalize(np.eye(imm.m), G, keep_tol=1e-6,
+    completion, kept = orthonormalize(np.eye(imm.m), G, keep_tol=tols.normal_keep_tol,
                                       start_basis=tangents, want=imm.m - imm.n)
     normals = completion[..., imm.n:, :]
     short = kept != imm.m - imm.n
@@ -242,17 +244,16 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
             f"could not complete the normal frame at u={first_where(short, u).tolist()}")
 
     # second fundamental tensor in coordinates:
-    #   S_ij = ∂²Ψ/∂uⁱ∂uʲ + Γ̃(∂Ψ, ∂Ψ), then h(∂ᵢ,∂ⱼ) = S_ij^⊥
+    #   S[a, i, j] = ∂²Ψᵃ/∂uⁱ∂uʲ + Γ̃ᵃ(∂ᵢΨ, ∂ⱼΨ), then h(∂ᵢ,∂ⱼ) = S_ij^⊥
     hess = _batch_first(np.array([p.d[2] for p in psi]), 3)     # hess[a, i, j]
-    S = (np.einsum("...aij->...ija", hess)
-         + np.einsum("...abc,...bi,...cj->...ija", mp.gamma, jac, jac))
-    proj = np.swapaxes(normals, -1, -2) @ (normals @ G)          # normal projector
-    h_coord = np.einsum("...ab,...ijb->...ija", proj, S)
-    h_frame = np.einsum("...ik,...jl,...klb,...ab,...qa->...qij", B, B, S, G, normals)
+    S = hess + np.swapaxes(jac, -1, -2)[..., None, :, :] @ mp.gamma @ jac[..., None, :, :]
+    hn = _contract(normals @ G, S)                               # hn[q, i, j] = g̃(S_ij, ξ_q)
+    h_coord = np.moveaxis(_contract(np.swapaxes(normals, -1, -2), hn), -3, -1)
+    h_frame = B[..., None, :, :] @ hn @ np.swapaxes(B, -1, -2)[..., None, :, :]
 
     packet = FramePacket(u=u, x=x, jacobian=jac, ambient=mp, g_coord=g_coord,
                          tangents=tangents, tangent_coeffs=B, normals=normals,
-                         h_frame=h_frame, h_coord=h_coord, immersion=imm,
+                         h_frame=h_frame, h_coord=h_coord, second=S, immersion=imm,
                          metric=metric, psi=psi, field=field, tols=tols)
     if field is None:
         return packet
@@ -285,7 +286,9 @@ def first_normal_space(packet: FramePacket, tols: Tolerances = DEFAULT) -> First
                                 "it needs a one-point packet")
     rows, cols = np.triu_indices(packet.n)
     H = packet.h_frame[:, rows, cols].T    # h(e_i, e_j), i <= j: (n(n+1)/2, p)
-    if H.size == 0 or np.allclose(H, 0.0):
+    B = packet.tangent_coeffs      # h is zero where it is round-off of S = ∇̃_{e_i}e_j
+    S = np.moveaxis(B @ packet.second @ B.T, 0, -1)[rows, cols] @ packet.ambient.factor
+    if H.size == 0 or norm(H, 2) <= tols.zero_h_tol * norm(S, 2):    # |S| in g̃ = L Lᵀ
         return FirstNormalSpace(basis=np.zeros((0, packet.x.size)), rank=0,
                                 singular_values=np.zeros(min(H.shape) if H.size else 0))
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
@@ -348,7 +351,7 @@ def gauss_defect(packet: FramePacket, X, Y, Z, W):
     ambient_term = mp2.inner(riemann(mp2, Xa, Ya, Za), Wa)
 
     def h_of(a, b):
-        return np.einsum("...ijc,...i,...j->...c", packet.h_coord, a, b)
+        return (a[..., None, :] @ (b[..., None, None, :] @ packet.h_coord)[..., 0, :])[..., 0, :]
 
     rhs = (ambient_term
            + packet.inner(h_of(X, W), h_of(Y, Z))

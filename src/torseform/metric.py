@@ -3,7 +3,8 @@
 All quantities are evaluated pointwise from metric jets, at one point or at
 each point of a sample: the data of a sample of N points carries a leading
 batch axis (g of shape (N, m, m), and so on) and every formula below is
-written over it with `...` einsums and numpy's stacked linear algebra.
+written over it: Γ, ∂Γ, R and R(X,Y)Z as stacked matrix products, index
+permutations with `...` einsums.  A constant metric holds Γ = 0 and R = 0.
 
     Γᵏᵢⱼ   = ½ gᵏˡ (∂ᵢ g_lj + ∂ⱼ g_li − ∂ˡ g_ij)
     Rˡ_kij = ∂ᵢ Γˡⱼₖ − ∂ⱼ Γˡᵢₖ + Γˡᵢₐ Γᵃⱼₖ − Γˡⱼₐ Γᵃᵢₖ
@@ -28,7 +29,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlaneError, OrderInsufficientError,
                      PreconditionError, SingularMetricError)
 from .jets import Jet, chart_names, chart_points, eval_jet_env, jet_variables
-from .linalg import cholesky_solve, cholesky_spd, dot, first_where, item
+from .linalg import cholesky_solve, cholesky_spd, dot, first_where, item, mv
 
 
 @functools.cache
@@ -186,7 +187,7 @@ class MetricField:
 
         A constant metric is walked and checked once, by the first call that
         succeeds; later calls return its g and Cholesky factor at every
-        point, with zero derivatives."""
+        point, with zero derivatives, Γ and curvature."""
         if not self.constant:
             return self._walk(point, order)
         point = chart_points(point, self.dim)
@@ -200,11 +201,11 @@ class MetricField:
             factor = np.repeat(self._held.factor[None], batch[0], 0)
         else:
             g, factor = self._held.g.copy(), self._held.factor.copy()
-        mp = MetricAtPoint(point=point, g=g,
-                           dg=np.zeros(batch + (m,) * 3) if order >= 1 else None,
-                           d2g=np.zeros(batch + (m,) * 4) if order >= 2 else None,
-                           spd_tol=self.spd_tol)
-        vars(mp)["factor"] = factor
+        dg, d2g = (np.zeros(batch + (m,) * (k + 2)) if order >= k else None for k in (1, 2))
+        mp = MetricAtPoint(point=point, g=g, dg=dg, d2g=d2g, spd_tol=self.spd_tol)
+        # Γ and R of a constant metric vanish like its derivatives, and share their zeros
+        vars(mp).update((k, v) for k, v in (("factor", factor), ("gamma", dg), ("curvature", d2g))
+                        if v is not None)
         return mp
 
     def _walk(self, point, order: int) -> MetricAtPoint:
@@ -262,40 +263,46 @@ class VectorField:
 # Connection and curvature
 # ---------------------------------------------------------------------------
 
+def _contract(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """c[k, i, j] = Σ_l a[k, l] t[l, i, j] at each point, as one matmul."""
+    c = a @ t.reshape(t.shape[:-2] + (-1,))
+    return c.reshape(c.shape[:-1] + t.shape[-2:])
+
+
 def christoffel(mp: MetricAtPoint) -> np.ndarray:
     """Γ[k, i, j] = Γᵏᵢⱼ from the Koszul expansion; symmetric in (i, j)."""
-    return 0.5 * np.einsum("...kl,...lij->...kij", mp.inverse, mp.koszul)
+    return 0.5 * _contract(mp.inverse, mp.koszul)
 
 
 def christoffel_derivatives(mp: MetricAtPoint):
     """(Γ, dΓ) with dΓ[a, k, i, j] = ∂_a Γᵏᵢⱼ; needs order-2 metric jets."""
     if mp.d2g is None:
         raise OrderInsufficientError("curvature needs metric jets of order >= 2")
-    dg, d2g, ginv = mp.dg, mp.d2g, mp.inverse
-    # ∂_a g^{kl} = −g^{kp} (∂_a g_pq) g^{ql}
-    dginv = -np.einsum("...kp,...apq,...ql->...akl", ginv, dg, ginv)
+    d2g, ginv, gamma = mp.d2g, mp.inverse[..., None, :, :], mp.gamma[..., None, :, :, :]
     # dT[a, l, i, j] = ∂_a∂_i g_lj + ∂_a∂_j g_li − ∂_a∂_l g_ij
     dT = (np.einsum("...ailj->...alij", d2g) + np.einsum("...ajli->...alij", d2g) - d2g)
-    dgamma = 0.5 * (np.einsum("...akl,...lij->...akij", dginv, mp.koszul)
-                    + np.einsum("...kl,...alij->...akij", ginv, dT))
-    return mp.gamma, dgamma
+    # ∂_a Γ = ∂_a(½ g⁻¹ T) = g⁻¹ (½ ∂_a T − ∂_a g Γ), as ∂_a g⁻¹ = −g⁻¹ (∂_a g) g⁻¹
+    return mp.gamma, _contract(ginv, 0.5 * dT - _contract(mp.dg, gamma))
 
 
 def riemann_components(mp: MetricAtPoint) -> np.ndarray:
     """R[l, k, i, j] = Rˡ_kij so that R(∂i, ∂j)∂k = Rˡ_kij ∂l."""
     gamma, dgamma = christoffel_derivatives(mp)
-    # dgamma[a, l, i, j] = ∂_a Γ^l_{ij}
-    term1 = np.einsum("...iljk->...lkij", dgamma)       # ∂_i Γ^l_{jk}
-    term2 = np.einsum("...jlik->...lkij", dgamma)       # ∂_j Γ^l_{ik}
-    term3 = np.einsum("...lia,...ajk->...lkij", gamma, gamma)
-    term4 = np.einsum("...lja,...aik->...lkij", gamma, gamma)
-    return term1 - term2 + term3 - term4
+    m, batch = mp.dim, gamma.shape[:-3]
+    # P[l, i, j, k] = Γˡᵢₐ Γᵃⱼₖ, one (m², m) @ (m, m²) product at each point
+    P = gamma.reshape(batch + (-1, m)) @ gamma.reshape(batch + (m, -1))
+    P = P.reshape(batch + (m,) * 4)
+    # with dgamma[a, l, i, j] = ∂_a Γˡᵢⱼ: ∂ᵢ Γˡⱼₖ − ∂ⱼ Γˡᵢₖ + P[l, i, j, k] − P[l, j, i, k]
+    return (np.einsum("...iljk->...lkij", dgamma) - np.einsum("...jlik->...lkij", dgamma)
+            + np.einsum("...lijk->...lkij", P) - np.einsum("...ljik->...lkij", P))
 
 
 def riemann(mp: MetricAtPoint, X, Y, Z) -> np.ndarray:
     """R(X, Y)Z at the point (or points)."""
-    return np.einsum("...lkij,...k,...i,...j->...l", mp.curvature, np.asarray(Z, float),
-                     np.asarray(X, float), np.asarray(Y, float))
+    X, Y, Z = (np.asarray(a, float) for a in (X, Y, Z))
+    zxy = Z[..., :, None, None] * X[..., None, :, None] * Y[..., None, None, :]
+    R = mp.curvature                    # one (m, m³) @ (m³,) product at each point
+    return mv(R.reshape(R.shape[:-3] + (-1,)), zxy.reshape(zxy.shape[:-3] + (-1,)))
 
 
 def plane_curvature(mp: MetricAtPoint, u, v, tols: Tolerances = DEFAULT):

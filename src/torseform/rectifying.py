@@ -353,7 +353,7 @@ def _torqued_normal_terms(packet: FramePacket):
         e = packet.tangents[..., i, :]
         x_dir = np.where(w_tangent[..., None],
                          e - np.asarray(packet.inner(e, w_hat))[..., None] * w_hat, e)
-        moved = ~np.asarray(packet.inner(x_dir, x_dir) < 1e-16)
+        moved = ~np.asarray(packet.inner(x_dir, x_dir) < packet.tols.null_dir_tol)
         nor = decompose_field(packet, covariant_derivative(mp, vap, x_dir)).nor_norm
         ds.append(np.where(moved, nor, 0.0))
     return umb, np.array(ds), wds, w_tangent

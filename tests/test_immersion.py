@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import radial_unit_field
-from torseform import (Immersion, decompose_field,
+from torseform import (DEFAULT, Immersion, decompose_field,
                        first_normal_space, frames, gauss_equation_residual,
                        induced_metric, mean_curvature, riemann,
                        second_fundamental_form, shape_operator)
@@ -152,6 +152,24 @@ class TestSecondFundamentalForm:
                         expected, abs=1e-10), (r, i, j)
             _, fns = second_fundamental_form(imm, euclid3, [1.1, 0.4])
             assert fns.rank == 1
+
+    def test_first_normal_space_of_a_huge_sphere(self, euclid3):
+        # |h| = 1e-9 in the frame, small but all of ∇̃_{e_i}e_j: rank 1
+        _, fns = second_fundamental_form(sphere3(1e9), euclid3, [1.1, 0.4])
+        assert fns.rank == 1
+
+    def test_first_normal_space_of_a_tiny_plane_chart(self, euclid3):
+        # the plane z = x + y through a chart scaled by 1e-9: ∇̃_{e_i}e_j is
+        # ~1e9 in the frame and tangent, and h ~1e-7 is its round-off: rank 0
+        imm = Immersion(["1e-9*(u1^2+u2)", "1e-9*(u2^3-u1)", "1e-9*(u1^2+u2^3+u2-u1)"], n=2)
+        _, fns = second_fundamental_form(imm, euclid3, [1.1, 0.4])
+        assert fns.rank == 0
+
+    def test_zero_h_floor_is_a_tolerance(self, euclid3):
+        # |h| <= |∇̃_{e_i}e_j| always, so a floor above 1 makes every h zero
+        tols = DEFAULT.override(zero_h_tol=2.0)
+        _, fns = second_fundamental_form(sphere3(), euclid3, [1.1, 0.4], tols)
+        assert fns.rank == 0
 
     def test_developable_rank_and_det(self, euclid3):
         pk = frames(developable(), euclid3, [1.0, 0.8])

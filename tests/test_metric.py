@@ -252,6 +252,40 @@ class TestConstantMetric:
                 assert held.g.strides == walk.g.strides
                 assert held.factor.strides == walk.factor.strides
 
+    @pytest.mark.parametrize("entries", [DENSE, "euclidean"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_held_connection_equals_a_walk(self, entries, order):
+        # Γ and R of a constant metric are held as zeros; they must be what
+        # christoffel/riemann_components give for the walked data, bit for bit
+        metric = MetricField.euclidean(3) if entries == "euclidean" else MetricField(entries)
+        rng = np.random.default_rng(10 + order)
+        for points in (rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (7, 3))):
+            held, walk = metric.at(points, order), walked(metric, points, order)
+            pairs = [(held.gamma, christoffel(walk))]
+            if order >= 2:
+                pairs.append((held.curvature, riemann_components(walk)))
+            for a, b in pairs:
+                assert a.shape == b.shape and np.array_equal(a, b)
+                assert np.signbit(a).tolist() == np.signbit(b).tolist()
+
+    @pytest.mark.parametrize("entries, runs", [(DENSE, 0), ("euclidean", 0),
+                                               ([["1"], ["0", "x1^2"]], 1)])
+    def test_connection_is_computed_only_where_the_metric_curves(self, monkeypatch,
+                                                                   entries, runs):
+        import torseform.metric as metric_module
+        calls = {"christoffel": 0, "riemann_components": 0}
+        for name in calls:
+            def counted(mp, _name=name, _fn=getattr(metric_module, name)):
+                calls[_name] += 1
+                return _fn(mp)
+            monkeypatch.setattr(metric_module, name, counted)
+        metric = MetricField.euclidean(3) if entries == "euclidean" else MetricField(entries)
+        points = np.random.default_rng(3).uniform(0.5, 2, (5, metric.dim))
+        for at in (points, points[0]):
+            mp = metric.at(at, order=2)
+            assert mp.gamma.shape == mp.curvature.shape[:-1]
+        assert calls == {"christoffel": 2 * runs, "riemann_components": 2 * runs}
+
     def test_held_fit_equals_walked_fit(self):
         metric = MetricField(self.DENSE)
         field = VectorField(["x1*x2", "x2+x3^2", "1+x1"])

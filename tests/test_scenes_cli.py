@@ -15,6 +15,7 @@ from torseform import (builtin_names, builtin_scene, load_scene, report_to_json,
 from torseform.errors import SceneSchemaError
 from torseform.runner import exit_code, render_report
 from torseform.scenes import BUILTIN_DOCUMENTS, with_seed
+from torseform import rectifying as rect_module
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -226,6 +227,37 @@ class TestRunner:
                                 check.details["reason"])
         else:
             assert check.details["bound"] == override.get("geodesic_tol", 1e-8)
+
+    @pytest.mark.parametrize("override, status", [
+        ({}, "pass"),
+        # a residual floor above 1 drops every candidate of the completion
+        ({"normal_keep_tol": 2.0}, "error")])
+    def test_normal_completion_floor_is_a_scene_override(self, override, status):
+        doc = dict(BUILTIN_DOCUMENTS["cone"], tolerances=override)
+        check = run(load_scene(doc), checks=["normal-theorem"], points=20).checks[0]
+        assert check.status == status
+        if status == "error":
+            assert check.details["message"].startswith("could not complete the normal frame")
+
+    @pytest.mark.parametrize("override, moved", [({}, True), ({"null_dir_tol": 1e300}, False)])
+    def test_null_direction_floor_is_a_scene_override(self, monkeypatch, override, moved):
+        # torqued-props, normal case, on a fiber of a twisted product: each
+        # tangent e_i made orthogonal to W^⊤ is a direction X unless |X|² is
+        # below the floor; ∇̃_X V is replaced by a vector with a normal part,
+        # so that |D_X V^⊥| reads 0 exactly where X counts as zero
+        lam = "exp(x1)*(1+x2^2/4)"
+        doc = {"name": "twisted-fiber", "ambient": {
+                   "dim": 3, "metric": [["1"], ["0", f"({lam})^2"], ["0", "0", f"({lam})^2"]],
+                   "domain": [[-0.8, 0.8]] * 3},
+               "field": [lam, "0", "0"],
+               "submanifold": {"dim": 2, "immersion": ["0.2", "u1", "u2"],
+                               "domain": [[-0.8, 0.8], [-0.8, 0.8]]},
+               "checks": ["torqued-props"], "seed": 3, "tolerances": override}
+        monkeypatch.setattr(rect_module, "covariant_derivative",
+                            lambda mp, field, direction: np.ones_like(direction))
+        check = run(load_scene(doc), points=60).checks[0]
+        assert check.details["case"] == "normal"
+        assert (check.details["max_normal_derivative"] > 0.0) == moved
 
     def test_render_contains_rows(self):
         report = run(builtin_scene("cone"), points=10)
