@@ -12,10 +12,11 @@ error, 3 internal numeric error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import runner
-from .errors import GeometryError, ParseError, SceneSchemaError
+from .errors import DomainEvalError, GeometryError, ParseError, SceneSchemaError
 from .expr import eval_float, parse
 from .jets import MAX_ORDER, eval_jet
 from .scenes import builtin_names, builtin_scene, load_scene_file, with_seed
@@ -75,10 +76,11 @@ def _cmd_eval(args) -> int:
         if "=" not in binding:
             raise SceneSchemaError(f"binding '{binding}' is not name=value")
         name, _, value = binding.partition("=")
-        env[name.strip()] = float(value)
+        env[name.strip()] = x = float(value)
+        if not math.isfinite(x):
+            raise SceneSchemaError(f"binding '{binding}' is not a finite number")
     ast = parse(args.expr, variables=env.keys())
-    value = eval_float(ast, env)
-    print(value)
+    results = [("", eval_float(ast, env))]
     if args.order > 0:
         names = tuple(env.keys())
         jet = eval_jet(ast, [env[n] for n in names], args.order, names=names)
@@ -87,7 +89,11 @@ def _cmd_eval(args) -> int:
                 continue
             label = "*".join(f"d{names[i]}^{a}" if a > 1 else f"d{names[i]}"
                              for i, a in enumerate(alpha) if a)
-            print(f"{label}: {jet.partial(alpha)}")
+            results.append((f"{label}: ", jet.partial(alpha)))
+    bad = [f"{label or 'value '}{v}" for label, v in results if not math.isfinite(v)]
+    if bad:                             # a non-finite result is a numeric error
+        raise DomainEvalError(f"{bad[0]} is not finite", args.expr)
+    print("\n".join(f"{label}{v}" for label, v in results))
     return 0
 
 

@@ -33,8 +33,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (NonNormalVectorError, PreconditionError, RankDeficiencyError,
                      replay)
 from .jets import chart_names, eval_jet_env, jet_variables
-from .linalg import (cholesky_pivots, first_where, item, mv, norm, orthonormalize,
-                     solve_spd)
+from .linalg import (cholesky_pivots, first_where, item, lower_inverse, mv, norm,
+                     orthonormalize, solve_spd)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      _batch_first, _contract, jet_inner, riemann)
 
@@ -232,7 +232,7 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
     if np.any(collapsed):
         raise RankDeficiencyError(
             f"tangent frame collapsed at u={first_where(collapsed, u).tolist()}")
-    B = np.linalg.solve(L, np.eye(imm.n))
+    B = lower_inverse(L)
     tangents = B @ np.swapaxes(jac, -1, -2)
 
     completion, kept = orthonormalize(np.eye(imm.m), G, keep_tol=tols.normal_keep_tol,

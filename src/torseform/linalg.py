@@ -1,7 +1,9 @@
 """Small dense linear-algebra helpers with explicit tolerance behavior.
 
 Every helper takes one matrix or a stack of them with a leading batch axis
-(a sample of points) and applies the same rule at each point.
+(a sample of points) and applies the same rule at each point.  An SPD matrix
+is factored once, g = L Lᵀ; L⁻¹ comes from that factor (`lower_inverse`), and
+no general LU solve runs on a triangular matrix.
 """
 
 from __future__ import annotations
@@ -83,16 +85,22 @@ def cholesky_spd(a: np.ndarray, spd_tol: float) -> np.ndarray:
     return L
 
 
-def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L Lᵀ x = b for a Cholesky factor L and a matrix b (or stacks)."""
-    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, b))
+def lower_inverse(L: np.ndarray) -> np.ndarray:
+    """C = L⁻¹ for a lower-triangular L (or each of a stack), row by row:
+    C_ii = 1 / L_ii, C[i, :i] = −L[i, :i] C[:i, :i] / L_ii, one batched product
+    per row.  A slice of a stack's C is that slice's own C, bit for bit."""
+    d, C = np.diagonal(L, axis1=-2, axis2=-1), np.zeros(L.shape)
+    np.einsum("...ii->...i", C)[...] = 1.0 / d       # a view of C's diagonal
+    for i in range(1, L.shape[-1]):
+        C[..., i, :i] = (L[..., i, None, :i] @ C[..., :i, :i])[..., 0, :] / -d[..., i, None]
+    return C
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a (..., m, m) and a
-    right-hand side vector b (..., m) via Cholesky."""
-    b = np.asarray(b, dtype=float)
-    return cholesky_solve(cholesky_spd(a, spd_tol), b[..., None])[..., 0]
+    """Solve a x = b for symmetric positive definite a (..., m, m) and a vector
+    b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a."""
+    cholesky_spd(a, spd_tol)
+    return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,

@@ -29,7 +29,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlaneError, OrderInsufficientError,
                      PreconditionError, SingularMetricError)
 from .jets import Jet, chart_names, chart_points, eval_jet_env, jet_variables
-from .linalg import cholesky_solve, cholesky_spd, dot, first_where, item, mv
+from .linalg import cholesky_spd, dot, first_where, item, lower_inverse, mv
 
 
 @functools.cache
@@ -96,8 +96,14 @@ class MetricAtPoint:
         return cholesky_spd(self.g, self.spd_tol)
 
     @cached_property
+    def coframe(self) -> np.ndarray:
+        """C = L⁻¹, so g⁻¹ = Cᵀ C: the g-orthonormal frame e_i = Σ_j C[i, j] ∂_j
+        that Gram-Schmidt makes of ∂_1..∂_m in order (a batch axis leads)."""
+        return lower_inverse(self.factor)
+
+    @cached_property
     def inverse(self) -> np.ndarray:
-        return cholesky_solve(self.factor, np.eye(self.dim))
+        return np.swapaxes(self.coframe, -1, -2) @ self.coframe
 
     @cached_property
     def koszul(self) -> np.ndarray:
@@ -186,26 +192,27 @@ class MetricField:
         the entries' tape.
 
         A constant metric is walked and checked once, by the first call that
-        succeeds; later calls return its g and Cholesky factor at every
-        point, with zero derivatives, Γ and curvature."""
+        succeeds; later calls return its g, Cholesky factor and coframe at
+        every point, with zero derivatives, Γ and curvature."""
         if not self.constant:
             return self._walk(point, order)
         point = chart_points(point, self.dim)
         if self._held is None:
             self._held = self._walk(np.zeros(self.dim), 0)
         batch, m = point.shape[:-1], self.dim
+        g, factor, coframe = self._held.g, self._held.factor, self._held.coframe
         if batch:
             # a walk leaves the batch axis last in memory; so does this g,
             # so that products with it round alike
-            g = np.moveaxis(np.repeat(self._held.g[..., None], batch[0], -1), -1, 0)
-            factor = np.repeat(self._held.factor[None], batch[0], 0)
+            g = np.moveaxis(np.repeat(g[..., None], batch[0], -1), -1, 0)
+            factor, coframe = (np.repeat(a[None], batch[0], 0) for a in (factor, coframe))
         else:
-            g, factor = self._held.g.copy(), self._held.factor.copy()
+            g, factor, coframe = g.copy(), factor.copy(), coframe.copy()
         dg, d2g = (np.zeros(batch + (m,) * (k + 2)) if order >= k else None for k in (1, 2))
         mp = MetricAtPoint(point=point, g=g, dg=dg, d2g=d2g, spd_tol=self.spd_tol)
         # Γ and R of a constant metric vanish like its derivatives, and share their zeros
-        vars(mp).update((k, v) for k, v in (("factor", factor), ("gamma", dg), ("curvature", d2g))
-                        if v is not None)
+        data = dict(factor=factor, coframe=coframe, gamma=dg, curvature=d2g)
+        vars(mp).update((k, v) for k, v in data.items() if v is not None)
         return mp
 
     def _walk(self, point, order: int) -> MetricAtPoint:
@@ -363,17 +370,11 @@ def covariant_derivative(mp: MetricAtPoint, field: VectorAtPoint, direction) -> 
 
 
 def orthonormal_coordinate_frame(mp: MetricAtPoint, tols: Tolerances = DEFAULT):
-    """Gram-Schmidt the coordinate basis into a g-orthonormal frame.
-
-    Returns C with e_i = Σ_j C[i, j] ∂_j (rows are ambient components), with
-    a leading batch axis over a sample.  Gram-Schmidt of ∂_1..∂_m in order
-    gives the lower triangular C with C g Cᵀ = I, that is C = L⁻¹ for the
-    Cholesky factor g = L Lᵀ; the residual of ∂_i against ∂_1..∂_{i-1} has
-    norm L_ii, and the frame loses rank where that is frame_tol·max(1, |∂_i|)
-    or less.
-    """
+    """mp.coframe, the Gram-Schmidt of ∂_1..∂_m, once its rank is checked: the
+    residual of ∂_i against ∂_1..∂_{i-1} has norm L_ii, and the frame loses
+    rank where that is frame_tol·max(1, |∂_i|) or less."""
     residual = np.diagonal(mp.factor, axis1=-2, axis2=-1)
     length = np.sqrt(np.diagonal(mp.g, axis1=-2, axis2=-1))
     if np.any(residual <= tols.frame_tol * np.maximum(1.0, length)):
         raise SingularMetricError("coordinate frame lost rank under the metric")
-    return np.linalg.solve(mp.factor, np.eye(mp.dim))
+    return mp.coframe

@@ -18,8 +18,8 @@ from torseform import (ClassificationReport, builtin_names, builtin_scene,
 from torseform.errors import GeometryError, ZeroFieldError
 from torseform.expr import parse
 from torseform.jets import call, eval_jet, eval_jet_env, jet_variables
-from torseform.linalg import cholesky_spd, orthonormalize, solve_spd
-from torseform.metric import (MetricField, VectorAtPoint, VectorField,
+from torseform.linalg import cholesky_spd, lower_inverse, orthonormalize, solve_spd
+from torseform.metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                               covariant_derivative, jet_inner)
 
 REL = 1e-12
@@ -99,18 +99,23 @@ class TestJets:
 
 
 class TestLinalg:
-    def test_stacked_cholesky_solve_and_frames_equal_slices(self):
+    def test_stacked_solve_coframe_and_frames_equal_slices(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((6, 4, 4))
         gram = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(4)
         b = rng.standard_normal((6, 4))
         L, x = cholesky_spd(gram, 1e-12), solve_spd(gram, b, 1e-12)
+        mp = MetricAtPoint(point=np.zeros((6, 4)), g=gram, spd_tol=1e-12)
         start = np.stack([np.eye(4)[1] / np.sqrt(gram[i, 1, 1]) for i in range(6)])
         basis, kept = orthonormalize(np.eye(4), gram, keep_tol=1e-10,
                                      start_basis=start[:, None, :])
         for i in range(6):
             assert np.array_equal(L[i], cholesky_spd(gram[i], 1e-12))
             assert_close(x[i], solve_spd(gram[i], b[i], 1e-12))
+            single = MetricAtPoint(point=np.zeros(4), g=gram[i], spd_tol=1e-12)
+            assert np.array_equal(mp.coframe[i], single.coframe)
+            assert np.array_equal(mp.coframe[i], lower_inverse(L[i]))
+            assert np.array_equal(mp.inverse[i], single.inverse)
             bi, ki = orthonormalize(np.eye(4), gram[i], keep_tol=1e-10,
                                     start_basis=start[i, None])
             assert np.array_equal(basis[i], bi)

@@ -243,7 +243,7 @@ class TestConstantMetric:
         for points in (rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (7, 3))):
             for _ in range(2):                  # the first call and a held one
                 held, walk = metric.at(points, order), walked(metric, points, order)
-                for name in ("point", "g", "dg", "d2g", "factor", "inverse"):
+                for name in ("point", "g", "dg", "d2g", "factor", "coframe", "inverse"):
                     a, b = getattr(held, name), getattr(walk, name)
                     assert (a is None and b is None) or (
                         np.array_equal(a, b) and a.shape == b.shape
@@ -285,6 +285,29 @@ class TestConstantMetric:
             mp = metric.at(at, order=2)
             assert mp.gamma.shape == mp.curvature.shape[:-1]
         assert calls == {"christoffel": 2 * runs, "riemann_components": 2 * runs}
+
+    @pytest.mark.parametrize("entries, runs", [(DENSE, 0), ("euclidean", 0),
+                                               ([["1"], ["0", "x1^2"]], 2)])
+    def test_coframe_is_computed_only_where_the_metric_varies(self, monkeypatch,
+                                                                entries, runs):
+        # a constant metric holds its coframe after the first call, so g⁻¹
+        # is one product; a varying one takes L⁻¹ at every call
+        import torseform.metric as metric_module
+        calls = []
+        real = metric_module.lower_inverse
+        monkeypatch.setattr(metric_module, "lower_inverse",
+                            lambda L: calls.append(L.shape) or real(L))
+        metric = MetricField.euclidean(3) if entries == "euclidean" else MetricField(entries)
+        points = np.random.default_rng(4).uniform(0.5, 2, (5, metric.dim))
+        metric.at(points, order=1).inverse
+        calls.clear()
+        for at in (points, points[0]):
+            mp = metric.at(at, order=1)
+            identity = np.broadcast_to(np.eye(metric.dim), mp.g.shape)
+            assert np.allclose(mp.inverse @ mp.g, identity, rtol=0, atol=1e-14)
+            assert np.allclose(mp.coframe @ mp.g @ np.swapaxes(mp.coframe, -1, -2),
+                               identity, rtol=0, atol=1e-14)
+        assert len(calls) == runs
 
     def test_held_fit_equals_walked_fit(self):
         metric = MetricField(self.DENSE)

@@ -478,6 +478,27 @@ class TestCli:
         assert "out of range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_eval_overflowing_value_is_a_numeric_error(self):
+        # x1*x1 overflows to inf without a function row to catch it, as
+        # exp(x1) at 1000 is caught: exit 3, nothing printed
+        proc = run_cli("eval", "x1*x1", "--at", "x1=1e200")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "numeric error: value inf is not finite in subexpression 'x1*x1'\n"
+
+    def test_eval_non_finite_jet_coefficient_is_a_numeric_error(self):
+        # sqrt at 1e-300 is finite, its second derivative -1/(4 x^1.5) is not
+        proc = run_cli("eval", "sqrt(x1)", "--at", "x1=1e-300", "--order", "2")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "dx1^2: -inf is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+    def test_eval_non_finite_binding_is_a_usage_error(self, value):
+        # as a 1e400 literal in the expression is
+        proc = run_cli("eval", "x1+x2", "--at", f"x1=1,x2={value}")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: binding 'x2={value}' is not a finite number\n"
+
     def test_check_scene_with_overflowing_literal_exit_two(self, tmp_path):
         path, out = tmp_path / "overflow-literal.json", tmp_path / "report.json"
         path.write_text(json.dumps(minimal_doc(field=["1", "sqrt(x2-1e400)"])))
