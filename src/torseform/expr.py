@@ -13,9 +13,9 @@ insignificant.  When a variable set is supplied, identifiers outside it are
 rejected at parse time with their position, as are literals that overflow.
 
 FUNCTIONS is the one table of calls (sin cos tan sinh cosh tanh asinh atanh
-atan sqrt exp log abs pow): arity plus a row of derivatives at a point (or at
-every point of a batch), read by float evaluation here and by the jet engine
-in `torseform.jets`.
+atan sqrt exp log abs pow): arity plus a row of derivatives on numpy's
+kernels, applied by `row` to a float as to a 1-point batch, for float
+evaluation here and for the jet engine in `torseform.jets` alike.
 """
 
 from __future__ import annotations
@@ -39,36 +39,26 @@ from .errors import DomainEvalError, JetDomainError, ParseError
 class Function(NamedTuple):
     """``derivatives(x, k, *params)`` returns [φ(x), φ′(x), …, φ⁽ᵏ⁾(x)], k <= 3,
     for φ the function of its first argument, further arguments (the exponent
-    of pow) held fixed.  x is a float, or an array holding one value per point
-    of a batch; a row uses math for the one and numpy for the other.  It
-    raises on a domain violation (at any point of a batch): the value needs x
-    in the domain, derivatives of order >= 1 need x in its interior."""
+    of pow) held fixed.  x holds one value per point of a batch; a row is
+    built from numpy's ufuncs, with np.power for every power and never
+    ``**`` (which calls libm's pow on a scalar), so a point's results are
+    bitwise those of a batch holding it.  It raises on a domain violation
+    (at any point of a batch): the value needs x in the domain, derivatives
+    of order >= 1 need x in its interior.  `row` applies a row to a float
+    as to a 1-point batch, so a float's value and errors are a batch's."""
 
     arity: int
     derivatives: Callable
 
 
-class _ArrayMath:
-    """numpy's ufuncs under the names of the math module."""
-
-    sin, cos, tan, sinh, cosh, tanh = np.sin, np.cos, np.tan, np.sinh, np.cosh, np.tanh
-    asinh, atanh, atan = np.arcsinh, np.arctanh, np.arctan
-    sqrt, exp, log, pow, copysign = np.sqrt, np.exp, np.log, np.power, np.copysign
-
-
-def _lib(x):
-    """math at a float, numpy at an array of values."""
-    return math if isinstance(x, float) else _ArrayMath
-
-
 def _anywhere(bad) -> bool:
-    """`bad` at a float, or at any point of an array."""
-    return bad if bad.__class__ is bool else bool(bad.any())
+    """`bad` at a point, or at any point of an array."""
+    return bool(bad.any() if isinstance(bad, np.ndarray) else bad)
 
 
 def _outside(what: str, x, bad) -> JetDomainError:
-    """The domain error for x (at the first point of an array where `bad`)."""
-    return JetDomainError(f"{what} {float(x if np.ndim(x) == 0 else x[bad][0])!r}")
+    """The domain error for the first value of x where `bad`."""
+    return JetDomainError(f"{what} {float(np.extract(bad, x)[0])!r}")
 
 
 def _cyclic(f, g, sign, k):
@@ -85,31 +75,33 @@ def _tan_like(t, sign, k):
 def _atan_like(value, x, sign, k):
     """atan (sign 1) and atanh (sign -1): φ' = 1 / (1 + sign·x²)."""
     d1 = 1.0 / (1.0 + sign * x * x)
-    return [value, d1, -2.0 * sign * x * d1 * d1, (6.0 * x * x - 2.0 * sign) * d1 ** 3][:k + 1]
+    return [value, d1, -2.0 * sign * x * d1 * d1,
+            (6.0 * x * x - 2.0 * sign) * np.power(d1, 3)][:k + 1]
 
 
 def _atanh(x, k):
     if _anywhere(abs(x) >= 1.0):
         raise _outside("atanh outside (-1, 1) at", x, abs(x) >= 1.0)
-    return _atan_like(_lib(x).atanh(x), x, -1.0, k)
+    return _atan_like(np.arctanh(x), x, -1.0, k)
 
 
 def _asinh(x, k):
     w = 1.0 + x * x
-    return [_lib(x).asinh(x), w ** -0.5, -x * w ** -1.5, (2.0 * x * x - 1.0) * w ** -2.5][:k + 1]
+    return [np.arcsinh(x), np.power(w, -0.5), -x * np.power(w, -1.5),
+            (2.0 * x * x - 1.0) * np.power(w, -2.5)][:k + 1]
 
 
 def _log(x, k):
     if _anywhere(x <= 0.0):
         raise _outside("log of non-positive value", x, x <= 0.0)
     r = 1.0 / x
-    return [_lib(x).log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
+    return [np.log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
 
 
 def _sqrt(x, k):
     if _anywhere(x < 0.0):
         raise _outside("sqrt of negative value", x, x < 0.0)
-    r = _lib(x).sqrt(x)
+    r = np.sqrt(x)
     if k == 0:
         return [r]
     if _anywhere(x == 0.0):
@@ -122,7 +114,7 @@ def _sqrt(x, k):
 def _abs(x, k):
     if k and _anywhere(x == 0.0):
         raise JetDomainError("abs is not differentiable at 0")
-    return [abs(x), _lib(x).copysign(1.0, x), 0.0, 0.0][:k + 1]
+    return [np.abs(x), np.copysign(1.0, x), 0.0, 0.0][:k + 1]
 
 
 def _pow(x, k, p):
@@ -134,7 +126,6 @@ def _pow(x, k, p):
         raise JetDomainError("division by zero")
     if k and not whole and _anywhere(x == 0.0):
         raise JetDomainError(f"non-integer power {float(p)!r} is not differentiable at 0")
-    power = _lib(x).pow
     out, c = [], 1.0
     for j in range(k + 1):
         # c = p (p-1) ... (p-j+1), 0 past a non-negative integer p; a negative
@@ -142,29 +133,46 @@ def _pow(x, k, p):
         if not c:
             out.append(0.0)
         elif whole and p < j:
-            out.append(c / power(x, j - p))
+            out.append(c / np.power(x, j - p))
         else:
-            out.append(c * power(x, p - j))
+            out.append(c * np.power(x, p - j))
         c *= p - j
     return out
 
 
 FUNCTIONS = {
-    "sin": Function(1, lambda x, k: _cyclic(_lib(x).sin(x), _lib(x).cos(x), -1.0, k)),
-    "cos": Function(1, lambda x, k: _cyclic(_lib(x).cos(x), -_lib(x).sin(x), -1.0, k)),
-    "tan": Function(1, lambda x, k: _tan_like(_lib(x).tan(x), 1.0, k)),
-    "sinh": Function(1, lambda x, k: _cyclic(_lib(x).sinh(x), _lib(x).cosh(x), 1.0, k)),
-    "cosh": Function(1, lambda x, k: _cyclic(_lib(x).cosh(x), _lib(x).sinh(x), 1.0, k)),
-    "tanh": Function(1, lambda x, k: _tan_like(_lib(x).tanh(x), -1.0, k)),
+    "sin": Function(1, lambda x, k: _cyclic(np.sin(x), np.cos(x), -1.0, k)),
+    "cos": Function(1, lambda x, k: _cyclic(np.cos(x), -np.sin(x), -1.0, k)),
+    "tan": Function(1, lambda x, k: _tan_like(np.tan(x), 1.0, k)),
+    "sinh": Function(1, lambda x, k: _cyclic(np.sinh(x), np.cosh(x), 1.0, k)),
+    "cosh": Function(1, lambda x, k: _cyclic(np.cosh(x), np.sinh(x), 1.0, k)),
+    "tanh": Function(1, lambda x, k: _tan_like(np.tanh(x), -1.0, k)),
     "asinh": Function(1, _asinh),
     "atanh": Function(1, _atanh),
-    "atan": Function(1, lambda x, k: _atan_like(_lib(x).atan(x), x, 1.0, k)),
+    "atan": Function(1, lambda x, k: _atan_like(np.arctan(x), x, 1.0, k)),
     "sqrt": Function(1, _sqrt),
-    "exp": Function(1, lambda x, k: [_lib(x).exp(x)] * (k + 1)),
+    "exp": Function(1, lambda x, k: [np.exp(x)] * (k + 1)),
     "log": Function(1, _log),
     "abs": Function(1, _abs),
     "pow": Function(2, _pow),
 }
+
+
+def row(name: str, x, k: int, *params) -> list:
+    """The FUNCTIONS row `name` to order k at x, a float or an array of
+    values (one per point of a batch).  A float is run as np.float64, a
+    batch of one point, and its results come back as floats.  JetDomainError
+    at the first argument where a value or a derivative is not finite.
+    numpy's warnings are left to the caller's errstate (Tape.run holds one)."""
+    one = not isinstance(x, np.ndarray)
+    phi = FUNCTIONS[name].derivatives(np.float64(x) if one else x, k, *params)
+    if one:
+        if all(map(math.isfinite, phi)):    # np.isfinite's answer, without a ufunc call
+            return list(map(float, phi))    # floats, so that '/' by zero still raises
+    elif all(np.isfinite(v).all() for v in phi):
+        return phi
+    finite = functools.reduce(operator.and_, map(np.isfinite, phi))
+    raise JetDomainError(f"{name} is not finite at {float(np.extract(~finite, x)[0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +507,12 @@ class Tape:
             regs = self.literals + [env.get(n) for n in self.names] + self.blank
             program = program[:self.first_read[unbound]]
         try:
-            for k, (fn, a, b, d) in enumerate(program):
-                regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            # a non-finite result is judged by the rows and the callers, not
+            # announced by numpy on stderr
+            with np.errstate(all="ignore"):
+                for k, (fn, a, b, d) in enumerate(program):
+                    regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+        except (ZeroDivisionError, ValueError) as exc:
             raise _domain_error(exc, self.nodes[k]) from exc
         if unbound is not None:
             raise DomainEvalError(f"unbound variable '{unbound}'", unbound)
@@ -516,7 +527,7 @@ def _domain_error(exc: Exception, node: Expr) -> DomainEvalError:
 
 
 def _float_call(name: str, x: float, *params: float) -> float:
-    return FUNCTIONS[name].derivatives(x, 0, *params)[0]
+    return row(name, x, 0, *params)[0]
 
 
 def eval_float(expr, env: Mapping[str, float]):

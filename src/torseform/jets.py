@@ -8,7 +8,7 @@ one run of an expression evaluates it at every point.  Products follow
 Leibniz's rule; every elementary function, constant power and reciprocal
 goes through one Faà di Bruno composition fed with the function's
 derivatives at the point, read from the single function table
-`expr.FUNCTIONS`.  Every
+`expr.FUNCTIONS` by `expr.row`, which rounds a point as a batch.  Every
 derivative the toolkit consumes is therefore exact to round-off; finite
 differences exist only as a test oracle.
 """
@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import JetDomainError
 from .linalg import item
 
 MAX_ORDER = 3
@@ -217,10 +216,10 @@ def call(name: str, x, *params):
     jet exponent, or one that differs between the points of a batch, goes
     through exp(exponent·log(base)).
 
-    Over a batch, a row that yields a value or a derivative that is not
-    finite raises JetDomainError, as math does for float evaluation where
-    numpy would return inf or NaN; so a batch raises wherever one of its
-    points, evaluated alone, would."""
+    The row runs through `expr.row` at a float, at a point jet's value and
+    over a batch alike, so a point's results and errors (JetDomainError
+    where a value or a derivative is not finite) are those of a batch
+    holding it."""
     if params and isinstance(params[0], Jet):
         exponent = params[0]
         p = exponent.value
@@ -229,16 +228,9 @@ def call(name: str, x, *params):
         if p is None or not exponent.is_constant():
             return call("exp", call("log", x) * exponent)
         params = (float(p),)
-    derivatives = ex.FUNCTIONS[name].derivatives
     if not isinstance(x, Jet):
-        return derivatives(x, 0, *params)[0]
-    if not isinstance(x.d[0], np.ndarray):
-        return x.compose(derivatives(x.d[0], x.order, *params))
-    with np.errstate(all="ignore"):
-        phi = derivatives(x.d[0], x.order, *params)
-    if not all(np.isfinite(v).all() for v in phi):
-        raise JetDomainError(f"{name} is not finite at a point of the batch")
-    return x.compose(phi)
+        return ex.row(name, x, 0, *params)[0]
+    return x.compose(ex.row(name, x.d[0], x.order, *params))
 
 
 def chart_names(dim: int, prefix: str = "x") -> tuple:

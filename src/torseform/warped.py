@@ -32,7 +32,7 @@ from .immersion import Immersion
 from .jets import eval_jet
 from .linalg import orthonormalize, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     covariant_jacobian, stacked, unit_and_norm_at)
+                     covariant_jacobian, unit_and_norm_at)
 
 GEODESIC_A_TOL = 1e-8    # |∇̃_{E₁}E₁|
 DECOMP_TOL = 1e-7        # items (b), (c), (d) of the ambient decomposition
@@ -103,12 +103,8 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
         return coords / lam, lam, x
 
     def fit_nodes():
-        # the jets are walked node by node, as one fit per node walks them
-        # (numpy's function kernels over an array may round unlike math at a
-        # point); the fit itself is one batch
-        xs = [x for *_, x in nodes]
-        return replay(lambda: fit_at_point(stacked([metric.at(x, 1) for x in xs]),
-                                           stacked([field.at(x, 1) for x in xs]), tols).f,
+        xs = np.array([x for *_, x in nodes])
+        return replay(lambda: fit_at_point(metric.at(xs, 1), field.at(xs, 1), tols).f,
                       lambda x: fit_torse_forming(metric, field, x, tols).f, xs,
                       merge=np.array)
 

@@ -91,7 +91,7 @@ class TestJets:
             eval_jet(parse("log(x1)"), points, 1)
 
     def test_overflow_in_a_batch_raises_like_math(self):
-        # math.exp raises on overflow where numpy would return inf
+        # exp's row raises where its value is not finite, at a point as in a batch
         with pytest.raises(GeometryError):
             eval_jet(parse("exp(x1)"), [800.0], 1)
         with pytest.raises(GeometryError):

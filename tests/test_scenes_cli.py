@@ -486,11 +486,28 @@ class TestCli:
         assert proc.stderr == "numeric error: value inf is not finite in subexpression 'x1*x1'\n"
 
     def test_eval_non_finite_jet_coefficient_is_a_numeric_error(self):
-        # sqrt at 1e-300 is finite, its second derivative -1/(4 x^1.5) is not
-        proc = run_cli("eval", "sqrt(x1)", "--at", "x1=1e-300", "--order", "2")
+        # sqrt at 1e-300 is finite, its second derivative -1/(4 x^1.5) is
+        # not, and the row says so; 1e308*x1*x1 calls no row, and its first
+        # derivative 2e308 overflows in the jet arithmetic
+        for src, at, reason in [("sqrt(x1)", "x1=1e-300", "sqrt is not finite at 1e-300"),
+                                ("1e308*x1*x1", "x1=1", "dx1: inf is not finite")]:
+            proc = run_cli("eval", src, "--at", at, "--order", "2")
+            assert proc.returncode == 3 and proc.stdout == ""
+            assert reason in proc.stderr and "not finite" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("src, at, order, line", [
+        ("1e308*x1*x1", "x1=1", "1", "dx1: inf is not finite in subexpression '1e308*x1*x1'"),
+        ("exp(x1)", "x1=1000", "0", "exp is not finite at 1000.0 in subexpression 'exp(x1)'"),
+        ("sqrt(x1)", "x1=1e-300", "2",
+         "sqrt is not finite at 1e-300 in subexpression 'sqrt(x1)'"),
+    ])
+    def test_eval_numeric_error_is_the_only_line_on_stderr(self, src, at, order, line):
+        # no numpy RuntimeWarning precedes it (pytest's warning filter does
+        # not reach the child process)
+        proc = run_cli("eval", src, "--at", at, "--order", order)
         assert proc.returncode == 3 and proc.stdout == ""
-        assert "dx1^2: -inf is not finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"numeric error: {line}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
     def test_eval_non_finite_binding_is_a_usage_error(self, value):

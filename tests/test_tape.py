@@ -15,7 +15,7 @@ import pytest
 from conftest import random_expression
 from torseform import (VectorField, build_warped_ambient, builtin_names, builtin_scene,
                        eval_float)
-from torseform.errors import DomainEvalError
+from torseform.errors import DomainEvalError, JetDomainError
 from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, parse,
                             to_source)
 from torseform.jets import Jet, call, eval_jet_env, jet_variables
@@ -59,7 +59,14 @@ def walk(expr, env, call):
 
 
 def float_call(name, x, *params):
-    return FUNCTIONS[name].derivatives(x, 0, *params)[0]
+    """The row's value at a float by the one rounding rule: run as
+    np.float64, a batch of one point, returned as a float, and a value that
+    is not finite fails as it would over a batch."""
+    with np.errstate(all="ignore"):
+        value = FUNCTIONS[name].derivatives(np.float64(x), 0, *params)[0]
+    if not np.isfinite(value):
+        raise JetDomainError(f"{name} is not finite at {x!r}")
+    return float(value)
 
 
 def walked(exprs, env):

@@ -432,6 +432,20 @@ class TestBatchedNodeFits:
         assert np.array_equal(fitted[0], nodes)
 
     @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_node_fit_reads_metric_and_field_once_on_the_node_array(self, monkeypatch, name):
+        # every right-hand side reads both at one point, the node fit at all
+        ranks = {MetricField: [], VectorField: []}
+        for cls, seen in ranks.items():
+            def recording(owner, point, order, at=cls.at, seen=seen):
+                seen.append((np.ndim(point), order))
+                return at(owner, point, order)
+            monkeypatch.setattr(cls, "at", recording)
+        curve = trace_integral_curve(*CURVES[name]())
+        for seen in ranks.values():
+            assert seen.count((2, 1)) == 1
+            assert seen.count((1, 0)) == curve.rhs_evaluations == len(seen) - 1
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
     def test_one_right_hand_side_per_node(self, name):
         # 1 at the start node, then three fresh stages and the node's own per
         # step, plus the three stages of a step that leaves the box
