@@ -20,6 +20,7 @@ evaluation here and for the jet engine in `torseform.jets` alike.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -39,13 +40,12 @@ from .errors import DomainEvalError, JetDomainError, ParseError
 class Function(NamedTuple):
     """``derivatives(x, k, *params)`` returns [φ(x), φ′(x), …, φ⁽ᵏ⁾(x)], k <= 3,
     for φ the function of its first argument, further arguments (the exponent
-    of pow) held fixed.  x holds one value per point of a batch; a row is
-    built from numpy's ufuncs, with np.power for every power and never
-    ``**`` (which calls libm's pow on a scalar), so a point's results are
-    bitwise those of a batch holding it.  It raises on a domain violation
-    (at any point of a batch): the value needs x in the domain, derivatives
-    of order >= 1 need x in its interior.  `row` applies a row to a float
-    as to a 1-point batch, so a float's value and errors are a batch's."""
+    of pow) held fixed, at x holding one value per point of a batch.  A row
+    is built from numpy's ufuncs and np.power, never ``**`` (libm's pow on a
+    scalar), and `row` runs a float as a 1-point batch, so a float's value
+    and errors are a batch's.  It raises on a domain violation (at any point
+    of a batch): the value needs x in the domain, derivatives of order >= 1
+    need x in its interior."""
 
     arity: int
     derivatives: Callable
@@ -56,14 +56,18 @@ def _anywhere(bad) -> bool:
     return bool(bad.any() if isinstance(bad, np.ndarray) else bad)
 
 
-def _outside(what: str, x, bad) -> JetDomainError:
-    """The domain error for the first value of x where `bad`."""
-    return JetDomainError(f"{what} {float(np.extract(bad, x)[0])!r}")
+def _raise_where(bad, what: str, x):
+    """The domain error for the first value of x where `bad`, if there is one."""
+    if _anywhere(bad):
+        raise JetDomainError(f"{what} {float(np.extract(bad, x)[0])!r}")
 
 
-def _cyclic(f, g, sign, k):
-    """sin, cos, sinh, cosh: φ'' = sign·φ, so the derivatives cycle through f, g."""
-    return [f, g, sign * f, sign * g][:k + 1]
+def _cyclic(f, g, x, sign, k):
+    """sin, cos, sinh, cosh: φ'' = sign·φ, so the derivatives cycle through f(x), g(x)."""
+    if k == 0:
+        return [f(x)]
+    value, d1 = f(x), g(x)
+    return [value, d1, sign * value, sign * d1][:k + 1]
 
 
 def _tan_like(t, sign, k):
@@ -80,8 +84,7 @@ def _atan_like(value, x, sign, k):
 
 
 def _atanh(x, k):
-    if _anywhere(abs(x) >= 1.0):
-        raise _outside("atanh outside (-1, 1) at", x, abs(x) >= 1.0)
+    _raise_where(abs(x) >= 1.0, "atanh outside (-1, 1) at", x)
     return _atan_like(np.arctanh(x), x, -1.0, k)
 
 
@@ -92,15 +95,13 @@ def _asinh(x, k):
 
 
 def _log(x, k):
-    if _anywhere(x <= 0.0):
-        raise _outside("log of non-positive value", x, x <= 0.0)
+    _raise_where(x <= 0.0, "log of non-positive value", x)
     r = 1.0 / x
     return [np.log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
 
 
 def _sqrt(x, k):
-    if _anywhere(x < 0.0):
-        raise _outside("sqrt of negative value", x, x < 0.0)
+    _raise_where(x < 0.0, "sqrt of negative value", x)
     r = np.sqrt(x)
     if k == 0:
         return [r]
@@ -120,8 +121,8 @@ def _abs(x, k):
 def _pow(x, k, p):
     """x^p and its x-derivatives for a constant exponent p."""
     whole = float(p).is_integer()
-    if not whole and _anywhere(x < 0.0):
-        raise _outside(f"non-integer power {float(p)!r} of negative value", x, x < 0.0)
+    if not whole:
+        _raise_where(x < 0.0, f"non-integer power {float(p)!r} of negative value", x)
     if p < 0.0 and _anywhere(x == 0.0):
         raise JetDomainError("division by zero")
     if k and not whole and _anywhere(x == 0.0):
@@ -141,11 +142,11 @@ def _pow(x, k, p):
 
 
 FUNCTIONS = {
-    "sin": Function(1, lambda x, k: _cyclic(np.sin(x), np.cos(x), -1.0, k)),
-    "cos": Function(1, lambda x, k: _cyclic(np.cos(x), -np.sin(x), -1.0, k)),
+    "sin": Function(1, lambda x, k: _cyclic(np.sin, np.cos, x, -1.0, k)),
+    "cos": Function(1, lambda x, k: _cyclic(np.cos, lambda t: -np.sin(t), x, -1.0, k)),
     "tan": Function(1, lambda x, k: _tan_like(np.tan(x), 1.0, k)),
-    "sinh": Function(1, lambda x, k: _cyclic(np.sinh(x), np.cosh(x), 1.0, k)),
-    "cosh": Function(1, lambda x, k: _cyclic(np.cosh(x), np.sinh(x), 1.0, k)),
+    "sinh": Function(1, lambda x, k: _cyclic(np.sinh, np.cosh, x, 1.0, k)),
+    "cosh": Function(1, lambda x, k: _cyclic(np.cosh, np.sinh, x, 1.0, k)),
     "tanh": Function(1, lambda x, k: _tan_like(np.tanh(x), -1.0, k)),
     "asinh": Function(1, _asinh),
     "atanh": Function(1, _atanh),
@@ -158,20 +159,29 @@ FUNCTIONS = {
 }
 
 
+# set while Tape.run holds numpy's errstate, which costs as much as a row at a float
+_QUIET = contextvars.ContextVar("quiet", default=False)
+
+
 def row(name: str, x, k: int, *params) -> list:
     """The FUNCTIONS row `name` to order k at x, a float or an array of
     values (one per point of a batch).  A float is run as np.float64, a
     batch of one point, and its results come back as floats.  JetDomainError
-    at the first argument where a value or a derivative is not finite.
-    numpy's warnings are left to the caller's errstate (Tape.run holds one)."""
+    at the first argument where a value or a derivative is not finite; numpy
+    warns of nothing, under Tape.run's errstate or, outside a run, the row's."""
     one = not isinstance(x, np.ndarray)
-    phi = FUNCTIONS[name].derivatives(np.float64(x) if one else x, k, *params)
-    if one:
-        if all(map(math.isfinite, phi)):    # np.isfinite's answer, without a ufunc call
-            return list(map(float, phi))    # floats, so that '/' by zero still raises
-    elif all(np.isfinite(v).all() for v in phi):
-        return phi
+    derivatives, x = FUNCTIONS[name].derivatives, np.float64(x) if one else x
+    if _QUIET.get():
+        phi = derivatives(x, k, *params)
+    else:
+        with np.errstate(all="ignore"):
+            phi = derivatives(x, k, *params)
+    # at a float, math.isfinite gives np.isfinite's answer ~3 µs sooner per row
+    if one and all(map(math.isfinite, phi)):
+        return list(map(float, phi))        # floats, so that '/' by zero still raises
     finite = functools.reduce(operator.and_, map(np.isfinite, phi))
+    if finite.all():
+        return phi
     raise JetDomainError(f"{name} is not finite at {float(np.extract(~finite, x)[0])!r}")
 
 
@@ -506,14 +516,16 @@ class Tape:
             unbound = next(n for n in self.names if n not in env)
             regs = self.literals + [env.get(n) for n in self.names] + self.blank
             program = program[:self.first_read[unbound]]
+        quiet = _QUIET.set(True)
         try:
-            # a non-finite result is judged by the rows and the callers, not
-            # announced by numpy on stderr
+            # the rows and the callers judge a non-finite result, not numpy on stderr
             with np.errstate(all="ignore"):
                 for k, (fn, a, b, d) in enumerate(program):
                     regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         except (ZeroDivisionError, ValueError) as exc:
             raise _domain_error(exc, self.nodes[k]) from exc
+        finally:
+            _QUIET.reset(quiet)
         if unbound is not None:
             raise DomainEvalError(f"unbound variable '{unbound}'", unbound)
         return [regs[i] for i in self.outputs]

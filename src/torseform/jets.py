@@ -216,10 +216,8 @@ def call(name: str, x, *params):
     jet exponent, or one that differs between the points of a batch, goes
     through exp(exponent·log(base)).
 
-    The row runs through `expr.row` at a float, at a point jet's value and
-    over a batch alike, so a point's results and errors (JetDomainError
-    where a value or a derivative is not finite) are those of a batch
-    holding it."""
+    `expr.row` runs the row at a float, a point jet's value and a batch alike,
+    so a point's results and errors are those of a batch holding it."""
     if params and isinstance(params[0], Jet):
         exponent = params[0]
         p = exponent.value

@@ -7,7 +7,7 @@ its own process, importing the package from its own src/.  The script
 prints one line per report, `same` or `DIFFERS`, then a summary, and
 exits 1 if any report or exit code differs:
 
-    python tests/compare_reports.py OTHER_CHECKOUT [--points N] [--seeds 42 7]
+    python tests/compare_reports.py OTHER_CHECKOUT
 
 OTHER_CHECKOUT is any directory holding a src/torseform tree, for
 example the parent commit exported with `git archive`.  Unlike the golden
@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+POINTS, SEEDS = 200, (42, 7)
 
 # run in a child process whose PYTHONPATH is one checkout's src/
 CHILD = """
@@ -41,10 +42,10 @@ print(json.dumps(out))
 """
 
 
-def reports(checkout: Path, points: int, seeds) -> dict:
+def reports(checkout: Path) -> dict:
     """{"<scene>-s<seed>": [exit code, JSON report]} computed by `checkout`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(points), *map(str, seeds)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(POINTS), *map(str, SEEDS)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -52,19 +53,16 @@ def reports(checkout: Path, points: int, seeds) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="checkout to compare against")
-    parser.add_argument("--points", type=int, default=200)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[42, 7])
     args = parser.parse_args(argv)
     if not (args.other / "src" / "torseform").is_dir():
         parser.error(f"{args.other} holds no src/torseform")
-    mine = reports(HERE, args.points, args.seeds)
-    theirs = reports(args.other, args.points, args.seeds)
+    mine, theirs = reports(HERE), reports(args.other)
     keys = sorted(mine.keys() | theirs.keys())
     differing = [key for key in keys if mine.get(key) != theirs.get(key)]
     for key in keys:
         print(f"{key}: {'DIFFERS' if key in differing else 'same'}")
     print(f"{len(keys) - len(differing)} of {len(keys)} reports byte-identical "
-          f"(report_to_json and exit code, N = {args.points}, seeds {args.seeds})")
+          f"(report_to_json and exit code, N = {POINTS}, seeds {SEEDS})")
     return 1 if differing else 0
 
 

@@ -5,13 +5,15 @@ point and a batch fail with the same message at the same argument."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from torseform import eval_float, eval_jet, parse
-from torseform.errors import DomainEvalError
+from torseform.errors import DomainEvalError, JetDomainError
 from torseform.expr import FUNCTIONS, row
-from torseform.jets import call
+from torseform.jets import Jet, call
 
 N = 10_000
 
@@ -88,3 +90,27 @@ def test_a_float_a_point_jet_and_a_batch_fail_alike(src, bad, order, reason):
         with pytest.raises(DomainEvalError) as err:
             evaluate()
         assert str(err.value) == f"{reason} in subexpression '{src}'"
+
+
+def _jet(value):
+    """The order-1 jet of x1 at a float or over an array of values."""
+    return Jet.variable(0, value, 1, 1)
+
+
+@pytest.mark.parametrize("evaluate, reason", [
+    (lambda: call("exp", 800.0), "exp is not finite at 800.0"),
+    (lambda: call("exp", np.array([1.0, 800.0, 900.0])), "exp is not finite at 800.0"),
+    (lambda: call("cosh", _jet(1000.0)), "cosh is not finite at 1000.0"),
+    (lambda: 1.0 / _jet(1e-320), "pow is not finite at 1e-320"),
+    (lambda: 1.0 / _jet(np.array([1.0, 1e-320])), "pow is not finite at 1e-320"),
+    (lambda: _jet(1e200) ** 2.0, "pow is not finite at 1e+200"),
+    (lambda: _jet(np.array([2.0, 1e200])) ** 2.0, "pow is not finite at 1e+200"),
+], ids=["float", "batch", "point-jet", "point-reciprocal", "batch-reciprocal",
+        "point-power", "batch-power"])
+def test_a_row_outside_a_tape_fails_without_a_numpy_warning(evaluate, reason):
+    # outside Tape.run, which holds numpy's errstate, the row holds its own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JetDomainError) as err:
+            evaluate()
+    assert str(err.value) == reason
