@@ -12,6 +12,7 @@ error, 3 internal numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -22,6 +23,7 @@ from .jets import MAX_ORDER, eval_jet
 from .scenes import builtin_names, builtin_scene, load_scene_file, with_seed
 
 
+@functools.cache                # built once per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torseform",
@@ -98,8 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
             return _cmd_check(args)

@@ -36,6 +36,8 @@ class Tolerances:
     # warped-product checks
     ode_tol: float = 1e-6         # warping ODE residual cutoff
     warp_tol: float = 1e-6        # tanh-model deviation cutoff
+    decomp_geodesic_tol: float = 1e-8  # (a) |∇̃_{E₁}E₁| of the ambient decomposition
+    decomp_tol: float = 1e-7      # items (b), (c), (d) of the ambient decomposition
 
     def override(self, **kwargs) -> "Tolerances":
         """Return a copy with the given named tolerances replaced."""

@@ -159,8 +159,22 @@ FUNCTIONS = {
 }
 
 
-# set while Tape.run holds numpy's errstate, which costs as much as a row at a float
 _QUIET = contextvars.ContextVar("quiet", default=False)
+
+
+class quiet:
+    """A scope in which numpy warns of nothing, as callers judge a non-finite result;
+    only the outermost of nested scopes sets _QUIET and enters np.errstate."""
+
+    def __enter__(self):
+        self.outer = None if _QUIET.get() else (_QUIET.set(True), np.errstate(all="ignore"))
+        if self.outer:
+            self.outer[1].__enter__()
+
+    def __exit__(self, *exc):
+        if self.outer:
+            self.outer[1].__exit__(*exc)
+            _QUIET.reset(self.outer[0])
 
 
 def row(name: str, x, k: int, *params) -> list:
@@ -168,13 +182,13 @@ def row(name: str, x, k: int, *params) -> list:
     values (one per point of a batch).  A float is run as np.float64, a
     batch of one point, and its results come back as floats.  JetDomainError
     at the first argument where a value or a derivative is not finite; numpy
-    warns of nothing, under Tape.run's errstate or, outside a run, the row's."""
+    warns of nothing, within a quiet scope."""
     one = not isinstance(x, np.ndarray)
     derivatives, x = FUNCTIONS[name].derivatives, np.float64(x) if one else x
-    if _QUIET.get():
+    if _QUIET.get():        # a nested scope would cost a sixth of a row at a float
         phi = derivatives(x, k, *params)
     else:
-        with np.errstate(all="ignore"):
+        with quiet():
             phi = derivatives(x, k, *params)
     # at a float, math.isfinite gives np.isfinite's answer ~3 µs sooner per row
     if one and all(map(math.isfinite, phi)):
@@ -516,16 +530,12 @@ class Tape:
             unbound = next(n for n in self.names if n not in env)
             regs = self.literals + [env.get(n) for n in self.names] + self.blank
             program = program[:self.first_read[unbound]]
-        quiet = _QUIET.set(True)
         try:
-            # the rows and the callers judge a non-finite result, not numpy on stderr
-            with np.errstate(all="ignore"):
+            with quiet():
                 for k, (fn, a, b, d) in enumerate(program):
                     regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         except (ZeroDivisionError, ValueError) as exc:
             raise _domain_error(exc, self.nodes[k]) from exc
-        finally:
-            _QUIET.reset(quiet)
         if unbound is not None:
             raise DomainEvalError(f"unbound variable '{unbound}'", unbound)
         return [regs[i] for i in self.outputs]

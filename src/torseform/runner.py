@@ -20,6 +20,7 @@ from .classify import (NONE, SceneClassification, classify as classify_field,
 from .config import Tolerances
 from .errors import (GeometryError, InconsistentSampleError,
                      PreconditionError)
+from .expr import quiet
 from .immersion import FramePacket, frames, gauss_defect, over_sample
 from .linalg import reduce_max, worst
 from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
@@ -302,13 +303,10 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
             raise SceneSchemaError(
                 f"unknown check '{name}' (known: {', '.join(CHECK_NAMES)})")
     ctx = _RunContext(scene, points)
-    results = []
     # an overflow or a NaN is judged by the checks' own guards (a non-finite
     # residual never passes), not announced by numpy on stderr
-    with np.errstate(all="ignore"):
-        for name in _CHECKS:
-            if name in requested:
-                results.append(_run_check(name, ctx))
+    with quiet():
+        results = [_run_check(name, ctx) for name in _CHECKS if name in requested]
 
     classification = None
     if ctx._classification is not None:

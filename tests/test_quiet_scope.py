@@ -1,0 +1,104 @@
+"""One quiet scope per run (torseform.expr.quiet): only the outermost of
+nested scopes enters numpy's errstate, so a tape run or a row within a
+check run enters none of its own.  The scope is left as it was entered
+when a check raises, and outside any run a row still fails with
+JetDomainError and without a numpy warning."""
+
+from __future__ import annotations
+
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+import torseform.expr as ex
+import torseform.runner as runner
+from torseform import builtin_scene, eval_float, parse
+from torseform.errors import DomainEvalError, JetDomainError, PreconditionError
+from torseform.expr import _QUIET, Tape, quiet
+from torseform.jets import call
+
+
+@pytest.fixture
+def errstates(monkeypatch):
+    """The keyword arguments of every np.errstate that torseform makes from
+    here on (numpy makes some of its own, as a module it imports lazily
+    is loaded)."""
+    made, errstate = [], np.errstate
+
+    def recording(**kwargs):
+        if sys._getframe(1).f_globals["__name__"].startswith("torseform"):
+            made.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", recording)
+    return made
+
+
+def test_a_check_run_enters_numpy_errstate_once(monkeypatch, errstates):
+    counts = {"runs": 0, "rows": 0}
+    tape_run, row = Tape.run, ex.row
+
+    def counting_run(self, env, call):
+        counts["runs"] += 1
+        return tape_run(self, env, call)
+
+    def counting_row(*args):
+        counts["rows"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(Tape, "run", counting_run)
+    monkeypatch.setattr(ex, "row", counting_row)
+    runner.run(builtin_scene("rectifying-psi"), points=20)
+    # the curve alone makes hundreds of tape runs, over floats and jets
+    assert counts["runs"] > 500 and counts["rows"] > 500
+    assert errstates == [{"all": "ignore"}]
+
+
+def test_outside_a_run_each_tape_run_holds_its_own_scope(errstates):
+    tape = Tape((parse("sin(x1)"),))
+    eval_float(tape, {"x1": 0.5})
+    assert errstates == [{"all": "ignore"}]
+    with quiet():
+        eval_float(tape, {"x1": 0.5})
+        ex.row("exp", 1.0, 2)
+    assert len(errstates) == 2
+
+
+@pytest.mark.parametrize("error", [PreconditionError("held"), KeyError("escapes")],
+                         ids=["caught-per-check", "escaping"])
+def test_the_scope_is_left_when_a_check_raises(monkeypatch, error):
+    seen = []
+
+    def raising(ctx):
+        seen.append((_QUIET.get(), np.geterr()["over"]))
+        raise error
+
+    before = np.geterr()
+    monkeypatch.setitem(runner._CHECKS, "classify", raising)
+    scene = builtin_scene("radial-r4")
+    if isinstance(error, KeyError):
+        with pytest.raises(KeyError, match="escapes"):
+            runner.run(scene, points=10)
+    else:
+        assert runner.run(scene, points=10).checks[0].status == "n/a"
+    assert seen == [(True, "ignore")]
+    assert _QUIET.get() is False
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("evaluate, error, reason", [
+    (lambda: call("exp", 1000.0), JetDomainError, "exp is not finite at 1000.0"),
+    (lambda: eval_float(parse("2*exp(x1)"), {"x1": 1000.0}), DomainEvalError,
+     "exp is not finite at 1000.0 in subexpression 'exp(x1)'"),
+], ids=["row", "tape-run"])
+def test_outside_a_run_a_row_fails_without_a_warning(evaluate, error, reason):
+    # a numpy warning would raise here, as under -W error::RuntimeWarning;
+    # a tape run reports its row's JetDomainError as a DomainEvalError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as err:
+            evaluate()
+    assert str(err.value) == reason
+    assert isinstance(err.value.__cause__ or err.value, JetDomainError)

@@ -108,7 +108,7 @@ def _jet(value):
 ], ids=["float", "batch", "point-jet", "point-reciprocal", "batch-reciprocal",
         "point-power", "batch-power"])
 def test_a_row_outside_a_tape_fails_without_a_numpy_warning(evaluate, reason):
-    # outside Tape.run, which holds numpy's errstate, the row holds its own
+    # outside any quiet scope (a check run or a tape run), the row holds its own
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(JetDomainError) as err:

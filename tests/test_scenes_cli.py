@@ -230,6 +230,27 @@ class TestRunner:
 
     @pytest.mark.parametrize("override, status", [
         ({}, "pass"),
+        # radial-r4's max |∇̃_{E₁}E₁| is 6.4e-17, and its largest defect of
+        # items (b), (c), (d) 2.2e-16
+        ({"decomp_geodesic_tol": 1e-17}, "fail"),
+        ({"decomp_tol": 1e-17}, "fail")])
+    def test_ambient_decomposition_tolerances_are_scene_overrides(self, override, status):
+        doc = dict(BUILTIN_DOCUMENTS["radial-r4"], tolerances=override)
+        report = run(load_scene(doc), checks=["classify", "ambient-decomposition"],
+                     points=50)
+        check = report.checks[1]
+        assert check.status == status
+        details = check.details
+        if "decomp_geodesic_tol" in override:
+            assert details["max_geodesic_defect"] > override["decomp_geodesic_tol"]
+            assert max(details[k] for k in ("max_lambda_ode_defect",
+                                             "max_connection_form_defect",
+                                             "max_fiber_lambda_derivative")) <= 1e-7
+        if "decomp_tol" in override:
+            assert details["max_geodesic_defect"] <= 1e-8
+
+    @pytest.mark.parametrize("override, status", [
+        ({}, "pass"),
         # a residual floor above 1 drops every candidate of the completion
         ({"normal_keep_tol": 2.0}, "error")])
     def test_normal_completion_floor_is_a_scene_override(self, override, status):
@@ -329,6 +350,27 @@ class TestCli:
         proc = run_cli("check", str(path), "--points", "50")
         assert proc.returncode == 0, proc.stderr
         assert "from-file" in proc.stdout
+
+    def test_back_to_back_calls_share_no_arguments(self, tmp_path, capsys):
+        # the parser is built once per process; no option of one call
+        # reaches the next
+        from torseform import cli
+
+        out = tmp_path / "first.json"
+        assert cli.main(["check", "builtin:radial-r4", "--seed", "7", "--checks",
+                         "classify", "--points", "10", "--json", str(out)]) == 0
+        first = capsys.readouterr().out
+        out.unlink()
+        assert cli.main(["list-builtins"]) == 0
+        assert "radial-r4" in capsys.readouterr().out.split()
+        assert cli.main(["check", "builtin:radial-r4", "--points", "10"]) == 0
+        second = capsys.readouterr().out
+        assert "seed: 7" in first and "seed: 42" in second
+        assert "geodesic-unit" not in first and "geodesic-unit" in second
+        assert not out.exists()
+        args = cli._build_parser().parse_args(["check", "builtin:radial-r4"])
+        assert (args.seed, args.checks, args.json_out, args.points) == (None, None, None, 50)
+        assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_builtin_document_as_scene_file(self, name, tmp_path):

@@ -384,8 +384,18 @@ def cone_curve_args(u0, length, step):
             length, step)
 
 
+def warped_exp_curve_args():
+    """A curve in the curved ambient ds² + e^{2s}(dx² + dy²) with V = ∂ₛ, on a
+    tilted tube about the s-axis: g is read at every right-hand side."""
+    tube = Immersion(["u1", "0.3*u1+0.5*cos(u2)", "0.5*sin(u2)"], n=2,
+                     domain=[[0.0, 1.0], [0.0, 3.2]])
+    metric = MetricField([["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]])
+    return tube, metric, VectorField(["1", "0", "0"]), [0.2, 1.0], 0.6, 0.005
+
+
 CURVES = {
     "rectifying-psi": centre_curve_args,
+    "warped-exp-tube": warped_exp_curve_args,
     "cone-1.5": lambda: cone_curve_args([1.0, 3.0], 1.5, 0.005),
     "cone-1.8": lambda: cone_curve_args([1.0, 3.0], 1.8, 0.01),
     "cone-unit-speed": lambda: cone_curve_args([1.0, 2.0], 1.0, 0.005),
@@ -433,17 +443,23 @@ class TestBatchedNodeFits:
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_node_fit_reads_metric_and_field_once_on_the_node_array(self, monkeypatch, name):
-        # every right-hand side reads both at one point, the node fit at all
+        # every right-hand side reads the field at one point, and a curved
+        # metric too; a constant metric is read at one point once per curve.
+        # The node fit reads both at all nodes
         ranks = {MetricField: [], VectorField: []}
         for cls, seen in ranks.items():
             def recording(owner, point, order, at=cls.at, seen=seen):
                 seen.append((np.ndim(point), order))
                 return at(owner, point, order)
             monkeypatch.setattr(cls, "at", recording)
-        curve = trace_integral_curve(*CURVES[name]())
-        for seen in ranks.values():
+        args = CURVES[name]()
+        curve = trace_integral_curve(*args)
+        reads = {MetricField: 1 if args[1].constant else curve.rhs_evaluations,
+                 VectorField: curve.rhs_evaluations}
+        assert args[1].constant == (name != "warped-exp-tube")
+        for cls, seen in ranks.items():
             assert seen.count((2, 1)) == 1
-            assert seen.count((1, 0)) == curve.rhs_evaluations == len(seen) - 1
+            assert seen.count((1, 0)) == reads[cls] == len(seen) - 1
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_one_right_hand_side_per_node(self, name):
@@ -452,6 +468,15 @@ class TestBatchedNodeFits:
         curve = trace_integral_curve(*CURVES[name]())
         steps = len(curve.samples) - 1
         assert curve.rhs_evaluations == 1 + 4 * steps + (3 if curve.exited_domain else 0)
+
+    def test_singular_constant_metric_fails_as_the_per_node_loop(self):
+        # a constant metric is read once per curve, at the first right-hand
+        # side, which is where the per-node loop meets its singular g
+        metric = MetricField([["1"], ["0", "1"], ["0", "0", "0"], ["0", "0", "0", "1"]])
+        args = (vertex_cone4(), metric, radial_unit_field(4), [1.0, 3.0], 1.0, 0.01)
+        want = outcome(reference_trace, *args)
+        assert want[0] is SingularMetricError
+        assert outcome(trace_integral_curve, *args) == want
 
     def test_failing_node_fit_matches_the_per_node_loop(self):
         # |V| = 1 on the radial unit field: every node's fit trips the raised
