@@ -1,7 +1,7 @@
 """Central tolerance configuration.
 
-Every numeric cutoff used by the toolkit lives here so that a scene file can
-override any of them by name.
+The cutoffs a scene file can override by name live here; `rectifying.py`'s
+seven contract bounds and `runner.GAUSS_TOL` are still module constants.
 """
 
 from __future__ import annotations

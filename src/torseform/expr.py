@@ -451,25 +451,18 @@ def to_source(e: Expr) -> str:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def intern(exprs) -> tuple:
-    """(exprs, shared): the expressions with structurally equal subtrees,
-    within and across them, made one object (literals keyed by value and
-    sign, so 0.0 and -0.0 stay apart), and the ids of those seen twice."""
-    tape = Tape(exprs)
-    return tape.exprs, tape.shared
-
-
 class Tape:
     """A flat program for a sequence of expressions: one instruction per
     structurally distinct compound subtree (literals keyed by value and
     sign), in the post-order in which a recursive walk would first compute
     it, so a subtree they share is computed once per run.  An instruction
     writes a register that nothing reads any more, so a run holds no more
-    values than a walk would.  `exprs` are the expressions interned."""
+    values than a walk would.  `nodes[k]` is instruction k's subtree, named
+    when it fails; the tape keeps no copy of the expressions."""
 
     def __init__(self, exprs):
         self.nodes, self.first_read = [], {}    # variable -> instructions before its read
-        literals, operands, placed, interned, shared = {}, [], {}, {}, set()
+        literals, operands, placed = {}, [], {}
 
         def visit(node):    # -> the key of node's register: literal, name or instruction
             if isinstance(node, Num):
@@ -485,20 +478,11 @@ class Tape:
                 args = tuple(map(visit, kids))
                 key = placed.setdefault((type(node), op) + args, len(placed))
                 if key == len(self.nodes):
-                    new = [interned[a] for a in args]
-                    if any(map(operator.is_not, new, kids)):
-                        node = (Neg(*new) if isinstance(node, Neg) else
-                                Call(node.func, tuple(new)) if isinstance(node, Call) else
-                                BinOp(node.op, *new))
                     self.nodes.append(node)
                     operands.append((op, args))
-            if key in interned:
-                shared.add(id(interned[key]))
-            interned.setdefault(key, node)
             return key
 
         outputs = [visit(e) for e in exprs]
-        self.exprs, self.shared = tuple(interned[o] for o in outputs), frozenset(shared)
         self.literals, self.names = list(literals.values()), tuple(self.first_read)
         register = {key: i for i, key in enumerate([*literals, *self.names])}
         fresh = itertools.count(len(register))

@@ -48,8 +48,8 @@ class Immersion:
         if not 1 <= n < self.m:
             raise ValueError(f"need 1 <= n < m, got n={n}, m={self.m}")
         self.var_names = chart_names(n, prefix="u")
-        self.tape = ex.Tape(ex.ensure_expr(c, self.var_names) for c in components)
-        self.exprs = self.tape.exprs
+        self.exprs = tuple(ex.ensure_expr(c, self.var_names) for c in components)
+        self.tape = ex.Tape(self.exprs)
         self.domain = None if domain is None else tuple((float(a), float(b)) for a, b in domain)
 
     def jets(self, u: Sequence[float], order: int):

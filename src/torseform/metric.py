@@ -157,6 +157,11 @@ def stacked(data: list):
                                if isinstance(getattr(data[0], f.name), np.ndarray)})
 
 
+def euclidean_rows(m: int) -> list:
+    """The lower-triangle rows of the flat metric on an m-dimensional chart."""
+    return [["1" if i == j else "0" for j in range(i + 1)] for i in range(m)]
+
+
 class MetricField:
     """Symmetric matrix of component expressions g_ij(x1..xm)."""
 
@@ -172,13 +177,13 @@ class MetricField:
                     f"metric row {i} must have {i + 1} (lower triangle) or {m} entries")
             lower += [ex.ensure_expr(row[j], self.var_names) for j in range(i + 1)]
         self.tape = ex.Tape(lower)
-        self.exprs = tuple(tuple(self.tape.exprs[k] for k in row) for row in _symmetric_index(m))
+        self.exprs = tuple(tuple(lower[k] for k in row) for row in _symmetric_index(m))
         self.constant = not self.tape.names
         self._held = None       # a constant metric's data, once checked
 
     @classmethod
     def euclidean(cls, m: int) -> "MetricField":
-        return cls([[("1" if i == j else "0") for j in range(i + 1)] for i in range(m)])
+        return cls(euclidean_rows(m))
 
     def entry_jets(self, env) -> list:
         """Entries evaluated over a jet environment (floats at order 0 at a
@@ -242,8 +247,8 @@ class VectorField:
         if len(components) != self.dim:
             raise ValueError("component count does not match dimension")
         self.var_names = chart_names(self.dim)
-        self.tape = ex.Tape(ex.ensure_expr(c, self.var_names) for c in components)
-        self.exprs = self.tape.exprs
+        self.exprs = tuple(ex.ensure_expr(c, self.var_names) for c in components)
+        self.tape = ex.Tape(self.exprs)
 
     def component_jets(self, env) -> list:
         """The components evaluated over a jet environment (floats at order 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from . import warped as wp
 from .classify import (NONE, SceneClassification, classify as classify_field,
                        geodesic_unit_check)
 from .config import Tolerances
-from .errors import (GeometryError, InconsistentSampleError,
-                     PreconditionError)
+from .errors import (GeometryError, InconsistentSampleError, PreconditionError,
+                     SceneSchemaError)
 from .expr import quiet
 from .immersion import FramePacket, frames, gauss_defect, over_sample
 from .linalg import reduce_max, worst
@@ -56,63 +57,57 @@ class _RunContext:
         self.scene = scene
         self.points = points
         self.tols: Tolerances = scene.tolerances
-        self._classification = None
-        self._ambient_points = None
-        self._param_points = None
-        self._packet = None
-        self._rect_report = None
 
     def rng(self, purpose: str):
-        return np.random.default_rng(
-            [self.scene.seed, CHECK_NAMES.index(purpose)
-             if purpose in CHECK_NAMES else 97])
+        return np.random.default_rng([self.scene.seed, CHECK_NAMES.index(purpose)])
 
-    @property
+    @cached_property
     def ambient_points(self):
-        if self._ambient_points is None:
-            count = max(self.points, self.tols.class_min_points)
-            self._ambient_points = sample_ambient_points(
-                self.scene, count, self.rng("classify"))
-        return self._ambient_points
+        count = max(self.points, self.tols.class_min_points)
+        return sample_ambient_points(self.scene, count, self.rng("classify"))
 
-    @property
+    @cached_property
     def param_points(self):
-        if self._param_points is None:
-            self._param_points = sample_parameter_points(
-                self.scene, self.points, self.rng("rectifying"))
-        return self._param_points
+        return sample_parameter_points(self.scene, self.points, self.rng("rectifying"))
 
-    @property
+    @cached_property
     def classification(self) -> SceneClassification:
-        if self._classification is None:
-            if self.scene.field is None:
-                raise PreconditionError("scene has no vector field")
-            self._classification = classify_field(
-                self.scene.metric, self.scene.field, self.ambient_points, self.tols)
-        return self._classification
+        if self.scene.field is None:
+            raise PreconditionError("scene has no vector field")
+        return classify_field(self.scene.metric, self.scene.field,
+                              self.ambient_points, self.tols)
 
-    @property
+    @cached_property
     def packet(self) -> FramePacket:
         """The FramePacket of the whole parameter sample, shared by every
         check."""
-        if self._packet is None:
-            self._packet = frames(self.scene.immersion, self.scene.metric,
-                                  self.param_points, self.scene.field, self.tols)
-        return self._packet
+        return frames(self.scene.immersion, self.scene.metric,
+                      self.param_points, self.scene.field, self.tols)
 
-    @property
+    @cached_property
     def rect_report(self) -> rect.RectifyingSceneReport:
-        if self._rect_report is None:
-            if self.scene.immersion is None or self.scene.field is None:
-                raise PreconditionError("rectifying needs a submanifold and a field")
-            self._rect_report = rect.rectifying_over(self.packet)
-        return self._rect_report
+        if self.scene.immersion is None or self.scene.field is None:
+            raise PreconditionError("rectifying needs a submanifold and a field")
+        return rect.rectifying_over(self.packet)
 
 
 def _witness(point, **values) -> dict:
     return {"point": [float(v) for v in np.asarray(point).ravel()],
             "values": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                        for k, v in values.items()}}
+
+
+def _result(name: str, passed: bool, residual, witness=None, **details) -> CheckResult:
+    return CheckResult(name, PASS if passed else FAIL, residual=residual,
+                       witness=witness, details=details)
+
+
+def _reduced(name: str, rep, terms, witness=None, **shown) -> CheckResult:
+    """The verdict of `rep`, whose residual is the largest of its fields
+    `terms`; the details are `shown` and each term."""
+    values = {term: getattr(rep, term) for term in terms}
+    return _result(name, rep.passed, reduce_max(list(values.values())), witness,
+                   **shown, **values)
 
 
 def _check_classify(ctx: _RunContext) -> CheckResult:
@@ -125,11 +120,8 @@ def _check_classify(ctx: _RunContext) -> CheckResult:
                "sample_size": len(c.f_values)}
     if expected:
         details["expected_verdict"] = expected
-    return CheckResult("classify", PASS if ok else FAIL,
-                       residual=c.witness_residual,
-                       witness=_witness(fits.point[at], f=fits.f[at],
-                                        residual_torse=fits.residual_torse[at]),
-                       details=details)
+    witness = _witness(fits.point[at], f=fits.f[at], residual_torse=fits.residual_torse[at])
+    return _result("classify", ok, c.witness_residual, witness, **details)
 
 
 def _check_geodesic_unit(ctx: _RunContext) -> CheckResult:
@@ -137,9 +129,8 @@ def _check_geodesic_unit(ctx: _RunContext) -> CheckResult:
                                 ctx.ambient_points, ctx.classification,
                                 ctx.tols)
     bound = ctx.tols.geodesic_tol
-    return CheckResult("geodesic-unit", PASS if value <= bound else FAIL,
-                       residual=value, witness=None,
-                       details={"max_geodesic_defect": value, "bound": bound})
+    return _result("geodesic-unit", value <= bound, value,
+                   max_geodesic_defect=value, bound=bound)
 
 
 def _check_gauss(ctx: _RunContext) -> CheckResult:
@@ -152,9 +143,8 @@ def _check_gauss(ctx: _RunContext) -> CheckResult:
     vectors = rng.standard_normal((len(packet.u), 4, scene.immersion.n))
     residuals = over_sample(gauss_defect, packet, *np.moveaxis(vectors, 1, 0))
     value, at = worst(residuals)
-    return CheckResult("gauss-equation", PASS if value <= GAUSS_TOL else FAIL,
-                       residual=value, witness=_witness(packet.u[at]),
-                       details={"points": len(packet.u), "bound": GAUSS_TOL})
+    return _result("gauss-equation", value <= GAUSS_TOL, value, _witness(packet.u[at]),
+                   points=len(packet.u), bound=GAUSS_TOL)
 
 
 def _check_rectifying(ctx: _RunContext) -> CheckResult:
@@ -163,52 +153,32 @@ def _check_rectifying(ctx: _RunContext) -> CheckResult:
                "max_a_vperp": rep.max_a_vperp}
     if rep.mode == "tangent-axis-hypersurface":
         nr = rep.normal_report
-        details.update({"max_det": nr.max_det,
-                        "max_sectional_mismatch": nr.max_sectional_mismatch})
-        return CheckResult("rectifying", PASS if rep.passed else FAIL,
-                           residual=nr.max_det, witness=None, details=details)
-    return CheckResult("rectifying", PASS if rep.passed else FAIL,
-                       residual=rep.max_residual,
-                       witness=_witness(rep.residual_witness), details=details)
+        return _result("rectifying", rep.passed, nr.max_det, **details, max_det=nr.max_det,
+                       max_sectional_mismatch=nr.max_sectional_mismatch)
+    return _result("rectifying", rep.passed, rep.max_residual,
+                   _witness(rep.residual_witness), **details)
 
 
 def _check_tangential(ctx: _RunContext) -> CheckResult:
     rep = rect.tangential_over(ctx.packet)
-    residual = reduce_max([rep.max_normal_derivative, rep.max_umbilic_defect])
-    return CheckResult("tangential-theorem", PASS if rep.passed else FAIL,
-                       residual=residual, witness=_witness(rep.witness_umbilic),
-                       details={"max_v_tan": rep.max_v_tan,
-                                "max_normal_derivative": rep.max_normal_derivative,
-                                "max_umbilic_defect": rep.max_umbilic_defect})
+    return _reduced("tangential-theorem", rep,
+                    ("max_normal_derivative", "max_umbilic_defect"),
+                    _witness(rep.witness_umbilic), max_v_tan=rep.max_v_tan)
 
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
     rep = rect.normal_over(ctx.packet)
-    residual = reduce_max([rep.max_det, rep.max_h_vtan, rep.max_curvature_mismatch,
-                           rep.max_sectional_mismatch])
-    return CheckResult("normal-theorem", PASS if rep.passed else FAIL,
-                       residual=residual, witness=None,
-                       details={"max_v_nor": rep.max_v_nor,
-                                "max_det": rep.max_det,
-                                "max_h_vtan": rep.max_h_vtan,
-                                "max_curvature_mismatch": rep.max_curvature_mismatch,
-                                "max_sectional_mismatch": rep.max_sectional_mismatch})
+    return _reduced("normal-theorem", rep,
+                    ("max_det", "max_h_vtan", "max_curvature_mismatch",
+                     "max_sectional_mismatch"), max_v_nor=rep.max_v_nor)
 
 
 def _check_torqued(ctx: _RunContext) -> CheckResult:
     classification = ctx.classification   # a missing verdict outranks frame errors
     rep = rect.torqued_over(ctx.packet, classification)
-    residual = reduce_max([rep.max_concircular_residual, rep.max_det,
-                           rep.max_umbilic_defect, rep.max_normal_derivative,
-                           rep.max_w_derivative_defect])
-    return CheckResult("torqued-props", PASS if rep.passed else FAIL,
-                       residual=residual, witness=None,
-                       details={"case": rep.case,
-                                "max_concircular_residual": rep.max_concircular_residual,
-                                "max_det": rep.max_det,
-                                "max_umbilic_defect": rep.max_umbilic_defect,
-                                "max_normal_derivative": rep.max_normal_derivative,
-                                "max_w_derivative_defect": rep.max_w_derivative_defect})
+    return _reduced("torqued-props", rep,
+                    ("max_concircular_residual", "max_det", "max_umbilic_defect",
+                     "max_normal_derivative", "max_w_derivative_defect"), case=rep.case)
 
 
 def _check_warp_fit(ctx: _RunContext) -> CheckResult:
@@ -229,29 +199,21 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
     fit = wp.fit_tanh_integral(curve, ctx.tols)
     ok = ode_res <= ctx.tols.ode_tol and fit.deviation <= ctx.tols.warp_tol
     lam = curve.lam_values
-    return CheckResult("warp-fit", PASS if ok else FAIL,
-                       residual=reduce_max([ode_res, fit.deviation]), witness=None,
-                       details={"ode_residual": ode_res,
-                                "model_deviation": fit.deviation,
-                                "integration_constant": fit.integration_constant,
-                                "curve_samples": len(curve.samples),
-                                "exited_domain": curve.exited_domain,
-                                "lambda_range": [float(lam.min()), float(lam.max())]})
+    return _result("warp-fit", ok, reduce_max([ode_res, fit.deviation]),
+                   ode_residual=ode_res, model_deviation=fit.deviation,
+                   integration_constant=fit.integration_constant,
+                   curve_samples=len(curve.samples), exited_domain=curve.exited_domain,
+                   lambda_range=[float(lam.min()), float(lam.max())])
 
 
 def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
     rep = wp.verify_ambient_decomposition(ctx.scene.metric, ctx.scene.field,
                                           ctx.ambient_points,
                                           ctx.classification, ctx.tols)
-    residual = reduce_max([rep.max_geodesic_defect, rep.max_lambda_ode_defect,
-                           rep.max_connection_form_defect,
-                           rep.max_fiber_lambda_derivative])
-    return CheckResult("ambient-decomposition", PASS if rep.passed else FAIL,
-                       residual=residual, witness=_witness(rep.witness),
-                       details={"max_geodesic_defect": rep.max_geodesic_defect,
-                                "max_lambda_ode_defect": rep.max_lambda_ode_defect,
-                                "max_connection_form_defect": rep.max_connection_form_defect,
-                                "max_fiber_lambda_derivative": rep.max_fiber_lambda_derivative})
+    return _reduced("ambient-decomposition", rep,
+                    ("max_geodesic_defect", "max_lambda_ode_defect",
+                     "max_connection_form_defect", "max_fiber_lambda_derivative"),
+                    _witness(rep.witness))
 
 
 #: in execution order: classification first, rectifying before warp
@@ -299,7 +261,6 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
     requested = tuple(checks) if checks is not None else scene.checks
     for name in requested:
         if name not in _CHECKS:
-            from .errors import SceneSchemaError
             raise SceneSchemaError(
                 f"unknown check '{name}' (known: {', '.join(CHECK_NAMES)})")
     ctx = _RunContext(scene, points)
@@ -309,8 +270,8 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
         results = [_run_check(name, ctx) for name in _CHECKS if name in requested]
 
     classification = None
-    if ctx._classification is not None:
-        c = ctx._classification
+    c = vars(ctx).get("classification")
+    if c is not None:
         classification = {"verdict": c.verdict, "f_summary": c.f_summary(),
                           "residuals": c.class_residuals}
     return SceneReport(scene=scene.name, seed=scene.seed, points=points,

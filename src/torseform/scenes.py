@@ -35,7 +35,7 @@ from .errors import (DomainEvalError, ParseError, SamplingError, SceneSchemaErro
 from .immersion import Immersion
 from .jets import chart_names, jet_variables
 from .linalg import norm
-from .metric import MetricField, VectorField
+from .metric import MetricField, VectorField, euclidean_rows
 
 CHECK_NAMES = (
     "classify",
@@ -292,10 +292,6 @@ def sample_parameter_points(scene: Scene, count: int, rng) -> list:
 # Built-in scenes
 # ---------------------------------------------------------------------------
 
-def _euclidean_rows(m):
-    return [["1" if i == j else "0" for j in range(i + 1)] for i in range(m)]
-
-
 def _radial_unit_field(m):
     r = "sqrt(" + "+".join(f"x{i + 1}^2" for i in range(m)) + ")"
     return [f"x{i + 1}/{r}" for i in range(m)]
@@ -309,7 +305,7 @@ BUILTIN_DOCUMENTS = {
     # field with conformal scalar 1/|x|
     "radial-r4": {
         "name": "radial-r4",
-        "ambient": {"dim": 4, "metric": _euclidean_rows(4), "domain": _BOX4},
+        "ambient": {"dim": 4, "metric": euclidean_rows(4), "domain": _BOX4},
         "field": _radial_unit_field(4),
         "checks": ["classify", "geodesic-unit"],
         "seed": 42,
@@ -320,7 +316,7 @@ BUILTIN_DOCUMENTS = {
     # parallel in the normal bundle, and an umbilic direction (A = -Id)
     "clifford-torus": {
         "name": "clifford-torus",
-        "ambient": {"dim": 4, "metric": _euclidean_rows(4), "domain": _BOX4},
+        "ambient": {"dim": 4, "metric": euclidean_rows(4), "domain": _BOX4},
         "field": _radial_unit_field(4),
         "submanifold": {
             "dim": 2,
@@ -337,7 +333,7 @@ BUILTIN_DOCUMENTS = {
     # of the unit sphere; the radial axis is everywhere tangent
     "tangent-developable": {
         "name": "tangent-developable",
-        "ambient": {"dim": 3, "metric": _euclidean_rows(3), "domain": _BOX3},
+        "ambient": {"dim": 3, "metric": euclidean_rows(3), "domain": _BOX3},
         "field": _radial_unit_field(3),
         "submanifold": {
             "dim": 2,
@@ -352,7 +348,7 @@ BUILTIN_DOCUMENTS = {
     # every shape operator singular
     "cone": {
         "name": "cone",
-        "ambient": {"dim": 3, "metric": _euclidean_rows(3), "domain": _BOX3},
+        "ambient": {"dim": 3, "metric": euclidean_rows(3), "domain": _BOX3},
         "field": _radial_unit_field(3),
         "submanifold": {
             "dim": 2,
@@ -370,7 +366,7 @@ BUILTIN_DOCUMENTS = {
     # axis curves is s/sqrt(1+s^2)
     "rectifying-psi": {
         "name": "rectifying-psi",
-        "ambient": {"dim": 4, "metric": _euclidean_rows(4), "domain": _BOX4},
+        "ambient": {"dim": 4, "metric": euclidean_rows(4), "domain": _BOX4},
         "field": _radial_unit_field(4),
         "submanifold": {
             "dim": 2,
@@ -415,7 +411,7 @@ BUILTIN_DOCUMENTS = {
     # radial axis normal
     "hypersphere": {
         "name": "hypersphere",
-        "ambient": {"dim": 3, "metric": _euclidean_rows(3), "domain": _BOX3},
+        "ambient": {"dim": 3, "metric": euclidean_rows(3), "domain": _BOX3},
         "field": _radial_unit_field(3),
         "submanifold": {
             "dim": 2,
@@ -430,7 +426,7 @@ BUILTIN_DOCUMENTS = {
     # rectifying; the rectifying check is documented to fail with residual 1
     "unit-sphere": {
         "name": "unit-sphere",
-        "ambient": {"dim": 3, "metric": _euclidean_rows(3), "domain": _BOX3},
+        "ambient": {"dim": 3, "metric": euclidean_rows(3), "domain": _BOX3},
         "field": _radial_unit_field(3),
         "submanifold": {
             "dim": 2,

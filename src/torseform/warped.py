@@ -278,7 +278,8 @@ def build_warped_ambient(lambda_expr, fiber_metric, s_range, fiber_domain,
     """
     from .scenes import load_scene
 
-    lam = ex.Tape([ex.ensure_expr(lambda_expr, ("x1",))])     # one tape for the grid
+    lam_ast = ex.ensure_expr(lambda_expr, ("x1",))
+    lam = ex.Tape([lam_ast])     # one tape for the grid
     lo, hi = float(s_range[0]), float(s_range[1])
     for s in np.linspace(lo, hi, 512):
         if ex.eval_float(lam, {"x1": float(s)})[0] <= 0.0:
@@ -288,7 +289,7 @@ def build_warped_ambient(lambda_expr, fiber_metric, s_range, fiber_domain,
     mfiber = len(fiber_metric)
     m = mfiber + 1
     fiber_names = tuple(f"x{i + 2}" for i in range(mfiber))
-    lam_sq = ex.BinOp("*", lam.exprs[0], lam.exprs[0])
+    lam_sq = ex.BinOp("*", lam_ast, lam_ast)
     rows = [["1"]]
     for i in range(mfiber):
         row = ["0"]

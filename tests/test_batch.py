@@ -16,7 +16,7 @@ from torseform import (ClassificationReport, builtin_names, builtin_scene,
                        build_warped_ambient, classify, fit_torse_forming, load_scene,
                        run, sample_ambient_points, verify_ambient_decomposition)
 from torseform.errors import GeometryError, ZeroFieldError
-from torseform.expr import parse
+from torseform.expr import Tape, parse
 from torseform.jets import call, eval_jet, eval_jet_env, jet_variables
 from torseform.linalg import cholesky_spd, lower_inverse, orthonormalize, solve_spd
 from torseform.metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
@@ -265,8 +265,8 @@ def test_metric_evaluated_once_per_sample_point(monkeypatch):
 
 
 class TestSharedSubtrees:
-    """Fields, metrics and immersions intern their expressions, and each call
-    walks a subtree they share once; the values must be those of walking
+    """A field's, metric's or immersion's tape computes a subtree that its
+    expressions share once per call; the values must be those of walking
     every expression on its own."""
 
     @staticmethod
@@ -281,7 +281,8 @@ class TestSharedSubtrees:
         rng = np.random.default_rng(seed)
         sources = self.sources(rng)
         field = VectorField(sources, dim=3)
-        assert field.exprs[0].left is field.exprs[1].left.args[0]
+        alone_code = sum(len(Tape([parse(src)]).code) for src in sources)
+        assert len(field.tape.code) < alone_code
         for points in (rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=(7, 3))):
             for order in range(4):
                 env = jet_variables(("x1", "x2", "x3"), points, order)
@@ -311,13 +312,10 @@ class TestSharedSubtrees:
         assert str(shared.value) == str(alone.value)
 
     def test_signed_zero_literals_stay_apart(self):
-        from torseform.expr import BinOp, Num, Var, intern
-        (a, b, c), shared = intern([BinOp("*", Var("x1"), Num(0.0)),
-                                    BinOp("*", Var("x1"), Num(-0.0)),
-                                    BinOp("*", Var("x1"), Num(0.0))])
-        assert a is c and a is not b
-        assert id(a) in shared and id(b) not in shared
-        assert math.copysign(1.0, b.right.value) == -1.0
+        from torseform.expr import BinOp, Num, Var
+        a, b = BinOp("*", Var("x1"), Num(0.0)), BinOp("*", Var("x1"), Num(-0.0))
+        # the second x1*0.0 is the first's instruction, x1*-0.0 one of its own
+        assert len(Tape([a, b, BinOp("*", Var("x1"), Num(0.0))]).code) == 2
         field = VectorField([a, b], dim=2)
         values = field.at([1.0, 2.0], order=0).components
         assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]

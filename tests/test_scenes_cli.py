@@ -1,5 +1,6 @@
 """Scene documents, sampling, the runner, and the command-line driver."""
 
+import dataclasses
 import json
 import os
 import re
@@ -16,8 +17,25 @@ from torseform.errors import SceneSchemaError
 from torseform.runner import exit_code, render_report
 from torseform.scenes import BUILTIN_DOCUMENTS, with_seed
 from torseform import rectifying as rect_module
+from torseform import warped as warped_module
 
 REPO = Path(__file__).resolve().parents[1]
+
+#: each check whose residual reduces several report fields: a built-in that
+#: runs it, the function that makes its report, and those fields
+REDUCED_CHECKS = [
+    ("tangential-theorem", "clifford-torus", rect_module, "tangential_over",
+     ["max_normal_derivative", "max_umbilic_defect"]),
+    ("normal-theorem", "cone", rect_module, "normal_over",
+     ["max_det", "max_h_vtan", "max_curvature_mismatch", "max_sectional_mismatch"]),
+    # clifford-torus's field is not torqued; its report is made up, passing
+    ("torqued-props", "clifford-torus", rect_module, "torqued_over",
+     ["max_concircular_residual", "max_det", "max_umbilic_defect",
+      "max_normal_derivative", "max_w_derivative_defect"]),
+    ("ambient-decomposition", "warped-exp", warped_module, "verify_ambient_decomposition",
+     ["max_geodesic_defect", "max_lambda_ode_defect", "max_connection_form_defect",
+      "max_fiber_lambda_derivative"]),
+]
 
 
 def minimal_doc(**overrides):
@@ -434,6 +452,27 @@ class TestCli:
         for check in checks:
             assert check["status"] == "error" and check["residual"] is None
             assert check["details"]["error"] == "NonFiniteResidual"
+
+    @pytest.mark.parametrize("check, scene, module, function, term", [
+        pytest.param(check, scene, module, function, term, id=f"{check}-{term}")
+        for check, scene, module, function, terms in REDUCED_CHECKS for term in terms])
+    def test_a_nan_in_any_term_of_a_reduced_check_is_an_error(
+            self, monkeypatch, check, scene, module, function, term):
+        # the residual is the largest of the report's terms: a NaN in any of
+        # them, not only the first (which Python's max would keep), is an error
+        original = getattr(module, function)
+
+        def with_nan(*args):
+            rep = (rect_module.TorquedCaseReport(case="tangent", passed=True)
+                   if check == "torqued-props" else original(*args))
+            return dataclasses.replace(rep, **{term: float("nan")})
+
+        monkeypatch.setattr(module, function, with_nan)
+        report = run(builtin_scene(scene), checks=[check], points=20)
+        [result] = report.checks
+        assert result.status == "error" and result.residual is None
+        assert result.details["error"] == "NonFiniteResidual"
+        assert exit_code(report) == 3
 
     def test_overflowing_field_prints_no_numpy_warnings(self, tmp_path):
         # the non-finite values reach the verdict guards; numpy does not
