@@ -27,7 +27,7 @@ from .errors import (InconsistentSampleError, PreconditionError, SingularFitErro
                      SingularMetricError, ZeroFieldError, replay)
 from .linalg import dot, first_where, item, mv, norm, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     covariant_jacobian, orthonormal_coordinate_frame, stacked)
+                     covariant_jacobian, orthonormal_coordinate_frame)
 
 PARALLEL = "parallel"
 CONCIRCULAR = "concircular"
@@ -152,13 +152,6 @@ def _point_reports(batch: ClassificationReport) -> tuple:
     return tuple(ClassificationReport(*row) for row in zip(*columns))
 
 
-def _stacked_fits(fits) -> tuple:
-    """(metric data, field data, report) fitted point by point, stacked."""
-    mps, vaps, reports = zip(*fits)
-    columns = zip(*map(astuple, reports))
-    return stacked(mps), stacked(vaps), ClassificationReport(*map(np.array, columns))
-
-
 @dataclass(frozen=True)
 class SceneClassification:
     """Aggregated verdict over a point sample.
@@ -210,7 +203,7 @@ def classify(metric: MetricField, field: VectorField, points,
 
     The sample is fitted in one batch, or point by point in sample order if
     the batch fails (errors.replay), so an error is the first failing
-    point's own; fits made point by point are stacked into the same batch.
+    point's own.
 
     A sample whose per-point verdicts cannot be covered by a single class
     raises InconsistentSampleError (the field changes class over the domain,
@@ -226,7 +219,7 @@ def classify(metric: MetricField, field: VectorField, points,
         mp = metric.at(at, order=1)
         return mp, vap, fit_at_point(mp, vap, tols)
 
-    mp, vap, batch = replay(lambda: fit(points), fit, points, merge=_stacked_fits)
+    mp, vap, batch = replay(lambda: fit(points), fit, points)
 
     verdict = next((c for c, ok in zip(PRECEDENCE, batch.membership.all(0)) if ok), None)
     if verdict is None and np.all(batch.residual_torse > tols.class_tol):

@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import runner
-from .errors import DomainEvalError, GeometryError, ParseError, SceneSchemaError
+from .errors import DomainEvalError, GeometryError, SceneSchemaError
 from .expr import eval_float, parse
 from .jets import MAX_ORDER, eval_jet
 from .scenes import builtin_names, builtin_scene, load_scene_file, with_seed
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
                 print(name)
             return 0
         return _cmd_eval(args)
-    except (SceneSchemaError, ParseError, FileNotFoundError, ValueError) as err:
+    except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except GeometryError as err:

@@ -102,15 +102,13 @@ class SamplingError(GeometryError):
     """Could not draw enough admissible points from the scene domain."""
 
 
-def replay(batch, single, items, merge=None):
+def replay(batch, single, items):
     """batch(); if that raises a GeometryError, single(item) for each item in
     order, so that the first failing item raises its own error.  If none
-    fails alone, merge(their results) stands in for the batch's, or without
-    merge the batch's error is raised."""
+    fails alone, the batch's error is raised."""
     try:
         return batch()
     except GeometryError:
-        results = [single(item) for item in items]
-        if merge is None:
-            raise
-        return merge(results)
+        for item in items:
+            single(item)
+        raise

@@ -18,7 +18,7 @@ under which the round unit sphere has K = +1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -148,13 +148,6 @@ class VectorAtPoint:
                     if order >= 1 else None)
         values = [jet.d[0] if isinstance(jet, Jet) else jet for jet in jets]
         return cls(components=_batch_first(np.array(values), 1), jacobian=jacobian)
-
-
-def stacked(data: list):
-    """MetricAtPoint or VectorAtPoint data of several points as one batch."""
-    return replace(data[0], **{f.name: np.stack([getattr(d, f.name) for d in data])
-                               for f in fields(data[0])
-                               if isinstance(getattr(data[0], f.name), np.ndarray)})
 
 
 def euclidean_rows(m: int) -> list:

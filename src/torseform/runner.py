@@ -31,6 +31,10 @@ PASS, FAIL, NA, ERROR = "pass", "fail", "n/a", "error"
 
 GAUSS_TOL = 1e-7
 
+#: the normal-axis theorem's terms; they also judge a tangent-axis hypersurface
+NORMAL_TERMS = ("max_det", "max_h_vtan", "max_curvature_mismatch",
+                "max_sectional_mismatch")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -68,6 +72,8 @@ class _RunContext:
 
     @cached_property
     def param_points(self):
+        if self.scene.immersion is None:
+            raise PreconditionError("check needs a submanifold")
         return sample_parameter_points(self.scene, self.points, self.rng("rectifying"))
 
     @cached_property
@@ -79,14 +85,13 @@ class _RunContext:
 
     @cached_property
     def packet(self) -> FramePacket:
-        """The FramePacket of the whole parameter sample, shared by every
-        check."""
+        """The FramePacket of the whole parameter sample, shared by every check."""
         return frames(self.scene.immersion, self.scene.metric,
                       self.param_points, self.scene.field, self.tols)
 
     @cached_property
     def rect_report(self) -> rect.RectifyingSceneReport:
-        if self.scene.immersion is None or self.scene.field is None:
+        if self.scene.field is None:
             raise PreconditionError("rectifying needs a submanifold and a field")
         return rect.rectifying_over(self.packet)
 
@@ -134,13 +139,10 @@ def _check_geodesic_unit(ctx: _RunContext) -> CheckResult:
 
 
 def _check_gauss(ctx: _RunContext) -> CheckResult:
-    scene = ctx.scene
-    if scene.immersion is None:
-        raise PreconditionError("gauss-equation needs a submanifold")
     packet = ctx.packet
     rng = ctx.rng("gauss-equation")
     # the same draws as four standard_normal(n) per point, point after point
-    vectors = rng.standard_normal((len(packet.u), 4, scene.immersion.n))
+    vectors = rng.standard_normal((len(packet.u), 4, ctx.scene.immersion.n))
     residuals = over_sample(gauss_defect, packet, *np.moveaxis(vectors, 1, 0))
     value, at = worst(residuals)
     return _result("gauss-equation", value <= GAUSS_TOL, value, _witness(packet.u[at]),
@@ -152,9 +154,7 @@ def _check_rectifying(ctx: _RunContext) -> CheckResult:
     details = {"mode": rep.mode, "all_proper": rep.all_proper,
                "max_a_vperp": rep.max_a_vperp}
     if rep.mode == "tangent-axis-hypersurface":
-        nr = rep.normal_report
-        return _result("rectifying", rep.passed, nr.max_det, **details, max_det=nr.max_det,
-                       max_sectional_mismatch=nr.max_sectional_mismatch)
+        return _reduced("rectifying", rep.normal_report, NORMAL_TERMS, **details)
     return _result("rectifying", rep.passed, rep.max_residual,
                    _witness(rep.residual_witness), **details)
 
@@ -168,9 +168,7 @@ def _check_tangential(ctx: _RunContext) -> CheckResult:
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
     rep = rect.normal_over(ctx.packet)
-    return _reduced("normal-theorem", rep,
-                    ("max_det", "max_h_vtan", "max_curvature_mismatch",
-                     "max_sectional_mismatch"), max_v_nor=rep.max_v_nor)
+    return _reduced("normal-theorem", rep, NORMAL_TERMS, max_v_nor=rep.max_v_nor)
 
 
 def _check_torqued(ctx: _RunContext) -> CheckResult:
@@ -185,12 +183,9 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
     scene = ctx.scene
     rep = ctx.rect_report
     if rep.mode != "proper-rectifying" or not rep.passed:
-        return CheckResult("warp-fit", NA, residual=None, witness=None,
-                           details={"reason": "scene is not a passing proper "
-                                              "rectifying scene"})
+        raise PreconditionError("scene is not a passing proper rectifying scene")
     box = scene.immersion.domain
-    widths = [hi - lo for lo, hi in box]
-    length = 0.8 * max(widths)
+    length = 0.8 * max(hi - lo for lo, hi in box)
     step = length / 400.0
     u0 = np.array([0.5 * (lo + hi) for lo, hi in box])
     curve = wp.trace_integral_curve(scene.immersion, scene.metric, scene.field,
@@ -230,27 +225,39 @@ _CHECKS = {
 }
 
 
+def _numbers(key: str, value):
+    """(key, number) for each number nested in `value`; keys read `outer.inner`."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _numbers(f"{key}.{k}" if key else k, v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _numbers(key, v)
+    elif isinstance(value, (int, float)):
+        yield key, value
+
+
 def _run_check(name: str, ctx: _RunContext) -> CheckResult:
     """One check's result; a GeometryError it raises becomes its status, and
-    a verdict on a residual that is not finite becomes an error."""
+    a verdict on a residual or detail that is not finite becomes an error."""
+    def unjudged(status, **details):
+        return CheckResult(name, status, residual=None, witness=None, details=details)
+
     try:
         result = _CHECKS[name](ctx)
     except InconsistentSampleError as err:
         # a field that changes class over the domain is a finding, not an
         # internal error; dependent checks cannot run without a verdict
-        status = FAIL if name == "classify" else NA
-        return CheckResult(name, status, residual=None, witness=None,
-                           details={"reason": str(err), "verdicts": err.verdicts})
+        return unjudged(FAIL if name == "classify" else NA,
+                        reason=str(err), verdicts=err.verdicts)
     except PreconditionError as err:
-        return CheckResult(name, NA, residual=None, witness=None,
-                           details={"reason": str(err)})
+        return unjudged(NA, reason=str(err))
     except GeometryError as err:
-        return CheckResult(name, ERROR, residual=None, witness=None,
-                           details={"error": type(err).__name__, "message": str(err)})
-    if result.status in (PASS, FAIL) and not np.isfinite(result.residual):
-        return CheckResult(name, ERROR, residual=None, witness=None,
-                           details={"error": "NonFiniteResidual",
-                                    "message": f"residual {result.residual} is not finite"})
+        return unjudged(ERROR, error=type(err).__name__, message=str(err))
+    for key, value in _numbers("", {"residual": result.residual, **result.details}):
+        if not np.isfinite(value):
+            return unjudged(ERROR, error="NonFiniteResidual",
+                            message=f"{key} {value} is not finite")
     return result
 
 
@@ -269,11 +276,9 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
     with quiet():
         results = [_run_check(name, ctx) for name in _CHECKS if name in requested]
 
-    classification = None
     c = vars(ctx).get("classification")
-    if c is not None:
-        classification = {"verdict": c.verdict, "f_summary": c.f_summary(),
-                          "residuals": c.class_residuals}
+    classification = None if c is None else {
+        "verdict": c.verdict, "f_summary": c.f_summary(), "residuals": c.class_residuals}
     return SceneReport(scene=scene.name, seed=scene.seed, points=points,
                        checks=tuple(results), classification=classification)
 

@@ -30,8 +30,8 @@ import jsonschema
 import numpy as np
 
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
-from .errors import (DomainEvalError, ParseError, SamplingError, SceneSchemaError,
-                     replay)
+from .errors import (DomainEvalError, GeometryError, ParseError, SamplingError,
+                     SceneSchemaError)
 from .immersion import Immersion
 from .jets import chart_names, jet_variables
 from .linalg import norm
@@ -265,7 +265,10 @@ def _rejection_sample(box, count, rng, admissible):
         size = min(count - len(out), limit - attempts)
         block = lows + (highs - lows) * rng.random((size, len(box)))
         attempts += size
-        keep = replay(lambda: admissible(block), single, block, merge=list)
+        try:
+            keep = admissible(block)
+        except GeometryError:
+            keep = [single(x) for x in block]
         out.extend(x for x, kept in zip(block, keep) if kept)
     return out
 

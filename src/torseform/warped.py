@@ -103,8 +103,7 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     def fit_nodes():
         xs = np.array([x for *_, x in nodes])
         return replay(lambda: fit_at_point(metric.at(xs, 1), field.at(xs, 1), tols).f,
-                      lambda x: fit_torse_forming(metric, field, x, tols).f, xs,
-                      merge=np.array)
+                      lambda x: fit_torse_forming(metric, field, x, tols).f, xs)
 
     nsteps = max(1, int(round(length / step)))
     u = np.asarray(u0, dtype=float)
@@ -268,8 +267,7 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
 
 
 def build_warped_ambient(lambda_expr, fiber_metric, s_range, fiber_domain,
-                         name: str = "warped-ambient", seed: int = 42,
-                         checks=("classify", "ambient-decomposition")):
+                         name: str = "warped-ambient", seed: int = 42):
     """Scene for the product chart (s, fiber) with metric ds² + λ(s)² g_F and
     the field V = ∂/∂s attached.
 
@@ -305,7 +303,7 @@ def build_warped_ambient(lambda_expr, fiber_metric, s_range, fiber_domain,
             "domain": [[lo, hi]] + [list(map(float, b)) for b in fiber_domain],
         },
         "field": ["1"] + ["0"] * mfiber,
-        "checks": list(checks),
+        "checks": ["classify", "ambient-decomposition"],
         "seed": seed,
     }
     return load_scene(doc)

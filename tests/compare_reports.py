@@ -4,9 +4,12 @@ For each of the nine built-ins at seeds 42 and 7 and N = 200 points (the
 18 reports tests/test_golden_reports.py holds), each checkout computes
 `report_to_json(run(scene, points=N))`, the table `render_report` prints
 for `torseform check` and `exit_code` of the report in its own process,
-importing the package from its own src/.  The script
-prints one line per report, `same` or `DIFFERS`, then a summary, and
-exits 1 if any report, table or exit code differs:
+importing the package from its own src/.  It does the same for a fixed
+list of scene documents that reach the failure paths (FAILURE_SCENES),
+recording instead the type and message of the exception if `run`
+raises.  The script prints one line per report, `same` or `DIFFERS`,
+then a summary for each group, and exits 1 if any report, table, exit
+code or exception differs:
 
     python tests/compare_reports.py OTHER_CHECKOUT
 
@@ -28,29 +31,56 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 POINTS, SEEDS = 200, (42, 7)
 
+E3 = {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]], "domain": [[-3, 3]] * 3}
+ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
+              "torqued-props", "gauss-equation", "rectifying", "warp-fit",
+              "ambient-decomposition"]
+
+#: scenes whose checks fail, are n/a or err: a field with no submanifold, a
+#: submanifold with no field, a field that overflows, and a sample whose
+#: batch fails at an earlier stage than its first failing point
+FAILURE_SCENES = [
+    {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
+    {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
+     "submanifold": {"dim": 2, "domain": [[0.3, 2.8], [0, 6]],
+                     "immersion": ["2*sin(u1)*cos(u2)", "2*sin(u1)*sin(u2)", "2*cos(u1)"]}},
+    {"name": "overflow", "field": ["x1^300", "x2", "x3"], "checks": ["classify"],
+     "ambient": dict(E3, domain=[[10, 30], [1, 2], [1, 2]])},
+    {"name": "order", "field": ["1e-7", "0", "0"], "checks": ["classify"],
+     "ambient": {"dim": 3, "metric": [["x1"], ["0", "1"], ["0", "0", "1"]],
+                 "domain": [[-0.5, 1], [0, 1], [0, 1]]}},
+]
+
 # run in a child process whose PYTHONPATH is one checkout's src/
 CHILD = """
 import json, sys
-from torseform import (builtin_names, builtin_scene, exit_code, render_report,
-                       report_to_json, run)
+from torseform import (builtin_names, builtin_scene, exit_code, load_scene,
+                       render_report, report_to_json, run)
 from torseform.scenes import with_seed
 points, seeds = int(sys.argv[1]), [int(s) for s in sys.argv[2:]]
-out = {}
-for name in builtin_names():
-    for seed in seeds:
-        report = run(with_seed(builtin_scene(name), seed), points=points)
-        out[f"{name}-s{seed}"] = [exit_code(report), report_to_json(report),
-                                  render_report(report)]
+
+def record(scene):
+    try:
+        report = run(scene, points=points)
+    except Exception as err:
+        return ["raised", type(err).__name__, str(err)]
+    return [exit_code(report), report_to_json(report), render_report(report)]
+
+out = {f"{name}-s{seed}": record(with_seed(builtin_scene(name), seed))
+       for name in builtin_names() for seed in seeds}
+for doc in json.load(sys.stdin):
+    out[f"failure:{doc['name']}"] = record(load_scene(doc))
 print(json.dumps(out))
 """
 
 
 def reports(checkout: Path) -> dict:
-    """{"<scene>-s<seed>": [exit code, JSON report, table]} computed by
-    `checkout`."""
+    """{"<scene>-s<seed>" or "failure:<scene>": [exit code, JSON report,
+    table] or ["raised", exception type, message]} computed by `checkout`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", CHILD, str(POINTS), *map(str, SEEDS)],
-                          capture_output=True, text=True, env=env, check=True)
+                          input=json.dumps(FAILURE_SCENES), capture_output=True,
+                          text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
 
@@ -65,8 +95,13 @@ def main(argv=None) -> int:
     differing = [key for key in keys if mine.get(key) != theirs.get(key)]
     for key in keys:
         print(f"{key}: {'DIFFERS' if key in differing else 'same'}")
-    print(f"{len(keys) - len(differing)} of {len(keys)} reports byte-identical "
-          f"(report_to_json, render_report and exit code, N = {POINTS}, seeds {SEEDS})")
+    for group, failure in (("built-in", False), ("failure-path", True)):
+        group_keys = [key for key in keys if key.startswith("failure:") == failure]
+        same = sum(key not in differing for key in group_keys)
+        seeds = "each scene's seed" if failure else f"seeds {SEEDS}"
+        print(f"{same} of {len(group_keys)} {group} reports byte-identical "
+              f"(report_to_json, render_report and exit code or exception, "
+              f"N = {POINTS}, {seeds})")
     return 1 if differing else 0
 
 

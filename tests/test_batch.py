@@ -15,7 +15,7 @@ from conftest import random_expression
 from torseform import (ClassificationReport, builtin_names, builtin_scene,
                        build_warped_ambient, classify, fit_torse_forming, load_scene,
                        run, sample_ambient_points, verify_ambient_decomposition)
-from torseform.errors import GeometryError, ZeroFieldError
+from torseform.errors import GeometryError, ZeroFieldError, replay
 from torseform.expr import Tape, parse
 from torseform.jets import call, eval_jet, eval_jet_env, jet_variables
 from torseform.linalg import cholesky_spd, lower_inverse, orthonormalize, solve_spd
@@ -199,6 +199,25 @@ class TestBatchOracle:
 
 
 class TestErrorOrder:
+    def test_replay_raises_the_first_failing_item_or_the_batch_error(self):
+        def batch():
+            raise GeometryError("batch")
+
+        seen = []
+
+        def single(item):
+            seen.append(item)
+            if item >= 2:
+                raise ZeroFieldError(f"item {item}")
+
+        assert replay(lambda: "whole", single, range(5)) == "whole" and seen == []
+        with pytest.raises(ZeroFieldError, match="^item 2$"):
+            replay(batch, single, range(5))
+        assert seen == [0, 1, 2]
+        with pytest.raises(GeometryError, match="^batch$"):
+            replay(batch, seen.append, "ab")
+        assert seen == [0, 1, 2, "a", "b"]
+
     def test_first_point_fails_late_later_point_early(self):
         # point 0 passes the metric and fails at the zero-field guard; point 1
         # fails the metric's SPD check, an earlier stage: point 0's error wins
@@ -321,40 +340,28 @@ class TestSharedSubtrees:
         assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
 
 
-def refuse_batched_fits(monkeypatch):
-    """Make classify's batched fit raise, so that it replays the sample point
-    by point and stacks the fits; a fit at one point runs as before."""
+def refuse_batched_fits(monkeypatch, module=CLASSIFY) -> list:
+    """Make `module`'s batched fit raise, so that its caller replays the
+    sample point by point; a fit at one point runs as before, and the
+    returned list collects each such point."""
     fit = CLASSIFY.fit_at_point
+    singles = []
 
     def point_fits_only(mp, vap, tols):
         if mp.point.ndim == 2:
             raise GeometryError("batched fit refused")
+        singles.append(mp.point)
         return fit(mp, vap, tols)
 
-    monkeypatch.setattr(CLASSIFY, "fit_at_point", point_fits_only)
-
-
-def assert_reports_close(got, want):
-    """Two reports' checks agree in status and, to REL, in every number."""
-    assert [c.name for c in got.checks] == [c.name for c in want.checks]
-    for a, b in zip(got.checks, want.checks):
-        assert a.status == b.status
-        assert_close(a.residual, b.residual)
-        assert a.details.keys() == b.details.keys()
-        for key, value in b.details.items():
-            if isinstance(value, dict):
-                assert value.keys() == a.details[key].keys()
-                assert_close(list(a.details[key].values()), list(value.values()))
-            elif isinstance(value, str):
-                assert a.details[key] == value
-            else:
-                assert_close(a.details[key], value)
+    monkeypatch.setattr(module, "fit_at_point", point_fits_only)
+    return singles
 
 
 class TestClassificationBatch:
     """classify holds its fits as one batched report; the per-point reports
-    are built from it on demand, a sample replayed point by point is stacked
-    into the same batch, and no check builds per-point reports."""
+    are built from it on demand, a refused batch is replayed point by point
+    only to name its first failing point, and no check builds per-point
+    reports."""
 
     @pytest.mark.parametrize("scene", [builtin_scene("radial-r4"), warped_chart(WARPS[1])],
                              ids=lambda s: s.name)
@@ -375,23 +382,28 @@ class TestClassificationBatch:
 
     @pytest.mark.parametrize("scene", [builtin_scene("radial-r4"), warped_chart(WARPS[0])],
                              ids=lambda s: s.name)
-    def test_point_by_point_fits_are_stacked(self, monkeypatch, scene):
+    def test_refused_batch_whose_points_pass_raises_its_error(self, monkeypatch, scene):
         points = sample(scene, n=60)
-        tols = scene.tolerances
-        want = run(scene, points=60)
-        refuse_batched_fits(monkeypatch)
-        c = classify(scene.metric, scene.field, points, tols)
-        singles = [fit_torse_forming(scene.metric, scene.field, p, tols) for p in points]
-        for f in fields(ClassificationReport):
-            assert np.array_equal(getattr(c.batch, f.name),
-                                  np.array([getattr(rep, f.name) for rep in singles]))
-        for p, g, dg in zip(points, c.metric_at.g, c.metric_at.dg):
-            mp = scene.metric.at(p, order=1)
-            assert np.array_equal(g, mp.g) and np.array_equal(dg, mp.dg)
-        for p, v, jac in zip(points, c.field_at.components, c.field_at.jacobian):
-            vap = scene.field.at(p, order=1)
-            assert np.array_equal(v, vap.components) and np.array_equal(jac, vap.jacobian)
-        assert_reports_close(run(scene, points=60), want)
+        singles = refuse_batched_fits(monkeypatch)
+        with pytest.raises(GeometryError, match="^batched fit refused$"):
+            classify(scene.metric, scene.field, points, scene.tolerances)
+        # every point was fitted alone, in sample order, and none failed
+        assert np.array_equal(singles, points)
+        classify_check = run(scene, points=60).checks[0]
+        assert (classify_check.name, classify_check.status) == ("classify", "error")
+        assert classify_check.details == {"error": "GeometryError",
+                                          "message": "batched fit refused"}
+
+    def test_refused_node_fit_raises_its_error(self, monkeypatch):
+        # warp-fit fits f at the curve's nodes in one batch, and each node
+        # alone through classify's unrefused fit
+        refuse_batched_fits(monkeypatch, importlib.import_module("torseform.warped"))
+        report = run(builtin_scene("rectifying-psi"), checks=["rectifying", "warp-fit"],
+                     points=20)
+        rectifying, warp_fit = report.checks
+        assert rectifying.status == "pass" and warp_fit.status == "error"
+        assert warp_fit.details == {"error": "GeometryError",
+                                    "message": "batched fit refused"}
 
     def test_checks_build_no_point_reports(self, monkeypatch):
         calls = []

@@ -15,13 +15,13 @@ from torseform import (builtin_names, builtin_scene, load_scene, report_to_json,
                        run, sample_ambient_points, sample_parameter_points)
 from torseform.errors import SceneSchemaError
 from torseform.runner import exit_code, render_report
-from torseform.scenes import BUILTIN_DOCUMENTS, with_seed
+from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, with_seed
 from torseform import rectifying as rect_module
 from torseform import warped as warped_module
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: each check whose residual reduces several report fields: a built-in that
+#: each check whose verdict judges several report fields: a built-in that
 #: runs it, the function that makes its report, and those fields
 REDUCED_CHECKS = [
     ("tangential-theorem", "clifford-torus", rect_module, "tangential_over",
@@ -35,7 +35,22 @@ REDUCED_CHECKS = [
     ("ambient-decomposition", "warped-exp", warped_module, "verify_ambient_decomposition",
      ["max_geodesic_defect", "max_lambda_ode_defect", "max_connection_form_defect",
       "max_fiber_lambda_derivative"]),
+    # cone is a hypersurface with tangent axis: rectifying judges the
+    # normal-axis terms
+    ("rectifying", "cone", rect_module, "normal_over",
+     ["max_det", "max_h_vtan", "max_curvature_mismatch", "max_sectional_mismatch"]),
+    # a proper rectifying surface: |A_{V^⊥}| is a detail the verdict judges
+    ("rectifying", "rectifying-psi", rect_module, "rectifying_over", ["max_a_vperp"]),
 ]
+
+E3 = {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]], "domain": [[-3, 3]] * 3}
+#: a parallel field with no submanifold, and a radius-2 sphere with no field
+FIELD_ONLY = {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"],
+              "checks": list(CHECK_NAMES)}
+SPHERE_ONLY = {"name": "sphere-only", "ambient": E3, "checks": list(CHECK_NAMES),
+               "submanifold": {"dim": 2, "domain": [[0.3, 2.8], [0, 6]],
+                               "immersion": ["2*sin(u1)*cos(u2)", "2*sin(u1)*sin(u2)",
+                                             "2*cos(u1)"]}}
 
 
 def minimal_doc(**overrides):
@@ -221,6 +236,34 @@ class TestRunner:
         assert by_name["rectifying"].status == "fail"
         assert by_name["warp-fit"].status == "n/a"
         assert exit_code(report) == 1
+
+    def test_scene_without_field_reports_na_for_field_checks(self):
+        report = run(load_scene(SPHERE_ONLY))
+        no_field = "scene has no vector field"
+        no_tangent = "check needs a vector field on the submanifold"
+        reasons = {"classify": no_field, "geodesic-unit": no_field,
+                   "tangential-theorem": no_tangent, "normal-theorem": no_tangent,
+                   "torqued-props": no_field,
+                   "rectifying": "rectifying needs a submanifold and a field",
+                   "warp-fit": "rectifying needs a submanifold and a field",
+                   "ambient-decomposition": no_field}
+        assert [c.name for c in report.checks] == list(CHECK_NAMES)
+        for check in report.checks:
+            if check.name == "gauss-equation":
+                assert check.status == "pass"
+            else:
+                assert (check.status, check.details) == ("n/a", {"reason": reasons[check.name]})
+        assert exit_code(report) == 1
+
+    def test_a_nan_in_a_nested_detail_is_an_error(self, monkeypatch):
+        from torseform.classify import SceneClassification
+
+        monkeypatch.setattr(SceneClassification, "f_summary",
+                            lambda self: {"min": 1.0, "max": float("nan"), "mean": 1.0})
+        [check] = run(builtin_scene("radial-r4"), checks=["classify"], points=20).checks
+        assert check.status == "error" and check.residual is None
+        assert check.details == {"error": "NonFiniteResidual",
+                                 "message": "f_summary.max nan is not finite"}
 
     def test_classification_block_present(self):
         report = run(builtin_scene("radial-r4"), points=20)
@@ -471,8 +514,26 @@ class TestCli:
         report = run(builtin_scene(scene), checks=[check], points=20)
         [result] = report.checks
         assert result.status == "error" and result.residual is None
-        assert result.details["error"] == "NonFiniteResidual"
+        # a judged term that is not the residual is named
+        key = term if term == "max_a_vperp" else "residual"
+        assert result.details == {"error": "NonFiniteResidual",
+                                  "message": f"{key} nan is not finite"}
         assert exit_code(report) == 3
+
+    def test_scene_without_submanifold_reports_na_for_submanifold_checks(self, tmp_path):
+        # the run is not aborted: each check that needs a submanifold is n/a
+        from torseform import cli
+
+        path, out = tmp_path / "field-only.json", tmp_path / "report.json"
+        path.write_text(json.dumps(FIELD_ONLY))
+        assert cli.main(["check", str(path), "--json", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert list(checks) == list(CHECK_NAMES)
+        assert checks["classify"]["status"] == "pass"
+        for name in ("tangential-theorem", "normal-theorem", "torqued-props",
+                     "gauss-equation", "rectifying", "warp-fit"):
+            assert checks[name]["status"] == "n/a"
+            assert checks[name]["details"] == {"reason": "check needs a submanifold"}
 
     def test_overflowing_field_prints_no_numpy_warnings(self, tmp_path):
         # the non-finite values reach the verdict guards; numpy does not
@@ -589,6 +650,11 @@ class TestCli:
         proc = run_cli("eval", src, "--at", at, "--order", order)
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == f"numeric error: {line}\n"
+
+    def test_eval_malformed_binding_is_a_usage_error(self):
+        proc = run_cli("eval", "x1", "--at", "x1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: binding 'x1' is not name=value\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
     def test_eval_non_finite_binding_is_a_usage_error(self, value):

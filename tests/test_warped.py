@@ -79,6 +79,22 @@ class TestTraceIntegralCurve:
         assert len(curve.samples) >= 5
         assert max(c.u[0] for c in curve.samples) <= 3.0
 
+    def test_curve_stops_where_the_chart_is_undefined(self, euclid4):
+        # sqrt(2.9-u1) is undefined beyond u1 = 2.9: the stage that steps
+        # there ends the curve as the box u1 <= 2.9 would
+        comps = ["0.8*u1*cos(u2)", "0.8*u1*sin(u2)", "0.6*u1"]
+        cut = Immersion(comps + ["1+0*sqrt(2.9-u1)"], n=2, domain=[[0.5, 3.0], [0.1, 6.2]])
+        box = Immersion(comps + ["1"], n=2, domain=[[0.5, 2.9], [0.1, 6.2]])
+        a, b = (trace_integral_curve(imm, euclid4, radial_unit_field(4), [1.0, 3.0],
+                                     length=3.0, step=0.005) for imm in (cut, box))
+        assert a.exited_domain and b.exited_domain
+        assert len(a.samples) == len(b.samples) == 381
+        assert a.samples[-1].u[0] == pytest.approx(2.9, abs=0.005)
+        for x, y in zip(a.samples, b.samples):
+            assert np.array_equal(x.u, y.u) and (x.lam, x.f) == (y.lam, y.f)
+        # the undefined stage stopped the step before the box test did
+        assert a.rhs_evaluations < b.rhs_evaluations
+
     def test_rk4_order_on_circular_field(self, euclid3):
         # rotational unit field: integral curves are circles of radius |u0|
         plane = Immersion(["u1", "u2", "0"], n=2, domain=[[-4, 4], [-4, 4]])
