@@ -7,20 +7,16 @@ from .classify import (ANTI_TORQUED, CONCIRCULAR, NONE, PARALLEL, TORQUED,
                        SceneClassification, classify, fit_torse_forming,
                        geodesic_unit_check)
 from .config import DEFAULT, Tolerances
-from .expr import eval_float, free_variables, parse, to_source
-from .immersion import (FirstNormalSpace, FramePacket, Immersion,
-                        decompose_field, first_normal_space, frames,
+from .expr import eval_float, parse, to_source
+from .immersion import (FramePacket, Immersion, decompose_field, frames,
                         gauss_equation_residual, induced_metric,
-                        mean_curvature, second_fundamental_form,
                         shape_operator)
 from .jets import Jet, eval_jet, eval_jet_env, jet_variables
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      christoffel, covariant_derivative, riemann,
                      riemann_components, sectional_curvature)
-from .rectifying import (RectifyingSceneReport, rectifying_point,
-                         rectifying_residual, rectifying_scene,
-                         verify_normal_vanishes, verify_tangential_vanishes,
-                         verify_torqued_props)
+from .rectifying import (RectifyingSceneReport, rectifying_scene,
+                         verify_normal_vanishes, verify_tangential_vanishes)
 from .runner import SceneReport, exit_code, render_report, report_to_json, run
 from .scenes import (BUILTIN_DOCUMENTS, Scene, builtin_names, builtin_scene,
                      load_scene, load_scene_file, sample_ambient_points,

@@ -25,6 +25,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import (InconsistentSampleError, PreconditionError, SingularFitError,
                      SingularMetricError, ZeroFieldError, replay)
+from .expr import quiet
 from .linalg import dot, first_where, item, mv, norm, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian, orthonormal_coordinate_frame)
@@ -98,52 +99,53 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
     the caller already holds at mp.point.  Over a batch (a leading axis on
     mp and vap) every field of the report carries that axis, the verdict
     included; a guard that fails at any point raises."""
-    m = mp.dim
-    v_norm = mp.norm(vap.components)
-    small = v_norm <= tols.min_field_norm
-    if np.any(small):
-        raise ZeroFieldError(f"|V| = {first_where(small, v_norm):.3e} at "
-                             f"{first_where(small, mp.point).tolist()}")
+    with quiet():      # an overflow is for the guards to judge, not numpy to announce
+        m = mp.dim
+        v_norm = mp.norm(vap.components)
+        small = v_norm <= tols.min_field_norm
+        if np.any(small):
+            raise ZeroFieldError(f"|V| = {first_where(small, v_norm):.3e} at "
+                                 f"{first_where(small, mp.point).tolist()}")
 
-    C = orthonormal_coordinate_frame(mp, tols)          # e_i = Σ_j C[i, j] ∂_j
-    L = mp.factor                                       # C = L⁻¹, so g Cᵀ = L
-    dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
-    a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
-    v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
+        C = orthonormal_coordinate_frame(mp, tols)          # e_i = Σ_j C[i, j] ∂_j
+        L = mp.factor                                       # C = L⁻¹, so g Cᵀ = L
+        dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
+        a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
+        v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
 
-    vv = dot(v, v)
-    normal = np.zeros(np.shape(vv) + (m + 1, m + 1))
-    normal[..., 0, 0] = m
-    normal[..., 0, 1:] = v
-    normal[..., 1:, 0] = v
-    normal[..., 1:, 1:] = vv[..., None, None] * np.eye(m)
-    rhs = np.concatenate((np.trace(a, axis1=-2, axis2=-1)[..., None], mv(a, v)), axis=-1)
-    try:
-        sol = solve_spd(normal, rhs, tols.spd_tol)
-    except SingularMetricError as exc:
-        # np.linalg.cond raises on a non-finite matrix (overflowed jets)
-        finite = np.isfinite(normal).all(axis=(-2, -1))
-        cond = np.linalg.cond(np.where(finite[..., None, None], normal, np.eye(m + 1)))
-        raise SingularFitError("torse-forming normal equations are singular",
-                               float(np.max(np.where(finite, cond, math.inf)))) from exc
-    f = sol[..., 0]
-    w = sol[..., 1:]
+        vv = dot(v, v)
+        normal = np.zeros(np.shape(vv) + (m + 1, m + 1))
+        normal[..., 0, 0] = m
+        normal[..., 0, 1:] = v
+        normal[..., 1:, 0] = v
+        normal[..., 1:, 1:] = vv[..., None, None] * np.eye(m)
+        rhs = np.concatenate((np.trace(a, axis1=-2, axis2=-1)[..., None], mv(a, v)), axis=-1)
+        try:
+            sol = solve_spd(normal, rhs, tols.spd_tol)
+        except SingularMetricError as exc:
+            # np.linalg.cond raises on a non-finite matrix (overflowed jets)
+            finite = np.isfinite(normal).all(axis=(-2, -1))
+            cond = np.linalg.cond(np.where(finite[..., None, None], normal, np.eye(m + 1)))
+            raise SingularFitError("torse-forming normal equations are singular",
+                                   float(np.max(np.where(finite, cond, math.inf)))) from exc
+        f = sol[..., 0]
+        w = sol[..., 1:]
 
-    resid = a - f[..., None, None] * np.eye(m) - w[..., :, None] * v[..., None, :]
-    grad_norm = norm(a, 2)
-    omega = mv(L, w)                                    # ω(∂_j) from ω(e_i) = w_i
-    report = ClassificationReport(
-        point=mp.point, f=item(f), omega=omega, w_dual=mv(mp.inverse, omega),
-        residual_torse=item(norm(resid, 2) / np.maximum(1.0, grad_norm)),
-        residual_concircular=item(norm(w)),
-        residual_torqued=item(abs(dot(w, v))),
-        residual_antitorqued=item(norm(w + f[..., None] * v)),
-        verdict=NONE, v_norm=v_norm, grad_norm=item(grad_norm),
-        geodesic_defect=mp.norm((vap.components[..., None, :] @ dcoord)[..., 0, :]))
-    membership = np.stack([_passes(report, cls, tols) for cls in PRECEDENCE], axis=-1)
-    verdict = _CLASSES[np.where(membership.any(-1), membership.argmax(-1), len(PRECEDENCE))]
-    return replace(report, verdict=verdict if verdict.ndim else str(verdict),
-                   membership=membership)
+        resid = a - f[..., None, None] * np.eye(m) - w[..., :, None] * v[..., None, :]
+        grad_norm = norm(a, 2)
+        omega = mv(L, w)                                    # ω(∂_j) from ω(e_i) = w_i
+        report = ClassificationReport(
+            point=mp.point, f=item(f), omega=omega, w_dual=mv(mp.inverse, omega),
+            residual_torse=item(norm(resid, 2) / np.maximum(1.0, grad_norm)),
+            residual_concircular=item(norm(w)),
+            residual_torqued=item(abs(dot(w, v))),
+            residual_antitorqued=item(norm(w + f[..., None] * v)),
+            verdict=NONE, v_norm=v_norm, grad_norm=item(grad_norm),
+            geodesic_defect=mp.norm((vap.components[..., None, :] @ dcoord)[..., 0, :]))
+        membership = np.stack([_passes(report, cls, tols) for cls in PRECEDENCE], axis=-1)
+        verdict = _CLASSES[np.where(membership.any(-1), membership.argmax(-1), len(PRECEDENCE))]
+        return replace(report, verdict=verdict if verdict.ndim else str(verdict),
+                       membership=membership)
 
 
 def _point_reports(batch: ClassificationReport) -> tuple:

@@ -16,8 +16,6 @@ class Tolerances:
     degeneracy_tol: float = 1e-10  # relative floor for plane-section denominators
     frame_tol: float = 1e-10      # orthonormality slack for tangent/normal frames
     rank_tol: float = 1e-10       # relative smallest-singular-value floor for immersions
-    svd_rank_tol: float = 1e-8    # relative singular-value cutoff for the first normal space
-    zero_h_tol: float = 1e-8      # |h| relative to |∇̃_{e_i}e_j| at or below which h = 0
     normal_keep_tol: float = 1e-6  # relative residual floor for normal-frame completion
     min_field_norm: float = 1e-12  # points with |V| below this are outside the scene domain
 

@@ -234,11 +234,6 @@ class Call:
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
 
-def free_variables(expr: Expr) -> frozenset:
-    """Names of all variables occurring in the expression."""
-    return frozenset(Tape((expr,)).names)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ point u:
   - orthonormal tangent and normal frames by deterministic Gram-Schmidt,
   - the second fundamental form h(X, Y) = (∇̃_X Y)^⊥ and shape operators A_ξ
     with g(A_ξ X, Y) = g̃(h(X, Y), ξ),
-  - the mean curvature H = (1/n) Σ h(e_i, e_i) and the first normal space
-    Im h = Span{h(X, Y)},
   - tangential/normal decomposition of an attached ambient field, and the
     Gauss-equation defect
         g(R(X,Y)Z, W) − [g̃(R̃(X,Y)Z, W) + g̃(h(X,W), h(Y,Z)) − g̃(h(X,Z), h(Y,W))].
@@ -157,15 +155,6 @@ class FramePacket:
         return solve_spd(self.g_coord, rhs, self.tols.spd_tol)
 
 
-@dataclass(frozen=True)
-class FirstNormalSpace:
-    """Span{h(X, Y)} at a point: orthonormal basis in the normal space."""
-
-    basis: np.ndarray  # (rank, m)
-    rank: int
-    singular_values: np.ndarray
-
-
 def _jacobian(psi, u, tols: Tolerances) -> np.ndarray:
     """J[a, i] = ∂Ψ^a/∂uⁱ from Ψ's jets (at each point of a batch); raises
     RankDeficiencyError where J loses rank."""
@@ -273,30 +262,6 @@ def over_sample(terms, packet: FramePacket, *args):
     return replay(lambda: terms(packet, *args), single, range(len(packet.u)))
 
 
-def second_fundamental_form(imm: Immersion, metric: MetricField, u,
-                            tols: Tolerances = DEFAULT):
-    """h in the orthonormal frames plus the first normal space."""
-    packet = frames(imm, metric, u, tols=tols)
-    return packet.h_frame, first_normal_space(packet, tols)
-
-
-def first_normal_space(packet: FramePacket, tols: Tolerances = DEFAULT) -> FirstNormalSpace:
-    if packet.u.ndim > 1:
-        raise PreconditionError("the first normal space's rank varies by point: "
-                                "it needs a one-point packet")
-    rows, cols = np.triu_indices(packet.n)
-    H = packet.h_frame[:, rows, cols].T    # h(e_i, e_j), i <= j: (n(n+1)/2, p)
-    B = packet.tangent_coeffs      # h is zero where it is round-off of S = ∇̃_{e_i}e_j
-    S = np.moveaxis(B @ packet.second @ B.T, 0, -1)[rows, cols] @ packet.ambient.factor
-    if H.size == 0 or norm(H, 2) <= tols.zero_h_tol * norm(S, 2):    # |S| in g̃ = L Lᵀ
-        return FirstNormalSpace(basis=np.zeros((0, packet.x.size)), rank=0,
-                                singular_values=np.zeros(min(H.shape) if H.size else 0))
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    rank = int(np.sum(s > tols.svd_rank_tol * s[0]))
-    basis = Vt[:rank] @ packet.normals
-    return FirstNormalSpace(basis=basis, rank=rank, singular_values=s)
-
-
 def shape_operator(packet: FramePacket, xi, tols: Tolerances = DEFAULT) -> np.ndarray:
     """A_ξ in the orthonormal tangent frame; symmetric, linear in ξ."""
     xi = np.asarray(xi, dtype=float)
@@ -307,12 +272,6 @@ def shape_operator(packet: FramePacket, xi, tols: Tolerances = DEFAULT) -> np.nd
             f"vector has tangential part of norm {first_where(tangential, tan_norm):.3e}")
     comps = packet.coefficients(xi, packet.normals)
     return np.einsum("...a,...aij->...ij", comps, packet.h_frame)
-
-
-def mean_curvature(packet: FramePacket) -> np.ndarray:
-    """H = (1/n) Σᵢ h(eᵢ, eᵢ), an ambient vector in the normal space."""
-    traces = np.einsum("...aii->...a", packet.h_frame)
-    return np.einsum("...a,...ak->...k", traces, packet.normals) / packet.n
 
 
 @dataclass(frozen=True)

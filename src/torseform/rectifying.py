@@ -54,16 +54,9 @@ class RectifyingPointReport:
     h_sup: float
 
 
-def rectifying_point(imm: Immersion, metric: MetricField, field: VectorField,
-                     u, tols: Tolerances = DEFAULT):
-    """Residual, properness and |A_{V^⊥}| at one parameter point."""
-    packet = frames(imm, metric, u, field=field, tols=tols)
-    return rectifying_at(packet), packet
-
-
 def rectifying_at(packet: FramePacket) -> RectifyingPointReport:
-    """The report of rectifying_point from a packet that carries the field,
-    at its point or at each point of its batch."""
+    """Residual, properness and |A_{V^⊥}| from a packet that carries the
+    field, at its point or at each point of its batch."""
     rows, cols = np.triu_indices(packet.n)
     h_pairs = np.swapaxes(packet.h_frame[..., rows, cols], -1, -2)   # h(e_i, e_j), i <= j
     v_nor_frame = packet.coefficients(packet.v_nor, packet.normals)
@@ -78,12 +71,6 @@ def rectifying_at(packet: FramePacket) -> RectifyingPointReport:
         v_tan_norm=packet.v_tan_norm, v_nor_norm=packet.v_nor_norm,
         proper=(packet.v_tan_norm > proper_tol) & (packet.v_nor_norm > proper_tol),
         a_vperp_frob=item(norm(a_vperp, 2)), h_sup=item(h_sup))
-
-
-def rectifying_residual(imm: Immersion, metric: MetricField, field: VectorField,
-                        u, tols: Tolerances = DEFAULT) -> float:
-    report, _ = rectifying_point(imm, metric, field, u, tols)
-    return report.residual
 
 
 @dataclass(frozen=True)
@@ -283,14 +270,9 @@ class TorquedCaseReport:
     passed: bool = False
 
 
-def verify_torqued_props(imm: Immersion, metric: MetricField,
-                         field: VectorField, us, classification,
-                         tols: Tolerances = DEFAULT) -> TorquedCaseReport:
-    return torqued_over(frames(imm, metric, us, field=field, tols=tols), classification)
-
-
 def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
-    """verify_torqued_props over a batched packet that carries the field."""
+    """The torqued characterization over a batched packet that carries the
+    field, given the scene's torqued classification."""
     if classification.verdict != TORQUED:
         raise PreconditionError(
             f"torqued characterization requires a torqued verdict, got "

@@ -24,6 +24,7 @@ from .errors import (GeometryError, InconsistentSampleError, PreconditionError,
 from .expr import quiet
 from .immersion import FramePacket, frames, gauss_defect, over_sample
 from .linalg import reduce_max, worst
+from .metric import VectorField
 from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
                      sample_parameter_points)
 
@@ -76,12 +77,16 @@ class _RunContext:
             raise PreconditionError("check needs a submanifold")
         return sample_parameter_points(self.scene, self.points, self.rng("rectifying"))
 
+    @property
+    def field(self) -> VectorField:
+        """The scene's field; every check that reads it reads it here first."""
+        if self.scene.field is None:
+            raise PreconditionError("check needs a vector field")
+        return self.scene.field
+
     @cached_property
     def classification(self) -> SceneClassification:
-        if self.scene.field is None:
-            raise PreconditionError("scene has no vector field")
-        return classify_field(self.scene.metric, self.scene.field,
-                              self.ambient_points, self.tols)
+        return classify_field(self.scene.metric, self.field, self.ambient_points, self.tols)
 
     @cached_property
     def packet(self) -> FramePacket:
@@ -89,11 +94,15 @@ class _RunContext:
         return frames(self.scene.immersion, self.scene.metric,
                       self.param_points, self.scene.field, self.tols)
 
+    @property
+    def field_packet(self) -> FramePacket:
+        """The shared packet, for a check that reads the field on it."""
+        self.field          # a missing field outranks frame errors
+        return self.packet
+
     @cached_property
     def rect_report(self) -> rect.RectifyingSceneReport:
-        if self.scene.field is None:
-            raise PreconditionError("rectifying needs a submanifold and a field")
-        return rect.rectifying_over(self.packet)
+        return rect.rectifying_over(self.field_packet)
 
 
 def _witness(point, **values) -> dict:
@@ -130,9 +139,8 @@ def _check_classify(ctx: _RunContext) -> CheckResult:
 
 
 def _check_geodesic_unit(ctx: _RunContext) -> CheckResult:
-    value = geodesic_unit_check(ctx.scene.metric, ctx.scene.field,
-                                ctx.ambient_points, ctx.classification,
-                                ctx.tols)
+    value = geodesic_unit_check(ctx.scene.metric, ctx.field, ctx.ambient_points,
+                                ctx.classification, ctx.tols)
     bound = ctx.tols.geodesic_tol
     return _result("geodesic-unit", value <= bound, value,
                    max_geodesic_defect=value, bound=bound)
@@ -160,14 +168,14 @@ def _check_rectifying(ctx: _RunContext) -> CheckResult:
 
 
 def _check_tangential(ctx: _RunContext) -> CheckResult:
-    rep = rect.tangential_over(ctx.packet)
+    rep = rect.tangential_over(ctx.field_packet)
     return _reduced("tangential-theorem", rep,
                     ("max_normal_derivative", "max_umbilic_defect"),
                     _witness(rep.witness_umbilic), max_v_tan=rep.max_v_tan)
 
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
-    rep = rect.normal_over(ctx.packet)
+    rep = rect.normal_over(ctx.field_packet)
     return _reduced("normal-theorem", rep, NORMAL_TERMS, max_v_nor=rep.max_v_nor)
 
 
@@ -202,8 +210,7 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
 
 
 def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
-    rep = wp.verify_ambient_decomposition(ctx.scene.metric, ctx.scene.field,
-                                          ctx.ambient_points,
+    rep = wp.verify_ambient_decomposition(ctx.scene.metric, ctx.field, ctx.ambient_points,
                                           ctx.classification, ctx.tols)
     return _reduced("ambient-decomposition", rep,
                     ("max_geodesic_defect", "max_lambda_ode_defect",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from torseform import eval_float, free_variables, parse, to_source
+from torseform import eval_float, parse, to_source
 from torseform.errors import DomainEvalError, ParseError
 from torseform.expr import BinOp, Call, Neg, Num, Var
 
@@ -41,9 +41,6 @@ class TestParsing:
 
     def test_closed_form_tanh_asinh(self):
         assert ev("tanh(asinh(s))", s=1.0) == pytest.approx(1 / math.sqrt(2))
-
-    def test_free_variables(self):
-        assert free_variables(parse("x1*sin(x2)+3")) == {"x1", "x2"}
 
     def test_unknown_identifier_rejected_with_position(self):
         with pytest.raises(ParseError) as err:

@@ -339,4 +339,4 @@ def test_field_checks_without_a_field_are_not_applicable():
     report = run(load_scene(doc), points=20)
     assert [(c.name, c.status) for c in report.checks] == [
         ("tangential-theorem", "n/a"), ("normal-theorem", "n/a"), ("gauss-equation", "pass")]
-    assert report.checks[1].details == {"reason": "check needs a vector field on the submanifold"}
+    assert report.checks[1].details == {"reason": "check needs a vector field"}

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import radial_unit_field
-from torseform import (DEFAULT, Immersion, decompose_field,
-                       first_normal_space, frames, gauss_equation_residual,
-                       induced_metric, mean_curvature, riemann,
-                       second_fundamental_form, shape_operator)
-from torseform.errors import (NonNormalVectorError, PreconditionError,
-                              RankDeficiencyError)
+from torseform import (Immersion, decompose_field, frames,
+                       gauss_equation_residual, induced_metric, riemann,
+                       shape_operator)
+from torseform.errors import NonNormalVectorError, RankDeficiencyError
 
 #: three parameter points of a sphere, for packets with a batch axis
 SPHERE_US = np.array([[0.9, 0.6], [1.2, 2.0], [2.0, 4.5]])
@@ -134,9 +132,8 @@ class TestFrames:
 
 class TestSecondFundamentalForm:
     def test_plane_totally_geodesic(self, euclid3):
-        h, fns = second_fundamental_form(plane3(), euclid3, [0.3, 0.3])
+        h = frames(plane3(), euclid3, [0.3, 0.3]).h_frame
         assert np.max(np.abs(h)) <= 1e-12
-        assert fns.rank == 0
 
     def test_sphere_constant_curvature_oracle(self, euclid3):
         # h(X, Y) = −g(X, Y) N/r with N the outward radial
@@ -150,53 +147,22 @@ class TestSecondFundamentalForm:
                     expected = -(1.0 if i == j else 0.0) / r
                     assert pk.h_frame[0, i, j] * sign == pytest.approx(
                         expected, abs=1e-10), (r, i, j)
-            _, fns = second_fundamental_form(imm, euclid3, [1.1, 0.4])
-            assert fns.rank == 1
-
-    def test_first_normal_space_of_a_huge_sphere(self, euclid3):
-        # |h| = 1e-9 in the frame, small but all of ∇̃_{e_i}e_j: rank 1
-        _, fns = second_fundamental_form(sphere3(1e9), euclid3, [1.1, 0.4])
-        assert fns.rank == 1
-
-    def test_first_normal_space_of_a_tiny_plane_chart(self, euclid3):
-        # the plane z = x + y through a chart scaled by 1e-9: ∇̃_{e_i}e_j is
-        # ~1e9 in the frame and tangent, and h ~1e-7 is its round-off: rank 0
-        imm = Immersion(["1e-9*(u1^2+u2)", "1e-9*(u2^3-u1)", "1e-9*(u1^2+u2^3+u2-u1)"], n=2)
-        _, fns = second_fundamental_form(imm, euclid3, [1.1, 0.4])
-        assert fns.rank == 0
-
-    def test_zero_h_floor_is_a_tolerance(self, euclid3):
-        # |h| <= |∇̃_{e_i}e_j| always, so a floor above 1 makes every h zero
-        tols = DEFAULT.override(zero_h_tol=2.0)
-        _, fns = second_fundamental_form(sphere3(), euclid3, [1.1, 0.4], tols)
-        assert fns.rank == 0
 
     def test_developable_rank_and_det(self, euclid3):
         pk = frames(developable(), euclid3, [1.0, 0.8])
         a = shape_operator(pk, pk.normals[0])
         assert abs(np.linalg.det(a)) <= 1e-12
-        assert first_normal_space(pk).rank <= 1
+        assert np.linalg.matrix_rank(a, tol=1e-10) <= 1
 
     def test_cone_rank_one(self, euclid3):
+        # a cone is flat along its rulings and curved across them
         pk = frames(cone3(), euclid3, [1.0, 0.5])
-        fns = first_normal_space(pk)
-        assert fns.rank == 1
-        # basis vectors live in the normal space
-        for b in fns.basis:
-            assert np.linalg.norm(pk.tangent_project(b)) <= 1e-10
+        s = np.linalg.svd(pk.h_frame[0], compute_uv=False)
+        assert s[0] > 0.1 and s[1] <= 1e-12 * s[0]
 
-    def test_h_symmetry_and_bound(self, euclid4):
+    def test_h_symmetry(self, euclid4):
         pk = frames(vertex_cone4(), euclid4, [1.7, 3.0])
         assert pk.h_frame == pytest.approx(pk.h_frame.transpose(0, 2, 1), abs=1e-12)
-        fns = first_normal_space(pk)
-        n, p = 2, 2
-        assert fns.rank <= min(p, n * (n + 1) // 2)
-
-    def test_batched_packet_is_refused(self, euclid3):
-        # the rank varies by point, so there is no batched FirstNormalSpace
-        pk = frames(sphere3(2.0), euclid3, SPHERE_US)
-        with pytest.raises(PreconditionError, match="one-point packet"):
-            first_normal_space(pk)
 
     def test_h_tensorial_in_arguments(self, euclid3):
         pk = frames(sphere3(), euclid3, [1.2, 0.9])
@@ -253,6 +219,12 @@ class TestShapeOperator:
         pk = frames(sphere3(), euclid3, [1.0, 0.3])
         with pytest.raises(NonNormalVectorError):
             shape_operator(pk, pk.normals[0] + 0.5 * pk.tangents[0])
+
+
+def mean_curvature(pk):
+    """H = (1/n) Σᵢ h(eᵢ, eᵢ), an ambient normal vector, from the packet's h."""
+    traces = np.einsum("...aii->...a", pk.h_frame)
+    return np.einsum("...a,...ak->...k", traces, pk.normals) / pk.n
 
 
 class TestMeanCurvature:

@@ -14,7 +14,8 @@ import pytest
 
 import torseform.expr as ex
 import torseform.runner as runner
-from torseform import builtin_scene, eval_float, parse
+from torseform import (MetricField, VectorField, builtin_scene, classify, eval_float,
+                       fit_torse_forming, parse)
 from torseform.errors import DomainEvalError, JetDomainError, PreconditionError
 from torseform.expr import _QUIET, Tape, quiet
 from torseform.jets import call
@@ -102,3 +103,23 @@ def test_outside_a_run_a_row_fails_without_a_warning(evaluate, error, reason):
             evaluate()
     assert str(err.value) == reason
     assert isinstance(err.value.__cause__ or err.value, JetDomainError)
+
+
+OVERFLOWING = VectorField(["x1^300", "x2", "0"])   # |∇V| ~ 3e92 at (2, 1, 0.5)
+BOX = [2.0, 1.0, 0.5] + np.random.default_rng(0).uniform(-0.01, 0.01, (50, 3))
+
+
+@pytest.mark.parametrize("fit, result", [
+    (lambda: fit_torse_forming(MetricField.euclidean(3), OVERFLOWING, (2.0, 1.0, 0.5)),
+     lambda report: (report.verdict, report.residual_torse)),
+    (lambda: classify(MetricField.euclidean(3), OVERFLOWING, list(BOX)),
+     lambda scene: (scene.verdict, scene.witness_residual)),
+], ids=["point", "box"])
+def test_a_fit_outside_a_run_overflows_without_a_warning(fit, result):
+    # products inside the fit overflow, and the fit judges them itself,
+    # with the bits it gets within a run's scope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outside = result(fit())
+    with quiet():
+        assert outside == result(fit())

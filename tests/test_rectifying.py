@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import radial_unit_field
-from torseform import (Immersion, MetricField, VectorField,
-                       classify, rectifying_point,
-                       rectifying_residual, rectifying_scene,
-                       verify_normal_vanishes, verify_tangential_vanishes,
-                       verify_torqued_props)
+from torseform import (Immersion, MetricField, VectorField, classify, frames,
+                       rectifying_scene, verify_normal_vanishes,
+                       verify_tangential_vanishes)
 from torseform.errors import PreconditionError
+from torseform.rectifying import rectifying_at, torqued_over
 
 LAM = "exp(x1)*(1+x2^2/4)"
 
@@ -43,6 +42,10 @@ def param_grid(rng, box, count):
             for _ in range(count)]
 
 
+def rectifying_residual(imm, metric, field, u):
+    return rectifying_at(frames(imm, metric, u, field=field)).residual
+
+
 class TestRectifyingResidual:
     def test_vertex_cone_is_rectifying(self, euclid4):
         imm = vertex_cone4()
@@ -54,7 +57,7 @@ class TestRectifyingResidual:
     def test_unit_sphere_residual_one(self, euclid3):
         imm = unit_sphere3()
         field = radial_unit_field(3)
-        rep, pk = rectifying_point(imm, euclid3, field, [1.1, 0.7])
+        rep = rectifying_at(frames(imm, euclid3, [1.1, 0.7], field=field))
         assert rep.residual == pytest.approx(1.0, abs=1e-10)
         # umbilic contrast: |A_{V^perp}| = sqrt(n) since A = -Id
         assert rep.a_vperp_frob == pytest.approx(np.sqrt(2.0), abs=1e-10)
@@ -212,8 +215,8 @@ class TestTorquedCase:
         assert classification.verdict == "torqued"
         leaf = Immersion(["u1", "0.3", "0.4"], n=1, domain=[[-0.5, 0.5]])
         us = [np.array([s]) for s in rng.uniform(-0.4, 0.4, size=8)]
-        rep = verify_torqued_props(leaf, twisted_metric(), twisted_field(),
-                                   us, classification)
+        rep = torqued_over(frames(leaf, twisted_metric(), us, field=twisted_field()),
+                           classification)
         assert rep.case == "tangent"
         assert rep.passed
         assert rep.max_concircular_residual <= 1e-9
@@ -225,8 +228,8 @@ class TestTorquedCase:
         fiber = Immersion(["0.2", "u1", "u2"], n=2,
                           domain=[[-0.8, 0.8], [-0.8, 0.8]])
         us = param_grid(rng, fiber.domain, 8)
-        rep = verify_torqued_props(fiber, twisted_metric(), twisted_field(),
-                                   us, classification)
+        rep = torqued_over(frames(fiber, twisted_metric(), us, field=twisted_field()),
+                           classification)
         assert rep.case == "normal"
         assert rep.passed
         assert not rep.w_tangent_vanishes
@@ -242,8 +245,8 @@ class TestTorquedCase:
         assert classification.verdict == "anti-torqued"
         imm = vertex_cone4()
         with pytest.raises(PreconditionError):
-            verify_torqued_props(imm, euclid4, radial_unit_field(4),
-                                 param_grid(rng, imm.domain, 5), classification)
+            torqued_over(frames(imm, euclid4, param_grid(rng, imm.domain, 5),
+                                field=radial_unit_field(4)), classification)
 
     def test_mixed_components_rejected(self):
         rng = np.random.default_rng(17)
@@ -252,5 +255,5 @@ class TestTorquedCase:
         diag = Immersion(["u1", "u1", "u2"], n=2,
                          domain=[[-0.4, 0.4], [-0.8, 0.8]])
         with pytest.raises(PreconditionError):
-            verify_torqued_props(diag, twisted_metric(), twisted_field(),
-                                 param_grid(rng, diag.domain, 5), classification)
+            torqued_over(frames(diag, twisted_metric(), param_grid(rng, diag.domain, 5),
+                                field=twisted_field()), classification)

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torseform import (builtin_names, builtin_scene, load_scene, report_to_json,
-                       run, sample_ambient_points, sample_parameter_points)
+from torseform import (Tolerances, builtin_names, builtin_scene, load_scene,
+                       report_to_json, run, sample_ambient_points,
+                       sample_parameter_points)
 from torseform.errors import SceneSchemaError
 from torseform.runner import exit_code, render_report
 from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, with_seed
@@ -119,9 +120,18 @@ class TestSchema:
             load_scene(minimal_doc(checks=["frobnicate"]))
         assert "frobnicate" in str(err.value)
 
-    def test_unknown_tolerance(self):
-        with pytest.raises(SceneSchemaError):
-            load_scene(minimal_doc(tolerances={"bogus_tol": 1e-3}))
+    @pytest.mark.parametrize("key", ["bogus_tol", "zero_h_tol", "svd_rank_tol"])
+    def test_unknown_tolerance(self, key):
+        with pytest.raises(SceneSchemaError, match=f"unknown tolerance '{key}'"):
+            load_scene(minimal_doc(tolerances={key: 1e-3}))
+
+    def test_every_tolerance_is_read_by_the_code(self):
+        # a field no code reads would be a knob a scene sets to no effect
+        code = "".join(path.read_text() for path in (REPO / "src" / "torseform").glob("*.py")
+                       if path.name != "config.py")
+        unread = [f.name for f in dataclasses.fields(Tolerances)
+                  if not re.search(rf"\.{f.name}\b", code)]
+        assert unread == []
 
     def test_tolerance_override_applied(self):
         scene = load_scene(minimal_doc(tolerances={"rect_tol": 1e-5}))
@@ -238,21 +248,15 @@ class TestRunner:
         assert exit_code(report) == 1
 
     def test_scene_without_field_reports_na_for_field_checks(self):
+        # one precondition of the run, whichever check reads the field
         report = run(load_scene(SPHERE_ONLY))
-        no_field = "scene has no vector field"
-        no_tangent = "check needs a vector field on the submanifold"
-        reasons = {"classify": no_field, "geodesic-unit": no_field,
-                   "tangential-theorem": no_tangent, "normal-theorem": no_tangent,
-                   "torqued-props": no_field,
-                   "rectifying": "rectifying needs a submanifold and a field",
-                   "warp-fit": "rectifying needs a submanifold and a field",
-                   "ambient-decomposition": no_field}
         assert [c.name for c in report.checks] == list(CHECK_NAMES)
         for check in report.checks:
             if check.name == "gauss-equation":
                 assert check.status == "pass"
             else:
-                assert (check.status, check.details) == ("n/a", {"reason": reasons[check.name]})
+                assert (check.status, check.details) == (
+                    "n/a", {"reason": "check needs a vector field"})
         assert exit_code(report) == 1
 
     def test_a_nan_in_a_nested_detail_is_an_error(self, monkeypatch):
