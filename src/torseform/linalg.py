@@ -104,7 +104,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
 
 
 def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
-                   start_basis=None, want: int | None = None):
+                   start_basis, want: int):
     """Modified Gram-Schmidt under the inner product <u, v> = u' gram v, at
     one point or at each point of a stack of grams (..., m, m).
 
@@ -118,8 +118,7 @@ def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
     does not fill stay zero, so they project nothing.
 
     Returns (basis, kept): basis (..., slots, m) with slots = len(start
-    basis) + (want or ncand); kept (...) counts the candidates kept at each
-    point.
+    basis) + want; kept (...) counts the candidates kept at each point.
     """
     gram = np.asarray(gram, dtype=float)
     batch, m = gram.shape[:-2], gram.shape[-1]
@@ -127,15 +126,14 @@ def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
     # residual norm² at or below which each candidate is dropped
     vv = (candidates @ gram * candidates).sum(axis=-1)
     drop_at = keep_tol ** 2 * np.maximum(1.0, vv)
-    nstart = 0 if start_basis is None else np.shape(start_basis)[-2]
-    slots = nstart + (len(candidates) if want is None else want)
+    nstart = np.shape(start_basis)[-2]
+    slots = nstart + want
     # slot s holds basis vector b and b @ gram; one more slot at the end
     # takes the writes of points that have filled every slot
     store = np.zeros(batch + (slots + 1, m))
     gstore = np.zeros(batch + (slots + 1, 1, m))
-    if nstart:
-        store[..., :nstart, :] = start_basis
-        gstore[..., :nstart, :, :] = store[..., :nstart, None, :] @ gram[..., None, :, :]
+    store[..., :nstart, :] = start_basis
+    gstore[..., :nstart, :, :] = store[..., :nstart, None, :] @ gram[..., None, :, :]
     views = [(gstore[..., s, :, :], store[..., s, :]) for s in range(slots)]
     at_points = np.indices(batch, sparse=True)
     count = np.full(batch, nstart)            # slots filled so far, per point
@@ -145,16 +143,14 @@ def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
                 w = w - (gb @ w[..., :, None])[..., 0] * b
         norm_w_sq = (w[..., None, :] @ gram @ w[..., :, None])[..., 0, 0]
         drop = drop_at[..., idx]
-        keep = ~(norm_w_sq <= drop)
-        if want is not None:
-            keep &= count < slots
+        keep = ~(norm_w_sq <= drop) & (count < slots)
         # a point that drops the candidate writes zeros to its next free slot
         unit = w / np.sqrt(np.maximum(norm_w_sq, drop))[..., None] * keep[..., None]
         at = at_points + (count,)
         store[at] = unit
         gstore[at] = unit[..., None, :] @ gram
         count += keep
-        if want is not None and (count == slots).all():
+        if (count == slots).all():
             break
     return store[..., :slots, :], count - nstart
 

@@ -30,15 +30,6 @@ from .linalg import item, mv, norm, reduce_max, worst
 from .metric import (MetricField, VectorField, covariant_derivative,
                      covariant_jacobian, plane_curvature, riemann)
 
-# contract bounds from the characterization statements
-A_VPERP_TOL = 1e-8        # |A_{V^⊥}| on a rectifying submanifold
-PARALLEL_NORMAL_TOL = 1e-8  # |D_X V^⊥| when V is normal
-UMBILIC_TOL = 1e-7        # |A_{V^⊥} + f Id|
-DET_TOL = 1e-8            # |det A_ξ| when V is tangent
-H_TANGENT_TOL = 1e-8      # |h(X, V^⊤)| when V is tangent
-CURV_MATCH_TOL = 1e-7     # curvature identities (ambient vs intrinsic)
-COMPONENT_TOL = 1e-8      # "component vanishes" preconditions
-
 
 @dataclass(frozen=True)
 class RectifyingPointReport:
@@ -109,7 +100,7 @@ def rectifying_over(packet: FramePacket) -> RectifyingSceneReport:
     max_res, at = worst(rep.residual)
     all_proper = bool(np.all(rep.proper))
     max_a = reduce_max(rep.a_vperp_frob)
-    passed = (max_res <= tols.rect_tol and all_proper and max_a <= A_VPERP_TOL)
+    passed = (max_res <= tols.rect_tol and all_proper and max_a <= tols.a_vperp_tol)
     return RectifyingSceneReport(
         mode="proper-rectifying", max_residual=max_res,
         residual_witness=packet.u[at], all_proper=all_proper,
@@ -122,11 +113,11 @@ def rectifying_over(packet: FramePacket) -> RectifyingSceneReport:
 
 def _vanishing(packet: FramePacket, attr: str, label: str) -> float:
     """max of a component norm over the sample; raises PreconditionError
-    unless it is finite and within COMPONENT_TOL."""
+    unless it is finite and within proper_tol, where a component vanishes."""
     if packet.field is None:
         raise PreconditionError("check needs a vector field on the submanifold")
     value, at = worst(getattr(packet, attr))
-    if not value <= COMPONENT_TOL:
+    if not value <= packet.tols.proper_tol:
         u = packet.u[at]
         raise PreconditionError(f"{label} = {value:.3e} at u={u.tolist()}",
                                 witness=u)
@@ -176,10 +167,11 @@ def tangential_over(packet: FramePacket) -> TangentialCaseReport:
     ds, umb = over_sample(_tangential_terms, packet)
     max_d = reduce_max(ds)
     max_umb, at = worst(umb)
+    tols = packet.tols
     return TangentialCaseReport(
         max_v_tan=max_v_tan, max_normal_derivative=max_d,
         max_umbilic_defect=max_umb, witness_umbilic=packet.u[at],
-        passed=(max_d <= PARALLEL_NORMAL_TOL and max_umb <= UMBILIC_TOL))
+        passed=(max_d <= tols.parallel_normal_tol and max_umb <= tols.umbilic_tol))
 
 
 def _tangential_terms(packet: FramePacket):
@@ -217,12 +209,13 @@ def normal_over(packet: FramePacket) -> NormalCaseReport:
     dets, hs, curvs, secs = over_sample(_normal_terms, packet)
     max_det, max_h, max_curv = map(reduce_max, (dets, hs, curvs))
     max_sec, max_amb, max_int = (reduce_max(secs[:, j]) for j in range(3))
+    tols = packet.tols
     return NormalCaseReport(
         max_v_nor=max_v_nor, max_det=max_det, max_h_vtan=max_h,
         max_curvature_mismatch=max_curv, max_sectional_mismatch=max_sec,
         max_ambient_sectional=max_amb, max_intrinsic_sectional=max_int,
-        passed=(max_det <= DET_TOL and max_h <= H_TANGENT_TOL
-                and max_curv <= CURV_MATCH_TOL and max_sec <= CURV_MATCH_TOL))
+        passed=(max_det <= tols.det_tol and max_h <= tols.h_tangent_tol
+                and max_curv <= tols.curv_match_tol and max_sec <= tols.curv_match_tol))
 
 
 def _normal_terms(packet: FramePacket):
@@ -279,17 +272,18 @@ def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
             f"'{classification.verdict}'")
     max_tan = reduce_max(packet.v_tan_norm)
     max_nor = reduce_max(packet.v_nor_norm)
+    tols = packet.tols
 
-    if max_nor <= COMPONENT_TOL:
+    if max_nor <= tols.proper_tol:
         # Case V^⊥ = 0: V^⊤ = V on M, concircular intrinsically by the Gauss
         # formula, shape operators singular.
         concs, dets = over_sample(_concircular_terms, packet)
         max_conc, max_det = reduce_max(concs), reduce_max(dets)
         return TorquedCaseReport(
             case="tangent", max_concircular_residual=max_conc, max_det=max_det,
-            passed=(max_conc <= CURV_MATCH_TOL and max_det <= DET_TOL))
+            passed=(max_conc <= tols.curv_match_tol and max_det <= tols.det_tol))
 
-    if max_tan <= COMPONENT_TOL:
+    if max_tan <= tols.proper_tol:
         # Case V^⊤ = 0: umbilic direction plus the normal-connection
         # identities along W^⊤.
         umbs, ds, wds, w_tangent = over_sample(_torqued_normal_terms, packet)
@@ -298,9 +292,9 @@ def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
             case="normal", max_umbilic_defect=max_umb,
             max_normal_derivative=max_d, max_w_derivative_defect=max_wd,
             w_tangent_vanishes=not np.any(w_tangent),
-            passed=(max_umb <= UMBILIC_TOL
-                    and max_d <= PARALLEL_NORMAL_TOL
-                    and max_wd <= CURV_MATCH_TOL))
+            passed=(max_umb <= tols.umbilic_tol
+                    and max_d <= tols.parallel_normal_tol
+                    and max_wd <= tols.curv_match_tol))
 
     raise PreconditionError(
         f"neither component vanishes on the sample "
@@ -325,7 +319,7 @@ def _torqued_normal_terms(packet: FramePacket):
     mp, vap, rep = packet.ambient, packet.field_jet, packet.fit
     umb = _umbilic_defect(packet)
     w_split = decompose_field(packet, rep.w_dual)
-    w_tangent = np.asarray(w_split.tan_norm > COMPONENT_TOL)
+    w_tangent = np.asarray(w_split.tan_norm > packet.tols.proper_tol)
     w_hat = w_split.v_tan / np.where(w_tangent, w_split.tan_norm, 1.0)[..., None]
     d_w = packet.normal_project(covariant_derivative(mp, vap, w_split.v_tan))
     target = np.asarray(w_split.tan_norm ** 2)[..., None] * packet.v_nor

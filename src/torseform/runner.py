@@ -30,8 +30,6 @@ from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
 
 PASS, FAIL, NA, ERROR = "pass", "fail", "n/a", "error"
 
-GAUSS_TOL = 1e-7
-
 #: the normal-axis theorem's terms; they also judge a tangent-axis hypersurface
 NORMAL_TERMS = ("max_det", "max_h_vtan", "max_curvature_mismatch",
                 "max_sectional_mismatch")
@@ -153,8 +151,9 @@ def _check_gauss(ctx: _RunContext) -> CheckResult:
     vectors = rng.standard_normal((len(packet.u), 4, ctx.scene.immersion.n))
     residuals = over_sample(gauss_defect, packet, *np.moveaxis(vectors, 1, 0))
     value, at = worst(residuals)
-    return _result("gauss-equation", value <= GAUSS_TOL, value, _witness(packet.u[at]),
-                   points=len(packet.u), bound=GAUSS_TOL)
+    bound = ctx.tols.gauss_tol
+    return _result("gauss-equation", value <= bound, value, _witness(packet.u[at]),
+                   points=len(packet.u), bound=bound)
 
 
 def _check_rectifying(ctx: _RunContext) -> CheckResult:
@@ -198,15 +197,16 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
     u0 = np.array([0.5 * (lo + hi) for lo, hi in box])
     curve = wp.trace_integral_curve(scene.immersion, scene.metric, scene.field,
                                     u0, length, step, ctx.tols)
-    ode_res = wp.warping_ode_residual(curve, ctx.tols)
-    fit = wp.fit_tanh_integral(curve, ctx.tols)
-    ok = ode_res <= ctx.tols.ode_tol and fit.deviation <= ctx.tols.warp_tol
-    lam = curve.lam_values
-    return _result("warp-fit", ok, reduce_max([ode_res, fit.deviation]),
-                   ode_residual=ode_res, model_deviation=fit.deviation,
-                   integration_constant=fit.integration_constant,
-                   curve_samples=len(curve.samples), exited_domain=curve.exited_domain,
-                   lambda_range=[float(lam.min()), float(lam.max())])
+    ode_res, lam = wp.warping_ode_residual(curve), curve.lam_values
+    shown = dict(ode_residual=ode_res, curve_samples=len(curve.samples),
+                 exited_domain=curve.exited_domain,
+                 lambda_range=[float(lam.min()), float(lam.max())])
+    if not ode_res <= ctx.tols.ode_tol:     # off the ODE, the tanh model means nothing
+        return _result("warp-fit", False, ode_res, **shown)
+    fit = wp.fit_tanh_integral(curve)
+    return _result("warp-fit", fit.deviation <= ctx.tols.warp_tol,
+                   reduce_max([ode_res, fit.deviation]), model_deviation=fit.deviation,
+                   integration_constant=fit.integration_constant, **shown)
 
 
 def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:

@@ -143,10 +143,14 @@ def load_scene(document: dict) -> Scene:
         if not lo < hi:
             _fail("$.ambient.domain", f"empty interval [{lo}, {hi}]")
 
-    overrides = document.get("tolerances", {})
-    for key in overrides:
+    overrides = dict(document.get("tolerances", {}))
+    for key, value in overrides.items():
         if key not in TOLERANCE_NAMES:
             _fail("$.tolerances", f"unknown tolerance '{key}'")
+        if isinstance(getattr(DEFAULT, key), int):      # a count, such as a sample size
+            if isinstance(value, float) and not value.is_integer():
+                _fail("$.tolerances", f"{key} must be an integer, got {value!r}")
+            overrides[key] = int(value)
     tolerances = DEFAULT.override(**overrides) if overrides else DEFAULT
 
     try:

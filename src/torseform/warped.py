@@ -184,13 +184,9 @@ class WarpFit:
 def fit_tanh_integral(curve: IntegralCurve, tols: Tolerances = DEFAULT) -> WarpFit:
     """Fit λ(s) = tanh(∫ˢ f du + C) with C anchored at the curve midpoint.
 
-    Preconditions: the warping ODE residual is within ode_tol.  λ >= 1
-    anywhere is a model violation (outside the tanh range).
+    The model presumes λ solves the warping ODE: judge warping_ode_residual
+    first.  λ >= 1 anywhere is a model violation (outside the tanh range).
     """
-    ode_res = warping_ode_residual(curve, tols)
-    if not ode_res <= tols.ode_tol:
-        raise PreconditionError(
-            f"warping ODE residual {ode_res:.3e} exceeds {tols.ode_tol:.1e}")
     lam = curve.lam_values
     for sample in curve.samples:
         if sample.lam >= 1.0:
@@ -232,7 +228,7 @@ def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f,
 
     m = mp.dim
     frame, _ = orthonormalize(np.eye(m), mp.g, keep_tol=tols.frame_tol,
-                              start_basis=u[..., None, :])
+                              start_basis=u[..., None, :], want=m - 1)
     fiber = frame[..., 1:m, :]                          # E_2 .. E_m
     conn = fiber @ D @ mp.g @ np.swapaxes(fiber, -1, -2)  # <∇̃_{E_j}E₁, E_k>
     target = (f / lam)[..., None, None] * np.eye(m - 1)
@@ -262,7 +258,7 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
         max_geodesic_defect=max_a, max_lambda_ode_defect=max_b,
         max_connection_form_defect=max_c, max_fiber_lambda_derivative=max_d,
         witness=fits.point[at],
-        passed=(max_a <= tols.decomp_geodesic_tol
+        passed=(max_a <= tols.geodesic_tol
                 and reduce_max([max_b, max_c, max_d]) <= tols.decomp_tol))
 
 

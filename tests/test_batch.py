@@ -108,7 +108,7 @@ class TestLinalg:
         mp = MetricAtPoint(point=np.zeros((6, 4)), g=gram, spd_tol=1e-12)
         start = np.stack([np.eye(4)[1] / np.sqrt(gram[i, 1, 1]) for i in range(6)])
         basis, kept = orthonormalize(np.eye(4), gram, keep_tol=1e-10,
-                                     start_basis=start[:, None, :])
+                                     start_basis=start[:, None, :], want=3)
         for i in range(6):
             assert np.array_equal(L[i], cholesky_spd(gram[i], 1e-12))
             assert_close(x[i], solve_spd(gram[i], b[i], 1e-12))
@@ -117,7 +117,7 @@ class TestLinalg:
             assert np.array_equal(mp.coframe[i], lower_inverse(L[i]))
             assert np.array_equal(mp.inverse[i], single.inverse)
             bi, ki = orthonormalize(np.eye(4), gram[i], keep_tol=1e-10,
-                                    start_basis=start[i, None])
+                                    start_basis=start[i, None], want=3)
             assert np.array_equal(basis[i], bi)
             assert kept[i] == ki == 3
 
@@ -127,7 +127,7 @@ class TestLinalg:
         gram = np.stack([np.eye(3), np.eye(3)])
         start = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         basis, kept = orthonormalize(np.eye(3), gram, keep_tol=1e-10,
-                                     start_basis=start[:, None, :])
+                                     start_basis=start[:, None, :], want=3)
         assert kept.tolist() == [2, 2]
         assert np.array_equal(basis[0], [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert np.array_equal(basis[1], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -160,7 +160,7 @@ def decomposition_per_point(scene, points, classification):
         a = mp.norm(covariant_derivative(mp, e1, e1.components))
         b = abs(grad @ e1.components - rep.f * (1.0 - lam ** 2))
         frame, _ = orthonormalize(np.eye(dim), mp.g, keep_tol=scene.tolerances.frame_tol,
-                                  start_basis=e1.components[None])
+                                  start_basis=e1.components[None], want=dim - 1)
         c = max(abs(covariant_derivative(mp, e1, frame[j]) @ mp.g @ frame[k]
                     - (rep.f / lam if j == k else 0.0))
                 for j in range(1, dim) for k in range(1, dim))

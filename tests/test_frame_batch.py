@@ -71,6 +71,7 @@ class TestBatchOracle:
         us = sample_parameter_points(scene, 30, np.random.default_rng(6))
         batch, singles = batch_and_points(scene.immersion, scene.metric, scene.field, us,
                                           scene.tolerances)
+        tols = scene.tolerances
         # rectifying: the batched point report is the point reports stacked
         rep = rect.rectifying_at(batch)
         for i, single in enumerate(singles):
@@ -87,8 +88,8 @@ class TestBatchOracle:
             assert_close(scene_rep.max_residual, want_res)
             assert_close(scene_rep.max_a_vperp, want_a)
             assert scene_rep.all_proper == want_proper
-            assert scene_rep.passed == (want_res <= scene.tolerances.rect_tol and want_proper
-                                        and want_a <= rect.A_VPERP_TOL)
+            assert scene_rep.passed == (want_res <= tols.rect_tol and want_proper
+                                        and want_a <= tols.a_vperp_tol)
         # Gauss equation with per-point test vectors
         vecs = np.random.default_rng(7).standard_normal((len(us), 4, scene.immersion.n))
         got = gauss_defect(batch, *np.moveaxis(vecs, 1, 0))
@@ -101,8 +102,8 @@ class TestBatchOracle:
             want_umb = max_over(rect._tangential_terms, singles, 1)
             assert_close(report.max_normal_derivative, want_d)
             assert_close(report.max_umbilic_defect, want_umb)
-            assert report.passed == (want_d <= rect.PARALLEL_NORMAL_TOL
-                                     and want_umb <= rect.UMBILIC_TOL)
+            assert report.passed == (want_d <= tols.parallel_normal_tol
+                                     and want_umb <= tols.umbilic_tol)
         if "normal-theorem" in scene.checks:
             report = rect.normal_over(batch)
             want = [max_over(rect._normal_terms, singles, k) for k in range(3)]
@@ -111,9 +112,9 @@ class TestBatchOracle:
             got = [report.max_det, report.max_h_vtan, report.max_curvature_mismatch]
             assert np.all(np.abs(np.array(got) - want) <= REL)
             assert abs(report.max_sectional_mismatch - want_sec) <= REL
-            assert report.passed == (want[0] <= rect.DET_TOL and want[1] <= rect.H_TANGENT_TOL
-                                     and want[2] <= rect.CURV_MATCH_TOL
-                                     and want_sec <= rect.CURV_MATCH_TOL)
+            assert report.passed == (want[0] <= tols.det_tol and want[1] <= tols.h_tangent_tol
+                                     and want[2] <= tols.curv_match_tol
+                                     and want_sec <= tols.curv_match_tol)
 
     @pytest.mark.parametrize("case", ["tangent", "normal"])
     def test_torqued_terms_equal_point_terms(self, case):

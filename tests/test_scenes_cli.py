@@ -52,6 +52,9 @@ SPHERE_ONLY = {"name": "sphere-only", "ambient": E3, "checks": list(CHECK_NAMES)
                "submanifold": {"dim": 2, "domain": [[0.3, 2.8], [0, 6]],
                                "immersion": ["2*sin(u1)*cos(u2)", "2*sin(u1)*sin(u2)",
                                              "2*cos(u1)"]}}
+#: the bounds a check compares against that no scene can set
+FIXED_BOUNDS = ["a_vperp_tol", "parallel_normal_tol", "umbilic_tol", "det_tol",
+                "h_tangent_tol", "curv_match_tol", "gauss_tol"]
 
 
 def minimal_doc(**overrides):
@@ -120,18 +123,33 @@ class TestSchema:
             load_scene(minimal_doc(checks=["frobnicate"]))
         assert "frobnicate" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["bogus_tol", "zero_h_tol", "svd_rank_tol"])
+    @pytest.mark.parametrize("key", ["bogus_tol", "zero_h_tol", "svd_rank_tol",
+                                     "decomp_geodesic_tol", *FIXED_BOUNDS])
     def test_unknown_tolerance(self, key):
         with pytest.raises(SceneSchemaError, match=f"unknown tolerance '{key}'"):
             load_scene(minimal_doc(tolerances={key: 1e-3}))
 
     def test_every_tolerance_is_read_by_the_code(self):
-        # a field no code reads would be a knob a scene sets to no effect
+        # a field no code reads would be a knob a scene sets to no effect, and
+        # a fixed bound no code reads would judge nothing
         code = "".join(path.read_text() for path in (REPO / "src" / "torseform").glob("*.py")
                        if path.name != "config.py")
-        unread = [f.name for f in dataclasses.fields(Tolerances)
-                  if not re.search(rf"\.{f.name}\b", code)]
+        fields = [f.name for f in dataclasses.fields(Tolerances)]
+        names = list(Tolerances.__annotations__)    # the fields, then the fixed bounds
+        assert names == fields + FIXED_BOUNDS
+        unread = [name for name in names if not re.search(rf"\.{name}\b", code)]
         assert unread == []
+
+    @pytest.mark.parametrize("value", [60.5, float("nan"), float("inf")])
+    def test_non_integral_sample_size_is_refused(self, value):
+        with pytest.raises(SceneSchemaError,
+                           match=r"\$\.tolerances: class_min_points must be an integer"):
+            load_scene(minimal_doc(tolerances={"class_min_points": value}))
+
+    def test_integral_float_sample_size_is_stored_as_an_int(self):
+        scene = load_scene(minimal_doc(tolerances={"class_min_points": 60.0}))
+        assert type(scene.tolerances.class_min_points) is int
+        assert scene.tolerances.class_min_points == 60
 
     def test_tolerance_override_applied(self):
         scene = load_scene(minimal_doc(tolerances={"rect_tol": 1e-5}))
@@ -247,6 +265,52 @@ class TestRunner:
         assert by_name["warp-fit"].status == "n/a"
         assert exit_code(report) == 1
 
+    @pytest.mark.parametrize("change, residual", [
+        # rectifying-psi's curve meets the ODE to 5.6e-10, above this bound
+        ({"tolerances": {"ode_tol": 1e-12}}, 5.646e-10),
+        # |2x/|x|| = 2: λ = |V^⊤| solves no warping ODE, and λ >= 1 is also
+        # outside the tanh model, which is never fitted
+        ({"field": ["2*" + c for c in BUILTIN_DOCUMENTS["rectifying-psi"]["field"]]}, 2.236)],
+        ids=["ode_tol-1e-12", "field-2x"])
+    def test_warp_fit_fails_off_the_warping_ode(self, change, residual):
+        doc = dict(BUILTIN_DOCUMENTS["rectifying-psi"], **change)
+        report = run(load_scene(doc), checks=["rectifying", "warp-fit"], points=50)
+        rectifying, warp = report.checks
+        assert rectifying.status == "pass"
+        assert warp.status == "fail"
+        assert warp.residual == pytest.approx(residual, rel=1e-3)
+        assert warp.details["ode_residual"] == warp.residual
+        assert sorted(warp.details) == ["curve_samples", "exited_domain", "lambda_range",
+                                        "ode_residual"]
+        assert exit_code(report) == 1
+
+    def test_a_nan_ode_residual_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(warped_module, "warping_ode_residual", lambda *a: float("nan"))
+        report = run(builtin_scene("rectifying-psi"), checks=["rectifying", "warp-fit"],
+                     points=20)
+        warp = report.checks[1]
+        assert warp.status == "error" and warp.residual is None
+        assert warp.details == {"error": "NonFiniteResidual",
+                                "message": "residual nan is not finite"}
+        assert exit_code(report) == 3
+
+    def test_one_bound_decides_that_the_normal_component_vanishes(self):
+        # |V^⊥| ≈ 7.07e-8 is within proper_tol = 1e-6: rectifying takes
+        # tangent-axis-hypersurface mode, and both checks judge the
+        # normal-axis terms
+        doc = BUILTIN_DOCUMENTS["cone"]
+        field = doc["field"][:2] + [doc["field"][2] + "+1e-7"]
+        doc = dict(doc, field=field, tolerances={"proper_tol": 1e-6})
+        report = run(load_scene(doc), checks=["rectifying", "normal-theorem"], points=50)
+        normal, rectifying = report.checks
+        assert rectifying.details["mode"] == "tangent-axis-hypersurface"
+        assert normal.details["max_v_nor"] == pytest.approx(7.07e-8, rel=1e-3)
+        assert (rectifying.status, normal.status) == ("pass", "pass")
+        for term in ("max_det", "max_h_vtan", "max_curvature_mismatch",
+                     "max_sectional_mismatch"):
+            assert rectifying.details[term] == normal.details[term]
+        assert rectifying.residual == normal.residual
+
     def test_scene_without_field_reports_na_for_field_checks(self):
         # one precondition of the run, whichever check reads the field
         report = run(load_scene(SPHERE_ONLY))
@@ -297,7 +361,7 @@ class TestRunner:
         ({}, "pass"),
         # radial-r4's max |∇̃_{E₁}E₁| is 6.4e-17, and its largest defect of
         # items (b), (c), (d) 2.2e-16
-        ({"decomp_geodesic_tol": 1e-17}, "fail"),
+        ({"geodesic_tol": 1e-17}, "fail"),
         ({"decomp_tol": 1e-17}, "fail")])
     def test_ambient_decomposition_tolerances_are_scene_overrides(self, override, status):
         doc = dict(BUILTIN_DOCUMENTS["radial-r4"], tolerances=override)
@@ -306,8 +370,8 @@ class TestRunner:
         check = report.checks[1]
         assert check.status == status
         details = check.details
-        if "decomp_geodesic_tol" in override:
-            assert details["max_geodesic_defect"] > override["decomp_geodesic_tol"]
+        if "geodesic_tol" in override:
+            assert details["max_geodesic_defect"] > override["geodesic_tol"]
             assert max(details[k] for k in ("max_lambda_ode_defect",
                                              "max_connection_form_defect",
                                              "max_fiber_lambda_derivative")) <= 1e-7
@@ -456,6 +520,16 @@ class TestCli:
         proc = run_cli("check", str(path))
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_non_integral_sample_size_exit_two(self, tmp_path):
+        # rng.random would raise a TypeError on a float sample size
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(dict(BUILTIN_DOCUMENTS["radial-r4"],
+                                        tolerances={"class_min_points": 60.5})))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert "class_min_points must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exit_two(self):
         proc = run_cli("check", "/nonexistent/scene.json")

@@ -212,13 +212,6 @@ class TestTanhFit:
         with pytest.raises(ModelViolationError):
             fit_tanh_integral(curve)
 
-    def test_ode_gate(self):
-        # lambda inconsistent with f: the precondition must trip
-        curve = synthetic_curve(lambda s: 1.0, lambda s: 0.3 * s, 0.1, 1.0,
-                                step=0.01)
-        with pytest.raises(PreconditionError):
-            fit_tanh_integral(curve)
-
 
 class TestAmbientDecomposition:
     def _classified(self, metric, field, rng, box_lo, box_hi, dim):
@@ -526,5 +519,5 @@ class TestNonFiniteResiduals:
                                 lambda s: math.tanh(s), 0.2, 1.8, step=0.005)
         assert sum(math.isnan(f) for f in curve.f_values) == 1
         assert math.isnan(warping_ode_residual(curve))
-        with pytest.raises(PreconditionError, match="warping ODE residual nan"):
-            fit_tanh_integral(curve)
+        # the fit judges nothing: the NaN reaches its deviation
+        assert math.isnan(fit_tanh_integral(curve).deviation)
