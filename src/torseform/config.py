@@ -15,9 +15,8 @@ class Tolerances:
     # metric / linear algebra
     spd_tol: float = 1e-12        # Cholesky pivot floor; below this the metric is singular
     degeneracy_tol: float = 1e-10  # relative floor for plane-section denominators
-    frame_tol: float = 1e-10      # orthonormality slack for tangent/normal frames
+    frame_tol: float = 1e-10      # coordinate-frame rank floor; tangential slack of a normal
     rank_tol: float = 1e-10       # relative smallest-singular-value floor for immersions
-    normal_keep_tol: float = 1e-6  # relative residual floor for normal-frame completion
     min_field_norm: float = 1e-12  # points with |V| below this are outside the scene domain
 
     # field classification

@@ -5,7 +5,8 @@ point u:
 
   - the induced metric g_ij = g̃(∂Ψ/∂uⁱ, ∂Ψ/∂uʲ) with its 2-jets (so the
     intrinsic curvature of the submanifold is available),
-  - orthonormal tangent and normal frames by deterministic Gram-Schmidt,
+  - an orthonormal tangent frame by Gram-Schmidt of the coordinate tangents
+    and the normal frame that completes it by one complete QR,
   - the second fundamental form h(X, Y) = (∇̃_X Y)^⊥ and shape operators A_ξ
     with g(A_ξ X, Y) = g̃(h(X, Y), ξ),
   - tangential/normal decomposition of an attached ambient field, and the
@@ -72,7 +73,6 @@ class FramePacket:
     normals[α]            orthonormal normal frame ξ_α
     h_frame[α, i, j]      g̃(h(e_i, e_j), ξ_α)
     h_coord[i, j, :]      ambient components of h(∂ᵢ, ∂ⱼ)
-    second[:, i, j]       ambient components of ∇̃_{∂ᵢ}∂ⱼΨ, whose normal part is h
 
     ambient2, field_jet, induced and fit are computed on first use, once for
     the whole sample, and kept: checks that read them share one copy, the
@@ -89,7 +89,6 @@ class FramePacket:
     normals: np.ndarray
     h_frame: np.ndarray
     h_coord: np.ndarray
-    second: np.ndarray
     immersion: Immersion
     metric: MetricField
     psi: list
@@ -193,9 +192,10 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
     a parameter point or at each row of an (N, n) array.
 
     The tangent frame Gram-Schmidts the coordinate tangents in index order;
-    the normal frame completes with the ambient standard basis, again in
-    index order, so packets are reproducible.  A failing batch raises what
-    its first failing point raises alone (errors.replay).
+    the normal frame is the complement a complete QR gives in the ambient
+    metric's Cholesky coordinates (linalg.orthonormalize), so packets are
+    reproducible.  A failing batch raises what its first failing point
+    raises alone (errors.replay).
     """
     u = np.asarray(u, dtype=float)
     return replay(lambda: _frames(imm, metric, u, field, tols),
@@ -224,13 +224,7 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
     B = lower_inverse(L)
     tangents = B @ np.swapaxes(jac, -1, -2)
 
-    completion, kept = orthonormalize(np.eye(imm.m), G, keep_tol=tols.normal_keep_tol,
-                                      start_basis=tangents, want=imm.m - imm.n)
-    normals = completion[..., imm.n:, :]
-    short = kept != imm.m - imm.n
-    if np.any(short):
-        raise RankDeficiencyError(
-            f"could not complete the normal frame at u={first_where(short, u).tolist()}")
+    normals = orthonormalize(tangents, mp.factor, mp.coframe)
 
     # second fundamental tensor in coordinates:
     #   S[a, i, j] = ∂²Ψᵃ/∂uⁱ∂uʲ + Γ̃ᵃ(∂ᵢΨ, ∂ⱼΨ), then h(∂ᵢ,∂ⱼ) = S_ij^⊥
@@ -242,7 +236,7 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
 
     packet = FramePacket(u=u, x=x, jacobian=jac, ambient=mp, g_coord=g_coord,
                          tangents=tangents, tangent_coeffs=B, normals=normals,
-                         h_frame=h_frame, h_coord=h_coord, second=S, immersion=imm,
+                         h_frame=h_frame, h_coord=h_coord, immersion=imm,
                          metric=metric, psi=psi, field=field, tols=tols)
     if field is None:
         return packet

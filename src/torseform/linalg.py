@@ -103,56 +103,18 @@ def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
     return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
-def orthonormalize(candidates, gram: np.ndarray, *, keep_tol: float,
-                   start_basis, want: int):
-    """Modified Gram-Schmidt under the inner product <u, v> = u' gram v, at
-    one point or at each point of a stack of grams (..., m, m).
+def orthonormalize(rows: np.ndarray, factor: np.ndarray, coframe: np.ndarray) -> np.ndarray:
+    """The m − k rows that complete k g-orthonormal rows (..., k, m) to a
+    g-orthonormal basis, given g's Cholesky factor L (g = L Lᵀ) and C = L⁻¹.
 
-    Candidates, the rows of an (ncand, m) array that is the same at every
-    point, are processed in order (deterministic lowest-index tie-breaking);
-    a candidate whose residual norm falls to keep_tol times max(1, its own
-    norm) is dropped.  Two orthogonalization passes are made for numerical
-    stability.  The rows of start_basis, an (nstart, m) or (..., nstart, m)
-    array, fill the first slots; the k-th candidate a point keeps goes to the k-th slot after
-    them, and once a point has kept `want` it keeps no more.  Slots a point
-    does not fill stay zero, so they project nothing.
-
-    Returns (basis, kept): basis (..., slots, m) with slots = len(start
-    basis) + want; kept (...) counts the candidates kept at each point.
+    In the coordinates Lᵀv, where g is the dot product, the rows are the
+    orthonormal columns of (rows L)ᵀ; the last m − k columns of its complete
+    QR factorisation span their orthogonal complement, and C maps them back.
+    A slice of a stack's result is that slice's own result, bit for bit.
     """
-    gram = np.asarray(gram, dtype=float)
-    batch, m = gram.shape[:-2], gram.shape[-1]
-    candidates = np.asarray(candidates, dtype=float)
-    # residual norm² at or below which each candidate is dropped
-    vv = (candidates @ gram * candidates).sum(axis=-1)
-    drop_at = keep_tol ** 2 * np.maximum(1.0, vv)
-    nstart = np.shape(start_basis)[-2]
-    slots = nstart + want
-    # slot s holds basis vector b and b @ gram; one more slot at the end
-    # takes the writes of points that have filled every slot
-    store = np.zeros(batch + (slots + 1, m))
-    gstore = np.zeros(batch + (slots + 1, 1, m))
-    store[..., :nstart, :] = start_basis
-    gstore[..., :nstart, :, :] = store[..., :nstart, None, :] @ gram[..., None, :, :]
-    views = [(gstore[..., s, :, :], store[..., s, :]) for s in range(slots)]
-    at_points = np.indices(batch, sparse=True)
-    count = np.full(batch, nstart)            # slots filled so far, per point
-    for idx, w in enumerate(candidates):
-        for _ in range(2):
-            for gb, b in views[:int(count.max())]:
-                w = w - (gb @ w[..., :, None])[..., 0] * b
-        norm_w_sq = (w[..., None, :] @ gram @ w[..., :, None])[..., 0, 0]
-        drop = drop_at[..., idx]
-        keep = ~(norm_w_sq <= drop) & (count < slots)
-        # a point that drops the candidate writes zeros to its next free slot
-        unit = w / np.sqrt(np.maximum(norm_w_sq, drop))[..., None] * keep[..., None]
-        at = at_points + (count,)
-        store[at] = unit
-        gstore[at] = unit[..., None, :] @ gram
-        count += keep
-        if (count == slots).all():
-            break
-    return store[..., :slots, :], count - nstart
+    k = rows.shape[-2]
+    q = np.linalg.qr(np.swapaxes(rows @ factor, -1, -2), mode="complete")[0]
+    return np.swapaxes(q[..., :, k:], -1, -2) @ coframe
 
 
 def reduce_max(values) -> float:

@@ -130,7 +130,7 @@ def load_scene(document: dict) -> Scene:
     _validate(document)
 
     amb = document["ambient"]
-    m = amb["dim"]
+    m = int(amb["dim"])         # jsonschema counts 3.0 as an integer, too
     if len(amb["domain"]) != m:
         _fail("$.ambient.domain", f"expected {m} intervals, got {len(amb['domain'])}")
     if len(amb["metric"]) != m:
@@ -170,7 +170,7 @@ def load_scene(document: dict) -> Scene:
     immersion = None
     if "submanifold" in document:
         sub = document["submanifold"]
-        n = sub["dim"]
+        n = int(sub["dim"])
         if not 1 <= n < m:
             _fail("$.submanifold.dim", f"need 1 <= n < m, got n={n}, m={m}")
         if len(sub["immersion"]) != m:

@@ -216,8 +216,7 @@ class AmbientDecompositionReport:
     passed: bool
 
 
-def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f,
-                           tols: Tolerances) -> np.ndarray:
+def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f) -> np.ndarray:
     """Defects (a, b, c, d) on the last axis, at the point or at each point of
     a batch, from order-1 metric and field data and the fitted f there."""
     e1, lam, grad_lam = unit_and_norm_at(mp, vap)
@@ -226,12 +225,9 @@ def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f,
     a_val = mp.norm(np.einsum("...j,...jk->...k", u, D))
     b_val = abs(np.einsum("...a,...a->...", grad_lam, u) - f * (1.0 - lam ** 2))
 
-    m = mp.dim
-    frame, _ = orthonormalize(np.eye(m), mp.g, keep_tol=tols.frame_tol,
-                              start_basis=u[..., None, :], want=m - 1)
-    fiber = frame[..., 1:m, :]                          # E_2 .. E_m
+    fiber = orthonormalize(u[..., None, :], mp.factor, mp.coframe)   # E_2 .. E_m
     conn = fiber @ D @ mp.g @ np.swapaxes(fiber, -1, -2)  # <∇̃_{E_j}E₁, E_k>
-    target = (f / lam)[..., None, None] * np.eye(m - 1)
+    target = (f / lam)[..., None, None] * np.eye(mp.dim - 1)
     c_val = np.max(abs(conn - target), axis=(-2, -1), initial=0.0)
     d_val = np.max(abs(np.einsum("...ja,...a->...j", fiber, grad_lam)), axis=-1,
                    initial=0.0)
@@ -251,7 +247,7 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
             f"'{classification.verdict}'")
     fits = classification.batch_at(points)
     values = _decomposition_defects(classification.metric_at, classification.field_at,
-                                    fits.f, tols)
+                                    fits.f)
     max_a, max_b, max_c, max_d = map(reduce_max, values.T)
     _, at = worst(np.max(values, axis=-1, initial=0.0))
     return AmbientDecompositionReport(

@@ -9,7 +9,11 @@ list of scene documents that reach the failure paths (FAILURE_SCENES),
 recording instead the type and message of the exception if `run`
 raises.  The script prints one line per report, `same` or `DIFFERS`,
 then a summary for each group, and exits 1 if any report, table, exit
-code or exception differs:
+code or exception differs.  Below each `DIFFERS` line it says how: whether
+the exit codes, statuses, verdicts, keys and strings (or the exceptions)
+agree, how many witness numbers moved (a witness point's coordinates and
+the values there), and the largest |Δ|/max(1, |x|) over the other numbers,
+with its path:
 
     python tests/compare_reports.py OTHER_CHECKOUT
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +110,55 @@ def reports(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def _parsed(record):
+    if record is None or record[0] == "raised":
+        return record
+    return {"exit_code": record[0], "report": json.loads(record[1])}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _walk(mine, theirs, path, found):
+    """Record in `found` the first path where structure, a key, an int or a
+    string differs; count moved witness numbers; keep the largest relative
+    move of any other float."""
+    if isinstance(theirs, (dict, list)):
+        same_shape = (type(mine) is type(theirs)
+                      and (sorted(mine) == sorted(theirs) if isinstance(theirs, dict)
+                           else len(mine) == len(theirs)))
+        if not same_shape:
+            found["mismatch"] = found["mismatch"] or path
+            return
+        for key in theirs if isinstance(theirs, dict) else range(len(theirs)):
+            step = f".{key}" if isinstance(theirs, dict) else f"[{key}]"
+            _walk(mine[key], theirs[key], path + step, found)
+    elif (_is_number(mine) and _is_number(theirs)
+          and (isinstance(mine, float) or isinstance(theirs, float))):
+        if mine == theirs or (math.isnan(mine) and math.isnan(theirs)):
+            return
+        if ".witness" in path:
+            found["witness"] += 1
+            return
+        move = abs(mine - theirs) / max(1.0, abs(theirs))
+        if not move <= found["worst"][0]:
+            found["worst"] = (move, path)
+    elif type(mine) is not type(theirs) or mine != theirs:
+        found["mismatch"] = found["mismatch"] or path
+
+
+def how_it_differs(mine, theirs) -> str:
+    """One line saying how two records of `reports` differ."""
+    found = {"mismatch": None, "witness": 0, "worst": (0.0, None)}
+    _walk(_parsed(mine), _parsed(theirs), "$", found)
+    agree = ("exit code, statuses, verdicts, keys and strings agree" if found["mismatch"] is None
+             else f"exit code, statuses, verdicts, keys or strings differ at {found['mismatch']}")
+    move, at = found["worst"]
+    largest = f"largest |Δ|/max(1, |x|) {move:.2e}" + (f" at {at}" if at else "")
+    return f"{agree}; {found['witness']} witness numbers moved; {largest}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="checkout to compare against")
@@ -116,6 +170,8 @@ def main(argv=None) -> int:
     differing = [key for key in keys if mine.get(key) != theirs.get(key)]
     for key in keys:
         print(f"{key}: {'DIFFERS' if key in differing else 'same'}")
+        if key in differing:
+            print(f"  {how_it_differs(mine.get(key), theirs.get(key))}")
     for group, failure in (("built-in", False), ("failure-path", True)):
         group_keys = [key for key in keys if key.startswith("failure:") == failure]
         same = sum(key not in differing for key in group_keys)

@@ -107,8 +107,7 @@ class TestLinalg:
         L, x = cholesky_spd(gram, 1e-12), solve_spd(gram, b, 1e-12)
         mp = MetricAtPoint(point=np.zeros((6, 4)), g=gram, spd_tol=1e-12)
         start = np.stack([np.eye(4)[1] / np.sqrt(gram[i, 1, 1]) for i in range(6)])
-        basis, kept = orthonormalize(np.eye(4), gram, keep_tol=1e-10,
-                                     start_basis=start[:, None, :], want=3)
+        completion = orthonormalize(start[:, None, :], mp.factor, mp.coframe)
         for i in range(6):
             assert np.array_equal(L[i], cholesky_spd(gram[i], 1e-12))
             assert_close(x[i], solve_spd(gram[i], b[i], 1e-12))
@@ -116,21 +115,9 @@ class TestLinalg:
             assert np.array_equal(mp.coframe[i], single.coframe)
             assert np.array_equal(mp.coframe[i], lower_inverse(L[i]))
             assert np.array_equal(mp.inverse[i], single.inverse)
-            bi, ki = orthonormalize(np.eye(4), gram[i], keep_tol=1e-10,
-                                    start_basis=start[i, None], want=3)
-            assert np.array_equal(basis[i], bi)
-            assert kept[i] == ki == 3
-
-    def test_dropped_candidates_leave_zero_slots(self):
-        # the second point drops e1 (it is its start vector): its kept vectors
-        # shift down one slot and the last slot stays zero
-        gram = np.stack([np.eye(3), np.eye(3)])
-        start = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        basis, kept = orthonormalize(np.eye(3), gram, keep_tol=1e-10,
-                                     start_basis=start[:, None, :], want=3)
-        assert kept.tolist() == [2, 2]
-        assert np.array_equal(basis[0], [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        assert np.array_equal(basis[1], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+            assert completion[i].shape == (3, 4)
+            assert np.array_equal(completion[i], orthonormalize(start[i, None], single.factor,
+                                                                single.coframe))
 
     def test_failing_pivot_names_first_point(self):
         gram = np.stack([np.eye(3), np.diag([1.0, 2.0, -3.0]), np.diag([1.0, -5.0, 1.0])])
@@ -148,6 +135,22 @@ def unit_and_norm_jets(field, metric, point):
     return VectorAtPoint.from_jets([v / norm for v in vjets], 1), norm
 
 
+def completed_by_gram_schmidt(e1, g):
+    """[E₁, E₂, .., E_m]: E₁ then the standard basis vectors in index order,
+    each made g-orthogonal to those kept by two passes of Gram-Schmidt and
+    kept when its residual norm exceeds 1e-6; a construction independent of
+    linalg.orthonormalize, whose frame differs from this one by a rotation
+    of E₂..E_m."""
+    frame = [e1]
+    for w in np.eye(len(e1)):
+        for _ in range(2):
+            w = w - sum((b @ g @ w) * b for b in frame)
+        length = np.sqrt(w @ g @ w)
+        if length > 1e-6 and len(frame) < len(e1):
+            frame.append(w / length)
+    return frame
+
+
 def decomposition_per_point(scene, points, classification):
     """The decomposition maxima from the per-point formulas: one metric,
     one jet of |V| and one frame per point."""
@@ -159,8 +162,7 @@ def decomposition_per_point(scene, points, classification):
         lam, grad = lam_jet.value, lam_jet.gradient()
         a = mp.norm(covariant_derivative(mp, e1, e1.components))
         b = abs(grad @ e1.components - rep.f * (1.0 - lam ** 2))
-        frame, _ = orthonormalize(np.eye(dim), mp.g, keep_tol=scene.tolerances.frame_tol,
-                                  start_basis=e1.components[None], want=dim - 1)
+        frame = completed_by_gram_schmidt(e1.components, mp.g)
         c = max(abs(covariant_derivative(mp, e1, frame[j]) @ mp.g @ frame[k]
                     - (rep.f / lam if j == k else 0.0))
                 for j in range(1, dim) for k in range(1, dim))

@@ -1,13 +1,13 @@
 """Small SPD algebra from one Cholesky factor: L⁻¹ row by row over a stack,
-one LAPACK solve per SPD system, and no general solve on a triangular
-factor anywhere in a run."""
+one LAPACK solve per SPD system, no general solve on a triangular factor
+anywhere in a run, and the completion of a g-orthonormal set by one QR."""
 
 import numpy as np
 import pytest
 
 from torseform import builtin_names, builtin_scene, run
 from torseform.errors import SingularMetricError
-from torseform.linalg import lower_inverse, solve_spd
+from torseform.linalg import lower_inverse, orthonormalize, solve_spd
 
 EPS = np.finfo(float).eps
 
@@ -61,6 +61,48 @@ class TestSolveSpd:
                            match=r"^matrix is not positive definite: pivot 2 is "
                                  r"-3\.000e\+00 \(tol 1\.0e-12\)$"):
             solve_spd(gram, np.ones((4, 3)), 1e-12)
+
+
+def spd_with_condition(m, batch, seed, cond):
+    """Random SPD matrices with eigenvalues spread log-evenly over [1, cond]."""
+    q = np.linalg.qr(np.random.default_rng([m, seed]).standard_normal(batch + (m, m)))[0]
+    g = q @ (np.logspace(0, np.log10(cond), m)[:, None] * np.swapaxes(q, -1, -2))
+    return (g + np.swapaxes(g, -1, -2)) / 2
+
+
+def g_orthonormal_rows(g, k, seed):
+    """k rows orthonormal under g, from random rows a by a = M R with
+    a g aᵀ = M Mᵀ."""
+    a = np.random.default_rng(seed).standard_normal(g.shape[:-2] + (k, g.shape[-1]))
+    return np.linalg.solve(np.linalg.cholesky(a @ g @ np.swapaxes(a, -1, -2)), a)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(2, 6) for k in range(1, m)])
+class TestOrthonormalize:
+    @pytest.mark.parametrize("cond, bound", [(None, 1e-12), (1e8, 100 * EPS * 1e8)])
+    def test_completes_a_g_orthonormal_set(self, m, k, cond, bound):
+        # the error of a completion grows with cond(g); at cond 1e8 the
+        # bound is 100 ulps times it
+        L = lower_factors(m, (6,), seed=2)
+        g = (L @ np.swapaxes(L, -1, -2) if cond is None
+             else spd_with_condition(m, (6,), 2, cond))
+        factor = np.linalg.cholesky(g)
+        rows = g_orthonormal_rows(g, k, seed=3)
+        for at in (np.s_[:], np.s_[0]):          # a stack of points, one point
+            R = rows[at]
+            N = orthonormalize(R, factor[at], lower_inverse(factor[at]))
+            assert N.shape == R.shape[:-2] + (m - k, m)
+            gram = g[at]
+            assert np.abs(N @ gram @ np.swapaxes(N, -1, -2) - np.eye(m - k)).max() <= bound
+            assert np.abs(N @ gram @ np.swapaxes(R, -1, -2)).max() <= bound
+
+    def test_slices_equal_their_own_call_bitwise(self, m, k):
+        L = lower_factors(m, (6,), seed=4)
+        C = lower_inverse(L)
+        rows = g_orthonormal_rows(L @ np.swapaxes(L, -1, -2), k, seed=5)
+        N = orthonormalize(rows, L, C)
+        for i in range(6):
+            assert np.array_equal(N[i], orthonormalize(rows[i], L[i], C[i]))
 
 
 def triangular(a) -> np.ndarray:

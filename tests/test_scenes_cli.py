@@ -124,7 +124,8 @@ class TestSchema:
         assert "frobnicate" in str(err.value)
 
     @pytest.mark.parametrize("key", ["bogus_tol", "zero_h_tol", "svd_rank_tol",
-                                     "decomp_geodesic_tol", *FIXED_BOUNDS])
+                                     "decomp_geodesic_tol", "normal_keep_tol",
+                                     *FIXED_BOUNDS])
     def test_unknown_tolerance(self, key):
         with pytest.raises(SceneSchemaError, match=f"unknown tolerance '{key}'"):
             load_scene(minimal_doc(tolerances={key: 1e-3}))
@@ -378,17 +379,6 @@ class TestRunner:
         if "decomp_tol" in override:
             assert details["max_geodesic_defect"] <= 1e-8
 
-    @pytest.mark.parametrize("override, status", [
-        ({}, "pass"),
-        # a residual floor above 1 drops every candidate of the completion
-        ({"normal_keep_tol": 2.0}, "error")])
-    def test_normal_completion_floor_is_a_scene_override(self, override, status):
-        doc = dict(BUILTIN_DOCUMENTS["cone"], tolerances=override)
-        check = run(load_scene(doc), checks=["normal-theorem"], points=20).checks[0]
-        assert check.status == status
-        if status == "error":
-            assert check.details["message"].startswith("could not complete the normal frame")
-
     @pytest.mark.parametrize("override, moved", [({}, True), ({"null_dir_tol": 1e300}, False)])
     def test_null_direction_floor_is_a_scene_override(self, monkeypatch, override, moved):
         # torqued-props, normal case, on a fiber of a twisted product: each
@@ -530,6 +520,22 @@ class TestCli:
         assert proc.returncode == 2
         assert "class_min_points must be an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_integral_float_dims_report_as_integer_dims(self, tmp_path):
+        # the schema lets 3.0 through as an integer; chart_names(3.0) would
+        # raise a TypeError
+        doc = BUILTIN_DOCUMENTS["cone"]
+        floats = dict(doc, ambient=dict(doc["ambient"], dim=3.0),
+                      submanifold=dict(doc["submanifold"], dim=2.0))
+        outs = []
+        for name, document in (("ints", doc), ("floats", floats)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            path.write_text(json.dumps(document))
+            proc = run_cli("check", str(path), "--points", "20", "--json", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_missing_file_exit_two(self):
         proc = run_cli("check", "/nonexistent/scene.json")
