@@ -444,6 +444,23 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_TWO = Num(2.0)
+
+
+def _square(call, x):
+    """x^2 at a float or a jet as x * x; a value that is not finite (at any
+    point of a batch) is the 'pow' row's, which raises as '^' would."""
+    if hasattr(x, "d"):                 # a jet
+        square = x * x
+        value = square.d[0]
+        if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
+            return square
+    else:
+        x = float(x)
+        square = x * x
+        if math.isfinite(square):
+            return square
+    return call("pow", x, 2.0)
 
 
 class Tape:
@@ -453,7 +470,14 @@ class Tape:
     it, so a subtree they share is computed once per run.  An instruction
     writes a register that nothing reads any more, so a run holds no more
     values than a walk would.  `nodes[k]` is instruction k's subtree, named
-    when it fails; the tape keeps no copy of the expressions."""
+    when it fails; the tape keeps no copy of the expressions.
+
+    `x^2` with the literal exponent 2 is one square instruction, `x * x`, of
+    its own op (so it stays apart from an `x*x` in the same tape): it gives
+    the 'pow' row's bits, as np.power(x, 2.0) is x·x and the Leibniz jet of
+    x·x doubles Faà di Bruno's terms exactly (but for derivative entries in
+    the subnormal range and the sign of a zero order-3 entry), and a square
+    that is not finite calls the 'pow' row, which raises its own error."""
 
     def __init__(self, exprs):
         self.nodes, self.first_read = [], {}    # variable -> instructions before its read
@@ -469,7 +493,8 @@ class Tape:
             else:
                 op, kids = ((operator.neg, (node.arg,)) if isinstance(node, Neg) else
                             (node.func, node.args) if isinstance(node, Call) else
-                            (_ARITHMETIC.get(node.op, "pow"), (node.left, node.right)))
+                            (_square, (node.left,)) if node.op == "^" and node.right == _TWO
+                            else (_ARITHMETIC.get(node.op, "pow"), (node.left, node.right)))
                 args = tuple(map(visit, kids))
                 key = placed.setdefault((type(node), op) + args, len(placed))
                 if key == len(self.nodes):
@@ -496,12 +521,14 @@ class Tape:
 
     def run(self, env: Mapping, call: Callable) -> list:
         """The value of each expression over `env`; literals are floats, and
-        `call(name, *args)` applies a FUNCTIONS row ('^' calls 'pow').  A domain
-        failure or an unbound variable is raised where a walk would meet it."""
+        `call(name, *args)` applies a FUNCTIONS row ('^' calls 'pow', a square
+        only when it is not finite).  A domain failure or an unbound variable
+        is raised where a walk would meet it."""
         program = self._programs.get(call)
         if program is None:
             program = self._programs[call] = [
-                (functools.partial(call, op) if isinstance(op, str) else op, a, b, d)
+                (functools.partial(call, op) if isinstance(op, str) else
+                 functools.partial(_square, call) if op is _square else op, a, b, d)
                 for op, a, b, d in self.code]
         try:
             regs, unbound = self.literals + [env[n] for n in self.names] + self.blank, None

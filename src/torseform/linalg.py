@@ -8,6 +8,8 @@ no general LU solve runs on a triangular matrix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularMetricError
@@ -96,10 +98,30 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
     return C
 
 
+def _pivots_above(a: np.ndarray, floor: float) -> bool:
+    """Every pivot d_j = a_jj − Σ_k<j L_jk² of one matrix is above `floor`,
+    by the textbook recurrence on Python floats, which for a small system
+    costs less than one LAPACK factorisation."""
+    L = []
+    for j, row in enumerate(a.tolist()):
+        lj = []
+        for k in range(j):
+            lj.append((row[k] - sum(x * y for x, y in zip(lj, L[k]))) / L[k][k])
+        pivot = row[j] - sum(x * x for x in lj)
+        if not pivot > floor:
+            return False
+        L.append(lj + [math.sqrt(pivot)])
+    return True
+
+
 def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a (..., m, m) and a vector
-    b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a."""
-    cholesky_spd(a, spd_tol)
+    b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a.
+    One matrix whose float pivots are all above spd_tol skips cholesky_spd;
+    any other meets it, and with it cholesky_spd's own error."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or not _pivots_above(a, max(spd_tol, 0.0)):
+        cholesky_spd(a, spd_tol)
     return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 

@@ -142,12 +142,11 @@ class VectorAtPoint:
 
     @classmethod
     def from_jets(cls, jets, order: int) -> "VectorAtPoint":
-        """Components from their jets (floats at order 0 at a point); the
-        jacobian when order >= 1."""
+        """Components from their jets; the jacobian when order >= 1."""
         jacobian = (_batch_first(np.array([jet.d[1] for jet in jets]), 2)
                     if order >= 1 else None)
-        values = [jet.d[0] if isinstance(jet, Jet) else jet for jet in jets]
-        return cls(components=_batch_first(np.array(values), 1), jacobian=jacobian)
+        return cls(components=_batch_first(np.array([jet.d[0] for jet in jets]), 1),
+                   jacobian=jacobian)
 
 
 def euclidean_rows(m: int) -> list:
@@ -252,6 +251,8 @@ class VectorField:
         """The field and (order >= 1) its jacobian at a point, or at each row
         of an (N, m) array of points."""
         env = jet_variables(self.var_names, point, order)
+        if order == 0 and np.ndim(point) == 1:      # floats: the tape's values
+            return VectorAtPoint(components=np.array(ex.eval_float(self.tape, env)))
         return VectorAtPoint.from_jets(self.component_jets(env), order)
 
     def norm_jet(self, point: Sequence[float], metric: MetricField) -> Jet:

@@ -75,8 +75,10 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     Records (s, u, λ = |V^⊤|, f) per node; a node's right-hand side is the
     next step's first stage, and f is fitted at all nodes in one batch after
     the integration.  If the curve would leave the parameter box the partial
-    curve is returned with exited_domain set.  A fit error at a node outranks
-    an integration error after it, as when each node was fitted in turn.
+    curve is returned with exited_domain set; a right-hand side that is not
+    finite raises GeometryError, as it is no exit.  A fit error at a node
+    outranks an integration error after it, as when each node was fitted in
+    turn.
     """
     if imm.domain is None:
         raise PreconditionError("immersion has no parameter domain box")
@@ -94,6 +96,10 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
         k = A @ jac
         coords = solve_spd(k, A @ field.at(x, order=0).components, tols.spd_tol)
         lam = float(np.sqrt(max(coords @ k @ coords, 0.0)))
+        # λ is not finite where a coordinate is not: no exit from the domain,
+        # but a right-hand side the integration cannot go on from
+        if not math.isfinite(lam):
+            raise GeometryError(f"V^⊤ is not finite at u={np.asarray(u).tolist()}")
         if lam <= tols.proper_tol:
             raise PreconditionError(
                 f"|V^⊤| = {lam:.3e} vanishes at u={np.asarray(u).tolist()}",

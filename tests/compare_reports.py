@@ -55,7 +55,9 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: submanifold with no field, a field that overflows, a sample whose batch
 #: fails at an earlier stage than its first failing point, rectifying-psi's
 #: warp-fit under an ODE bound its curve misses, and the cone with an axis
-#: whose normal component (7.07e-8) is within a raised proper_tol
+#: whose normal component (7.07e-8) is within a raised proper_tol, and
+#: rectifying-psi with a field that is NaN (0·inf) on a thin band about
+#: x3 = 1.2 that only one RK4 stage of warp-fit's curve meets
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -75,6 +77,11 @@ FAILURE_SCENES = [
      "submanifold": {"dim": 2, "domain": [[0.5, 2.0], [0.1, 6.2]],
                      "immersion": ["u1*cos(u2)", "u1*sin(u2)", "u1"]},
      "checks": ["rectifying", "normal-theorem"], "tolerances": {"proper_tol": 1e-6}},
+    {"name": "nonfinite-stage", "ambient": _euclidean(4), "exclude_radius": 0.1,
+     "field": [c + "+0*(1e307*(17.9769335-(x3-1.2)^2))" for c in _radial(4)],
+     "submanifold": {"dim": 2, "domain": [[0.5, 3.0], [0.1, 6.2]],
+                     "immersion": ["0.8*u1*cos(u2)", "0.8*u1*sin(u2)", "0.6*u1", "1"]},
+     "checks": ["rectifying", "warp-fit"]},
 ]
 
 # run in a child process whose PYTHONPATH is one checkout's src/

@@ -2,12 +2,14 @@
 one LAPACK solve per SPD system, no general solve on a triangular factor
 anywhere in a run, and the completion of a g-orthonormal set by one QR."""
 
+import math
+
 import numpy as np
 import pytest
 
 from torseform import builtin_names, builtin_scene, run
 from torseform.errors import SingularMetricError
-from torseform.linalg import lower_inverse, orthonormalize, solve_spd
+from torseform.linalg import cholesky_spd, lower_inverse, orthonormalize, solve_spd
 
 EPS = np.finfo(float).eps
 
@@ -61,6 +63,44 @@ class TestSolveSpd:
                            match=r"^matrix is not positive definite: pivot 2 is "
                                  r"-3\.000e\+00 \(tol 1\.0e-12\)$"):
             solve_spd(gram, np.ones((4, 3)), 1e-12)
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_system_is_lapack_solve_bitwise_without_a_factor(self, monkeypatch, m):
+        # its float pivots pass: no Cholesky factor, and np.linalg.solve's bits
+        real, factored = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or real(a))
+        rng = np.random.default_rng(m)
+        for cond in (1.0, 1e4, 1e10):
+            for seed in range(100):
+                a = spd_with_condition(m, (), seed, cond)
+                b = rng.standard_normal(m)
+                want = np.linalg.solve(a, b[:, None])[:, 0]
+                assert solve_spd(a, b, 1e-12).tobytes() == want.tobytes()
+        assert factored == []
+
+    @pytest.mark.parametrize("a, spd_tol", [
+        ([[1.0, 1.0], [1.0, 1.0]], 1e-12),                  # singular
+        ([[1.0, 2.0], [2.0, 1.0]], 1e-12),                  # indefinite
+        ([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], 1e-12),
+        ([[1.0, 0.0], [0.0, 1e-13]], 1e-12),                # at or below the floor
+        ([[math.nan, 0.0], [0.0, 1.0]], 1e-12),
+        ([[1.0, 0.0], [0.0, math.nan]], 1e-12),
+        ([[1.0, 0.0], [0.0, 2.0]], 3.0),                    # a raised floor
+    ])
+    def test_one_bad_system_raises_the_factors_error(self, a, spd_tol):
+        a = np.array(a)
+        with pytest.raises(SingularMetricError) as want:
+            cholesky_spd(a, spd_tol)
+        with pytest.raises(SingularMetricError) as got:
+            solve_spd(a, np.ones(len(a)), spd_tol)
+        assert str(got.value) == str(want.value)
+
+    def test_a_floor_at_or_below_zero_solves_what_the_factor_passes(self):
+        # a pivot of 0 or below fails the floats' check but passes a negative
+        # floor, and with it cholesky_spd, as before
+        a = np.array([[1.0, 0.0], [0.0, -0.5]])
+        assert np.array_equal(solve_spd(a, np.array([1.0, 1.0]), -1.0), [1.0, -2.0])
 
 
 def spd_with_condition(m, batch, seed, cond):

@@ -6,6 +6,7 @@ for bit, every derivative tensor included, and raise the walker's errors."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -16,7 +17,7 @@ from conftest import random_expression
 from torseform import (MetricField, VectorField, build_warped_ambient, builtin_names,
                        builtin_scene, eval_float)
 from torseform.errors import DomainEvalError, JetDomainError
-from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, parse,
+from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, parse, row,
                             to_source)
 from torseform.jets import Jet, call, eval_jet_env, jet_variables
 
@@ -255,3 +256,65 @@ class TestOrderZeroPoints:
             env = dict(zip(metric.var_names, map(float, x)))
             self.same(metric.at(x, 0).g,
                       [[eval_float(e, env) for e in row] for row in metric.exprs])
+
+
+class TestSquare:
+    """x^2 with the literal exponent 2 is one square instruction, x * x, that
+    gives the 'pow' row's bits and raises its error."""
+
+    def test_a_square_holds_no_pow_instruction(self):
+        for src in ("x1^2", "x1^2.0", "(x1+x2)^2", "sin(x1^2)^2"):
+            assert all(op != "pow" for op, *_ in Tape([parse(src)]).code), src
+        assert [op for op, *_ in Tape([parse("x1^3")]).code] == ["pow"]
+        # x1*x1 and x1^2 stay apart, each with its own subtree
+        tape = Tape([parse("x1*x1"), parse("x1^2")])
+        assert len(tape.code) == 2 and tape.code[0][0] is not tape.code[1][0]
+        assert [to_source(node) for node in tape.nodes] == ["x1*x1", "x1^2"]
+
+    def test_a_float_square_is_the_pow_row(self):
+        # 10^5 arguments of both signs over 308 decades, squares subnormal included
+        rng = np.random.default_rng(19)
+        xs = (10.0 ** rng.uniform(-162.0, 154.0, 100_000)
+              * rng.choice([-1.0, 1.0], 100_000)).tolist()
+        tape = Tape([parse("x1^2")])
+        got = [eval_float(tape, {"x1": x})[0] for x in xs]
+        want = [row("pow", x, 0, 2.0)[0] for x in xs]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (9,)])
+    @pytest.mark.parametrize("order", range(4))
+    def test_a_jet_square_is_the_pow_composition(self, order, batch):
+        # derivative entries nonzero and of normal size: the Leibniz terms of
+        # x·x are the composition's doubled exactly
+        rng = np.random.default_rng([order, len(batch)])
+        tape = Tape([parse("x1^2")])
+        for _ in range(50):
+            d = [rng.standard_normal(batch) if batch else float(rng.standard_normal())]
+            for k in range(1, order + 1):
+                t = rng.standard_normal((3,) * k + batch)
+                d.append(sum(t.transpose(perm + tuple(range(k, t.ndim)))  # symmetric
+                             for perm in itertools.permutations(range(k))))
+            x = Jet(order, 3, d)
+            assert bits(tape.run({"x1": x}, call)[0]) == bits(call("pow", x, 2.0))
+
+    @pytest.mark.parametrize("bad, reason", [(1e200, "pow is not finite at 1e+200"),
+                                             (math.nan, "pow is not finite at nan")])
+    def test_a_square_that_is_not_finite_fails_as_pow(self, bad, reason):
+        # at a float, a point jet and a batch whose second point is bad
+        ast = parse("x1^2")
+        envs = [{"x1": bad}] + [jet_variables(("x1",), points, order) for order in range(4)
+                                for points in ([bad], [[0.5], [bad], [1e300]])]
+        for env in envs:
+            got = outcome(eval_jet_env, Tape([ast]), env)
+            assert got == (DomainEvalError, f"{reason} in subexpression 'x1^2'")
+            assert got == outcome(walked, [ast], env)
+
+    def test_a_failure_names_the_square_or_the_product(self):
+        exprs = [parse("x1*x1"), parse("exp(x1^2)"), parse("1/(x1*x1)")]
+        for x, failing in ((1e200, "x1^2"), (1e-200, "1/(x1*x1)")):
+            for order in (0, 2):
+                env = jet_variables(("x1",), [x], order)
+                got = outcome(eval_jet_env, Tape(exprs), env)
+                assert got[0] is DomainEvalError and got[1].endswith(f"'{failing}'")
+                assert got == outcome(walked, exprs, env)

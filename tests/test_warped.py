@@ -1,6 +1,7 @@
 """Integral curves, the warping ODE, the tanh model, and the ambient
 decomposition checks."""
 
+import copy
 import importlib
 import math
 
@@ -12,12 +13,13 @@ from conftest import radial_unit_field
 from torseform import (Immersion, MetricField, VectorField, builtin_scene,
                        build_warped_ambient, classify, cumulative_simpson,
                        fit_tanh_integral, fit_torse_forming, lambda_log_derivative,
-                       sample_ambient_points, trace_integral_curve,
+                       load_scene, run, sample_ambient_points, trace_integral_curve,
                        verify_ambient_decomposition, warping_ode_residual)
 from torseform.config import DEFAULT
 from torseform.errors import (DomainEvalError, GeometryError, ModelViolationError,
                               PreconditionError, SingularMetricError, ZeroFieldError)
 from torseform.linalg import solve_spd
+from torseform.scenes import BUILTIN_DOCUMENTS
 from torseform.warped import CurveSample, IntegralCurve
 
 # the package attribute `torseform.classify` is the function, not the module
@@ -470,6 +472,18 @@ class TestBatchedNodeFits:
             assert seen.count((2, 1)) == 1
             assert seen.count((1, 0)) == reads[cls] == len(seen) - 1
 
+    def test_no_right_hand_side_factors_a_matrix(self, monkeypatch):
+        # each right-hand side's 2×2 system passes its pivot check in floats;
+        # the curve's only Cholesky factors are the constant metric's, once,
+        # and the node fit's normal equations, one stack
+        args = CURVES["rectifying-psi"]()
+        real, factored = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(np.shape(a)) or real(a))
+        curve = trace_integral_curve(*args)
+        assert curve.rhs_evaluations == 412
+        assert factored == [(4, 4), (len(curve.samples), 5, 5)]
+
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_one_right_hand_side_per_node(self, name):
         # 1 at the start node, then three fresh stages and the node's own per
@@ -510,6 +524,29 @@ class TestBatchedNodeFits:
         want = outcome(reference_trace, *args, floor)
         assert want[0] is ZeroFieldError
         assert outcome(trace_integral_curve, *args, floor) == want
+
+
+def nonfinite_stage_scene():
+    """rectifying-psi with a field term that is 0 off a thin band about
+    x3 = 1.2 and NaN (0·inf) on it; the band holds no sampled point but one
+    RK4 stage of the warp-fit curve."""
+    doc = copy.deepcopy(BUILTIN_DOCUMENTS["rectifying-psi"])
+    doc["field"] = [c + "+0*(1e307*(17.9769335-(x3-1.2)^2))" for c in doc["field"]]
+    return load_scene(dict(doc, name="nonfinite-stage", checks=["rectifying", "warp-fit"]))
+
+
+class TestNonFiniteStage:
+    def test_a_nan_stage_is_no_exit_from_the_domain(self):
+        scene = nonfinite_stage_scene()
+        imm, _, _, u0, length, step, _ = centre_curve_args()
+        with pytest.raises(GeometryError, match=r"^V\^⊤ is not finite at u=\[") as err:
+            trace_integral_curve(imm, scene.metric, scene.field, u0, length, step)
+        assert not isinstance(err.value, DomainEvalError)
+
+    def test_warp_fit_reports_an_error(self):
+        rectifying, warp = run(nonfinite_stage_scene(), points=50).checks
+        assert rectifying.status == "pass"
+        assert warp.status == "error" and warp.details["error"] == "GeometryError"
 
 
 class TestNonFiniteResiduals:
