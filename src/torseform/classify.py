@@ -26,9 +26,10 @@ from .config import DEFAULT, Tolerances
 from .errors import (InconsistentSampleError, PreconditionError, SingularFitError,
                      SingularMetricError, ZeroFieldError, replay)
 from .expr import quiet
-from .linalg import dot, first_where, item, mv, norm, reduce_max, solve_spd, worst
+from .linalg import (dot, first_where, frame_collapses, item, mv, norm, reduce_max,
+                     solve_spd, worst)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     covariant_jacobian, orthonormal_coordinate_frame)
+                     covariant_jacobian)
 
 PARALLEL = "parallel"
 CONCIRCULAR = "concircular"
@@ -107,8 +108,11 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
             raise ZeroFieldError(f"|V| = {first_where(small, v_norm):.3e} at "
                                  f"{first_where(small, mp.point).tolist()}")
 
-        C = orthonormal_coordinate_frame(mp, tols)          # e_i = Σ_j C[i, j] ∂_j
         L = mp.factor                                       # C = L⁻¹, so g Cᵀ = L
+        pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2    # squared residuals of ∂_1..∂_m
+        if np.any(frame_collapses(pivots, mp.g, tols.frame_tol)):
+            raise SingularMetricError("coordinate frame lost rank under the metric")
+        C = mp.coframe                                      # e_i = Σ_j C[i, j] ∂_j
         dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
         a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
         v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
@@ -243,7 +247,8 @@ def geodesic_unit_check(metric: MetricField, field: VectorField, points,
     `classification` made at `points`.
 
     Preconditions: the scene verdict is anti-torqued and ||V| − 1| <=
-    unit_norm_tol over the sample.
+    unit_norm_tol over the sample.  Unread `metric` and `field` stay, as
+    tests/test_acceptance.py passes them by position.
     """
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(

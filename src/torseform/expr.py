@@ -14,8 +14,9 @@ rejected at parse time with their position, as are literals that overflow.
 
 FUNCTIONS is the one table of calls (sin cos tan sinh cosh tanh asinh atanh
 atan sqrt exp log abs pow): arity plus a row of derivatives on numpy's
-kernels, applied by `row` to a float as to a 1-point batch, for float
-evaluation here and for the jet engine in `torseform.jets` alike.
+kernels, run by `row` at a float as at a 1-point batch, and applied by
+`apply` to a float, a batch or a jet, for float evaluation here and for the
+jet engine in `torseform.jets` alike.
 """
 
 from __future__ import annotations
@@ -440,14 +441,33 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (one tape; floats and jets differ only in how they call a row)
+# Evaluation (one tape over floats and jets alike)
 # ---------------------------------------------------------------------------
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _TWO = Num(2.0)
 
 
-def _square(call, x):
+def apply(name: str, x, *params):
+    """The function `name` of FUNCTIONS at a float, a batch's values or a jet
+    (told by its derivative list `d`), by `row`, so a point's results and
+    errors are those of a batch holding it; `params` are held fixed (pow's
+    exponent).  A varying jet exponent, or one that differs between the
+    points of a batch, goes through exp(exponent·log(base))."""
+    if params and hasattr(params[0], "d"):
+        exponent = params[0]
+        p = exponent.value
+        if np.ndim(p):                  # one exponent for a whole batch, if it is one
+            p = p[0] if (p == p[0]).all() else None
+        if p is None or not exponent.is_constant():
+            return apply("exp", apply("log", x) * exponent)
+        params = (float(p),)
+    if not hasattr(x, "d"):
+        return row(name, x, 0, *params)[0]
+    return x.compose(row(name, x.d[0], x.order, *params))
+
+
+def _square(x):
     """x^2 at a float or a jet as x * x; a value that is not finite (at any
     point of a batch) is the 'pow' row's, which raises as '^' would."""
     if hasattr(x, "d"):                 # a jet
@@ -460,7 +480,7 @@ def _square(call, x):
         square = x * x
         if math.isfinite(square):
             return square
-    return call("pow", x, 2.0)
+    return apply("pow", x, 2.0)
 
 
 class Tape:
@@ -477,7 +497,9 @@ class Tape:
     the 'pow' row's bits, as np.power(x, 2.0) is x·x and the Leibniz jet of
     x·x doubles Faà di Bruno's terms exactly (but for derivative entries in
     the subnormal range and the sign of a zero order-3 entry), and a square
-    that is not finite calls the 'pow' row, which raises its own error."""
+    that is not finite calls the 'pow' row, which raises its own error.
+    `program` is `code` with its rows bound to `apply` once, here: one program
+    runs over floats, point jets and batches alike."""
 
     def __init__(self, exprs):
         self.nodes, self.first_read = [], {}    # variable -> instructions before its read
@@ -517,19 +539,15 @@ class Tape:
             self.code.append((op, src[0], src[1], register[k]))
         self.blank = [None] * (next(fresh) - len(self.literals) - len(self.names))
         self.outputs = [register[o] for o in outputs]
-        self._programs = {}     # call -> the code with its calls bound
+        self.program = [(functools.partial(apply, op) if isinstance(op, str) else op, a, b, d)
+                        for op, a, b, d in self.code]
 
-    def run(self, env: Mapping, call: Callable) -> list:
-        """The value of each expression over `env`; literals are floats, and
-        `call(name, *args)` applies a FUNCTIONS row ('^' calls 'pow', a square
-        only when it is not finite).  A domain failure or an unbound variable
-        is raised where a walk would meet it."""
-        program = self._programs.get(call)
-        if program is None:
-            program = self._programs[call] = [
-                (functools.partial(call, op) if isinstance(op, str) else
-                 functools.partial(_square, call) if op is _square else op, a, b, d)
-                for op, a, b, d in self.code]
+    def run(self, env: Mapping) -> list:
+        """The value of each expression over `env`, of floats or of jets;
+        literals are floats, and `apply` applies a FUNCTIONS row ('^' calls
+        'pow', a square only when it is not finite).  A domain failure or an
+        unbound variable is raised where a walk would meet it."""
+        program = self.program
         try:
             regs, unbound = self.literals + [env[n] for n in self.names] + self.blank, None
         except KeyError:
@@ -554,16 +572,12 @@ def _domain_error(exc: Exception, node: Expr) -> DomainEvalError:
     return DomainEvalError(reason or type(exc).__name__, to_source(node))
 
 
-def _float_call(name: str, x: float, *params: float) -> float:
-    return row(name, x, 0, *params)[0]
-
-
 def eval_float(expr, env: Mapping[str, float]):
     """Plain floating-point evaluation of an expression, or of every
     expression of a Tape (a list)."""
     if isinstance(expr, Tape):
-        return expr.run(env, _float_call)
-    return Tape((expr,)).run(env, _float_call)[0]
+        return expr.run(env)
+    return Tape((expr,)).run(env)[0]
 
 
 def ensure_expr(e, variables=None) -> Expr:

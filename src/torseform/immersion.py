@@ -32,8 +32,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (NonNormalVectorError, PreconditionError, RankDeficiencyError,
                      replay)
 from .jets import chart_names, eval_jet_env, jet_variables
-from .linalg import (cholesky_pivots, first_where, item, lower_inverse, mv, norm,
-                     orthonormalize, solve_spd)
+from .linalg import (cholesky_pivots, first_where, frame_collapses, item, lower_inverse,
+                     mv, norm, orthonormalize, solve_spd)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      _batch_first, _contract, jet_inner, riemann)
 
@@ -212,12 +212,9 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
     g_coord = np.swapaxes(jac, -1, -2) @ G @ jac
 
     # Gram-Schmidt of ∂_1Ψ..∂_nΨ in order is e = B ∂Ψ with B = L⁻¹ for the
-    # Cholesky factor g_coord = L Lᵀ; the residual of ∂_iΨ against the earlier
-    # ones has norm L_ii, and the frame collapses where that is
-    # rank_tol·max(1, |∂_iΨ|) or less
+    # Cholesky factor g_coord = L Lᵀ
     L, pivots = cholesky_pivots(g_coord)
-    length2 = np.diagonal(g_coord, axis1=-2, axis2=-1)
-    collapsed = np.any(pivots <= tols.rank_tol ** 2 * np.maximum(1.0, length2), axis=-1)
+    collapsed = frame_collapses(pivots, g_coord, tols.rank_tol)
     if np.any(collapsed):
         raise RankDeficiencyError(
             f"tangent frame collapsed at u={first_where(collapsed, u).tolist()}")

@@ -210,25 +210,8 @@ class Jet:
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
 
 
-def call(name: str, x, *params):
-    """The function `name` of expr.FUNCTIONS at a float or a jet; `params`
-    are its further arguments, held fixed (the exponent of pow).  A varying
-    jet exponent, or one that differs between the points of a batch, goes
-    through exp(exponent·log(base)).
-
-    `expr.row` runs the row at a float, a point jet's value and a batch alike,
-    so a point's results and errors are those of a batch holding it."""
-    if params and isinstance(params[0], Jet):
-        exponent = params[0]
-        p = exponent.value
-        if np.ndim(p):                  # one exponent for a whole batch, if it is one
-            p = p[0] if (p == p[0]).all() else None
-        if p is None or not exponent.is_constant():
-            return call("exp", call("log", x) * exponent)
-        params = (float(p),)
-    if not isinstance(x, Jet):
-        return ex.row(name, x, 0, *params)[0]
-    return x.compose(ex.row(name, x.d[0], x.order, *params))
+#: the function `name` of expr.FUNCTIONS at a float, a batch or a jet: expr.apply
+call = ex.apply
 
 
 def chart_names(dim: int, prefix: str = "x") -> tuple:
@@ -265,7 +248,7 @@ def eval_jet_env(expression, env: Mapping[str, Jet]):
         return ex.eval_float(expression, env)
     tape = expression if isinstance(expression, ex.Tape) else ex.Tape((expression,))
     out = [v if isinstance(v, Jet) else Jet.constant(v, probe.nvars, probe.order, probe.batch)
-           for v in tape.run(env, call)]
+           for v in tape.run(env)]
     return out if tape is expression else out[0]
 
 

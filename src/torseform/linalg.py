@@ -3,7 +3,9 @@
 Every helper takes one matrix or a stack of them with a leading batch axis
 (a sample of points) and applies the same rule at each point.  An SPD matrix
 is factored once, g = L Lᵀ; L⁻¹ comes from that factor (`lower_inverse`), and
-no general LU solve runs on a triangular matrix.
+no general LU solve runs on a triangular matrix.  One pivot recurrence on floats
+serves `pivots_pass` and a stack LAPACK refuses; `frame_collapses` is the one
+collapse test of a Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -45,17 +47,22 @@ def first_where(bad, values):
     return values if np.ndim(bad) == 0 else values[int(np.argmax(bad))]
 
 
-def _cholesky_recurrence(a: np.ndarray):
-    """(L, pivots) by the textbook recurrence, pivot d_j = a_jj − Σ_k<j L_jk²,
-    at each point; NaN after a pivot that is not positive."""
-    L = np.zeros_like(a)
-    d = np.zeros(a.shape[:-1])
-    with np.errstate(all="ignore"):
-        for j in range(a.shape[-1]):
-            col = a[..., j:, j] - dot(L[..., j:, :j], L[..., j, None, :j])
-            d[..., j] = col[..., 0]
-            L[..., j:, j] = col / np.sqrt(col[..., :1])
-    return L, d
+def _pivot_recurrence(a: np.ndarray):
+    """(L, pivots) of one matrix as lists of Python floats, by the textbook
+    recurrence, pivot d_j = a_jj − Σ_k<j L_jk², which for a small system costs
+    less than one LAPACK factorisation.  L's rows are its lower triangle; the
+    rows and the pivots after a pivot that is not positive are NaN."""
+    m, L, pivots = len(a), [], []
+    for j, row in enumerate(a.tolist()):
+        lj = []
+        for k in range(j):
+            lj.append((row[k] - sum(x * y for x, y in zip(lj, L[k]))) / L[k][k])
+        pivot = row[j] - sum(x * x for x in lj)
+        pivots.append(pivot)
+        if not pivot > 0.0:
+            return L + [[math.nan] * m] * (m - j), pivots + [math.nan] * (m - j - 1)
+        L.append(lj + [math.sqrt(pivot)])
+    return L, pivots
 
 
 def cholesky_pivots(a: np.ndarray):
@@ -65,9 +72,27 @@ def cholesky_pivots(a: np.ndarray):
     a = np.asarray(a, dtype=float)
     try:
         L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:       # LAPACK met a pivot <= 0: find which
-        return _cholesky_recurrence(a)
+    except np.linalg.LinAlgError:       # LAPACK met a pivot <= 0: find which, slice by slice
+        L, pivots = zip(*map(_pivot_recurrence, a.reshape((-1,) + a.shape[-2:])))
+        L = [row + [0.0] * (a.shape[-1] - len(row)) for rows in L for row in rows]
+        return np.reshape(L, a.shape), np.reshape(pivots, a.shape[:-1])
     return L, np.diagonal(L, axis1=-2, axis2=-1) ** 2
+
+
+def pivots_pass(a: np.ndarray, spd_tol: float) -> bool:
+    """a is one matrix whose float pivots (_pivot_recurrence) are all above
+    spd_tol and 0: positive definite, with no factor.  False decides
+    nothing: cholesky_spd then judges a, and raises its own error."""
+    return a.ndim == 2 and all(map(max(spd_tol, 0.0).__lt__, _pivot_recurrence(a)[1]))
+
+
+def frame_collapses(pivots, gram, tol):
+    """Where a Gram-Schmidt in order collapses, at each point of a stack: with
+    gram = L Lᵀ the Gram matrix of v_1..v_m, the residual of v_i against the
+    earlier ones has norm L_ii, pivots[i] = L_ii², and the frame collapses
+    where one residual is tol·max(1, |v_i|) or less."""
+    length2 = np.diagonal(gram, axis1=-2, axis2=-1)
+    return np.any(pivots <= tol ** 2 * np.maximum(1.0, length2), axis=-1)
 
 
 def cholesky_spd(a: np.ndarray, spd_tol: float) -> np.ndarray:
@@ -98,29 +123,13 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
     return C
 
 
-def _pivots_above(a: np.ndarray, floor: float) -> bool:
-    """Every pivot d_j = a_jj − Σ_k<j L_jk² of one matrix is above `floor`,
-    by the textbook recurrence on Python floats, which for a small system
-    costs less than one LAPACK factorisation."""
-    L = []
-    for j, row in enumerate(a.tolist()):
-        lj = []
-        for k in range(j):
-            lj.append((row[k] - sum(x * y for x, y in zip(lj, L[k]))) / L[k][k])
-        pivot = row[j] - sum(x * x for x in lj)
-        if not pivot > floor:
-            return False
-        L.append(lj + [math.sqrt(pivot)])
-    return True
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a (..., m, m) and a vector
     b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a.
     One matrix whose float pivots are all above spd_tol skips cholesky_spd;
     any other meets it, and with it cholesky_spd's own error."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or not _pivots_above(a, max(spd_tol, 0.0)):
+    if not pivots_pass(a, spd_tol):
         cholesky_spd(a, spd_tol)
     return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 

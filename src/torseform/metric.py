@@ -26,10 +26,9 @@ import numpy as np
 
 from . import expr as ex
 from .config import DEFAULT, Tolerances
-from .errors import (DegeneratePlaneError, OrderInsufficientError,
-                     PreconditionError, SingularMetricError)
+from .errors import DegeneratePlaneError, OrderInsufficientError, PreconditionError
 from .jets import Jet, chart_names, chart_points, eval_jet_env, jet_variables
-from .linalg import cholesky_spd, dot, first_where, item, lower_inverse, mv
+from .linalg import cholesky_spd, dot, first_where, item, lower_inverse, mv, pivots_pass
 
 
 @functools.cache
@@ -82,7 +81,7 @@ class MetricAtPoint:
         mp = cls(point=np.asarray(point, dtype=float), g=tensor(0),
                  dg=tensor(1) if order >= 1 else None,
                  d2g=tensor(2) if order >= 2 else None, spd_tol=spd_tol)
-        mp.factor                                   # g must be positive definite
+        pivots_pass(mp.g, spd_tol) or mp.factor     # g must be positive definite
         return mp
 
     @property
@@ -366,14 +365,3 @@ def covariant_derivative(mp: MetricAtPoint, field: VectorAtPoint, direction) -> 
     """(∇_X V)^k = X^j (∇_{∂_j} V)^k at the point (or points)."""
     direction = np.asarray(direction, dtype=float)
     return (direction[..., None, :] @ covariant_jacobian(mp, field))[..., 0, :]
-
-
-def orthonormal_coordinate_frame(mp: MetricAtPoint, tols: Tolerances = DEFAULT):
-    """mp.coframe, the Gram-Schmidt of ∂_1..∂_m, once its rank is checked: the
-    residual of ∂_i against ∂_1..∂_{i-1} has norm L_ii, and the frame loses
-    rank where that is frame_tol·max(1, |∂_i|) or less."""
-    residual = np.diagonal(mp.factor, axis1=-2, axis2=-1)
-    length = np.sqrt(np.diagonal(mp.g, axis1=-2, axis2=-1))
-    if np.any(residual <= tols.frame_tol * np.maximum(1.0, length)):
-        raise SingularMetricError("coordinate frame lost rank under the metric")
-    return mp.coframe

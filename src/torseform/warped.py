@@ -150,7 +150,8 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
 
 def warping_ode_residual(curve: IntegralCurve, tols: Tolerances = DEFAULT) -> float:
     """max over interior samples of |dλ/ds − f (1 − λ²)| with dλ/ds by
-    fourth-order central differences; a NaN anywhere is the result."""
+    fourth-order central differences; a NaN anywhere is the result.  Unread
+    `tols` stays, as tests/test_acceptance.py passes it by position."""
     lam = curve.lam_values
     f = curve.f_values
     n = len(lam)
@@ -192,6 +193,7 @@ def fit_tanh_integral(curve: IntegralCurve, tols: Tolerances = DEFAULT) -> WarpF
 
     The model presumes λ solves the warping ODE: judge warping_ode_residual
     first.  λ >= 1 anywhere is a model violation (outside the tanh range).
+    Unread `tols` stays, as tests/test_acceptance.py passes it by position.
     """
     lam = curve.lam_values
     for sample in curve.samples:
@@ -246,7 +248,8 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
     """Check the proof identities of the warped-product decomposition at the
     given ambient points (the scene verdict must be anti-torqued), with f
     from the fits that `classification` made there and the order-1 metric
-    and field data it fitted them from, in one batch."""
+    and field data it fitted them from, in one batch.  Unread `metric` and
+    `field` stay, as tests/test_acceptance.py passes them by position."""
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(
             f"ambient decomposition requires an anti-torqued verdict, got "

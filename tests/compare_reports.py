@@ -57,7 +57,9 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: warp-fit under an ODE bound its curve misses, and the cone with an axis
 #: whose normal component (7.07e-8) is within a raised proper_tol, and
 #: rectifying-psi with a field that is NaN (0·inf) on a thin band about
-#: x3 = 1.2 that only one RK4 stage of warp-fit's curve meets
+#: x3 = 1.2 that only one RK4 stage of warp-fit's curve meets, and an
+#: indefinite metric with off-diagonal entries, whose sample LAPACK refuses
+#: to factor, so that its pivots come from the recurrence past pivot 0
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -82,6 +84,10 @@ FAILURE_SCENES = [
      "submanifold": {"dim": 2, "domain": [[0.5, 3.0], [0.1, 6.2]],
                      "immersion": ["0.8*u1*cos(u2)", "0.8*u1*sin(u2)", "0.6*u1", "1"]},
      "checks": ["rectifying", "warp-fit"]},
+    {"name": "indefinite", "field": ["1", "x3", "x1"],
+     "checks": ["classify", "ambient-decomposition"],
+     "ambient": {"dim": 3, "metric": [["2+x2"], ["x1", "1"], ["0.3*x3", "0.7*x1*x2", "1+x3^2"]],
+                 "domain": [[-2, 2], [-1, 1], [-1, 1]]}},
 ]
 
 # run in a child process whose PYTHONPATH is one checkout's src/

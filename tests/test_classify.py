@@ -10,7 +10,7 @@ from conftest import radial_unit_field
 from torseform import (ANTI_TORQUED, CONCIRCULAR, NONE, PARALLEL, TORQUED,
                        TORSE_FORMING, ClassificationReport, MetricField,
                        SceneClassification, VectorField, classify,
-                       fit_torse_forming, geodesic_unit_check)
+                       fit_torse_forming, geodesic_unit_check, load_scene, run)
 from torseform.classify import PRECEDENCE, _passes
 from torseform.config import DEFAULT
 from torseform.errors import (InconsistentSampleError, PreconditionError,
@@ -169,6 +169,20 @@ class TestClassifyScene:
         pts = list(rng.uniform(0.5, 2.0, size=(50, 3)))
         c = classify(euclid3, field, pts)
         assert c.verdict == NONE
+
+
+def test_a_coordinate_frame_that_loses_rank_is_an_error():
+    # g's pivots pass spd_tol, but the residual of ∂_2 against ∂_1 has norm
+    # sqrt(1 − 0.9999999²) ≈ 4.5e-4, within a raised frame_tol of |∂_2| = 1
+    report = run(load_scene({
+        "name": "nearly-dependent-frame", "field": ["x1", "x2"], "checks": ["classify"],
+        "ambient": {"dim": 2, "metric": [["1"], ["0.9999999", "1"]],
+                    "domain": [[1, 2], [1, 2]]},
+        "tolerances": {"frame_tol": 1e-3}}), points=50)
+    [check] = report.checks
+    assert check.status == "error"
+    assert check.details == {"error": "SingularMetricError",
+                             "message": "coordinate frame lost rank under the metric"}
 
 
 class TestGeodesicUnitCheck:

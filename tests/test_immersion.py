@@ -124,6 +124,16 @@ class TestFrames:
                 back = pk.tangent_project(w) + pk.normal_project(w)
                 assert back == pytest.approx(w, abs=1e-9)
 
+    @pytest.mark.parametrize("u, where", [([0.5, 0.5], [0.5, 0.5]),
+                                          ([[0.2, 0.3], [0.5, 0.5]], [0.2, 0.3])])
+    def test_uniformly_tiny_tangents_collapse(self, euclid3, u, where):
+        # J = 1e-11·I passes the relative singular-value test, but each
+        # residual of the Gram-Schmidt is at most rank_tol·max(1, |∂_iΨ|)
+        tiny = Immersion(["1e-11*u1", "1e-11*u2", "0"], n=2, domain=[[0, 1], [0, 1]])
+        with pytest.raises(RankDeficiencyError,
+                           match=rf"^tangent frame collapsed at u=\[{where[0]}, {where[1]}\]$"):
+            frames(tiny, euclid3, u)
+
     def test_tangent_coeff_consistency(self, euclid4):
         pk = frames(vertex_cone4(), euclid4, [1.4, 2.2])
         rebuilt = pk.tangent_coeffs @ pk.jacobian.T

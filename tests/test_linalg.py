@@ -9,7 +9,8 @@ import pytest
 
 from torseform import builtin_names, builtin_scene, run
 from torseform.errors import SingularMetricError
-from torseform.linalg import cholesky_spd, lower_inverse, orthonormalize, solve_spd
+from torseform.linalg import (_pivot_recurrence, cholesky_pivots, cholesky_spd,
+                              lower_inverse, orthonormalize, solve_spd)
 
 EPS = np.finfo(float).eps
 
@@ -101,6 +102,56 @@ class TestSolveSpd:
         # floor, and with it cholesky_spd, as before
         a = np.array([[1.0, 0.0], [0.0, -0.5]])
         assert np.array_equal(solve_spd(a, np.array([1.0, 1.0]), -1.0), [1.0, -2.0])
+
+
+def refused_stacks(count, seed):
+    """Random symmetric 4×3×3 stacks, some slices positive definite and some
+    not, that LAPACK refuses to factor."""
+    rng, stacks = np.random.default_rng(seed), []
+    while len(stacks) < count:
+        b = rng.standard_normal((4, 3, 3))
+        a = b @ np.swapaxes(b, -1, -2) - rng.uniform(0.0, 2.0, (4, 1, 1)) * np.eye(3)
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            stacks.append(a)
+    return stacks
+
+
+class TestRefusedStack:
+    def test_pivots_are_the_float_recurrences_slice_by_slice(self):
+        for a in refused_stacks(200, 0):
+            L, pivots = cholesky_pivots(a)
+            for i in range(len(a)):
+                Li, pi = _pivot_recurrence(a[i])
+                assert pivots[i].tobytes() == np.array(pi).tobytes()
+                # an independent oracle: d_j = det(a[:j+1, :j+1]) / det(a[:j, :j]),
+                # up to the first pivot that is not positive, and NaN after it
+                minors = [1.0] + [np.linalg.det(a[i, :j, :j]) for j in range(1, 4)]
+                bad = next((j for j, p in enumerate(pi) if not p > 0.0), 3)  # 3: none
+                assert pi[:bad + 1] == pytest.approx(
+                    [minors[j + 1] / minors[j] for j in range(min(bad + 1, 3))],
+                    rel=1e-9, abs=1e-12)
+                assert all(math.isnan(p) for p in pi[bad + 1:])
+                # L: the recurrence's lower triangle, a factor of the leading
+                # block above the bad pivot, and NaN from its row on
+                assert [L[i][r, :r + 1].tolist() for r in range(bad)] == Li[:bad]
+                assert np.array_equal(np.triu(L[i][:bad], 1), np.zeros((bad, 3)))
+                assert L[i][:bad] @ L[i][:bad].T == pytest.approx(a[i, :bad, :bad], abs=1e-12)
+                assert np.isnan(L[i][bad:]).all()
+
+    def test_a_stacks_error_is_its_first_bad_slices_own(self):
+        for a in refused_stacks(200, 1):
+            with pytest.raises(SingularMetricError) as stack:
+                cholesky_spd(a, 1e-12)
+            for i in range(len(a)):
+                try:
+                    cholesky_spd(a[i], 1e-12)
+                except SingularMetricError as alone:
+                    assert str(stack.value) == str(alone)
+                    break
+            else:
+                pytest.fail("a refused stack has no bad slice")
 
 
 def spd_with_condition(m, batch, seed, cond):

@@ -41,9 +41,9 @@ def test_a_check_run_enters_numpy_errstate_once(monkeypatch, errstates):
     counts = {"runs": 0, "rows": 0}
     tape_run, row = Tape.run, ex.row
 
-    def counting_run(self, env, call):
+    def counting_run(self, env):
         counts["runs"] += 1
-        return tape_run(self, env, call)
+        return tape_run(self, env)
 
     def counting_row(*args):
         counts["rows"] += 1

@@ -15,6 +15,7 @@ from torseform import (Tolerances, builtin_names, builtin_scene, load_scene,
                        report_to_json, run, sample_ambient_points,
                        sample_parameter_points)
 from torseform.errors import SceneSchemaError
+from torseform import runner as runner_module
 from torseform.runner import exit_code, render_report
 from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, with_seed
 from torseform import rectifying as rect_module
@@ -248,6 +249,11 @@ class TestRunner:
         a = report_to_json(run(builtin_scene("rectifying-psi"), points=15))
         b = report_to_json(run(builtin_scene("rectifying-psi"), points=15))
         assert a == b
+
+    def test_checks_run_in_the_order_their_streams_are_seeded(self):
+        # each check's random stream is seeded from its CHECK_NAMES index, and
+        # checks run in _CHECKS order: a reorder of either changes every report
+        assert tuple(runner_module._CHECKS) == CHECK_NAMES
 
     def test_check_subset(self):
         report = run(builtin_scene("clifford-torus"), checks=["classify"],

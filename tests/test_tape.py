@@ -6,6 +6,7 @@ for bit, every derivative tensor included, and raise the walker's errors."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import operator
@@ -17,8 +18,8 @@ from conftest import random_expression
 from torseform import (MetricField, VectorField, build_warped_ambient, builtin_names,
                        builtin_scene, eval_float)
 from torseform.errors import DomainEvalError, JetDomainError
-from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, parse, row,
-                            to_source)
+from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, apply, parse,
+                            row, to_source)
 from torseform.jets import Jet, call, eval_jet_env, jet_variables
 
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -166,6 +167,31 @@ class TestTapeIsTheWalker:
                               [rng.uniform(-1, 1, size=4), rng.uniform(-1, 1, size=(6, 4))])
 
 
+class TestOneProgram:
+    """One function applies a row to a float, a batch or a jet, and a tape
+    binds it into its program once, when it is built."""
+
+    def test_jets_call_is_expr_apply(self):
+        assert call is apply
+
+    def test_a_run_takes_only_its_environment(self):
+        assert list(inspect.signature(Tape.run).parameters) == ["self", "env"]
+
+    def test_one_program_runs_floats_point_jets_and_batches(self):
+        exprs = [parse("sin(x1)*x2^2+x1^x2"), parse("exp(x2)/x1-sqrt(x1)")]
+        tape = Tape(exprs)
+        program = list(tape.program)
+        names = ("x1", "x2")
+        envs = [{"x1": 0.7, "x2": 1.3}, jet_variables(names, [0.7, 1.3], 2),
+                jet_variables(names, [[0.7, 1.3], [1.1, 0.4]], 3)]
+        for env in envs:
+            got = tape.run(env)
+            assert [bits(v) for v in got] == [bits(v) for v in walked(exprs, env)]
+            assert len(tape.program) == len(program)
+            assert all(a is b for new, old in zip(tape.program, program)
+                       for a, b in zip(new, old))
+
+
 class TestTapeErrors:
     @pytest.mark.parametrize("sources", [
         ["log(x1-2)+sqrt(x2-5)"],                       # both fail: log comes first
@@ -296,7 +322,7 @@ class TestSquare:
                 d.append(sum(t.transpose(perm + tuple(range(k, t.ndim)))  # symmetric
                              for perm in itertools.permutations(range(k))))
             x = Jet(order, 3, d)
-            assert bits(tape.run({"x1": x}, call)[0]) == bits(call("pow", x, 2.0))
+            assert bits(tape.run({"x1": x})[0]) == bits(call("pow", x, 2.0))
 
     @pytest.mark.parametrize("bad, reason", [(1e200, "pow is not finite at 1e+200"),
                                              (math.nan, "pow is not finite at nan")])

@@ -484,6 +484,18 @@ class TestBatchedNodeFits:
         assert curve.rhs_evaluations == 412
         assert factored == [(4, 4), (len(curve.samples), 5, 5)]
 
+    def test_no_curved_right_hand_side_factors_a_matrix(self, monkeypatch):
+        # g read at a stage point passes its pivot check in floats, and no
+        # right-hand side reads its factor; the curve's only Cholesky factors
+        # are the node fit's two stacks, the metric's and the normal equations'
+        args = CURVES["warped-exp-tube"]()
+        real, factored = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(np.shape(a)) or real(a))
+        curve = trace_integral_curve(*args)
+        assert curve.rhs_evaluations == 481
+        assert factored == [(len(curve.samples), 3, 3), (len(curve.samples), 4, 4)]
+
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_one_right_hand_side_per_node(self, name):
         # 1 at the start node, then three fresh stages and the node's own per
