@@ -5,9 +5,12 @@
 The fit is a least-squares problem over a g̃-orthonormal frame {e_i} in the
 unknowns (f, ω(e_1), ..., ω(e_m)); its normal equations
 
-    [[m, v], [vᵀ, |v|² I]] (f, w) = (tr a, a v),   a_ik = <∇̃_{e_i}V, e_k>
+    [[m, vᵀ], [v, |v|² I]] (f, w) = (tr a, a v),   a_ik = <∇̃_{e_i}V, e_k>
 
-are solved by Cholesky.  Specializations are measured on the fitted pair:
+have the closed form f = (tr a − v̂ᵀ a v̂)/(m − 1), w = (a v̂ − f v̂)/|v|,
+v̂ = v/|v|.  It raises SingularFitError where the lower bound |v|²(m − 1)/m
+on the matrix's smallest pivot is spd_tol or less (always for m = 1), and
+where f or ω is not finite.  Specializations are measured on the fitted pair:
 |ω| (concircular), |ω(V)| (torqued) and |ω + f ν| with ν the dual of V
 (anti-torqued).  Verdict precedence, most specific first:
 parallel > concircular > anti-torqued > torqued > torse-forming > none.
@@ -15,7 +18,6 @@ parallel > concircular > anti-torqued > torqued > torse-forming > none.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
@@ -26,8 +28,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (InconsistentSampleError, PreconditionError, SingularFitError,
                      SingularMetricError, ZeroFieldError, replay)
 from .expr import quiet
-from .linalg import (dot, first_where, frame_collapses, item, mv, norm, reduce_max,
-                     solve_spd, worst)
+from .linalg import dot, first_where, frame_collapses, item, mv, norm, reduce_max, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian)
 
@@ -116,24 +117,23 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
         dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
         a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
         v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
-
         vv = dot(v, v)
-        normal = np.zeros(np.shape(vv) + (m + 1, m + 1))
-        normal[..., 0, 0] = m
-        normal[..., 0, 1:] = v
-        normal[..., 1:, 0] = v
-        normal[..., 1:, 1:] = vv[..., None, None] * np.eye(m)
-        rhs = np.concatenate((np.trace(a, axis1=-2, axis2=-1)[..., None], mv(a, v)), axis=-1)
-        try:
-            sol = solve_spd(normal, rhs, tols.spd_tol)
-        except SingularMetricError as exc:
-            # np.linalg.cond raises on a non-finite matrix (overflowed jets)
-            finite = np.isfinite(normal).all(axis=(-2, -1))
-            cond = np.linalg.cond(np.where(finite[..., None, None], normal, np.eye(m + 1)))
-            raise SingularFitError("torse-forming normal equations are singular",
-                                   float(np.max(np.where(finite, cond, math.inf)))) from exc
-        f = sol[..., 0]
-        w = sol[..., 1:]
+        # the normal matrix's smallest pivot lies in [|v|²(m − 1)/m, |v|²]:
+        # singular where the lower bound is spd_tol or less, or not finite
+        singular = ~(np.isfinite(vv) & (vv * (m - 1) / m > tols.spd_tol))
+        length = np.sqrt(vv)
+        if np.any(singular):
+            raise SingularFitError(
+                f"torse-forming fit is singular: |V| = {first_where(singular, length):.3e} "
+                f"at {first_where(singular, mp.point).tolist()}")
+        vhat = v / length[..., None]
+        a_vhat = mv(a, vhat)
+        f = (np.trace(a, axis1=-2, axis2=-1) - dot(vhat, a_vhat)) / (m - 1)
+        w = (a_vhat - f[..., None] * vhat) / length[..., None]
+        infinite = ~(np.isfinite(f) & np.all(np.isfinite(w), axis=-1))
+        if np.any(infinite):
+            raise SingularFitError(
+                f"torse-forming fit is not finite at {first_where(infinite, mp.point).tolist()}")
 
         resid = a - f[..., None, None] * np.eye(m) - w[..., :, None] * v[..., None, :]
         grad_norm = norm(a, 2)

@@ -66,11 +66,7 @@ class ZeroFieldError(GeometryError):
 
 
 class SingularFitError(GeometryError):
-    """Normal equations of the torse-forming fit are singular."""
-
-    def __init__(self, message: str, condition_number: float):
-        super().__init__(f"{message} (condition number {condition_number:.3e})")
-        self.condition_number = condition_number
+    """The torse-forming fit is singular (|V| too small, or m = 1) or not finite."""
 
 
 class InconsistentSampleError(GeometryError):

@@ -33,9 +33,9 @@ from .errors import (NonNormalVectorError, PreconditionError, RankDeficiencyErro
                      replay)
 from .jets import chart_names, eval_jet_env, jet_variables
 from .linalg import (cholesky_pivots, first_where, frame_collapses, item, lower_inverse,
-                     mv, norm, orthonormalize, solve_spd)
+                     mv, norm, orthonormalize)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     _batch_first, _contract, jet_inner, riemann)
+                     _batch_first, _contract, covariant_jacobian, jet_inner, riemann)
 
 
 class Immersion:
@@ -74,9 +74,12 @@ class FramePacket:
     h_frame[α, i, j]      g̃(h(e_i, e_j), ξ_α)
     h_coord[i, j, :]      ambient components of h(∂ᵢ, ∂ⱼ)
 
-    ambient2, field_jet, induced and fit are computed on first use, once for
-    the whole sample, and kept: checks that read them share one copy, the
-    others do not pay for them.
+    v_tan_frame[i]        with a field V: t_i = g̃(V, e_i), so V^⊤ = Σ tⁱ B[i, k] ∂Ψ/∂uᵏ
+    v_nor_frame[α]        c_α = g̃(V, ξ_α); v_tan, v_nor and their norms split V
+
+    ambient2, field_jet, induced, fit, a_vperp and dv_frame are computed on
+    first use, once for the whole sample, and kept: checks that read them
+    share one copy, the others do not pay for them.
     """
 
     u: np.ndarray
@@ -98,6 +101,8 @@ class FramePacket:
     v_nor: np.ndarray | None = None
     v_tan_norm: float = 0.0
     v_nor_norm: float = 0.0
+    v_tan_frame: np.ndarray | None = None
+    v_nor_frame: np.ndarray | None = None
 
     @property
     def g_ambient(self) -> np.ndarray:
@@ -125,6 +130,20 @@ class FramePacket:
         """Torse-forming fit of the field at x."""
         return fit_at_point(self.ambient, self.field_jet, self.tols)
 
+    @cached_property
+    def a_vperp(self) -> np.ndarray:
+        """A_{V^⊥} = Σ_α c_α h_frame[α], the shape operator of V^⊥ in the
+        tangent frame."""
+        return np.einsum("...a,...aij->...ij", self.v_nor_frame, self.h_frame)
+
+    @cached_property
+    def dv_frame(self) -> np.ndarray:
+        """[i, k] = g̃(∇̃_{e_i}V, e_k) for k < n and g̃(∇̃_{e_i}V, ξ_{k−n})
+        after: ∇̃V along each tangent in the frame (e, ξ)."""
+        frame = np.concatenate((self.tangents, self.normals), axis=-2)
+        dv = self.tangents @ covariant_jacobian(self.ambient, self.field_jet)
+        return dv @ self.g_ambient @ np.swapaxes(frame, -1, -2)
+
     @property
     def n(self) -> int:
         return self.tangents.shape[-2]
@@ -140,18 +159,6 @@ class FramePacket:
         """g̃(w, frame[a]) for each vector of a frame (tangents or normals)."""
         gw = mv(self.g_ambient, np.asarray(w, dtype=float))
         return mv(frame, gw)
-
-    def tangent_project(self, w) -> np.ndarray:
-        return mv(np.swapaxes(self.tangents, -1, -2), self.coefficients(w, self.tangents))
-
-    def normal_project(self, w) -> np.ndarray:
-        return mv(np.swapaxes(self.normals, -1, -2), self.coefficients(w, self.normals))
-
-    def parameter_coords(self, w) -> np.ndarray:
-        """Coordinates a with w^⊤ = Σ aⁱ ∂Ψ/∂uⁱ."""
-        rhs = mv(np.swapaxes(self.jacobian, -1, -2),
-                 mv(self.g_ambient, np.asarray(w, dtype=float)))
-        return solve_spd(self.g_coord, rhs, self.tols.spd_tol)
 
 
 def _jacobian(psi, u, tols: Tolerances) -> np.ndarray:
@@ -239,7 +246,8 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
         return packet
     split = decompose_field(packet, field.at(x, order=0).components)
     return replace(packet, v_tan=split.v_tan, v_nor=split.v_nor,
-                   v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm)
+                   v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm,
+                   v_tan_frame=split.tan_coeffs, v_nor_frame=split.nor_coeffs)
 
 
 def over_sample(terms, packet: FramePacket, *args):
@@ -256,7 +264,7 @@ def over_sample(terms, packet: FramePacket, *args):
 def shape_operator(packet: FramePacket, xi, tols: Tolerances = DEFAULT) -> np.ndarray:
     """A_ξ in the orthonormal tangent frame; symmetric, linear in ξ."""
     xi = np.asarray(xi, dtype=float)
-    tan_norm = packet.ambient.norm(packet.tangent_project(xi))
+    tan_norm = item(norm(packet.coefficients(xi, packet.tangents)))
     tangential = tan_norm > tols.frame_tol * np.fmax(1.0, packet.ambient.norm(xi))
     if np.any(tangential):
         raise NonNormalVectorError(
@@ -271,6 +279,8 @@ class FieldSplit:
     v_nor: np.ndarray
     tan_norm: float
     nor_norm: float
+    tan_coeffs: np.ndarray      # g̃(v, e_i)
+    nor_coeffs: np.ndarray      # g̃(v, ξ_α)
 
 
 def decompose_field(packet: FramePacket, v) -> FieldSplit:
@@ -279,7 +289,8 @@ def decompose_field(packet: FramePacket, v) -> FieldSplit:
     coeff_n = packet.coefficients(v, packet.normals)
     return FieldSplit(v_tan=mv(np.swapaxes(packet.tangents, -1, -2), coeff_t),
                       v_nor=mv(np.swapaxes(packet.normals, -1, -2), coeff_n),
-                      tan_norm=item(norm(coeff_t)), nor_norm=item(norm(coeff_n)))
+                      tan_norm=item(norm(coeff_t)), nor_norm=item(norm(coeff_n)),
+                      tan_coeffs=coeff_t, nor_coeffs=coeff_n)
 
 
 def gauss_equation_residual(imm: Immersion, metric: MetricField, u,

@@ -5,14 +5,17 @@ A submanifold is rectifying with axis V when V^⊥ ≠ 0 and V is orthogonal to
 the first normal space, g̃(V, Im h) = 0, at every point.  The per-point
 residual is
 
-    max_{i<=j} |g̃(V^⊥, h(e_i, e_j))| / max(1, |h|_sup |V^⊥|),
+    max_{i<=j} |A_ij| / max(1, |h|_sup |V^⊥|),   A_ij = g̃(V^⊥, h(e_i, e_j)),
 
-with |h|_sup = max_{i<=j} |h(e_i, e_j)|, which is 0 exactly when V^⊥ ⊥ Im h.
+with A = A_{V^⊥} and |h|_sup = max_{i<=j} |h(e_i, e_j)|, which is 0 exactly
+when V^⊥ ⊥ Im h.
 Hypersurfaces with tangent axis are handled as a separate mode (V^⊥ = 0 is
 outside the definition but the determinant corollary still applies).
 
 Every check reduces over one FramePacket of the whole parameter sample: the
-per-point terms are arrays over its batch axis, computed once per sample.
+per-point terms are array expressions over its batch axis of the frame
+arrays the packet holds once per sample, h_frame, V's frame coefficients
+t and c, A_{V^⊥} and the frame matrix of ∇̃V along the tangents.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ import numpy as np
 from .classify import TORQUED
 from .config import DEFAULT, Tolerances
 from .errors import PreconditionError
-from .immersion import (FramePacket, Immersion, decompose_field, frames,
-                        over_sample, shape_operator)
-from .linalg import item, mv, norm, reduce_max, worst
-from .metric import (MetricField, VectorField, covariant_derivative,
-                     covariant_jacobian, plane_curvature, riemann)
+from .immersion import FramePacket, Immersion, frames, over_sample
+from .linalg import dot, item, mv, norm, reduce_max, worst
+from .metric import MetricField, VectorField, plane_curvature, riemann
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,12 @@ def rectifying_at(packet: FramePacket) -> RectifyingPointReport:
     """Residual, properness and |A_{V^⊥}| from a packet that carries the
     field, at its point or at each point of its batch."""
     rows, cols = np.triu_indices(packet.n)
+    a_vperp = packet.a_vperp
+    numer = np.max(np.abs(a_vperp[..., rows, cols]), axis=-1, initial=0.0)
     h_pairs = np.swapaxes(packet.h_frame[..., rows, cols], -1, -2)   # h(e_i, e_j), i <= j
-    v_nor_frame = packet.coefficients(packet.v_nor, packet.normals)
-    numer = np.max(np.abs(mv(h_pairs, v_nor_frame)), axis=-1, initial=0.0)
     h_sup = np.max(norm(h_pairs), axis=-1, initial=0.0)
     # fmax, like Python's max, keeps 1 against a NaN
     residual = numer / np.fmax(1.0, h_sup * packet.v_nor_norm)
-    a_vperp = np.einsum("...a,...aij->...ij", v_nor_frame, packet.h_frame)
     proper_tol = packet.tols.proper_tol
     return RectifyingPointReport(
         u=packet.u, residual=item(residual),
@@ -124,22 +124,14 @@ def _vanishing(packet: FramePacket, attr: str, label: str) -> float:
     return value
 
 
-def _along_tangents(packet: FramePacket) -> np.ndarray:
-    """∇̃_{e_i} V for each tangent e_i, as rows."""
-    return packet.tangents @ covariant_jacobian(packet.ambient, packet.field_jet)
-
-
 def _umbilic_defect(packet: FramePacket):
     """|A_{V^⊥} + f Id|."""
-    a_v = shape_operator(packet, packet.v_nor, packet.tols)
-    return norm(a_v + np.asarray(packet.fit.f)[..., None, None] * np.eye(packet.n), 2)
+    return norm(packet.a_vperp + np.asarray(packet.fit.f)[..., None, None] * np.eye(packet.n), 2)
 
 
 def _max_det(packet: FramePacket):
-    """Largest |det A_ξ| over the normal frame."""
-    return np.max([np.abs(np.linalg.det(shape_operator(packet, packet.normals[..., a, :],
-                                                       packet.tols)))
-                   for a in range(packet.codim)], axis=0, initial=0.0)
+    """Largest |det A_ξ| over the normal frame, A_{ξ_α} = h_frame[α]."""
+    return np.max(np.abs(np.linalg.det(packet.h_frame)), axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -175,10 +167,9 @@ def tangential_over(packet: FramePacket) -> TangentialCaseReport:
 
 
 def _tangential_terms(packet: FramePacket):
-    """(|D_{e_i} V^⊥| for each tangent e_i, |A_{V^⊥} + f Id|)."""
-    dv = _along_tangents(packet)
-    ds = [decompose_field(packet, dv[..., i, :]).nor_norm for i in range(packet.n)]
-    return np.array(ds), _umbilic_defect(packet)
+    """(|D_{e_i} V^⊥| for each tangent e_i, |A_{V^⊥} + f Id|): with V^⊤ = 0,
+    D_{e_i} V^⊥ is the normal part of ∇̃_{e_i} V."""
+    return np.moveaxis(norm(packet.dv_frame[..., packet.n:]), -1, 0), _umbilic_defect(packet)
 
 
 @dataclass(frozen=True)
@@ -223,14 +214,14 @@ def _normal_terms(packet: FramePacket):
     frame triples (i < j, k), and for each plane Span{e_i, V^⊤} the triple
     |K̃ − K|, |K̃|, |K|, which is 0 where either plane is degenerate)."""
     dets = _max_det(packet)
-    t = packet.coefficients(packet.v_tan, packet.tangents)
+    t = packet.v_tan_frame
     hv = np.einsum("...aij,...j->...ai", packet.h_frame, t)   # h(e_i, V^⊤) components
     hs = np.max(norm(np.swapaxes(hv, -1, -2)), axis=-1, initial=0.0)
 
     ind = packet.induced
     mp2 = packet.ambient2
     vt = packet.v_tan
-    vt_par = packet.parameter_coords(vt)
+    vt_par = mv(np.swapaxes(packet.tangent_coeffs, -1, -2), t)   # V^⊤ = Σ (Bᵀt)_k ∂Ψ/∂uᵏ
     B = [packet.tangent_coeffs[..., i, :] for i in range(packet.n)]
     E = [packet.tangents[..., i, :] for i in range(packet.n)]
     curvs = [abs(mp2.inner(riemann(mp2, E[i], E[j], vt), E[k])
@@ -304,32 +295,31 @@ def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
 def _concircular_terms(packet: FramePacket):
     """(|(∇̃_{e_i} V)^⊤ − f_M e_i| for each tangent e_i, with f_M the mean of
     g̃(∇̃_{e_i} V, e_i); max |det A_ξ|)."""
-    dv = _along_tangents(packet)
-    E = [packet.tangents[..., i, :] for i in range(packet.n)]
-    f_int = np.mean([packet.inner(dv[..., i, :], e) for i, e in enumerate(E)], axis=0)
-    concs = [norm(packet.tangent_project(dv[..., i, :]) - f_int[..., None] * e)
-             for i, e in enumerate(E)]
-    return np.array(concs), _max_det(packet)
+    n = packet.n
+    along = packet.dv_frame[..., :n]                  # [i, k] = g̃(∇̃_{e_i} V, e_k)
+    f_int = np.trace(along, axis1=-2, axis2=-1) / n
+    concs = norm(along - f_int[..., None, None] * np.eye(n))
+    return np.moveaxis(concs, -1, 0), _max_det(packet)
 
 
 def _torqued_normal_terms(packet: FramePacket):
     """(|A_{V^⊥} + f Id|; |D_X V^⊥| for X each tangent e_i made orthogonal to
     W^⊤, 0 where X vanishes; |D_{W^⊤} V^⊥ − |W^⊤|² V^⊥|, 0 where W^⊤ vanishes;
-    whether W^⊤ does not vanish), with W the dual of the fitted ω."""
-    mp, vap, rep = packet.ambient, packet.field_jet, packet.fit
+    whether W^⊤ does not vanish), with W the dual of the fitted ω.  In the
+    frame, W^⊤ has coefficients ω(e_i), V^⊥ has c, D_{e_i} V^⊥ is the normal
+    part of ∇̃_{e_i} V, and the X are the rows of Id − ŵŵᵀ (ŵ = 0 where W^⊤
+    vanishes)."""
+    tols = packet.tols
     umb = _umbilic_defect(packet)
-    w_split = decompose_field(packet, rep.w_dual)
-    w_tangent = np.asarray(w_split.tan_norm > packet.tols.proper_tol)
-    w_hat = w_split.v_tan / np.where(w_tangent, w_split.tan_norm, 1.0)[..., None]
-    d_w = packet.normal_project(covariant_derivative(mp, vap, w_split.v_tan))
-    target = np.asarray(w_split.tan_norm ** 2)[..., None] * packet.v_nor
+    w = mv(packet.tangents, packet.fit.omega)
+    w_norm = norm(w)
+    w_tangent = np.asarray(w_norm > tols.proper_tol)
+    w_hat = w / np.where(w_tangent, w_norm, np.inf)[..., None]
+    d = packet.dv_frame[..., packet.n:]
+    d_w = mv(np.swapaxes(d, -1, -2), w)                              # D_{W^⊤} V^⊥
+    target = np.asarray(w_norm ** 2)[..., None] * packet.v_nor_frame
     wds = np.where(w_tangent, norm(d_w - target), 0.0)
-    ds = []
-    for i in range(packet.n):
-        e = packet.tangents[..., i, :]
-        x_dir = np.where(w_tangent[..., None],
-                         e - np.asarray(packet.inner(e, w_hat))[..., None] * w_hat, e)
-        moved = ~np.asarray(packet.inner(x_dir, x_dir) < packet.tols.null_dir_tol)
-        nor = decompose_field(packet, covariant_derivative(mp, vap, x_dir)).nor_norm
-        ds.append(np.where(moved, nor, 0.0))
-    return umb, np.array(ds), wds, w_tangent
+    x_dirs = np.eye(packet.n) - w_hat[..., :, None] * w_hat[..., None, :]
+    moved = ~(dot(x_dirs, x_dirs) < tols.null_dir_tol)
+    ds = np.where(moved, norm(x_dirs @ d), 0.0)
+    return umb, np.moveaxis(ds, -1, 0), wds, w_tangent

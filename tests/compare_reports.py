@@ -59,7 +59,9 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: rectifying-psi with a field that is NaN (0·inf) on a thin band about
 #: x3 = 1.2 that only one RK4 stage of warp-fit's curve meets, and an
 #: indefinite metric with off-diagonal entries, whose sample LAPACK refuses
-#: to factor, so that its pivots come from the recurrence past pivot 0
+#: to factor, so that its pivots come from the recurrence past pivot 0, and
+#: a finite field whose ∇V has an overflowing trace, so that the fit is not
+#: finite at any point, which must be an error rather than a verdict
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -88,6 +90,9 @@ FAILURE_SCENES = [
      "checks": ["classify", "ambient-decomposition"],
      "ambient": {"dim": 3, "metric": [["2+x2"], ["x1", "1"], ["0.3*x3", "0.7*x1*x2", "1+x3^2"]],
                  "domain": [[-2, 2], [-1, 1], [-1, 1]]}},
+    {"name": "nan-trace", "checks": ["classify"],
+     "ambient": dict(E3, domain=[[2e-200, 3e-200]] * 3),
+     "field": ["1e308*(x1-1e-200)", "1e308*(x2-1e-200)", "1e308*(x3-1e-200)"]},
 ]
 
 # run in a child process whose PYTHONPATH is one checkout's src/

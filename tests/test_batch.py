@@ -246,8 +246,8 @@ class TestErrorOrder:
         assert check.status == "error"
         assert check.details == {
             "error": "SingularFitError",
-            "message": "torse-forming normal equations are singular "
-                       "(condition number 6.809e+14)"}
+            "message": "torse-forming fit is singular: |V| = 8.130e-08 at "
+                       "[0.660934072833945, 0.4388784397520523, 0.8585979199113825]"}
 
 
 def count_points(monkeypatch, owner, name) -> dict:

@@ -14,7 +14,7 @@ from torseform import (ANTI_TORQUED, CONCIRCULAR, NONE, PARALLEL, TORQUED,
 from torseform.classify import PRECEDENCE, _passes
 from torseform.config import DEFAULT
 from torseform.errors import (InconsistentSampleError, PreconditionError,
-                              ZeroFieldError)
+                              SingularFitError, ZeroFieldError)
 
 
 def linear_field(v0, jacobian, p):
@@ -116,6 +116,39 @@ class TestFit:
     def test_zero_field_rejected(self, euclid3):
         with pytest.raises(ZeroFieldError):
             fit_torse_forming(euclid3, VectorField(["0", "0", "0"]), [1, 2, 3])
+
+
+class TestFitScale:
+    """V → cV: the fit raises where |V|²(m − 1)/m is within spd_tol, and
+    otherwise f scales with c and ω does not."""
+
+    POINTS = np.random.default_rng(0).uniform(0.5, 2.0, size=(60, 3))
+
+    @staticmethod
+    def scaled(c, components):
+        return VectorField([f"{c!r}*({comp})" for comp in components])
+
+    @pytest.mark.parametrize("components, verdict", [(["1", "2", "0.5"], PARALLEL),
+                                                     (["x1", "x2", "x3"], CONCIRCULAR)])
+    def test_short_field_is_singular_and_the_verdict_holds_above(self, euclid3,
+                                                                  components, verdict):
+        for c in (1e-10, 1e-8, 1e-7):
+            with pytest.raises(SingularFitError):
+                classify(euclid3, self.scaled(c, components), self.POINTS)
+        for c in (1e-5, 1e-3, 1.0, 1e3, 1e6, 1e10):
+            assert classify(euclid3, self.scaled(c, components), self.POINTS).verdict == verdict
+
+    def test_f_scales_and_omega_does_not(self, euclid3):
+        components, p = ["x1*x2", "x2", "x3"], [2.0, 1.0, 0.5]
+        base = fit_torse_forming(euclid3, VectorField(components), p)
+        for c in np.logspace(-6, 10, 17):
+            rep = fit_torse_forming(euclid3, self.scaled(float(c), components), p)
+            assert rep.f / c == pytest.approx(base.f, rel=1e-12)
+            assert rep.omega == pytest.approx(base.omega, rel=1e-12)
+
+    def test_one_dimensional_field_is_singular(self):
+        with pytest.raises(SingularFitError):
+            fit_torse_forming(MetricField.euclidean(1), VectorField(["1+x1"]), [0.5])
 
 
 class TestClassifyScene:

@@ -317,15 +317,14 @@ class TestSceneSpdTol:
         assert check.details["error"] == "SingularMetricError"
         assert exit_code(report) == 3
 
-    def test_parameter_coords_use_the_packet_tolerance(self):
+    def test_induced_metric_uses_the_packet_tolerance(self):
         # |∂Ψ|² = 1e-6: above the default pivot floor, below the override
         small = Immersion(["1e-3*u1", "1e-3*u2", "0"], n=2)
         metric, field = MetricField.euclidean(3), VectorField(["1", "0", "0"])
-        assert np.all(np.isfinite(frames(small, metric, [0.1, 0.2], field)
-                                  .parameter_coords([1.0, 0.0, 0.0])))
+        assert np.all(np.isfinite(frames(small, metric, [0.1, 0.2], field).induced.g))
         packet = frames(small, metric, [0.1, 0.2], field, DEFAULT.override(spd_tol=1e-3))
         with pytest.raises(SingularMetricError):
-            packet.parameter_coords([1.0, 0.0, 0.0])
+            packet.induced
 
 
 def test_field_checks_without_a_field_are_not_applicable():

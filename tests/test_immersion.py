@@ -121,7 +121,8 @@ class TestFrames:
                 u = [rng.uniform(0.5, 2.0), rng.uniform(0.2, 6.0)]
                 pk = frames(imm, euclid4, u)
                 w = rng.standard_normal(4)
-                back = pk.tangent_project(w) + pk.normal_project(w)
+                split = decompose_field(pk, w)
+                back = split.v_tan + split.v_nor
                 assert back == pytest.approx(w, abs=1e-9)
 
     @pytest.mark.parametrize("u, where", [([0.5, 0.5], [0.5, 0.5]),

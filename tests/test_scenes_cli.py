@@ -15,6 +15,7 @@ from torseform import (Tolerances, builtin_names, builtin_scene, load_scene,
                        report_to_json, run, sample_ambient_points,
                        sample_parameter_points)
 from torseform.errors import SceneSchemaError
+from torseform.immersion import FramePacket
 from torseform import runner as runner_module
 from torseform.runner import exit_code, render_report
 from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, with_seed
@@ -389,8 +390,9 @@ class TestRunner:
     def test_null_direction_floor_is_a_scene_override(self, monkeypatch, override, moved):
         # torqued-props, normal case, on a fiber of a twisted product: each
         # tangent e_i made orthogonal to W^⊤ is a direction X unless |X|² is
-        # below the floor; ∇̃_X V is replaced by a vector with a normal part,
-        # so that |D_X V^⊥| reads 0 exactly where X counts as zero
+        # below the floor; the frame matrix of ∇̃V is replaced by ones, so
+        # that ∇̃_X V has a normal part and |D_X V^⊥| reads 0 exactly where X
+        # counts as zero
         lam = "exp(x1)*(1+x2^2/4)"
         doc = {"name": "twisted-fiber", "ambient": {
                    "dim": 3, "metric": [["1"], ["0", f"({lam})^2"], ["0", "0", f"({lam})^2"]],
@@ -399,8 +401,8 @@ class TestRunner:
                "submanifold": {"dim": 2, "immersion": ["0.2", "u1", "u2"],
                                "domain": [[-0.8, 0.8], [-0.8, 0.8]]},
                "checks": ["torqued-props"], "seed": 3, "tolerances": override}
-        monkeypatch.setattr(rect_module, "covariant_derivative",
-                            lambda mp, field, direction: np.ones_like(direction))
+        monkeypatch.setattr(FramePacket, "dv_frame",
+                            property(lambda packet: np.ones_like(packet.tangents)))
         check = run(load_scene(doc), points=60).checks[0]
         assert check.details["case"] == "normal"
         assert (check.details["max_normal_derivative"] > 0.0) == moved
@@ -565,6 +567,24 @@ class TestCli:
         assert check["name"] == "classify"
         assert check["status"] == "error"
         assert check["details"]["error"] == "SingularFitError"
+
+    def test_non_finite_fit_is_an_error_not_a_verdict(self, tmp_path):
+        # V = 1e308·(x − 1e-200) is finite, but tr ∇V = 3e308 overflows: f is
+        # not finite at any point, which is an error, not the verdict `none`
+        from torseform import cli
+
+        doc = {"name": "nan-trace", "checks": ["classify"],
+               "ambient": {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                           "domain": [[2e-200, 3e-200]] * 3},
+               "field": [f"1e308*(x{i}-1e-200)" for i in (1, 2, 3)]}
+        path, out = tmp_path / "nan-trace.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", str(path), "--json", str(out)])
+        assert code == 3
+        [check] = json.loads(out.read_text())["checks"]
+        assert check["status"] == "error"
+        assert check["details"]["error"] == "SingularFitError"
+        assert check["details"]["message"].startswith("torse-forming fit is not finite at [")
 
     def test_non_finite_residual_is_an_error_not_a_verdict(self, tmp_path):
         # Ψ's first component overflows to inf, so both residuals are NaN:

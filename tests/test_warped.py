@@ -473,28 +473,29 @@ class TestBatchedNodeFits:
             assert seen.count((1, 0)) == reads[cls] == len(seen) - 1
 
     def test_no_right_hand_side_factors_a_matrix(self, monkeypatch):
-        # each right-hand side's 2×2 system passes its pivot check in floats;
-        # the curve's only Cholesky factors are the constant metric's, once,
-        # and the node fit's normal equations, one stack
+        # each right-hand side's 2×2 system passes its pivot check in floats,
+        # and the node fit solves its normal equations in closed form: the
+        # curve's only Cholesky factor is the constant metric's, once
         args = CURVES["rectifying-psi"]()
         real, factored = np.linalg.cholesky, []
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: factored.append(np.shape(a)) or real(a))
         curve = trace_integral_curve(*args)
         assert curve.rhs_evaluations == 412
-        assert factored == [(4, 4), (len(curve.samples), 5, 5)]
+        assert factored == [(4, 4)]
 
     def test_no_curved_right_hand_side_factors_a_matrix(self, monkeypatch):
         # g read at a stage point passes its pivot check in floats, and no
-        # right-hand side reads its factor; the curve's only Cholesky factors
-        # are the node fit's two stacks, the metric's and the normal equations'
+        # right-hand side reads its factor; the curve's only Cholesky factor
+        # is the node fit's stack of the metric, as its normal equations are
+        # solved in closed form
         args = CURVES["warped-exp-tube"]()
         real, factored = np.linalg.cholesky, []
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: factored.append(np.shape(a)) or real(a))
         curve = trace_integral_curve(*args)
         assert curve.rhs_evaluations == 481
-        assert factored == [(len(curve.samples), 3, 3), (len(curve.samples), 4, 4)]
+        assert factored == [(len(curve.samples), 3, 3)]
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_one_right_hand_side_per_node(self, name):
