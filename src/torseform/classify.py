@@ -123,8 +123,10 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
         singular = ~(np.isfinite(vv) & (vv * (m - 1) / m > tols.spd_tol))
         length = np.sqrt(vv)
         if np.any(singular):
+            # |V| by hypot, which does not overflow where |v|² does
+            shown = np.hypot.reduce(abs(v), axis=-1)
             raise SingularFitError(
-                f"torse-forming fit is singular: |V| = {first_where(singular, length):.3e} "
+                f"torse-forming fit is singular: |V| = {first_where(singular, shown):.3e} "
                 f"at {first_where(singular, mp.point).tolist()}")
         vhat = v / length[..., None]
         a_vhat = mv(a, vhat)

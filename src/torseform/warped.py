@@ -29,7 +29,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (DomainEvalError, GeometryError, ModelViolationError,
                      PreconditionError, replay)
 from .immersion import Immersion
-from .jets import eval_jet
+from .jets import eval_jet, float_jacobian
 from .linalg import orthonormalize, reduce_max, solve_spd, worst
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian, unit_and_norm_at)
@@ -74,11 +74,13 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
 
     Records (s, u, λ = |V^⊤|, f) per node; a node's right-hand side is the
     next step's first stage, and f is fitted at all nodes in one batch after
-    the integration.  If the curve would leave the parameter box the partial
-    curve is returned with exited_domain set; a right-hand side that is not
-    finite raises GeometryError, as it is no exit.  A fit error at a node
-    outranks an integration error after it, as when each node was fitted in
-    turn.
+    the integration.  A right-hand side reads Ψ(u) and J = ∂Ψ/∂u from one
+    run of the immersion's tape over float 1-jets (jets.float_jacobian, bit
+    for bit Immersion.jets(u, 1)), and V at Ψ(u) by one order-0 read.  If
+    the curve would leave the parameter box the partial curve is returned
+    with exited_domain set; a right-hand side that is not finite raises
+    GeometryError, as it is no exit.  A fit error at a node outranks an
+    integration error after it, as when each node was fitted in turn.
     """
     if imm.domain is None:
         raise PreconditionError("immersion has no parameter domain box")
@@ -88,9 +90,8 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     def tangential(u):
         nonlocal G      # a constant metric's g is read once, at the first x
         counter["n"] += 1
-        psi = imm.jets(u, 1)
-        x = np.array([p.d[0] for p in psi])
-        jac = np.array([p.d[1] for p in psi])            # J[a, i] = ∂Ψ^a/∂uⁱ
+        # x = Ψ(u) and J[a, i] = ∂Ψ^a/∂uⁱ
+        x, jac = map(np.array, float_jacobian(imm.tape, imm.var_names, u))
         G = G if metric.constant and G is not None else metric.at(x, order=0).g
         A = jac.T @ G                           # Jᵀ G once: k = Jᵀ G J, b = Jᵀ G V
         k = A @ jac

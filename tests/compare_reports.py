@@ -61,7 +61,10 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: indefinite metric with off-diagonal entries, whose sample LAPACK refuses
 #: to factor, so that its pivots come from the recurrence past pivot 0, and
 #: a finite field whose ∇V has an overflowing trace, so that the fit is not
-#: finite at any point, which must be an error rather than a verdict
+#: finite at any point, which must be an error rather than a verdict.  The
+#: hemisphere (totally geodesic H² ⊂ H³ in the chart ds² + e^{2s}(dx² + dy²),
+#: V = ∂ₛ) passes: it is here because it is the one warp-fit curve in a curved
+#: ambient, whose every right-hand side reads g at its stage point
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -93,6 +96,11 @@ FAILURE_SCENES = [
     {"name": "nan-trace", "checks": ["classify"],
      "ambient": dict(E3, domain=[[2e-200, 3e-200]] * 3),
      "field": ["1e308*(x1-1e-200)", "1e308*(x2-1e-200)", "1e308*(x3-1e-200)"]},
+    {"name": "hemisphere", "field": ["1", "0", "0"], "checks": ["rectifying", "warp-fit"],
+     "ambient": {"dim": 3, "metric": [["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]],
+                 "domain": [[0, 1], [-1, 1], [-1, 1]]},
+     "submanifold": {"dim": 2, "domain": [[0.2, 0.6], [-0.4, 0.4]],
+                     "immersion": ["-0.5*log(1-u1^2-u2^2)", "u1", "u2"]}},
 ]
 
 # run in a child process whose PYTHONPATH is one checkout's src/

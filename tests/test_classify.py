@@ -150,6 +150,16 @@ class TestFitScale:
         with pytest.raises(SingularFitError):
             fit_torse_forming(MetricField.euclidean(1), VectorField(["1+x1"]), [0.5])
 
+    @pytest.mark.parametrize("p", [[10.147, 1.5, 1.5], [[2.0, 1.5, 1.5], [10.147, 1.5, 1.5]]])
+    def test_an_overflowing_length_is_reported_finite(self, euclid3, p):
+        # |V| ≈ 1e302 is finite, though |V|² overflows and the fit refuses
+        # the point: the message names the length, not inf
+        with pytest.raises(SingularFitError) as err:
+            fit_torse_forming(euclid3, VectorField(["x1^300", "x2", "x3"]), p)
+        length = float(str(err.value).split("|V| = ")[1].split()[0])
+        assert length == pytest.approx(10.147 ** 300, rel=1e-3)
+        assert "at [10.147, 1.5, 1.5]" in str(err.value)
+
 
 class TestClassifyScene:
     def test_radial_scene_anti_torqued(self, euclid4):
