@@ -239,14 +239,6 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "ident" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
 _TOKEN_RE = re.compile(
     r"""(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
@@ -257,134 +249,107 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """The ParseError at `offset` of `text`, with its 1-based line:col; only
+    "\n" ends a line, so "\r" and a tab are one column each."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
+
+
 def tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "ws":
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            continue
+    """(kind, text, offset) of each token, kind "num", "ident" or "op", then
+    ("eof", "<end>", len(text)); no two kinds share a token text."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
+              if m.lastgroup != "ws"]
+    for kind, chunk, offset in tokens:
         if kind == "bad":
-            raise ParseError(f"unexpected character {chunk!r}", line, col)
-        tokens.append(Token(kind, chunk, line, col))
-        col += len(chunk)
-    tokens.append(Token("eof", "<end>", line, col))
-    return tokens
+            raise _error(text, offset, f"unexpected character {chunk!r}")
+    return tokens + [("eof", "<end>", len(text))]
 
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = None if variables is None else frozenset(variables)
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, expected: str):
-        tok = self.peek()
-        raise ParseError(f"expected {expected}, found {tok.text!r}", tok.line, tok.col)
-
-    def expect_op(self, text: str):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
-        self.error(f"'{text}'")
-
-    def at_op(self, *texts) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
-
-    def expression(self) -> Expr:
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ParseError(f"number {tok.text} is out of range", tok.line, tok.col)
-            return Num(value)
-        if tok.kind == "ident":
-            self.advance()
-            if self.at_op("("):
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function '{tok.text}'", tok.line, tok.col)
-                self.advance()
-                args = [self.expression()]
-                while self.at_op(","):
-                    self.advance()
-                    args.append(self.expression())
-                self.expect_op(")")
-                arity = FUNCTIONS[tok.text].arity
-                if len(args) != arity:
-                    raise ParseError(
-                        f"'{tok.text}' takes {arity} argument(s), got {len(args)}",
-                        tok.line, tok.col)
-                return Call(tok.text, tuple(args))
-            if tok.text in FUNCTIONS:
-                raise ParseError(f"function '{tok.text}' used without arguments",
-                                 tok.line, tok.col)
-            if self.variables is not None and tok.text not in self.variables:
-                raise ParseError(f"unknown identifier '{tok.text}'", tok.line, tok.col)
-            return Var(tok.text)
-        if self.at_op("("):
-            self.advance()
-            node = self.expression()
-            self.expect_op(")")
-            return node
-        self.error("a number, identifier or '('")
-
-
 def parse(text: str, variables: Iterable[str] | None = None) -> Expr:
     """Parse an expression; when `variables` is given, any identifier outside
     that set is a ParseError at its position."""
-    parser = _Parser(tokenize(text), variables)
-    node = parser.expression()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    tokens, pos = tokenize(text), 0
+    names = None if variables is None else frozenset(variables)
+
+    def fail(message, token):
+        raise _error(text, token[2], message)
+
+    def at(*ops) -> bool:       # whether the next token is one of the operators `ops`
+        return tokens[pos][1] in ops
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expect(op):
+        if not at(op):
+            fail(f"expected '{op}', found {tokens[pos][1]!r}", tokens[pos])
+        take()
+
+    def expression() -> Expr:
+        node = term()
+        while at("+", "-"):
+            node = BinOp(take()[1], node, term())
+        return node
+
+    def term() -> Expr:
+        node = unary()
+        while at("*", "/"):
+            node = BinOp(take()[1], node, unary())
+        return node
+
+    def unary() -> Expr:
+        if at("-"):
+            take()
+            return Neg(unary())
+        base = atom()
+        if at("^"):                 # power := atom ("^" unary)?
+            take()
+            return BinOp("^", base, unary())
+        return base
+
+    def atom() -> Expr:
+        kind, word, _ = token = take()
+        if kind == "num":
+            value = float(word)
+            if not math.isfinite(value):
+                fail(f"number {word} is out of range", token)
+            return Num(value)
+        if kind == "ident":
+            if at("("):
+                if word not in FUNCTIONS:
+                    fail(f"unknown function '{word}'", token)
+                take()
+                args = [expression()]
+                while at(","):
+                    take()
+                    args.append(expression())
+                expect(")")
+                arity = FUNCTIONS[word].arity
+                if len(args) != arity:
+                    fail(f"'{word}' takes {arity} argument(s), got {len(args)}", token)
+                return Call(word, tuple(args))
+            if word in FUNCTIONS:
+                fail(f"function '{word}' used without arguments", token)
+            if names is not None and word not in names:
+                fail(f"unknown identifier '{word}'", token)
+            return Var(word)
+        if word == "(":
+            node = expression()
+            expect(")")
+            return node
+        fail(f"expected a number, identifier or '(', found {word!r}", token)
+
+    node = expression()
+    if tokens[pos][0] != "eof":
+        fail(f"unexpected trailing input {tokens[pos][1]!r}", tokens[pos])
     return node
 
 

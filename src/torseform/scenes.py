@@ -22,11 +22,12 @@ submanifold must be present.
 
 from __future__ import annotations
 
-import functools
 import json
+import math
+import numbers
+import re
 from dataclasses import dataclass, replace
 
-import jsonschema
 import numpy as np
 
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
@@ -109,20 +110,71 @@ def _fail(path: str, message: str):
     raise SceneSchemaError(f"{path}: {message}")
 
 
-@functools.cache
-def _validator(key: str | None = None):
-    """The validator of SCENE_SCHEMA (or of its property `key`), built once."""
-    schema = {"properties": {key: SCENE_SCHEMA["properties"][key]}} if key else SCENE_SCHEMA
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": numbers.Number}
+_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
 
-def _validate(document: dict, key: str | None = None):
-    """Raise SceneSchemaError for the error jsonschema.validate would raise."""
-    err = jsonschema.exceptions.best_match(_validator(key).iter_errors(document))
-    if err is not None:
-        raise SceneSchemaError(f"{err.json_path}: {err.message}") from err
+def _is(instance, kind: str) -> bool:
+    """jsonschema's type rule: a bool is not a number, an integral float is an integer."""
+    if kind == "integer" and isinstance(instance, float):
+        return instance.is_integer()
+    return isinstance(instance, _TYPES[kind]) and not isinstance(instance, bool)
+
+
+def _errors(instance, schema: dict, path: tuple):
+    """(path, message) of each error of `instance` under `schema`, with
+    jsonschema's messages and in its order, for the keywords SCENE_SCHEMA uses.
+    An instance of the wrong type has no other error that best_match picks."""
+    kind = schema["type"]
+    if not _is(instance, kind):
+        yield path, f"{instance!r} is not of type {kind!r}"
+    elif kind == "object":
+        known, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        yield from ((path, f"{key!r} is a required property")
+                    for key in schema.get("required", ()) if key not in instance)
+        extras = sorted((key for key in instance if key not in known), key=str)
+        if extra is False and extras:
+            yield path, (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                         f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        for key in extras if isinstance(extra, dict) else ():
+            yield from _errors(instance[key], extra, path + (key,))
+        for key, sub in known.items():
+            if key in instance:
+                yield from _errors(instance[key], sub, path + (key,))
+    elif kind in ("array", "string"):
+        least = schema.get("minItems", schema.get("minLength", 0))
+        if len(instance) < least:
+            yield path, f"{instance!r} {'should be non-empty' if least == 1 else 'is too short'}"
+        if len(instance) > schema.get("maxItems", math.inf):
+            yield path, f"{instance!r} is too long"
+        for i, item in enumerate(instance if kind == "array" else ()):
+            yield from _errors(item, schema["items"], path + (i,))
+    elif instance < schema.get("minimum", -math.inf):
+        yield path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+
+
+def _nonfinite(instance, path: tuple):
+    """(path, message) of each float in `instance` that is not finite."""
+    if isinstance(instance, (dict, list)):
+        for key, value in instance.items() if isinstance(instance, dict) else enumerate(instance):
+            yield from _nonfinite(value, path + (key,))
+    elif isinstance(instance, float) and not math.isfinite(instance):
+        yield path, f"{instance!r} is not a finite number"
+
+
+def _json_path(path: tuple) -> str:
+    """jsonschema's JSONPath: $.key, $[index], or $['key'] for a key that is no name."""
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" if _NAME.match(k) else
+                         "['" + k.replace("\\", "\\\\").replace("'", "\\'") + "']" for k in path)
+
+
+def _validate(instance, schema: dict = SCENE_SCHEMA, path: tuple = ()):
+    """Raise SceneSchemaError for the error jsonschema.validate would raise, chosen
+    as best_match chooses: the shortest path, the largest sibling, the first met."""
+    errors = list(_errors(instance, schema, path))
+    if errors:
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        _fail(_json_path(path), message)
 
 
 def load_scene(document: dict) -> Scene:
@@ -130,7 +182,7 @@ def load_scene(document: dict) -> Scene:
     _validate(document)
 
     amb = document["ambient"]
-    m = int(amb["dim"])         # jsonschema counts 3.0 as an integer, too
+    m = int(amb["dim"])         # the schema counts 3.0 as an integer, too
     if len(amb["domain"]) != m:
         _fail("$.ambient.domain", f"expected {m} intervals, got {len(amb['domain'])}")
     if len(amb["metric"]) != m:
@@ -194,6 +246,9 @@ def load_scene(document: dict) -> Scene:
     for c in checks:
         if c not in CHECK_NAMES:
             _fail("$.checks", f"unknown check '{c}' (known: {', '.join(CHECK_NAMES)})")
+    # a document refused for any other reason keeps its message
+    for path, message in _nonfinite(document, ()):
+        _fail(_json_path(path), message)
 
     return Scene(
         name=document["name"],
@@ -214,7 +269,7 @@ def load_scene(document: dict) -> Scene:
 def with_seed(scene: Scene, seed: int) -> Scene:
     """The scene with another seed: only the seed is validated, as the rest
     of the document was when the scene was loaded, and nothing is parsed."""
-    _validate({"seed": seed}, "seed")
+    _validate(seed, SCENE_SCHEMA["properties"]["seed"], ("seed",))
     return replace(scene, seed=seed, document=dict(scene.document, seed=seed))
 
 

@@ -6,10 +6,10 @@ For each of the nine built-ins at seeds 42 and 7 and N = 200 points (the
 for `torseform check` and `exit_code` of the report in its own process,
 importing the package from its own src/.  It does the same for a fixed
 list of scene documents that reach the failure paths (FAILURE_SCENES),
-recording instead the type and message of the exception if `run`
-raises.  The script prints one line per report, `same` or `DIFFERS`,
-then a summary for each group, and exits 1 if any report, table, exit
-code or exception differs.  Below each `DIFFERS` line it says how: whether
+recording instead the type and message of the exception if loading the
+scene or `run` raises.  The script prints one line per report, `same` or
+`DIFFERS`, then a summary for each group, and exits 1 if any report,
+table, exit code or exception differs.  Below each `DIFFERS` line it says how: whether
 the exit codes, statuses, verdicts, keys and strings (or the exceptions)
 agree, how many witness numbers moved (a witness point's coordinates and
 the values there), and the largest |Δ|/max(1, |x|) over the other numbers,
@@ -64,7 +64,11 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: finite at any point, which must be an error rather than a verdict.  The
 #: hemisphere (totally geodesic H² ⊂ H³ in the chart ds² + e^{2s}(dx² + dy²),
 #: V = ∂ₛ) passes: it is here because it is the one warp-fit curve in a curved
-#: ambient, whose every right-hand side reads g at its stage point
+#: ambient, whose every right-hand side reads g at its stage point.  The
+#: last six are refused when they are loaded: a type error, an unknown key,
+#: an empty check list, an expression that ends early, one whose error is on
+#: its second line, and a domain with an infinite end, which JSON has not
+#: but Python's json reads
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -101,6 +105,16 @@ FAILURE_SCENES = [
                  "domain": [[0, 1], [-1, 1], [-1, 1]]},
      "submanifold": {"dim": 2, "domain": [[0.2, 0.6], [-0.4, 0.4]],
                      "immersion": ["-0.5*log(1-u1^2-u2^2)", "u1", "u2"]}},
+    {"name": "type-error", "ambient": dict(E3, dim="two"), "field": ["1", "0", "0"],
+     "checks": ["classify"]},
+    {"name": "unknown-key", "ambient": E3, "field": ["1", "0", "0"], "checks": ["classify"],
+     "extra": 1},
+    {"name": "no-checks", "ambient": E3, "field": ["1", "0", "0"], "checks": []},
+    {"name": "bad-expression", "ambient": E3, "field": ["1+", "0", "0"], "checks": ["classify"]},
+    {"name": "second-line", "ambient": E3, "field": ["x1 +\n  * x2", "0", "0"],
+     "checks": ["classify"]},
+    {"name": "infinite-domain", "field": ["1", "0", "0"], "checks": ["classify"],
+     "ambient": dict(E3, domain=[[-1, math.inf], [-1, 1], [-1, 1]])},
 ]
 
 # run in a child process whose PYTHONPATH is one checkout's src/
@@ -111,17 +125,17 @@ from torseform import (builtin_names, builtin_scene, exit_code, load_scene,
 from torseform.scenes import with_seed
 points, seeds = int(sys.argv[1]), [int(s) for s in sys.argv[2:]]
 
-def record(scene):
+def record(load):
     try:
-        report = run(scene, points=points)
+        report = run(load(), points=points)
     except Exception as err:
         return ["raised", type(err).__name__, str(err)]
     return [exit_code(report), report_to_json(report), render_report(report)]
 
-out = {f"{name}-s{seed}": record(with_seed(builtin_scene(name), seed))
+out = {f"{name}-s{seed}": record(lambda: with_seed(builtin_scene(name), seed))
        for name in builtin_names() for seed in seeds}
 for doc in json.load(sys.stdin):
-    out[f"failure:{doc['name']}"] = record(load_scene(doc))
+    out[f"failure:{doc['name']}"] = record(lambda: load_scene(doc))
 print(json.dumps(out))
 """
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torseform import eval_float, parse, to_source
 from torseform.errors import DomainEvalError, ParseError
-from torseform.expr import BinOp, Call, Neg, Num, Var
+from torseform.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 
 
 def ev(src, **env):
@@ -84,6 +86,46 @@ class TestParsing:
         assert "out of range" in str(err.value)
         assert (err.value.line, err.value.col) == (1, col)
 
+    @pytest.mark.parametrize("src, line, col, message", [
+        ("x1 +\n* x2", 2, 1, "expected a number, identifier or '(', found '*'"),
+        ("x1\r\n  + ?", 2, 5, "unexpected character '?'"),
+        ("\t\tx1 + foo(1)", 1, 8, "unknown function 'foo'"),
+        ("x1 *\r\n\t(x2 + 1", 2, 9, "expected ')', found '<end>'"),
+        ("sin(x1,\n\n   2)", 1, 1, "'sin' takes 1 argument(s), got 2"),
+        ("x1\n+ 1e400", 2, 3, "number 1e400 is out of range"),
+        ("x1\n\tx2", 2, 2, "unexpected trailing input 'x2'"),
+        ("x1 + bogus\n", 1, 6, "unknown identifier 'bogus'"),
+        ("x1 +", 1, 5, "expected a number, identifier or '(', found '<end>'"),
+        ("x1 + \n  ", 2, 3, "expected a number, identifier or '(', found '<end>'"),
+        ("(x1\r\n", 2, 1, "expected ')', found '<end>'"),
+    ])
+    def test_positions_past_newlines_and_tabs_and_at_the_end(self, src, line, col, message):
+        # only "\n" ends a line; "\r" and a tab are one column each, and the
+        # end of input is the column after the last character
+        with pytest.raises(ParseError) as err:
+            parse(src, variables={"x1", "x2"})
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"line {line}:{col}: {message}"
+
+
+names = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True).filter(
+    lambda name: name not in FUNCTIONS)
+# a parsed number is never negative: "-1" is Neg(Num(1.0))
+numbers = st.floats(min_value=0.0, allow_infinity=False).map(abs)
+
+
+def _compound(kids):
+    return st.one_of(
+        st.builds(Neg, kids),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.sampled_from(sorted(FUNCTIONS)).flatmap(lambda f: st.builds(
+            lambda args: Call(f, tuple(args)),
+            st.lists(kids, min_size=FUNCTIONS[f].arity, max_size=FUNCTIONS[f].arity))),
+    )
+
+
+asts = st.recursive(st.one_of(numbers.map(Num), names.map(Var)), _compound, max_leaves=12)
+
 
 class TestPrinter:
     @pytest.mark.parametrize("src", [
@@ -119,6 +161,11 @@ class TestPrinter:
         for _ in range(300):
             ast = build(int(rng.integers(1, 5)))
             assert parse(to_source(ast)) == ast
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(asts)
+    def test_round_trip_drawn_asts(self, ast):
+        assert parse(to_source(ast)) == ast
 
 
 class TestEvaluationErrors:

@@ -1,7 +1,9 @@
 """Scene documents, sampling, the runner, and the command-line driver."""
 
+import copy
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torseform import (Tolerances, builtin_names, builtin_scene, load_scene,
                        report_to_json, run, sample_ambient_points,
@@ -18,7 +22,8 @@ from torseform.errors import SceneSchemaError
 from torseform.immersion import FramePacket
 from torseform import runner as runner_module
 from torseform.runner import exit_code, render_report
-from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, with_seed
+from torseform import scenes as scenes_module
+from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, SCENE_SCHEMA, with_seed
 from torseform import rectifying as rect_module
 from torseform import warped as warped_module
 
@@ -175,6 +180,21 @@ class TestSchema:
         with pytest.raises(SceneSchemaError):
             builtin_scene("not-a-scene")
 
+    # Python's json reads NaN and Infinity, which JSON has not; each of these
+    # documents reached a verdict, or sampled with no excluded ball
+    @pytest.mark.parametrize("field, change, where", [
+        (["x1", "x2", "x3"], {"tolerances": {"class_tol": math.nan}},
+         "$.tolerances.class_tol: nan"),
+        (["x1^2", "x2", "x3"], {"tolerances": {"class_tol": math.inf}},
+         "$.tolerances.class_tol: inf"),
+        (["x1", "x2", "x3"], {"exclude_radius": math.nan}, "$.exclude_radius: nan"),
+    ])
+    def test_non_finite_number_is_refused(self, field, change, where):
+        doc = dict(name="nonfinite", ambient=E3, field=field, checks=["classify"], **change)
+        with pytest.raises(SceneSchemaError) as err:
+            load_scene(doc)
+        assert str(err.value) == f"{where} is not a finite number"
+
 
 @pytest.mark.parametrize("doc", [
     {"name": "x"},
@@ -195,6 +215,84 @@ def test_schema_messages_are_jsonschemas(doc):
     with pytest.raises(SceneSchemaError) as got:
         load_scene(doc)
     assert str(got.value) == f"{want.value.json_path}: {want.value.message}"
+
+
+def _paths(node, path=()):
+    """The path of every value in a document, the document's own first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+json_values = st.recursive(
+    st.sampled_from([-1, -0.5, ""]) | st.none() | st.booleans() | st.integers(-5, 5)
+    | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_builtins(draw):
+    """A built-in document with one to three mutations: a key deleted, a
+    value retyped (any value, or one with a lower bound to a value near it),
+    an unknown key added (at the top level, in ambient, in submanifold or in
+    tolerances), a list emptied or an interval lengthened."""
+    doc = copy.deepcopy(BUILTIN_DOCUMENTS[draw(st.sampled_from(sorted(BUILTIN_DOCUMENTS)))])
+    if draw(st.booleans()):
+        doc["tolerances"] = {"rect_tol": 1e-7}
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        kind = draw(st.sampled_from(["delete", "retype", "bound", "add", "empty", "lengthen"]))
+        if kind == "delete":
+            keyed = [p for p in paths if p and isinstance(_at(doc, p[:-1]), dict)]
+            if keyed:
+                path = draw(st.sampled_from(keyed))
+                del _at(doc, path[:-1])[path[-1]]
+        elif kind == "retype":
+            path = draw(st.sampled_from([p for p in paths if p]))
+            _at(doc, path[:-1])[path[-1]] = draw(json_values)
+        elif kind == "bound":     # a value with a minimum or a minLength, retyped
+            bounded = [p for p in [("name",), ("ambient", "dim"), ("submanifold", "dim"),
+                                   ("seed",), ("exclude_radius",)] if p in paths]
+            if bounded:
+                path = draw(st.sampled_from(bounded))
+                _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(["", 0, -3, -0.5, 0.5, 2.0]))
+        elif kind == "add":
+            owners = [p for p in [(), ("ambient",), ("submanifold",), ("tolerances",)]
+                      if p in paths and isinstance(_at(doc, p), dict)]
+            if owners:
+                key = draw(st.sampled_from(["extra", "rect_tol", "a b", "it's", "x1"]) | st.text())
+                _at(doc, draw(st.sampled_from(owners)))[key] = draw(json_values)
+        else:
+            lists = [p for p in paths if isinstance(_at(doc, p), list)
+                     and (kind == "empty" or "domain" in p[-2:-1])]
+            if lists:
+                target = _at(doc, draw(st.sampled_from(lists)))
+                target.clear() if kind == "empty" else target.append(draw(st.floats(-3, 3)))
+    return doc
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(mutated_builtins())
+def test_schema_messages_of_mutated_builtins_are_jsonschemas(doc):
+    # the message, and the error chosen among several, are best_match's
+    import jsonschema
+
+    want = jsonschema.exceptions.best_match(
+        jsonschema.validators.validator_for(SCENE_SCHEMA)(SCENE_SCHEMA).iter_errors(doc))
+    try:
+        scenes_module._validate(doc)
+        got = None
+    except SceneSchemaError as err:
+        got = str(err)
+    assert got == (want and f"{want.json_path}: {want.message}")
 
 
 class TestSampling:
@@ -443,12 +541,16 @@ class TestRunner:
         assert exit_code(report) == 1
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports this checkout's package, installed or not
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "torseform", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, cwd=str(REPO), env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_cli(*args):
+    return run_python("-m", "torseform", *args)
 
 
 class TestCli:
@@ -528,6 +630,27 @@ class TestCli:
         assert proc.returncode == 2
         assert "class_min_points must be an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_infinite_domain_end_exit_two(self, tmp_path):
+        # this scene passed classify at a witness with an infinite coordinate
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"name": "wide", "ambient": dict(E3, domain=[[-1, math.inf],
+                                                                                [-1, 1], [-1, 1]]),
+                                    "field": ["1", "0", "0"], "checks": ["classify"]}))
+        assert "Infinity" in path.read_text()
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: $.ambient.domain[0][1]: inf is not a finite number\n"
+
+    def test_a_check_never_imports_jsonschema(self):
+        # jsonschema is the tests' oracle for the scene validator, not a
+        # dependency: a check in a fresh interpreter never imports it
+        code = ("import sys, torseform\n"
+                "from torseform import cli\n"
+                "code = cli.main(['check', 'builtin:radial-r4', '--points', '50'])\n"
+                "print(code, 'jsonschema' in sys.modules)\n")
+        proc = run_python("-c", code)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
     def test_integral_float_dims_report_as_integer_dims(self, tmp_path):
         # the schema lets 3.0 through as an integer; chart_names(3.0) would
