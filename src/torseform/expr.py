@@ -14,9 +14,10 @@ rejected at parse time with their position, as are literals that overflow.
 
 FUNCTIONS is the one table of calls (sin cos tan sinh cosh tanh asinh atanh
 atan sqrt exp log abs pow): arity plus a row of derivatives on numpy's
-kernels, run by `row` at a float as at a 1-point batch, and applied by
-`apply` to a float, a batch or a jet, for float evaluation here and for the
-jet engine in `torseform.jets` alike.
+kernels, computed to the order asked and no further, run by `row` at a float
+as at a 1-point batch, and applied by `apply` to a float, a batch or a jet,
+for float evaluation here and for the jet engine in `torseform.jets` alike;
+a tape binds each row it calls when it is built.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from .errors import DomainEvalError, JetDomainError, ParseError
 
 class Function(NamedTuple):
     """``derivatives(x, k, *params)`` returns [φ(x), φ′(x), …, φ⁽ᵏ⁾(x)], k <= 3,
-    for φ the function of its first argument, further arguments (the exponent
-    of pow) held fixed, at x holding one value per point of a batch.  A row
-    is built from numpy's ufuncs and np.power, never ``**`` (libm's pow on a
-    scalar), and `row` runs a float as a 1-point batch, so a float's value
-    and errors are a batch's.  It raises on a domain violation (at any point
-    of a batch): the value needs x in the domain, derivatives of order >= 1
-    need x in its interior."""
+    computing no entry past order k, for φ the function of its first argument,
+    further arguments (the exponent of pow) held fixed, at x holding one value
+    per point of a batch.  A row is built from numpy's ufuncs and np.power,
+    never ``**`` (libm's pow on a scalar), and `row` runs a float as a 1-point
+    batch, so a float's value and errors are a batch's.  It raises on a
+    domain violation (at any point of a batch): the value needs x in the
+    domain, derivatives of order >= 1 need x in its interior."""
 
     arity: int
     derivatives: Callable
@@ -63,42 +64,73 @@ def _raise_where(bad, what: str, x):
         raise JetDomainError(f"{what} {float(np.extract(bad, x)[0])!r}")
 
 
-def _cyclic(f, g, x, sign, k):
+def _cyclic(f, g, sign, x, k):
     """sin, cos, sinh, cosh: φ'' = sign·φ, so the derivatives cycle through f(x), g(x)."""
     if k == 0:
         return [f(x)]
-    value, d1 = f(x), g(x)
-    return [value, d1, sign * value, sign * d1][:k + 1]
+    phi = [f(x), g(x)]
+    return phi if k == 1 else phi + [sign * v for v in phi[:k - 1]]
 
 
-def _tan_like(t, sign, k):
+def _minus_sin(x):
+    return -np.sin(x)
+
+
+def _tan_like(f, sign, x, k):
     """tan (sign 1) and tanh (sign -1) from their value t: φ' = 1 + sign·t²."""
+    t = f(x)
+    if k == 0:
+        return [t]
     d1 = 1.0 + sign * t * t
-    return [t, d1, 2.0 * sign * t * d1, d1 * (2.0 * sign + 6.0 * t * t)][:k + 1]
+    phi = [t, d1]
+    if k >= 2:
+        phi.append(2.0 * sign * t * d1)
+    if k == 3:
+        phi.append(d1 * (2.0 * sign + 6.0 * t * t))
+    return phi
 
 
-def _atan_like(value, x, sign, k):
+def _atan_like(f, sign, x, k):
     """atan (sign 1) and atanh (sign -1): φ' = 1 / (1 + sign·x²)."""
+    if k == 0:
+        return [f(x)]
     d1 = 1.0 / (1.0 + sign * x * x)
-    return [value, d1, -2.0 * sign * x * d1 * d1,
-            (6.0 * x * x - 2.0 * sign) * np.power(d1, 3)][:k + 1]
+    phi = [f(x), d1]
+    if k >= 2:
+        phi.append(-2.0 * sign * x * d1 * d1)
+    if k == 3:
+        phi.append((6.0 * x * x - 2.0 * sign) * np.power(d1, 3))
+    return phi
 
 
 def _atanh(x, k):
     _raise_where(abs(x) >= 1.0, "atanh outside (-1, 1) at", x)
-    return _atan_like(np.arctanh(x), x, -1.0, k)
+    return _atan_like(np.arctanh, -1.0, x, k)
 
 
 def _asinh(x, k):
+    if k == 0:
+        return [np.arcsinh(x)]
     w = 1.0 + x * x
-    return [np.arcsinh(x), np.power(w, -0.5), -x * np.power(w, -1.5),
-            (2.0 * x * x - 1.0) * np.power(w, -2.5)][:k + 1]
+    phi = [np.arcsinh(x), np.power(w, -0.5)]
+    if k >= 2:
+        phi.append(-x * np.power(w, -1.5))
+    if k == 3:
+        phi.append((2.0 * x * x - 1.0) * np.power(w, -2.5))
+    return phi
 
 
 def _log(x, k):
     _raise_where(x <= 0.0, "log of non-positive value", x)
+    if k == 0:
+        return [np.log(x)]
     r = 1.0 / x
-    return [np.log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
+    phi = [np.log(x), r]
+    if k >= 2:
+        phi.append(-r * r)
+    if k == 3:
+        phi.append(2.0 * r * r * r)
+    return phi
 
 
 def _sqrt(x, k):
@@ -108,15 +140,24 @@ def _sqrt(x, k):
         return [r]
     if _anywhere(x == 0.0):
         raise JetDomainError("sqrt is not differentiable at 0")
-    d1 = 0.5 / r
-    d2 = -0.5 * d1 / x
-    return [r, d1, d2, -1.5 * d2 / x][:k + 1]
+    phi = [r, 0.5 / r]
+    if k >= 2:
+        phi.append(-0.5 * phi[1] / x)
+    if k == 3:
+        phi.append(-1.5 * phi[2] / x)
+    return phi
+
+
+def _exp(x, k):
+    return [np.exp(x)] * (k + 1)
 
 
 def _abs(x, k):
-    if k and _anywhere(x == 0.0):
+    if k == 0:
+        return [np.abs(x)]
+    if _anywhere(x == 0.0):
         raise JetDomainError("abs is not differentiable at 0")
-    return [np.abs(x), np.copysign(1.0, x), 0.0, 0.0][:k + 1]
+    return [np.abs(x), np.copysign(1.0, x)] + [0.0] * (k - 1)
 
 
 def _pow(x, k, p):
@@ -143,17 +184,17 @@ def _pow(x, k, p):
 
 
 FUNCTIONS = {
-    "sin": Function(1, lambda x, k: _cyclic(np.sin, np.cos, x, -1.0, k)),
-    "cos": Function(1, lambda x, k: _cyclic(np.cos, lambda t: -np.sin(t), x, -1.0, k)),
-    "tan": Function(1, lambda x, k: _tan_like(np.tan(x), 1.0, k)),
-    "sinh": Function(1, lambda x, k: _cyclic(np.sinh, np.cosh, x, 1.0, k)),
-    "cosh": Function(1, lambda x, k: _cyclic(np.cosh, np.sinh, x, 1.0, k)),
-    "tanh": Function(1, lambda x, k: _tan_like(np.tanh(x), -1.0, k)),
+    "sin": Function(1, functools.partial(_cyclic, np.sin, np.cos, -1.0)),
+    "cos": Function(1, functools.partial(_cyclic, np.cos, _minus_sin, -1.0)),
+    "tan": Function(1, functools.partial(_tan_like, np.tan, 1.0)),
+    "sinh": Function(1, functools.partial(_cyclic, np.sinh, np.cosh, 1.0)),
+    "cosh": Function(1, functools.partial(_cyclic, np.cosh, np.sinh, 1.0)),
+    "tanh": Function(1, functools.partial(_tan_like, np.tanh, -1.0)),
     "asinh": Function(1, _asinh),
     "atanh": Function(1, _atanh),
-    "atan": Function(1, lambda x, k: _atan_like(np.arctan(x), x, 1.0, k)),
+    "atan": Function(1, functools.partial(_atan_like, np.arctan, 1.0)),
     "sqrt": Function(1, _sqrt),
-    "exp": Function(1, lambda x, k: [np.exp(x)] * (k + 1)),
+    "exp": Function(1, _exp),
     "log": Function(1, _log),
     "abs": Function(1, _abs),
     "pow": Function(2, _pow),
@@ -178,22 +219,30 @@ class quiet:
             _QUIET.reset(self.outer[0])
 
 
+def _at_point(name: str, derivatives, x: float, k: int, params) -> list:
+    """The row to order k at the float x, run as np.float64 (a batch of one
+    point) and returned as floats, so that '/' by zero still raises;
+    JetDomainError where an entry is not finite."""
+    # math.isfinite gives np.isfinite's answer ~3 µs sooner per row
+    phi = list(map(float, derivatives(np.float64(x), k, *params)))
+    if all(map(math.isfinite, phi)):
+        return phi
+    raise JetDomainError(f"{name} is not finite at {float(x)!r}")
+
+
 def row(name: str, x, k: int, *params) -> list:
     """The FUNCTIONS row `name` to order k at x, a float or an array of
     values (one per point of a batch).  A float is run as np.float64, a
     batch of one point, and its results come back as floats.  JetDomainError
     at the first argument where a value or a derivative is not finite; numpy
     warns of nothing, within a quiet scope."""
-    one = not isinstance(x, np.ndarray)
-    derivatives, x = FUNCTIONS[name].derivatives, np.float64(x) if one else x
-    if _QUIET.get():        # a nested scope would cost a sixth of a row at a float
-        phi = derivatives(x, k, *params)
-    else:
+    if not _QUIET.get():        # a nested scope would cost a sixth of a row at a float
         with quiet():
-            phi = derivatives(x, k, *params)
-    # at a float, math.isfinite gives np.isfinite's answer ~3 µs sooner per row
-    if one and all(map(math.isfinite, phi)):
-        return list(map(float, phi))        # floats, so that '/' by zero still raises
+            return row(name, x, k, *params)
+    derivatives = FUNCTIONS[name].derivatives
+    if not isinstance(x, np.ndarray):
+        return _at_point(name, derivatives, x, k, params)
+    phi = derivatives(x, k, *params)
     finite = functools.reduce(operator.and_, map(np.isfinite, phi))
     if finite.all():
         return phi
@@ -432,6 +481,29 @@ def apply(name: str, x, *params):
     return x.compose(row(name, x.d[0], x.order, *params))
 
 
+def _instruction(name: str):
+    """`apply` of the FUNCTIONS row `name` as a tape instruction, the row's
+    derivatives looked up once, when the tape is built.  A float, or a jet at
+    a point (its value a float), with no jet exponent runs the row here on
+    np.float64, as `row` does within the run's quiet scope, and gets `row`'s
+    floats and errors; anything else is `apply`'s."""
+    derivatives = FUNCTIONS[name].derivatives
+
+    def instruction(x, *params):
+        if params and type(params[0]) is not float:     # e.g. a jet exponent
+            return apply(name, x, *params)
+        if type(x) is float:            # the value alone, with no list of floats
+            value = derivatives(np.float64(x), 0, *params)[0]
+            if math.isfinite(value):
+                return float(value)
+            raise JetDomainError(f"{name} is not finite at {x!r}")
+        if hasattr(x, "d") and type(x.d[0]) is float:   # a jet at a point
+            return x.compose(_at_point(name, derivatives, x.d[0], x.order, params))
+        return apply(name, x, *params)                  # a batch
+
+    return instruction
+
+
 def _square(x):
     """x^2 at a float or a jet as x * x; a value that is not finite (at any
     point of a batch) is the 'pow' row's, which raises as '^' would."""
@@ -463,8 +535,9 @@ class Tape:
     x·x doubles Faà di Bruno's terms exactly (but for derivative entries in
     the subnormal range and the sign of a zero order-3 entry), and a square
     that is not finite calls the 'pow' row, which raises its own error.
-    `program` is `code` with its rows bound to `apply` once, here: one program
-    runs over floats, point jets and batches alike."""
+    `program` is `code` with each row's derivatives bound once, here
+    (`_instruction`): one program runs over floats, point jets and batches
+    alike, and a point pays no lookup of its rows."""
 
     def __init__(self, exprs):
         self.nodes, self.first_read = [], {}    # variable -> instructions before its read
@@ -504,7 +577,7 @@ class Tape:
             self.code.append((op, src[0], src[1], register[k]))
         self.blank = [None] * (next(fresh) - len(self.literals) - len(self.names))
         self.outputs = [register[o] for o in outputs]
-        self.program = [(functools.partial(apply, op) if isinstance(op, str) else op, a, b, d)
+        self.program = [(_instruction(op) if isinstance(op, str) else op, a, b, d)
                         for op, a, b, d in self.code]
 
     def run(self, env: Mapping) -> list:
@@ -512,6 +585,9 @@ class Tape:
         literals are floats, and `apply` applies a FUNCTIONS row ('^' calls
         'pow', a square only when it is not finite).  A domain failure or an
         unbound variable is raised where a walk would meet it."""
+        if not _QUIET.get():            # outside any scope, a run holds its own
+            with quiet():
+                return self.run(env)
         program = self.program
         try:
             regs, unbound = self.literals + [env[n] for n in self.names] + self.blank, None
@@ -520,9 +596,8 @@ class Tape:
             regs = self.literals + [env.get(n) for n in self.names] + self.blank
             program = program[:self.first_read[unbound]]
         try:
-            with quiet():
-                for k, (fn, a, b, d) in enumerate(program):
-                    regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+            for k, (fn, a, b, d) in enumerate(program):
+                regs[d] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         except (ZeroDivisionError, ValueError) as exc:
             raise _domain_error(exc, self.nodes[k]) from exc
         if unbound is not None:

@@ -11,6 +11,7 @@ collapse test of a Gram-Schmidt.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -56,8 +57,8 @@ def _pivot_recurrence(a: np.ndarray):
     for j, row in enumerate(a.tolist()):
         lj = []
         for k in range(j):
-            lj.append((row[k] - sum(x * y for x, y in zip(lj, L[k]))) / L[k][k])
-        pivot = row[j] - sum(x * x for x in lj)
+            lj.append((row[k] - sum(map(operator.mul, lj, L[k]))) / L[k][k])
+        pivot = row[j] - sum(map(operator.mul, lj, lj))
         pivots.append(pivot)
         if not pivot > 0.0:
             return L + [[math.nan] * m] * (m - j), pivots + [math.nan] * (m - j - 1)
@@ -125,13 +126,13 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
 
 def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a (..., m, m) and a vector
-    b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a.
-    One matrix whose float pivots are all above spd_tol skips cholesky_spd;
-    any other meets it, and with it cholesky_spd's own error."""
-    a = np.asarray(a, dtype=float)
+    b (..., m), both float arrays: cholesky_spd checks a's pivots, then one
+    LAPACK solve of a.  One matrix whose float pivots are all above spd_tol
+    skips cholesky_spd; any other meets it, and with it cholesky_spd's own
+    error."""
     if not pivots_pass(a, spd_tol):
         cholesky_spd(a, spd_tol)
-    return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def orthonormalize(rows: np.ndarray, factor: np.ndarray, coframe: np.ndarray) -> np.ndarray:

@@ -248,10 +248,12 @@ class VectorField:
 
     def at(self, point: Sequence[float], order: int = 1) -> VectorAtPoint:
         """The field and (order >= 1) its jacobian at a point, or at each row
-        of an (N, m) array of points."""
+        of an (N, m) array of points.  At order 0 at a point (a list, a tuple
+        or an array) the components are the tape's floats, read on the
+        coordinates as given."""
         env = jet_variables(self.var_names, point, order)
-        if order == 0 and np.ndim(point) == 1:      # floats: the tape's values
-            return VectorAtPoint(components=np.array(ex.eval_float(self.tape, env)))
+        if type(env[self.var_names[0]]) is float:       # order 0 at a point
+            return VectorAtPoint(components=np.array(self.tape.run(env)))
         return VectorAtPoint.from_jets(self.component_jets(env), order)
 
     def norm_jet(self, point: Sequence[float], metric: MetricField) -> Jet:

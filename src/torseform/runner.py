@@ -8,6 +8,7 @@ scene and seed (byte-identical JSON across runs).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -246,7 +247,8 @@ def _numbers(key: str, value):
 
 def _run_check(name: str, ctx: _RunContext) -> CheckResult:
     """One check's result; a GeometryError it raises becomes its status, and
-    a verdict on a residual or detail that is not finite becomes an error."""
+    a verdict on a residual, a detail or a witness number that is not finite
+    becomes an error, so a report holds no number JSON has not."""
     def unjudged(status, **details):
         return CheckResult(name, status, residual=None, witness=None, details=details)
 
@@ -261,7 +263,9 @@ def _run_check(name: str, ctx: _RunContext) -> CheckResult:
         return unjudged(NA, reason=str(err))
     except GeometryError as err:
         return unjudged(ERROR, error=type(err).__name__, message=str(err))
-    for key, value in _numbers("", {"residual": result.residual, **result.details}):
+    for key, value in itertools.chain(
+            _numbers("", {"residual": result.residual, **result.details}),
+            _numbers("witness", result.witness)):
         if not np.isfinite(value):
             return unjudged(ERROR, error="NonFiniteResidual",
                             message=f"{key} {value} is not finite")

@@ -249,6 +249,12 @@ def load_scene(document: dict) -> Scene:
     # a document refused for any other reason keeps its message
     for path, message in _nonfinite(document, ()):
         _fail(_json_path(path), message)
+    # finite ends whose difference overflows would sample infinite points
+    for key in ("ambient", "submanifold") if immersion else ("ambient",):
+        for i, (lo, hi) in enumerate(document[key]["domain"]):
+            if not math.isfinite(float(hi) - float(lo)):
+                _fail(f"$.{key}.domain[{i}]", f"interval [{lo}, {hi}] is too wide: "
+                      "its width is not a finite number")
 
     return Scene(
         name=document["name"],

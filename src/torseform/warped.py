@@ -76,7 +76,8 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     next step's first stage, and f is fitted at all nodes in one batch after
     the integration.  A right-hand side reads Ψ(u) and J = ∂Ψ/∂u from one
     run of the immersion's tape over float 1-jets (jets.float_jacobian, bit
-    for bit Immersion.jets(u, 1)), and V at Ψ(u) by one order-0 read.  If
+    for bit Immersion.jets(u, 1)), and V at Ψ(u) by one order-0 read on
+    those floats; λ is math.sqrt of the float cᵀ k c, IEEE sqrt as np.sqrt.  If
     the curve would leave the parameter box the partial curve is returned
     with exited_domain set; a right-hand side that is not finite raises
     GeometryError, as it is no exit.  A fit error at a node outranks an
@@ -90,13 +91,14 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     def tangential(u):
         nonlocal G      # a constant metric's g is read once, at the first x
         counter["n"] += 1
-        # x = Ψ(u) and J[a, i] = ∂Ψ^a/∂uⁱ
-        x, jac = map(np.array, float_jacobian(imm.tape, imm.var_names, u))
+        # x = Ψ(u), as floats, and J[a, i] = ∂Ψ^a/∂uⁱ
+        x, jac = float_jacobian(imm.tape, imm.var_names, u)
         G = G if metric.constant and G is not None else metric.at(x, order=0).g
+        jac = np.array(jac)
         A = jac.T @ G                           # Jᵀ G once: k = Jᵀ G J, b = Jᵀ G V
         k = A @ jac
         coords = solve_spd(k, A @ field.at(x, order=0).components, tols.spd_tol)
-        lam = float(np.sqrt(max(coords @ k @ coords, 0.0)))
+        lam = math.sqrt(max(float(coords @ k @ coords), 0.0))
         # λ is not finite where a coordinate is not: no exit from the domain,
         # but a right-hand side the integration cannot go on from
         if not math.isfinite(lam):

@@ -65,10 +65,11 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: hemisphere (totally geodesic H² ⊂ H³ in the chart ds² + e^{2s}(dx² + dy²),
 #: V = ∂ₛ) passes: it is here because it is the one warp-fit curve in a curved
 #: ambient, whose every right-hand side reads g at its stage point.  The
-#: last six are refused when they are loaded: a type error, an unknown key,
+#: last eight are refused when they are loaded: a type error, an unknown key,
 #: an empty check list, an expression that ends early, one whose error is on
-#: its second line, and a domain with an infinite end, which JSON has not
-#: but Python's json reads
+#: its second line, a domain with an infinite end, which JSON has not but
+#: Python's json reads, and an ambient and a parameter domain with finite ends
+#: whose width overflows
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -115,6 +116,12 @@ FAILURE_SCENES = [
      "checks": ["classify"]},
     {"name": "infinite-domain", "field": ["1", "0", "0"], "checks": ["classify"],
      "ambient": dict(E3, domain=[[-1, math.inf], [-1, 1], [-1, 1]])},
+    {"name": "wide-domain", "field": ["1", "0", "0"], "checks": ["classify"],
+     "ambient": dict(E3, domain=[[-1e308, 1e308], [-1, 1], [-1, 1]])},
+    {"name": "wide-parameter-domain", "ambient": E3, "field": ["1", "0", "0"],
+     "checks": ["rectifying"],
+     "submanifold": {"dim": 2, "domain": [[-1e308, 1e308], [-1, 1]],
+                     "immersion": ["u1", "u2", "0"]}},
 ]
 
 # run in a child process whose PYTHONPATH is one checkout's src/

@@ -221,6 +221,27 @@ class TestVectorFieldJets:
         assert nj.value == pytest.approx(3.0)
         assert nj.gradient() == pytest.approx(p / 3.0, abs=1e-13)
 
+    @pytest.mark.parametrize("source", [
+        ["x1/sqrt(x1^2+x2^2+x3^2)", "x2*exp(-x3)", "1"],
+        ["atan(x1)*cosh(x2)", "log(x1+x2)^1.5", "x3"],
+    ])
+    def test_a_point_reads_alike_from_a_list_a_tuple_or_an_array(self, source):
+        # order 0 at one point reads V on the coordinates as given: a list or
+        # a tuple of floats (as float_jacobian returns Ψ(u)), of numpy
+        # scalars, or an array give the same components, bit for bit
+        field = VectorField(source)
+        for p in np.random.default_rng(4).uniform(0.1, 3.0, size=(50, 3)):
+            want = np.array(ex.eval_float(field.tape, dict(zip(field.var_names, p.tolist()))))
+            for form in (p.tolist(), tuple(p.tolist()), list(p), p):
+                got = field.at(form, order=0).components
+                assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    @pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_a_point_of_the_wrong_length_is_refused_in_every_form(self, form, point):
+        with pytest.raises(ValueError, match="^names/values length mismatch$"):
+            VectorField(["x1", "x2", "x3"]).at(form(point), order=0)
+
 
 def walked(metric, point, order):
     """The metric data from a walk of every entry, held or not."""

@@ -195,6 +195,27 @@ class TestSchema:
             load_scene(doc)
         assert str(err.value) == f"{where} is not a finite number"
 
+    # finite ends whose width overflows: each document reached a verdict at
+    # sampled points with an infinite coordinate (classify passed, rectifying
+    # passed in tangent-axis-hypersurface mode)
+    @pytest.mark.parametrize("doc, where", [
+        (dict(name="wide", ambient=dict(E3, domain=[[-1e308, 1e308], [-1, 1], [-1, 1]]),
+              field=["1", "0", "0"], checks=["classify"]), "$.ambient.domain[0]"),
+        (dict(name="wide-sub", ambient=E3, field=["1", "0", "0"], checks=["rectifying"],
+              submanifold={"dim": 2, "domain": [[-1, 1], [-1e308, 1e308]],
+                           "immersion": ["u1", "u2", "0"]}), "$.submanifold.domain[1]"),
+    ], ids=["ambient", "submanifold"])
+    def test_an_interval_too_wide_for_a_float_is_refused(self, doc, where):
+        with pytest.raises(SceneSchemaError) as err:
+            load_scene(doc)
+        assert str(err.value) == (f"{where}: interval [-1e+308, 1e+308] is too wide: "
+                                  "its width is not a finite number")
+        # the widest interval whose width is a float still loads
+        narrower = copy.deepcopy(doc)
+        key, index = ("ambient", 0) if where.startswith("$.ambient") else ("submanifold", 1)
+        narrower[key]["domain"][index] = [-8e307, 8e307]
+        assert load_scene(narrower).name == doc["name"]
+
 
 @pytest.mark.parametrize("doc", [
     {"name": "x"},
@@ -399,6 +420,25 @@ class TestRunner:
         assert warp.details == {"error": "NonFiniteResidual",
                                 "message": "residual nan is not finite"}
         assert exit_code(report) == 3
+
+    @pytest.mark.parametrize("point, values, message", [
+        ([math.inf, 0.5, 0.5], {}, "witness.point inf is not finite"),
+        ([0.5, 0.5, 0.5], {"f": math.nan}, "witness.values.f nan is not finite"),
+    ], ids=["point", "value"])
+    def test_a_non_finite_witness_is_an_error(self, monkeypatch, point, values, message):
+        # as a residual or a detail that is not finite: never a verdict, and
+        # never a report holding a number that JSON has not
+        witness = runner_module._witness
+        monkeypatch.setattr(runner_module, "_witness",
+                            lambda _, **found: witness(point, **{**found, **values}))
+        report = run(builtin_scene("radial-r4"), checks=["classify"], points=20)
+        classify = report.checks[0]
+        assert classify.status == "error" and classify.residual is None
+        assert classify.witness is None
+        assert classify.details == {"error": "NonFiniteResidual", "message": message}
+        assert exit_code(report) == 3
+        text = report_to_json(report)
+        assert "Infinity" not in text and "NaN" not in text
 
     def test_one_bound_decides_that_the_normal_component_vanishes(self):
         # |V^⊥| ≈ 7.07e-8 is within proper_tol = 1e-6: rectifying takes
@@ -641,6 +681,18 @@ class TestCli:
         proc = run_cli("check", str(path))
         assert proc.returncode == 2
         assert proc.stderr == "error: $.ambient.domain[0][1]: inf is not a finite number\n"
+
+    def test_too_wide_domain_exit_two(self, tmp_path):
+        # finite ends 1e308 apart: this scene passed classify at a witness
+        # with an infinite coordinate, and its report held 'Infinity'
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"name": "wide", "ambient": dict(E3, domain=[[-1e308, 1e308],
+                                                                                [-1, 1], [-1, 1]]),
+                                    "field": ["1", "0", "0"], "checks": ["classify"]}))
+        proc = run_cli("check", str(path), "--points", "20")
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: $.ambient.domain[0]: interval [-1e+308, 1e+308] is too "
+                               "wide: its width is not a finite number\n")
 
     def test_a_check_never_imports_jsonschema(self):
         # jsonschema is the tests' oracle for the scene validator, not a

@@ -412,8 +412,20 @@ def cut_cone_curve_args():
     return cut, MetricField.euclidean(4), radial_unit_field(4), [1.0, 3.0], 3.0, 0.005
 
 
+def graph_curve_args():
+    """A graph in E³ whose height reads the exp, cosh, atan, log and
+    non-integer power rows on float 1-jets, under a field that reads the
+    tanh, asinh and sqrt rows at floats: rows the other curves do not reach."""
+    graph = Immersion(["u1", "u2", "0.3*exp(0.4*u1)*cosh(0.3*u2) + 0.2*atan(u1-u2)"
+                                    " + 0.1*log(u1)*u2^1.5"],
+                      n=2, domain=[[0.5, 2.5], [0.2, 2.0]])
+    field = VectorField(["1+0.2*tanh(x2)", "0.3*asinh(x1-x2)", "0.1*sqrt(1+x3^2)"])
+    return graph, MetricField.euclidean(3), field, [0.8, 1.0], 1.2, 0.01
+
+
 CURVES = {
     "rectifying-psi": centre_curve_args,
+    "graph-rows": graph_curve_args,
     "cone-cut": cut_cone_curve_args,
     "warped-exp-tube": warped_exp_curve_args,
     "cone-1.5": lambda: cone_curve_args([1.0, 3.0], 1.5, 0.005),
