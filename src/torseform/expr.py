@@ -14,10 +14,10 @@ rejected at parse time with their position, as are literals that overflow.
 
 FUNCTIONS is the one table of calls (sin cos tan sinh cosh tanh asinh atanh
 atan sqrt exp log abs pow): arity plus a row of derivatives on numpy's
-kernels, computed to the order asked and no further, run by `row` at a float
-as at a 1-point batch, and applied by `apply` to a float, a batch or a jet,
-for float evaluation here and for the jet engine in `torseform.jets` alike;
-a tape binds each row it calls when it is built.
+kernels, run by `row` at a float as at a 1-point batch, and applied by
+`apply` to a float, a batch or a jet, for float evaluation here and for the
+jet engine in `torseform.jets` alike; a tape looks up each row it calls
+once, when it is built.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from .errors import DomainEvalError, JetDomainError, ParseError
 
 class Function(NamedTuple):
     """``derivatives(x, k, *params)`` returns [φ(x), φ′(x), …, φ⁽ᵏ⁾(x)], k <= 3,
-    computing no entry past order k, for φ the function of its first argument,
-    further arguments (the exponent of pow) held fixed, at x holding one value
-    per point of a batch.  A row is built from numpy's ufuncs and np.power,
-    never ``**`` (libm's pow on a scalar), and `row` runs a float as a 1-point
-    batch, so a float's value and errors are a batch's.  It raises on a
-    domain violation (at any point of a batch): the value needs x in the
-    domain, derivatives of order >= 1 need x in its interior."""
+    for φ the function of its first argument, further arguments (the exponent
+    of pow) held fixed, at x holding one value per point of a batch.  A row
+    is built from numpy's ufuncs and np.power, never ``**`` (libm's pow on a
+    scalar), and `row` runs a float as a 1-point batch, so a float's value
+    and errors are a batch's.  It raises on a domain violation (at any point
+    of a batch): the value needs x in the domain, derivatives of order >= 1
+    need x in its interior."""
 
     arity: int
     derivatives: Callable
@@ -68,69 +68,38 @@ def _cyclic(f, g, sign, x, k):
     """sin, cos, sinh, cosh: φ'' = sign·φ, so the derivatives cycle through f(x), g(x)."""
     if k == 0:
         return [f(x)]
-    phi = [f(x), g(x)]
-    return phi if k == 1 else phi + [sign * v for v in phi[:k - 1]]
+    value, d1 = f(x), g(x)
+    return [value, d1, sign * value, sign * d1][:k + 1]
 
 
-def _minus_sin(x):
-    return -np.sin(x)
-
-
-def _tan_like(f, sign, x, k):
+def _tan_like(t, sign, k):
     """tan (sign 1) and tanh (sign -1) from their value t: φ' = 1 + sign·t²."""
-    t = f(x)
-    if k == 0:
-        return [t]
     d1 = 1.0 + sign * t * t
-    phi = [t, d1]
-    if k >= 2:
-        phi.append(2.0 * sign * t * d1)
-    if k == 3:
-        phi.append(d1 * (2.0 * sign + 6.0 * t * t))
-    return phi
+    return [t, d1, 2.0 * sign * t * d1, d1 * (2.0 * sign + 6.0 * t * t)][:k + 1]
 
 
-def _atan_like(f, sign, x, k):
+def _atan_like(value, x, sign, k):
     """atan (sign 1) and atanh (sign -1): φ' = 1 / (1 + sign·x²)."""
-    if k == 0:
-        return [f(x)]
     d1 = 1.0 / (1.0 + sign * x * x)
-    phi = [f(x), d1]
-    if k >= 2:
-        phi.append(-2.0 * sign * x * d1 * d1)
-    if k == 3:
-        phi.append((6.0 * x * x - 2.0 * sign) * np.power(d1, 3))
-    return phi
+    return [value, d1, -2.0 * sign * x * d1 * d1,
+            (6.0 * x * x - 2.0 * sign) * np.power(d1, 3)][:k + 1]
 
 
 def _atanh(x, k):
     _raise_where(abs(x) >= 1.0, "atanh outside (-1, 1) at", x)
-    return _atan_like(np.arctanh, -1.0, x, k)
+    return _atan_like(np.arctanh(x), x, -1.0, k)
 
 
 def _asinh(x, k):
-    if k == 0:
-        return [np.arcsinh(x)]
     w = 1.0 + x * x
-    phi = [np.arcsinh(x), np.power(w, -0.5)]
-    if k >= 2:
-        phi.append(-x * np.power(w, -1.5))
-    if k == 3:
-        phi.append((2.0 * x * x - 1.0) * np.power(w, -2.5))
-    return phi
+    return [np.arcsinh(x), np.power(w, -0.5), -x * np.power(w, -1.5),
+            (2.0 * x * x - 1.0) * np.power(w, -2.5)][:k + 1]
 
 
 def _log(x, k):
     _raise_where(x <= 0.0, "log of non-positive value", x)
-    if k == 0:
-        return [np.log(x)]
     r = 1.0 / x
-    phi = [np.log(x), r]
-    if k >= 2:
-        phi.append(-r * r)
-    if k == 3:
-        phi.append(2.0 * r * r * r)
-    return phi
+    return [np.log(x), r, -r * r, 2.0 * r * r * r][:k + 1]
 
 
 def _sqrt(x, k):
@@ -140,24 +109,15 @@ def _sqrt(x, k):
         return [r]
     if _anywhere(x == 0.0):
         raise JetDomainError("sqrt is not differentiable at 0")
-    phi = [r, 0.5 / r]
-    if k >= 2:
-        phi.append(-0.5 * phi[1] / x)
-    if k == 3:
-        phi.append(-1.5 * phi[2] / x)
-    return phi
-
-
-def _exp(x, k):
-    return [np.exp(x)] * (k + 1)
+    d1 = 0.5 / r
+    d2 = -0.5 * d1 / x
+    return [r, d1, d2, -1.5 * d2 / x][:k + 1]
 
 
 def _abs(x, k):
-    if k == 0:
-        return [np.abs(x)]
-    if _anywhere(x == 0.0):
+    if k and _anywhere(x == 0.0):
         raise JetDomainError("abs is not differentiable at 0")
-    return [np.abs(x), np.copysign(1.0, x)] + [0.0] * (k - 1)
+    return [np.abs(x), np.copysign(1.0, x), 0.0, 0.0][:k + 1]
 
 
 def _pow(x, k, p):
@@ -185,16 +145,16 @@ def _pow(x, k, p):
 
 FUNCTIONS = {
     "sin": Function(1, functools.partial(_cyclic, np.sin, np.cos, -1.0)),
-    "cos": Function(1, functools.partial(_cyclic, np.cos, _minus_sin, -1.0)),
-    "tan": Function(1, functools.partial(_tan_like, np.tan, 1.0)),
+    "cos": Function(1, functools.partial(_cyclic, np.cos, lambda t: -np.sin(t), -1.0)),
+    "tan": Function(1, lambda x, k: _tan_like(np.tan(x), 1.0, k)),
     "sinh": Function(1, functools.partial(_cyclic, np.sinh, np.cosh, 1.0)),
     "cosh": Function(1, functools.partial(_cyclic, np.cosh, np.sinh, 1.0)),
-    "tanh": Function(1, functools.partial(_tan_like, np.tanh, -1.0)),
+    "tanh": Function(1, lambda x, k: _tan_like(np.tanh(x), -1.0, k)),
     "asinh": Function(1, _asinh),
     "atanh": Function(1, _atanh),
-    "atan": Function(1, functools.partial(_atan_like, np.arctan, 1.0)),
+    "atan": Function(1, lambda x, k: _atan_like(np.arctan(x), x, 1.0, k)),
     "sqrt": Function(1, _sqrt),
-    "exp": Function(1, _exp),
+    "exp": Function(1, lambda x, k: [np.exp(x)] * (k + 1)),
     "log": Function(1, _log),
     "abs": Function(1, _abs),
     "pow": Function(2, _pow),
@@ -219,15 +179,23 @@ class quiet:
             _QUIET.reset(self.outer[0])
 
 
-def _at_point(name: str, derivatives, x: float, k: int, params) -> list:
-    """The row to order k at the float x, run as np.float64 (a batch of one
-    point) and returned as floats, so that '/' by zero still raises;
-    JetDomainError where an entry is not finite."""
-    # math.isfinite gives np.isfinite's answer ~3 µs sooner per row
-    phi = list(map(float, derivatives(np.float64(x), k, *params)))
-    if all(map(math.isfinite, phi)):
+def _row(name: str, derivatives, x, k: int, params) -> list:
+    """`row` with the row's derivatives in hand, as a tape holds them."""
+    if not _QUIET.get():        # a nested scope would cost a sixth of a row at a float
+        with quiet():
+            return _row(name, derivatives, x, k, params)
+    if not isinstance(x, np.ndarray):
+        # floats, so that '/' by zero still raises; math.isfinite gives
+        # np.isfinite's answer ~3 µs sooner per row
+        phi = list(map(float, derivatives(np.float64(x), k, *params)))
+        if all(map(math.isfinite, phi)):
+            return phi
+        raise JetDomainError(f"{name} is not finite at {float(x)!r}")
+    phi = derivatives(x, k, *params)
+    finite = functools.reduce(operator.and_, map(np.isfinite, phi))
+    if finite.all():
         return phi
-    raise JetDomainError(f"{name} is not finite at {float(x)!r}")
+    raise JetDomainError(f"{name} is not finite at {float(np.extract(~finite, x)[0])!r}")
 
 
 def row(name: str, x, k: int, *params) -> list:
@@ -236,17 +204,7 @@ def row(name: str, x, k: int, *params) -> list:
     batch of one point, and its results come back as floats.  JetDomainError
     at the first argument where a value or a derivative is not finite; numpy
     warns of nothing, within a quiet scope."""
-    if not _QUIET.get():        # a nested scope would cost a sixth of a row at a float
-        with quiet():
-            return row(name, x, k, *params)
-    derivatives = FUNCTIONS[name].derivatives
-    if not isinstance(x, np.ndarray):
-        return _at_point(name, derivatives, x, k, params)
-    phi = derivatives(x, k, *params)
-    finite = functools.reduce(operator.and_, map(np.isfinite, phi))
-    if finite.all():
-        return phi
-    raise JetDomainError(f"{name} is not finite at {float(np.extract(~finite, x)[0])!r}")
+    return _row(name, FUNCTIONS[name].derivatives, x, k, params)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +420,8 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 _TWO = Num(2.0)
 
 
-def apply(name: str, x, *params):
-    """The function `name` of FUNCTIONS at a float, a batch's values or a jet
-    (told by its derivative list `d`), by `row`, so a point's results and
-    errors are those of a batch holding it; `params` are held fixed (pow's
-    exponent).  A varying jet exponent, or one that differs between the
-    points of a batch, goes through exp(exponent·log(base))."""
+def _apply(name: str, derivatives, x, *params):
+    """`apply` with the row's derivatives in hand, as a tape holds them."""
     if params and hasattr(params[0], "d"):
         exponent = params[0]
         p = exponent.value
@@ -477,31 +431,17 @@ def apply(name: str, x, *params):
             return apply("exp", apply("log", x) * exponent)
         params = (float(p),)
     if not hasattr(x, "d"):
-        return row(name, x, 0, *params)[0]
-    return x.compose(row(name, x.d[0], x.order, *params))
+        return _row(name, derivatives, x, 0, params)[0]
+    return x.compose(_row(name, derivatives, x.d[0], x.order, params))
 
 
-def _instruction(name: str):
-    """`apply` of the FUNCTIONS row `name` as a tape instruction, the row's
-    derivatives looked up once, when the tape is built.  A float, or a jet at
-    a point (its value a float), with no jet exponent runs the row here on
-    np.float64, as `row` does within the run's quiet scope, and gets `row`'s
-    floats and errors; anything else is `apply`'s."""
-    derivatives = FUNCTIONS[name].derivatives
-
-    def instruction(x, *params):
-        if params and type(params[0]) is not float:     # e.g. a jet exponent
-            return apply(name, x, *params)
-        if type(x) is float:            # the value alone, with no list of floats
-            value = derivatives(np.float64(x), 0, *params)[0]
-            if math.isfinite(value):
-                return float(value)
-            raise JetDomainError(f"{name} is not finite at {x!r}")
-        if hasattr(x, "d") and type(x.d[0]) is float:   # a jet at a point
-            return x.compose(_at_point(name, derivatives, x.d[0], x.order, params))
-        return apply(name, x, *params)                  # a batch
-
-    return instruction
+def apply(name: str, x, *params):
+    """The function `name` of FUNCTIONS at a float, a batch's values or a jet
+    (told by its derivative list `d`), by `row`, so a point's results and
+    errors are those of a batch holding it; `params` are held fixed (pow's
+    exponent).  A varying jet exponent, or one that differs between the
+    points of a batch, goes through exp(exponent·log(base))."""
+    return _apply(name, FUNCTIONS[name].derivatives, x, *params)
 
 
 def _square(x):
@@ -535,9 +475,8 @@ class Tape:
     x·x doubles Faà di Bruno's terms exactly (but for derivative entries in
     the subnormal range and the sign of a zero order-3 entry), and a square
     that is not finite calls the 'pow' row, which raises its own error.
-    `program` is `code` with each row's derivatives bound once, here
-    (`_instruction`): one program runs over floats, point jets and batches
-    alike, and a point pays no lookup of its rows."""
+    `program` is `code` with each row bound to `apply` and its derivatives
+    once, here: one program runs over floats, point jets and batches alike."""
 
     def __init__(self, exprs):
         self.nodes, self.first_read = [], {}    # variable -> instructions before its read
@@ -577,7 +516,8 @@ class Tape:
             self.code.append((op, src[0], src[1], register[k]))
         self.blank = [None] * (next(fresh) - len(self.literals) - len(self.names))
         self.outputs = [register[o] for o in outputs]
-        self.program = [(_instruction(op) if isinstance(op, str) else op, a, b, d)
+        self.program = [(functools.partial(_apply, op, FUNCTIONS[op].derivatives)
+                         if isinstance(op, str) else op, a, b, d)
                         for op, a, b, d in self.code]
 
     def run(self, env: Mapping) -> list:

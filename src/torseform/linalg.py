@@ -126,13 +126,13 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
 
 def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a (..., m, m) and a vector
-    b (..., m), both float arrays: cholesky_spd checks a's pivots, then one
-    LAPACK solve of a.  One matrix whose float pivots are all above spd_tol
-    skips cholesky_spd; any other meets it, and with it cholesky_spd's own
-    error."""
+    b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a.
+    One matrix whose float pivots are all above spd_tol skips cholesky_spd;
+    any other meets it, and with it cholesky_spd's own error."""
+    a = np.asarray(a, dtype=float)
     if not pivots_pass(a, spd_tol):
         cholesky_spd(a, spd_tol)
-    return np.linalg.solve(a, b[..., None])[..., 0]
+    return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def orthonormalize(rows: np.ndarray, factor: np.ndarray, coframe: np.ndarray) -> np.ndarray:

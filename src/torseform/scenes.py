@@ -162,6 +162,20 @@ def _nonfinite(instance, path: tuple):
         yield path, f"{instance!r} is not a finite number"
 
 
+def _refuse_too_wide(key: str, domain) -> None:
+    """Refuse the first interval of `domain` whose width is not a finite
+    float: finite ends whose difference overflows, or a JSON integer end
+    beyond float range, would sample points that are not finite."""
+    for i, (lo, hi) in enumerate(domain):
+        try:
+            if math.isfinite(float(hi) - float(lo)):
+                continue
+        except OverflowError:       # int too large to convert to float
+            pass
+        _fail(f"$.{key}.domain[{i}]", f"interval [{lo}, {hi}] is too wide: "
+              "its width is not a finite number")
+
+
 def _json_path(path: tuple) -> str:
     """jsonschema's JSONPath: $.key, $[index], or $['key'] for a key that is no name."""
     return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" if _NAME.match(k) else
@@ -238,6 +252,9 @@ def load_scene(document: dict) -> Scene:
             immersion = Immersion(sub["immersion"], n=n, domain=sub["domain"])
         except ParseError as err:
             raise SceneSchemaError(f"$.submanifold.immersion: {err}") from err
+        except OverflowError:       # an integer end beyond float range
+            _refuse_too_wide("submanifold", sub["domain"])
+            raise
 
     if field is None and immersion is None:
         _fail("$", "at least one of 'field' / 'submanifold' must be present")
@@ -249,12 +266,8 @@ def load_scene(document: dict) -> Scene:
     # a document refused for any other reason keeps its message
     for path, message in _nonfinite(document, ()):
         _fail(_json_path(path), message)
-    # finite ends whose difference overflows would sample infinite points
     for key in ("ambient", "submanifold") if immersion else ("ambient",):
-        for i, (lo, hi) in enumerate(document[key]["domain"]):
-            if not math.isfinite(float(hi) - float(lo)):
-                _fail(f"$.{key}.domain[{i}]", f"interval [{lo}, {hi}] is too wide: "
-                      "its width is not a finite number")
+        _refuse_too_wide(key, document[key]["domain"])
 
     return Scene(
         name=document["name"],

@@ -210,9 +210,16 @@ class TestSchema:
             load_scene(doc)
         assert str(err.value) == (f"{where}: interval [-1e+308, 1e+308] is too wide: "
                                   "its width is not a finite number")
+        key, index = ("ambient", 0) if where.startswith("$.ambient") else ("submanifold", 1)
+        # a JSON integer end beyond float range raised OverflowError
+        huge = copy.deepcopy(doc)
+        huge[key]["domain"][index] = [-10**400, 1]
+        with pytest.raises(SceneSchemaError) as err:
+            load_scene(huge)
+        assert str(err.value) == (f"{where}: interval [{-10**400}, 1] is too wide: "
+                                  "its width is not a finite number")
         # the widest interval whose width is a float still loads
         narrower = copy.deepcopy(doc)
-        key, index = ("ambient", 0) if where.startswith("$.ambient") else ("submanifold", 1)
         narrower[key]["domain"][index] = [-8e307, 8e307]
         assert load_scene(narrower).name == doc["name"]
 
@@ -682,16 +689,18 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: $.ambient.domain[0][1]: inf is not a finite number\n"
 
-    def test_too_wide_domain_exit_two(self, tmp_path):
+    @pytest.mark.parametrize("lo", [-1e308, -10**400], ids=["float", "integer"])
+    def test_too_wide_domain_exit_two(self, tmp_path, lo):
         # finite ends 1e308 apart: this scene passed classify at a witness
-        # with an infinite coordinate, and its report held 'Infinity'
+        # with an infinite coordinate, and its report held 'Infinity'; an
+        # integer end beyond float range died with an OverflowError traceback
         path = tmp_path / "scene.json"
-        path.write_text(json.dumps({"name": "wide", "ambient": dict(E3, domain=[[-1e308, 1e308],
+        path.write_text(json.dumps({"name": "wide", "ambient": dict(E3, domain=[[lo, 1e308],
                                                                                 [-1, 1], [-1, 1]]),
                                     "field": ["1", "0", "0"], "checks": ["classify"]}))
         proc = run_cli("check", str(path), "--points", "20")
         assert proc.returncode == 2
-        assert proc.stderr == ("error: $.ambient.domain[0]: interval [-1e+308, 1e+308] is too "
+        assert proc.stderr == (f"error: $.ambient.domain[0]: interval [{lo}, 1e+308] is too "
                                "wide: its width is not a finite number\n")
 
     def test_a_check_never_imports_jsonschema(self):
