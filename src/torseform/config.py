@@ -33,7 +33,6 @@ class Tolerances:
 
     # warped-product checks
     ode_tol: float = 1e-6         # warping ODE residual cutoff
-    warp_tol: float = 1e-6        # tanh-model deviation cutoff
     decomp_tol: float = 1e-7      # items (b), (c), (d) of the ambient decomposition
 
     # contract bounds from the characterization statements (fixed)

@@ -15,7 +15,6 @@ differences exist only as a test oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from types import MappingProxyType
@@ -211,87 +210,6 @@ class Jet:
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
 
 
-class FloatJet:
-    """An order-1 jet at one point on Python floats, d = (value, partials),
-    the partials a list or a tuple of floats,
-    with only what `expr.Tape.run` and `expr.apply` ask of a jet.  Each
-    operation is written as `Jet`'s (a − b as a + (−b), a ÷ c as a × (1 ÷ c)),
-    and Python rounds +, −, × and ÷ as numpy does, so every bit is an order-1
-    `Jet`'s at the point, without numpy's dispatch per product."""
-
-    __slots__ = ("d",)
-    order = 1
-
-    def __init__(self, value: float, partials: list):
-        self.d = (value, partials)
-
-    @property
-    def value(self) -> float:
-        return self.d[0]
-
-    def is_constant(self) -> bool:
-        return not any(self.d[1])
-
-    def __add__(self, other):
-        a, da = self.d
-        if not isinstance(other, FloatJet):
-            return FloatJet(a + float(other), da)
-        b, db = other.d
-        return FloatJet(a + b, [x + y for x, y in zip(da, db)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        a, da = self.d
-        return FloatJet(-a, [-x for x in da])
-
-    def __mul__(self, other):
-        a, da = self.d
-        if not isinstance(other, FloatJet):
-            c = float(other)
-            return FloatJet(c * a, [c * x for x in da])
-        b, db = other.d
-        return FloatJet(a * b, [a * y + b * x for x, y in zip(da, db)])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, FloatJet):
-            return self * (1.0 / float(other))
-        return self * ex.apply("pow", other, -1.0)
-
-    def __rtruediv__(self, other):
-        return ex.apply("pow", self, -1.0) * other
-
-    def compose(self, phi):
-        c = phi[1]
-        return FloatJet(phi[0], [c * x for x in self.d[1]])
-
-
-@functools.cache
-def _unit_partials(n: int) -> tuple:
-    """The partials of the n coordinate seeds, e_1..e_n, and of a constant:
-    tuples, as every FloatJet operation makes new partials."""
-    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n + 1))
-
-
-def float_jacobian(tape: ex.Tape, names: Sequence[str], point) -> tuple:
-    """(values, Jacobian rows) of the tape's expressions at one point of the
-    chart `names` by one run over FloatJet seeds: bit for bit the values and
-    gradients of the order-1 jets `eval_jet_env` gives there."""
-    *units, zero = _unit_partials(len(names))
-    out = tape.run({name: FloatJet(float(v), unit)
-                    for name, v, unit in zip(names, point, units)})
-    return ([y.d[0] if type(y) is FloatJet else y for y in out],
-            [y.d[1] if type(y) is FloatJet else zero for y in out])
-
-
 #: the function `name` of expr.FUNCTIONS at a float, a batch or a jet: expr.apply
 call = ex.apply
 
@@ -300,20 +218,12 @@ def chart_names(dim: int, prefix: str = "x") -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(dim))
 
 
-def _one_point(values) -> bool:
-    """values holds one point's coordinates (np.ndim 1), told without an
-    array round trip for a list or a tuple of numbers."""
-    if isinstance(values, (list, tuple)):
-        return not values or isinstance(values[0], float) or np.ndim(values[0]) == 0
-    return np.ndim(values) == 1
-
-
 def jet_variables(names: Sequence[str], values, order: int) -> dict:
     """Seed jets for the chart variables at a point (n values) or at each
     point of a batch (an (N, n) array).  Order 0 at a point binds the
     coordinates themselves, as floats."""
     n = len(names)
-    if order == 0 and _one_point(values):
+    if order == 0 and np.ndim(values) == 1:
         if len(values) != n:
             raise ValueError("names/values length mismatch")
         return dict(zip(names, map(float, values)))

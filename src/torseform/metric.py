@@ -141,11 +141,12 @@ class VectorAtPoint:
 
     @classmethod
     def from_jets(cls, jets, order: int) -> "VectorAtPoint":
-        """Components from their jets; the jacobian when order >= 1."""
+        """Components from their jets (floats at order 0 at a point); the
+        jacobian when order >= 1."""
         jacobian = (_batch_first(np.array([jet.d[1] for jet in jets]), 2)
                     if order >= 1 else None)
-        return cls(components=_batch_first(np.array([jet.d[0] for jet in jets]), 1),
-                   jacobian=jacobian)
+        values = [jet.d[0] if isinstance(jet, Jet) else jet for jet in jets]
+        return cls(components=_batch_first(np.array(values), 1), jacobian=jacobian)
 
 
 def euclidean_rows(m: int) -> list:
@@ -248,12 +249,8 @@ class VectorField:
 
     def at(self, point: Sequence[float], order: int = 1) -> VectorAtPoint:
         """The field and (order >= 1) its jacobian at a point, or at each row
-        of an (N, m) array of points.  At order 0 at a point (a list, a tuple
-        or an array) the components are the tape's floats, read on the
-        coordinates as given."""
+        of an (N, m) array of points."""
         env = jet_variables(self.var_names, point, order)
-        if type(env[self.var_names[0]]) is float:       # order 0 at a point
-            return VectorAtPoint(components=np.array(self.tape.run(env)))
         return VectorAtPoint.from_jets(self.component_jets(env), order)
 
     def norm_jet(self, point: Sequence[float], metric: MetricField) -> Jet:

@@ -20,11 +20,11 @@ from . import warped as wp
 from .classify import (NONE, SceneClassification, classify as classify_field,
                        geodesic_unit_check)
 from .config import Tolerances
-from .errors import (GeometryError, InconsistentSampleError, PreconditionError,
-                     SceneSchemaError)
+from .errors import (GeometryError, InconsistentSampleError, ModelViolationError,
+                     PreconditionError, SceneSchemaError)
 from .expr import quiet
 from .immersion import FramePacket, frames, gauss_defect, over_sample
-from .linalg import reduce_max, worst
+from .linalg import first_where, reduce_max, worst
 from .metric import VectorField
 from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
                      sample_parameter_points)
@@ -85,7 +85,14 @@ class _RunContext:
 
     @cached_property
     def classification(self) -> SceneClassification:
-        return classify_field(self.scene.metric, self.field, self.ambient_points, self.tols)
+        """The field's classification; GeometryError if a number of the
+        report's classification block is not finite, as no check may judge
+        on it."""
+        c = classify_field(self.scene.metric, self.field, self.ambient_points, self.tols)
+        for key, value in _numbers("classification", _classification_block(c)):
+            if not np.isfinite(value):
+                raise GeometryError(f"{key} {value} is not finite")
+        return c
 
     @cached_property
     def packet(self) -> FramePacket:
@@ -188,26 +195,23 @@ def _check_torqued(ctx: _RunContext) -> CheckResult:
 
 
 def _check_warp_fit(ctx: _RunContext) -> CheckResult:
-    scene = ctx.scene
     rep = ctx.rect_report
     if rep.mode != "proper-rectifying" or not rep.passed:
         raise PreconditionError("scene is not a passing proper rectifying scene")
-    box = scene.immersion.domain
-    length = 0.8 * max(hi - lo for lo, hi in box)
-    step = length / 400.0
-    u0 = np.array([0.5 * (lo + hi) for lo, hi in box])
-    curve = wp.trace_integral_curve(scene.immersion, scene.metric, scene.field,
-                                    u0, length, step, ctx.tols)
-    ode_res, lam = wp.warping_ode_residual(curve), curve.lam_values
-    shown = dict(ode_residual=ode_res, curve_samples=len(curve.samples),
-                 exited_domain=curve.exited_domain,
-                 lambda_range=[float(lam.min()), float(lam.max())])
-    if not ode_res <= ctx.tols.ode_tol:     # off the ODE, the tanh model means nothing
-        return _result("warp-fit", False, ode_res, **shown)
-    fit = wp.fit_tanh_integral(curve)
-    return _result("warp-fit", fit.deviation <= ctx.tols.warp_tol,
-                   reduce_max([ode_res, fit.deviation]), model_deviation=fit.deviation,
-                   integration_constant=fit.integration_constant, **shown)
+    packet = ctx.packet
+    ode = wp.warping_ode_over(packet)
+    value, at = worst(ode.residual)
+    bound = ctx.tols.ode_tol
+    outside = ode.lam >= 1.0
+    if value <= bound and np.any(outside):     # λ = tanh(∫f + C) is below 1
+        u = first_where(outside, packet.u)
+        raise ModelViolationError(
+            f"warping factor {float(first_where(outside, ode.lam))!r} >= 1 at u={u.tolist()} "
+            "(outside the tanh range)", witness=u)
+    return _result("warp-fit", value <= bound, value,
+                   _witness(packet.u[at], f=ode.f[at], lam=ode.lam[at]),
+                   ode_residual=value, points=len(packet.u), bound=bound,
+                   lambda_range=[float(ode.lam.min()), float(ode.lam.max())])
 
 
 def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
@@ -243,6 +247,10 @@ def _numbers(key: str, value):
             yield from _numbers(key, v)
     elif isinstance(value, (int, float)):
         yield key, value
+
+
+def _classification_block(c: SceneClassification) -> dict:
+    return {"verdict": c.verdict, "f_summary": c.f_summary(), "residuals": c.class_residuals}
 
 
 def _run_check(name: str, ctx: _RunContext) -> CheckResult:
@@ -288,8 +296,7 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
         results = [_run_check(name, ctx) for name in _CHECKS if name in requested]
 
     c = vars(ctx).get("classification")
-    classification = None if c is None else {
-        "verdict": c.verdict, "f_summary": c.f_summary(), "residuals": c.class_residuals}
+    classification = None if c is None else _classification_block(c)
     return SceneReport(scene=scene.name, seed=scene.seed, points=points,
                        checks=tuple(results), classification=classification)
 

@@ -2,8 +2,9 @@
 
 Two families of checks live here:
 
-  - along a submanifold: trace unit-speed integral curves of V^⊤/|V^⊤|,
-    check the warping ODE dλ/ds = f (1 − λ²) for λ = |V^⊤|, and fit the
+  - along a submanifold: the warping ODE E(λ) = f (1 − λ²) for λ = |V^⊤|
+    and E = V^⊤/λ at every sample point of a frame packet; and, on one
+    unit-speed integral curve of E, the same ODE by differences and the
     model λ(s) = tanh(∫ˢ f du + C),
   - on the ambient manifold: with E₁ = V/|V| and λ = |V|, check that the
     integral curves of E₁ are geodesics, E₁(λ) = f (1 − λ²), the connection
@@ -28,9 +29,10 @@ from .classify import ANTI_TORQUED, SceneClassification, fit_at_point, fit_torse
 from .config import DEFAULT, Tolerances
 from .errors import (DomainEvalError, GeometryError, ModelViolationError,
                      PreconditionError, replay)
-from .immersion import Immersion
-from .jets import eval_jet, float_jacobian
-from .linalg import orthonormalize, reduce_max, solve_spd, worst
+from .immersion import FramePacket, Immersion
+from .jets import eval_jet
+from .linalg import (dot, first_where, mv, orthonormalize, reduce_max, solve_spd,
+                     worst)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian, unit_and_norm_at)
 
@@ -74,12 +76,10 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
 
     Records (s, u, λ = |V^⊤|, f) per node; a node's right-hand side is the
     next step's first stage, and f is fitted at all nodes in one batch after
-    the integration.  A right-hand side reads Ψ(u) and J = ∂Ψ/∂u from one
-    run of the immersion's tape over float 1-jets (jets.float_jacobian, bit
-    for bit Immersion.jets(u, 1)), and V at Ψ(u) by one order-0 read on
-    those floats; λ is math.sqrt of the float cᵀ k c, IEEE sqrt as np.sqrt.  If
-    the curve would leave the parameter box the partial curve is returned
-    with exited_domain set; a right-hand side that is not finite raises
+    the integration.  A right-hand side reads Ψ(u) and J = ∂Ψ/∂u from
+    Immersion.jets(u, 1) and V at Ψ(u) by one order-0 read.  If the curve
+    would leave the parameter box the partial curve is returned with
+    exited_domain set; a right-hand side that is not finite raises
     GeometryError, as it is no exit.  A fit error at a node outranks an
     integration error after it, as when each node was fitted in turn.
     """
@@ -91,14 +91,14 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     def tangential(u):
         nonlocal G      # a constant metric's g is read once, at the first x
         counter["n"] += 1
-        # x = Ψ(u), as floats, and J[a, i] = ∂Ψ^a/∂uⁱ
-        x, jac = float_jacobian(imm.tape, imm.var_names, u)
+        psi = imm.jets(u, 1)        # x = Ψ(u) and J[a, i] = ∂Ψ^a/∂uⁱ
+        x = np.array([p.value for p in psi])
+        jac = np.stack([p.gradient() for p in psi])
         G = G if metric.constant and G is not None else metric.at(x, order=0).g
-        jac = np.array(jac)
         A = jac.T @ G                           # Jᵀ G once: k = Jᵀ G J, b = Jᵀ G V
         k = A @ jac
         coords = solve_spd(k, A @ field.at(x, order=0).components, tols.spd_tol)
-        lam = math.sqrt(max(float(coords @ k @ coords), 0.0))
+        lam = float(np.sqrt(max(coords @ k @ coords, 0.0)))
         # λ is not finite where a coordinate is not: no exit from the domain,
         # but a right-hand side the integration cannot go on from
         if not math.isfinite(lam):
@@ -211,6 +211,36 @@ def fit_tanh_integral(curve: IntegralCurve, tols: Tolerances = DEFAULT) -> WarpF
     deviation = float(np.max(np.abs(model - lam)))
     return WarpFit(integration_constant=c0, model=model, deviation=deviation,
                    s_values=curve.s_values, lam_values=lam)
+
+
+@dataclass(frozen=True)
+class WarpingODE:
+    """The warping ODE at each point of a sample (arrays over its batch)."""
+
+    lam: np.ndarray         # λ = |V^⊤|
+    e_lam: np.ndarray       # E(λ) along E = V^⊤/λ
+    f: np.ndarray           # the conformal scalar fitted at Ψ(u)
+    residual: np.ndarray    # |E(λ) − f (1 − λ²)|
+
+
+def warping_ode_over(packet: FramePacket) -> WarpingODE:
+    """E(λ) = f (1 − λ²) at every point of a packet that carries the field.
+
+    With t the frame coefficients of V^⊤ and ∇_X V^⊤ = (∇̃_X V)^⊤ + A_{V^⊥}X,
+    E(λ) = g(∇_{V^⊤}V^⊤, V^⊤)/λ² = tᵀ(∇̃V + A_{V^⊥})t/λ² with ∇̃V in the
+    tangent frame.  PreconditionError where λ <= proper_tol."""
+    t, lam = packet.v_tan_frame, packet.v_tan_norm
+    vanishing = lam <= packet.tols.proper_tol
+    if np.any(vanishing):
+        u = first_where(vanishing, packet.u)
+        raise PreconditionError(
+            f"|V^⊤| = {first_where(vanishing, lam):.3e} vanishes at u={u.tolist()}",
+            witness=u)
+    nabla = packet.dv_frame[..., :packet.n] + packet.a_vperp
+    e_lam = dot(t, mv(nabla, t)) / lam ** 2
+    f = packet.fit.f
+    return WarpingODE(lam=lam, e_lam=e_lam, f=f,
+                      residual=abs(e_lam - f * (1.0 - lam ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ importing the package from its own src/.  It does the same for a fixed
 list of scene documents that reach the failure paths (FAILURE_SCENES),
 recording instead the type and message of the exception if loading the
 scene or `run` raises.  The script prints one line per report, `same` or
-`DIFFERS`, then a summary for each group, and exits 1 if any report,
+`DIFFERS`, then a summary for each group, with its count of checks that
+moved from fail to pass and from error to pass, and exits 1 if any report,
 table, exit code or exception differs.  Below each `DIFFERS` line it says how: whether
 the exit codes, statuses, verdicts, keys and strings (or the exceptions)
 agree, how many witness numbers moved (a witness point's coordinates and
 the values there), and the largest |Δ|/max(1, |x|) over the other numbers,
-with its path:
+with its path; then each check whose status moved, as `check: old → new`:
 
     python tests/compare_reports.py OTHER_CHECKOUT
 
@@ -53,23 +54,26 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 
 #: scenes whose checks fail, are n/a or err: a field with no submanifold, a
 #: submanifold with no field, a field that overflows, a sample whose batch
-#: fails at an earlier stage than its first failing point, rectifying-psi's
-#: warp-fit under an ODE bound its curve misses, and the cone with an axis
-#: whose normal component (7.07e-8) is within a raised proper_tol, and
-#: rectifying-psi with a field that is NaN (0·inf) on a thin band about
-#: x3 = 1.2 that only one RK4 stage of warp-fit's curve meets, and an
-#: indefinite metric with off-diagonal entries, whose sample LAPACK refuses
-#: to factor, so that its pivots come from the recurrence past pivot 0, and
-#: a finite field whose ∇V has an overflowing trace, so that the fit is not
-#: finite at any point, which must be an error rather than a verdict.  The
-#: hemisphere (totally geodesic H² ⊂ H³ in the chart ds² + e^{2s}(dx² + dy²),
-#: V = ∂ₛ) passes: it is here because it is the one warp-fit curve in a curved
-#: ambient, whose every right-hand side reads g at its stage point.  The
-#: last eight are refused when they are loaded: a type error, an unknown key,
-#: an empty check list, an expression that ends early, one whose error is on
-#: its second line, a domain with an infinite end, which JSON has not but
-#: Python's json reads, and an ambient and a parameter domain with finite ends
-#: whose width overflows
+#: fails at an earlier stage than its first failing point, and the cone with
+#: an axis whose normal component (7.07e-8) is within a raised proper_tol,
+#: an indefinite metric with off-diagonal entries, whose sample LAPACK
+#: refuses to factor, so that its pivots come from the recurrence past pivot
+#: 0, a finite field whose ∇V has an overflowing trace, so that the fit is
+#: not finite at any point, which must be an error rather than a verdict,
+#: and a concircular field 1e150·x whose fit is finite but whose anti-torqued
+#: residual |w + f v| overflows, so that the classification is an error
+#: rather than a block holding Infinity.  Three pass warp-fit, which judges
+#: the warping ODE at each sample point: rectifying-psi under ode_tol 1e-12,
+#: which its pointwise residual (3.3e-16) meets; rectifying-psi with a field
+#: that is NaN (0·inf) on a thin band about x3 = 1.2, which holds no sample
+#: point; and the hemisphere (totally geodesic H² ⊂ H³ in the chart
+#: ds² + e^{2s}(dx² + dy²), V = ∂ₛ), the one proper rectifying scene in a
+#: curved ambient, whose Γ̃ reaches E(λ) through ∇̃V.  The last eight are
+#: refused when they are loaded: a type error, an unknown key, an empty check
+#: list, an expression that ends early, one whose error is on its second
+#: line, a domain with an infinite end, which JSON has not but Python's json
+#: reads, and an ambient and a parameter domain with finite ends whose width
+#: overflows
 FAILURE_SCENES = [
     {"name": "field-only", "ambient": E3, "field": ["1", "0", "0"], "checks": ALL_CHECKS},
     {"name": "sphere-only", "ambient": E3, "checks": ALL_CHECKS,
@@ -106,6 +110,9 @@ FAILURE_SCENES = [
                  "domain": [[0, 1], [-1, 1], [-1, 1]]},
      "submanifold": {"dim": 2, "domain": [[0.2, 0.6], [-0.4, 0.4]],
                      "immersion": ["-0.5*log(1-u1^2-u2^2)", "u1", "u2"]}},
+    {"name": "overflowing-class-residual", "field": ["1e150*x1", "1e150*x2"],
+     "checks": ["geodesic-unit"], "seed": 44,
+     "ambient": {"dim": 2, "metric": [["1"], ["0", "1"]], "domain": [[1, 2], [1, 2]]}},
     {"name": "type-error", "ambient": dict(E3, dim="two"), "field": ["1", "0", "0"],
      "checks": ["classify"]},
     {"name": "unknown-key", "ambient": E3, "field": ["1", "0", "0"], "checks": ["classify"],
@@ -206,6 +213,21 @@ def how_it_differs(mine, theirs) -> str:
     return f"{agree}; {found['witness']} witness numbers moved; {largest}"
 
 
+def _statuses(record) -> dict:
+    parsed = _parsed(record)
+    if not isinstance(parsed, dict):
+        return {}
+    return {check["name"]: check["status"] for check in parsed["report"]["checks"]}
+
+
+def status_moves(mine, theirs) -> list:
+    """(check, status in theirs, status in mine) for each check whose status
+    moved; '-' where one record has no such check."""
+    old, new = _statuses(theirs), _statuses(mine)
+    return [(name, old.get(name, "-"), new.get(name, "-"))
+            for name in dict.fromkeys([*old, *new]) if old.get(name) != new.get(name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="checkout to compare against")
@@ -219,13 +241,18 @@ def main(argv=None) -> int:
         print(f"{key}: {'DIFFERS' if key in differing else 'same'}")
         if key in differing:
             print(f"  {how_it_differs(mine.get(key), theirs.get(key))}")
+            for check, old, new in status_moves(mine.get(key), theirs.get(key)):
+                print(f"  {check}: {old} → {new}")
     for group, failure in (("built-in", False), ("failure-path", True)):
         group_keys = [key for key in keys if key.startswith("failure:") == failure]
         same = sum(key not in differing for key in group_keys)
         seeds = "each scene's seed" if failure else f"seeds {SEEDS}"
+        moves = [(old, new) for key in group_keys
+                 for _, old, new in status_moves(mine.get(key), theirs.get(key))]
         print(f"{same} of {len(group_keys)} {group} reports byte-identical "
               f"(report_to_json, render_report and exit code or exception, "
-              f"N = {POINTS}, {seeds})")
+              f"N = {POINTS}, {seeds}); status moves fail → pass: "
+              f"{moves.count(('fail', 'pass'))}, error → pass: {moves.count(('error', 'pass'))}")
     return 1 if differing else 0
 
 

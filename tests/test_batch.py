@@ -14,7 +14,8 @@ import pytest
 from conftest import random_expression
 from torseform import (ClassificationReport, builtin_names, builtin_scene,
                        build_warped_ambient, classify, fit_torse_forming, load_scene,
-                       run, sample_ambient_points, verify_ambient_decomposition)
+                       run, sample_ambient_points, trace_integral_curve,
+                       verify_ambient_decomposition)
 from torseform.errors import GeometryError, ZeroFieldError, replay
 from torseform.expr import Tape, parse
 from torseform.jets import call, eval_jet, eval_jet_env, jet_variables
@@ -397,15 +398,13 @@ class TestClassificationBatch:
                                           "message": "batched fit refused"}
 
     def test_refused_node_fit_raises_its_error(self, monkeypatch):
-        # warp-fit fits f at the curve's nodes in one batch, and each node
-        # alone through classify's unrefused fit
+        # trace_integral_curve fits f at the curve's nodes in one batch, and
+        # each node alone through classify's unrefused fit
         refuse_batched_fits(monkeypatch, importlib.import_module("torseform.warped"))
-        report = run(builtin_scene("rectifying-psi"), checks=["rectifying", "warp-fit"],
-                     points=20)
-        rectifying, warp_fit = report.checks
-        assert rectifying.status == "pass" and warp_fit.status == "error"
-        assert warp_fit.details == {"error": "GeometryError",
-                                    "message": "batched fit refused"}
+        scene = builtin_scene("rectifying-psi")
+        with pytest.raises(GeometryError, match="^batched fit refused$"):
+            trace_integral_curve(scene.immersion, scene.metric, scene.field, [1.0, 3.0],
+                                 1.6, 0.005, scene.tolerances)
 
     def test_checks_build_no_point_reports(self, monkeypatch):
         calls = []

@@ -227,8 +227,8 @@ class TestVectorFieldJets:
     ])
     def test_a_point_reads_alike_from_a_list_a_tuple_or_an_array(self, source):
         # order 0 at one point reads V on the coordinates as given: a list or
-        # a tuple of floats (as float_jacobian returns Ψ(u)), of numpy
-        # scalars, or an array give the same components, bit for bit
+        # a tuple of floats, of numpy scalars, or an array give the same
+        # components, bit for bit
         field = VectorField(source)
         for p in np.random.default_rng(4).uniform(0.1, 3.0, size=(50, 3)):
             want = np.array(ex.eval_float(field.tape, dict(zip(field.var_names, p.tolist()))))

@@ -57,8 +57,8 @@ def test_a_check_run_enters_numpy_errstate_once(monkeypatch, errstates):
         monkeypatch.setitem(ex.FUNCTIONS, name, function._replace(
             derivatives=counting(function.derivatives)))
     runner.run(builtin_scene("rectifying-psi"), points=20)
-    # the curve alone makes hundreds of tape runs, over floats and jets
-    assert counts["runs"] > 500 and counts["rows"] > 500
+    # frames, the induced metric and the fits run several tapes and rows
+    assert counts["runs"] >= 5 and counts["rows"] >= 10
     assert errstates == [{"all": "ignore"}]
 
 

@@ -137,3 +137,17 @@ def test_rectifying_does_not_pay_for_unread_geometry(monkeypatch):
     assert metric_at == [(1, N)]
     assert field_at == [(0, N)]
     assert induced == []
+
+
+def test_warp_fit_reads_the_shared_packet(monkeypatch):
+    # rectifying, warp-fit and gauss-equation read one packet: frames once,
+    # and the field once at order 0 and once at order 1 (the fit warp-fit
+    # reads), each at every sampled point and nowhere else
+    sampled = sampled_parameters(monkeypatch)
+    frames = record_points(monkeypatch, (runner_mod, immersion_mod), "frames", at=2)
+    field_at = record_orders(monkeypatch, metric_mod.VectorField)
+    report = run(builtin_scene("rectifying-psi"), points=N)
+    assert [c.name for c in report.checks] == ["gauss-equation", "rectifying", "warp-fit"]
+    assert all(c.status == "pass" for c in report.checks)
+    assert np.array_equal(np.concatenate(frames), sampled)
+    assert sorted(field_at) == [(0, N), (1, N)]

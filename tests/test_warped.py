@@ -4,6 +4,7 @@ decomposition checks."""
 import copy
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from torseform import (Immersion, MetricField, VectorField, builtin_scene,
 from torseform.config import DEFAULT
 from torseform.errors import (DomainEvalError, GeometryError, ModelViolationError,
                               PreconditionError, SingularMetricError, ZeroFieldError)
+from torseform.immersion import frames
 from torseform.linalg import solve_spd
-from torseform.scenes import BUILTIN_DOCUMENTS
-from torseform.warped import CurveSample, IntegralCurve
+from torseform.scenes import BUILTIN_DOCUMENTS, sample_parameter_points
+from torseform.warped import CurveSample, IntegralCurve, warping_ode_over
 
 # the package attribute `torseform.classify` is the function, not the module
 classify_mod = importlib.import_module("torseform.classify")
@@ -381,7 +383,8 @@ def reference_trace(imm, metric, field, u0, length, step, tols=DEFAULT):
 
 
 def centre_curve_args():
-    """rectifying-psi's warp-fit curve: from the box centre, as runner traces it."""
+    """rectifying-psi's curve from the box centre, 0.8 of the box's longest
+    side long, in 400 steps."""
     scene = builtin_scene("rectifying-psi")
     box = scene.immersion.domain
     length = 0.8 * max(hi - lo for lo, hi in box)
@@ -414,7 +417,7 @@ def cut_cone_curve_args():
 
 def graph_curve_args():
     """A graph in E³ whose height reads the exp, cosh, atan, log and
-    non-integer power rows on float 1-jets, under a field that reads the
+    non-integer power rows on point 1-jets, under a field that reads the
     tanh, asinh and sqrt rows at floats: rows the other curves do not reach."""
     graph = Immersion(["u1", "u2", "0.3*exp(0.4*u1)*cosh(0.3*u2) + 0.2*atan(u1-u2)"
                                     " + 0.1*log(u1)*u2^1.5"],
@@ -579,7 +582,7 @@ class TestBatchedNodeFits:
 def nonfinite_stage_scene():
     """rectifying-psi with a field term that is 0 off a thin band about
     x3 = 1.2 and NaN (0·inf) on it; the band holds no sampled point but one
-    RK4 stage of the warp-fit curve."""
+    RK4 stage of the centre curve."""
     doc = copy.deepcopy(BUILTIN_DOCUMENTS["rectifying-psi"])
     doc["field"] = [c + "+0*(1e307*(17.9769335-(x3-1.2)^2))" for c in doc["field"]]
     return load_scene(dict(doc, name="nonfinite-stage", checks=["rectifying", "warp-fit"]))
@@ -593,10 +596,10 @@ class TestNonFiniteStage:
             trace_integral_curve(imm, scene.metric, scene.field, u0, length, step)
         assert not isinstance(err.value, DomainEvalError)
 
-    def test_warp_fit_reports_an_error(self):
+    def test_warp_fit_judges_the_sample_not_a_stage(self):
+        # warp-fit traces no curve: the band holds no point it judges
         rectifying, warp = run(nonfinite_stage_scene(), points=50).checks
-        assert rectifying.status == "pass"
-        assert warp.status == "error" and warp.details["error"] == "GeometryError"
+        assert (rectifying.status, warp.status) == ("pass", "pass")
 
 
 class TestNonFiniteResiduals:
@@ -608,3 +611,99 @@ class TestNonFiniteResiduals:
         assert math.isnan(warping_ode_residual(curve))
         # the fit judges nothing: the NaN reaches its deviation
         assert math.isnan(fit_tanh_integral(curve).deviation)
+
+
+# ---------------------------------------------------------------------------
+# The warping ODE at every sample point
+# ---------------------------------------------------------------------------
+
+#: H² ⊂ H³, totally geodesic, in the chart ds² + e^{2s}(dx² + dy²) with V = ∂ₛ
+HEMISPHERE = {
+    "name": "hemisphere", "field": ["1", "0", "0"], "checks": ["rectifying", "warp-fit"],
+    "ambient": {"dim": 3, "metric": [["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]],
+                "domain": [[0, 1], [-1, 1], [-1, 1]]},
+    "submanifold": {"dim": 2, "domain": [[0.2, 0.6], [-0.4, 0.4]],
+                    "immersion": ["-0.5*log(1-u1^2-u2^2)", "u1", "u2"]}}
+#: a patch of the unit sphere in E³ under an affine field with a tangential
+#: and a normal part: not rectifying, A_{V^⊥} = −c Id with c = g̃(V, ξ) ≠ 0
+TILTED_SPHERE = {
+    "name": "tilted-sphere", "field": ["1+0.3*x2", "0.5*x3-0.2*x1", "0.4+x1*x2"],
+    "checks": ["rectifying"],
+    "ambient": {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                "domain": [[-2, 2]] * 3},
+    "submanifold": {"dim": 2, "domain": [[0.5, 1.2], [0.2, 1.4]],
+                    "immersion": ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"]}}
+ODE_SCENES = {"rectifying-psi": lambda: builtin_scene("rectifying-psi"),
+              "hemisphere": lambda: load_scene(HEMISPHERE),
+              "tilted-sphere": lambda: load_scene(TILTED_SPHERE)}
+
+
+def ode_packet(scene, u):
+    return frames(scene.immersion, scene.metric, u, scene.field, scene.tolerances)
+
+
+class TestPointwiseWarpingOde:
+    @pytest.mark.parametrize("name", sorted(ODE_SCENES))
+    def test_e_lambda_is_a_central_difference_of_lambda(self, name):
+        # (λ(u + hc) − λ(u − hc))/2h with c = Bᵀt/λ, E's parameter coordinates
+        scene = ODE_SCENES[name]()
+        u = sample_parameter_points(scene, 20, np.random.default_rng(3))
+        packet = ode_packet(scene, u)
+        ode = warping_ode_over(packet)
+        c = (np.swapaxes(packet.tangent_coeffs, -1, -2) @ packet.v_tan_frame[..., None])[..., 0]
+        h = 1e-5
+        ahead, behind = (ode_packet(scene, u + sign * h * c / ode.lam[:, None]).v_tan_norm
+                         for sign in (1.0, -1.0))
+        assert np.max(abs(ode.e_lam - (ahead - behind) / (2.0 * h))) <= 1e-8
+        if name == "tilted-sphere":     # its A_{V^⊥} term is far above that bound
+            t = packet.v_tan_frame
+            a_term = np.einsum("ni,nij,nj->n", t, packet.a_vperp, t) / ode.lam ** 2
+            assert np.min(abs(a_term)) > 1e-2
+
+    @pytest.mark.parametrize("name", ["rectifying-psi", "hemisphere"])
+    def test_rectifying_scenes_meet_the_ode_to_round_off(self, name):
+        scene = ODE_SCENES[name]()
+        for seed in range(5):
+            u = sample_parameter_points(scene, 50, np.random.default_rng(seed))
+            ode = warping_ode_over(ode_packet(scene, u))
+            assert np.max(ode.residual) <= 1e-14
+            assert np.all((0.0 < ode.lam) & (ode.lam < 1.0))
+
+    def test_a_vanishing_tangential_part_is_a_precondition(self):
+        # the radial field is normal to the unit sphere: λ = 0, E undefined
+        scene = builtin_scene("unit-sphere")
+        u = sample_parameter_points(scene, 10, np.random.default_rng(0))
+        with pytest.raises(PreconditionError, match=r"^\|V\^⊤\| = .* vanishes at u=\["):
+            warping_ode_over(ode_packet(scene, u))
+
+    def test_near_miss_family(self):
+        # rectifying-psi's field times 1 + ε stays rectifying, and warp-fit's
+        # residual grows like ε (0.77 ε) and fails past ode_tol
+        eps = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+        residuals = []
+        for e in eps:
+            doc = dict(BUILTIN_DOCUMENTS["rectifying-psi"],
+                       field=[f"{1.0 + e!r}*({c})"
+                              for c in BUILTIN_DOCUMENTS["rectifying-psi"]["field"]])
+            rectifying, warp = run(load_scene(doc), checks=["rectifying", "warp-fit"],
+                                   points=50).checks
+            assert rectifying.status == "pass"
+            assert warp.status == ("fail" if warp.residual > DEFAULT.ode_tol else "pass")
+            residuals.append(warp.residual)
+        slope = np.polyfit(np.log(eps), np.log(residuals), 1)[0]
+        assert slope == pytest.approx(1.0, abs=0.02)
+        assert residuals[0] <= DEFAULT.ode_tol < residuals[1]
+
+    def test_lambda_at_one_on_the_ode_is_a_model_violation(self, monkeypatch):
+        # λ = tanh(∫f + C) < 1: a λ >= 1 that meets the ODE is outside the model
+        ode = warped_mod.warping_ode_over
+
+        def at_one(packet):
+            out = ode(packet)
+            return replace(out, lam=np.where(np.arange(len(out.lam)) == 3, 1.0, out.lam))
+
+        monkeypatch.setattr(warped_mod, "warping_ode_over", at_one)
+        rectifying, warp = run(builtin_scene("rectifying-psi"), points=20).checks[1:]
+        assert (rectifying.status, warp.status) == ("pass", "error")
+        assert warp.details["error"] == "ModelViolationError"
+        assert warp.details["message"].startswith("warping factor 1.0 >= 1 at u=[")
