@@ -21,7 +21,7 @@ from torseform.errors import (DomainEvalError, GeometryError, ModelViolationErro
                               PreconditionError, SingularMetricError, ZeroFieldError)
 from torseform.immersion import frames
 from torseform.linalg import solve_spd
-from torseform.scenes import BUILTIN_DOCUMENTS, sample_parameter_points
+from torseform.scenes import BUILTIN_DOCUMENTS, sample_parameter_points, with_seed
 from torseform.warped import CurveSample, IntegralCurve, warping_ode_over
 
 # the package attribute `torseform.classify` is the function, not the module
@@ -633,9 +633,19 @@ TILTED_SPHERE = {
                 "domain": [[-2, 2]] * 3},
     "submanifold": {"dim": 2, "domain": [[0.5, 1.2], [0.2, 1.4]],
                     "immersion": ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"]}}
+#: the cone and the tangent developable hold their radial unit field: V^⊤ = V,
+#: λ ≡ 1 and E(λ) = 0, which ∇̃V (not the identity) has to give
 ODE_SCENES = {"rectifying-psi": lambda: builtin_scene("rectifying-psi"),
               "hemisphere": lambda: load_scene(HEMISPHERE),
-              "tilted-sphere": lambda: load_scene(TILTED_SPHERE)}
+              "tilted-sphere": lambda: load_scene(TILTED_SPHERE),
+              "cone": lambda: builtin_scene("cone"),
+              "tangent-developable": lambda: builtin_scene("tangent-developable")}
+
+
+def scaled_psi(eps):
+    """rectifying-psi with its field times 1 + ε."""
+    doc = BUILTIN_DOCUMENTS["rectifying-psi"]
+    return load_scene(dict(doc, field=[f"{1.0 + eps!r}*({c})" for c in doc["field"]]))
 
 
 def ode_packet(scene, u):
@@ -669,6 +679,43 @@ class TestPointwiseWarpingOde:
             assert np.max(ode.residual) <= 1e-14
             assert np.all((0.0 < ode.lam) & (ode.lam < 1.0))
 
+    @pytest.mark.parametrize("name", sorted(ODE_SCENES))
+    def test_one_point_is_its_row_of_the_batch(self, name):
+        # the verdict at a point does not hang on the other points sampled
+        scene = ODE_SCENES[name]()
+        u = sample_parameter_points(scene, 30, np.random.default_rng(3))
+        batch = warping_ode_over(ode_packet(scene, u))
+        for i in range(len(u)):
+            one = warping_ode_over(ode_packet(scene, u[i:i + 1]))
+            for part in ("lam", "e_lam", "f", "residual"):
+                assert getattr(one, part).tobytes() == getattr(batch, part)[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("points", [12, 50])
+    @pytest.mark.parametrize("name, make", [
+        ("rectifying-psi-s42", lambda: builtin_scene("rectifying-psi")),
+        ("rectifying-psi-s7", lambda: with_seed(builtin_scene("rectifying-psi"), 7)),
+        ("hemisphere", lambda: load_scene(HEMISPHERE)),
+        ("psi-field-times-1.01", lambda: scaled_psi(1e-2))])
+    def test_the_verdict_reduces_the_sample(self, monkeypatch, name, make, points):
+        # residual, witness and details are those of the ODE at the sample
+        # warp-fit judged: the largest residual, at its first point
+        seen = []
+        ode = warped_mod.warping_ode_over
+        monkeypatch.setattr(warped_mod, "warping_ode_over",
+                            lambda packet: seen.append((packet.u, ode(packet))) or seen[-1][1])
+        warp = run(make(), checks=["rectifying", "warp-fit"], points=points).checks[1]
+        [(u, out)] = seen
+        at = int(np.argmax(out.residual))
+        assert len(u) == points
+        assert warp.status == ("pass" if out.residual[at] <= DEFAULT.ode_tol else "fail")
+        assert warp.residual == warp.details["ode_residual"] == out.residual[at]
+        assert warp.witness == {"point": u[at].tolist(),
+                                "values": {"f": out.f[at], "lam": out.lam[at]}}
+        assert warp.details["points"] == points
+        assert warp.details["bound"] == DEFAULT.ode_tol
+        assert warp.details["lambda_range"] == [out.lam.min(), out.lam.max()]
+        assert (warp.status == "fail") == name.startswith("psi-field-times")
+
     def test_a_vanishing_tangential_part_is_a_precondition(self):
         # the radial field is normal to the unit sphere: λ = 0, E undefined
         scene = builtin_scene("unit-sphere")
@@ -682,10 +729,7 @@ class TestPointwiseWarpingOde:
         eps = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
         residuals = []
         for e in eps:
-            doc = dict(BUILTIN_DOCUMENTS["rectifying-psi"],
-                       field=[f"{1.0 + e!r}*({c})"
-                              for c in BUILTIN_DOCUMENTS["rectifying-psi"]["field"]])
-            rectifying, warp = run(load_scene(doc), checks=["rectifying", "warp-fit"],
+            rectifying, warp = run(scaled_psi(e), checks=["rectifying", "warp-fit"],
                                    points=50).checks
             assert rectifying.status == "pass"
             assert warp.status == ("fail" if warp.residual > DEFAULT.ode_tol else "pass")
