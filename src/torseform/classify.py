@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,44 +103,11 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
     mp and vap) every field of the report carries that axis, the verdict
     included; a guard that fails at any point raises."""
     with quiet():      # an overflow is for the guards to judge, not numpy to announce
+        v_norm, dcoord, a, v, f, w = _closed_form(mp, vap, tols)
         m = mp.dim
-        v_norm = mp.norm(vap.components)
-        small = v_norm <= tols.min_field_norm
-        if np.any(small):
-            raise ZeroFieldError(f"|V| = {first_where(small, v_norm):.3e} at "
-                                 f"{first_where(small, mp.point).tolist()}")
-
-        L = mp.factor                                       # C = L⁻¹, so g Cᵀ = L
-        pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2    # squared residuals of ∂_1..∂_m
-        if np.any(frame_collapses(pivots, mp.g, tols.frame_tol)):
-            raise SingularMetricError("coordinate frame lost rank under the metric")
-        C = mp.coframe                                      # e_i = Σ_j C[i, j] ∂_j
-        dcoord = covariant_jacobian(mp, vap)                # dcoord[j, :] = ∇̃_{∂_j} V
-        a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
-        v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
-        vv = dot(v, v)
-        # the normal matrix's smallest pivot lies in [|v|²(m − 1)/m, |v|²]:
-        # singular where the lower bound is spd_tol or less, or not finite
-        singular = ~(np.isfinite(vv) & (vv * (m - 1) / m > tols.spd_tol))
-        length = np.sqrt(vv)
-        if np.any(singular):
-            # |V| by hypot, which does not overflow where |v|² does
-            shown = np.hypot.reduce(abs(v), axis=-1)
-            raise SingularFitError(
-                f"torse-forming fit is singular: |V| = {first_where(singular, shown):.3e} "
-                f"at {first_where(singular, mp.point).tolist()}")
-        vhat = v / length[..., None]
-        a_vhat = mv(a, vhat)
-        f = (np.trace(a, axis1=-2, axis2=-1) - dot(vhat, a_vhat)) / (m - 1)
-        w = (a_vhat - f[..., None] * vhat) / length[..., None]
-        infinite = ~(np.isfinite(f) & np.all(np.isfinite(w), axis=-1))
-        if np.any(infinite):
-            raise SingularFitError(
-                f"torse-forming fit is not finite at {first_where(infinite, mp.point).tolist()}")
-
         resid = a - f[..., None, None] * np.eye(m) - w[..., :, None] * v[..., None, :]
         grad_norm = norm(a, 2)
-        omega = mv(L, w)                                    # ω(∂_j) from ω(e_i) = w_i
+        omega = mv(mp.factor, w)                            # ω(∂_j) from ω(e_i) = w_i
         report = ClassificationReport(
             point=mp.point, f=item(f), omega=omega, w_dual=mv(mp.inverse, omega),
             residual_torse=item(norm(resid, 2) / np.maximum(1.0, grad_norm)),
@@ -152,6 +120,66 @@ def fit_at_point(mp: MetricAtPoint, vap: VectorAtPoint,
         verdict = _CLASSES[np.where(membership.any(-1), membership.argmax(-1), len(PRECEDENCE))]
         return replace(report, verdict=verdict if verdict.ndim else str(verdict),
                        membership=membership)
+
+
+class TorsePair(NamedTuple):
+    """The fitted f and ω_j = ω(∂_j), at a point or at each point of a batch."""
+
+    f: float
+    omega: np.ndarray
+
+
+def fit_pair(mp: MetricAtPoint, vap: VectorAtPoint, dcoord,
+             tols: Tolerances = DEFAULT) -> TorsePair:
+    """f and ω of fit_at_point, by its guards and closed form, from ∇̃V in
+    coordinates (covariant_jacobian) that the caller holds: no class
+    residuals, membership or verdict."""
+    with quiet():
+        *_, f, w = _closed_form(mp, vap, tols, dcoord)
+        return TorsePair(f=item(f), omega=mv(mp.factor, w))
+
+
+def _closed_form(mp: MetricAtPoint, vap: VectorAtPoint, tols: Tolerances, dcoord=None):
+    """(|V|, ∇̃V in coordinates, a, v, f, w) of the fit in its orthonormal
+    frame, after its guards in order: ZeroFieldError, SingularMetricError,
+    then SingularFitError where the fit is singular and where it is not
+    finite.  ∇̃V is computed after the metric's guards unless given."""
+    m = mp.dim
+    v_norm = mp.norm(vap.components)
+    small = v_norm <= tols.min_field_norm
+    if np.any(small):
+        raise ZeroFieldError(f"|V| = {first_where(small, v_norm):.3e} at "
+                             f"{first_where(small, mp.point).tolist()}")
+
+    L = mp.factor                                       # C = L⁻¹, so g Cᵀ = L
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2    # squared residuals of ∂_1..∂_m
+    if np.any(frame_collapses(pivots, mp.g, tols.frame_tol)):
+        raise SingularMetricError("coordinate frame lost rank under the metric")
+    C = mp.coframe                                      # e_i = Σ_j C[i, j] ∂_j
+    if dcoord is None:
+        dcoord = covariant_jacobian(mp, vap)            # dcoord[j, :] = ∇̃_{∂_j} V
+    a = C @ dcoord @ L                                  # a[i, k] = <∇̃_{e_i}V, e_k>
+    v = mv(np.swapaxes(L, -1, -2), vap.components)      # frame components C g V of V
+    vv = dot(v, v)
+    # the normal matrix's smallest pivot lies in [|v|²(m − 1)/m, |v|²]:
+    # singular where the lower bound is spd_tol or less, or not finite
+    singular = ~(np.isfinite(vv) & (vv * (m - 1) / m > tols.spd_tol))
+    length = np.sqrt(vv)
+    if np.any(singular):
+        # |V| by hypot, which does not overflow where |v|² does
+        shown = np.hypot.reduce(abs(v), axis=-1)
+        raise SingularFitError(
+            f"torse-forming fit is singular: |V| = {first_where(singular, shown):.3e} "
+            f"at {first_where(singular, mp.point).tolist()}")
+    vhat = v / length[..., None]
+    a_vhat = mv(a, vhat)
+    f = (np.trace(a, axis1=-2, axis2=-1) - dot(vhat, a_vhat)) / (m - 1)
+    w = (a_vhat - f[..., None] * vhat) / length[..., None]
+    infinite = ~(np.isfinite(f) & np.all(np.isfinite(w), axis=-1))
+    if np.any(infinite):
+        raise SingularFitError(
+            f"torse-forming fit is not finite at {first_where(infinite, mp.point).tolist()}")
+    return v_norm, dcoord, a, v, f, w
 
 
 def _point_reports(batch: ClassificationReport) -> tuple:

@@ -27,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .classify import ClassificationReport, fit_at_point
+from .classify import TorsePair, fit_pair
 from .config import DEFAULT, Tolerances
-from .errors import (NonNormalVectorError, PreconditionError, RankDeficiencyError,
-                     replay)
+from .errors import (DomainEvalError, NonNormalVectorError, PreconditionError,
+                     RankDeficiencyError, replay)
 from .jets import chart_names, eval_jet_env, jet_variables
 from .linalg import (cholesky_pivots, first_where, frame_collapses, item, lower_inverse,
                      mv, norm, orthonormalize)
@@ -67,7 +67,7 @@ class FramePacket:
     tangents (N, n, m), ...) and every float is an (N,) array.
 
     ambient               order-1 ambient metric at x = Ψ(u)
-    psi                   Ψ's 3-jets at u
+    psi                   Ψ's jets at u, to orders[0] (2 or 3)
     tangents[i]           orthonormal tangent frame e_i (ambient components)
     tangent_coeffs[i, k]  e_i = Σ_k B[i, k] ∂Ψ/∂uᵏ
     normals[α]            orthonormal normal frame ξ_α
@@ -76,10 +76,13 @@ class FramePacket:
 
     v_tan_frame[i]        with a field V: t_i = g̃(V, e_i), so V^⊤ = Σ tⁱ B[i, k] ∂Ψ/∂uᵏ
     v_nor_frame[α]        c_α = g̃(V, ξ_α); v_tan, v_nor and their norms split V
+    orders                (Ψ's, V's) jet orders `frames` read
 
-    ambient2, field_jet, induced, fit, a_vperp and dv_frame are computed on
-    first use, once for the whole sample, and kept: checks that read them
-    share one copy, the others do not pay for them.
+    ambient2, field_jet, induced, dcoord, fit, a_vperp and dv_frame are
+    computed on first use, once for the whole sample, and kept: checks that
+    read them share one copy, the others do not pay for them.  field_jet is
+    V's read in `frames` where that was of order 1, and induced reads Ψ's
+    3-jets where those were not read.
     """
 
     u: np.ndarray
@@ -95,6 +98,7 @@ class FramePacket:
     immersion: Immersion
     metric: MetricField
     psi: list
+    orders: tuple
     field: VectorField | None = None
     tols: Tolerances = DEFAULT
     v_tan: np.ndarray | None = None
@@ -122,13 +126,19 @@ class FramePacket:
 
     @cached_property
     def induced(self) -> MetricAtPoint:
-        """Induced metric at u with 2-jets, from the 3-jets of Ψ held."""
-        return pull_back_metric(self.psi, self.metric, self.u, self.tols)
+        """Induced metric at u with 2-jets, from Ψ's 3-jets."""
+        psi = self.psi if self.orders[0] >= 3 else self.immersion.jets(self.u, 3)
+        return pull_back_metric(psi, self.metric, self.u, self.tols)
 
     @cached_property
-    def fit(self) -> ClassificationReport:
-        """Torse-forming fit of the field at x."""
-        return fit_at_point(self.ambient, self.field_jet, self.tols)
+    def dcoord(self) -> np.ndarray:
+        """[j, k] = (∇̃_{∂_j}V)^k, ∇̃V in coordinates at x."""
+        return covariant_jacobian(self.ambient, self.field_jet)
+
+    @cached_property
+    def fit(self) -> TorsePair:
+        """The torse-forming fit's f and ω at x (classify.fit_pair)."""
+        return fit_pair(self.ambient, self.field_jet, self.dcoord, self.tols)
 
     @cached_property
     def a_vperp(self) -> np.ndarray:
@@ -141,7 +151,7 @@ class FramePacket:
         """[i, k] = g̃(∇̃_{e_i}V, e_k) for k < n and g̃(∇̃_{e_i}V, ξ_{k−n})
         after: ∇̃V along each tangent in the frame (e, ξ)."""
         frame = np.concatenate((self.tangents, self.normals), axis=-2)
-        dv = self.tangents @ covariant_jacobian(self.ambient, self.field_jet)
+        dv = self.tangents @ self.dcoord
         return dv @ self.g_ambient @ np.swapaxes(frame, -1, -2)
 
     @property
@@ -194,9 +204,15 @@ def pull_back_metric(psi, metric: MetricField, u, tols: Tolerances) -> MetricAtP
 
 
 def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = None,
-           tols: Tolerances = DEFAULT) -> FramePacket:
+           tols: Tolerances = DEFAULT, orders: tuple = (3, 0)) -> FramePacket:
     """Orthonormal tangent/normal frames plus the second fundamental form, at
     a parameter point or at each row of an (N, n) array.
+
+    Ψ's and V's tapes are each read once, to `orders`: Ψ's to 2 or 3 (3
+    holds the jets the induced metric reads), V's to 0 or 1 (1 holds ∇̃V).
+    An order-1 read of V that fails where its value does not (sqrt at 0)
+    leaves the split on an order-0 read, and field_jet raises the 1-jet's
+    error.
 
     The tangent frame Gram-Schmidts the coordinate tangents in index order;
     the normal frame is the complement a complete QR gives in the ambient
@@ -205,13 +221,13 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
     raises alone (errors.replay).
     """
     u = np.asarray(u, dtype=float)
-    return replay(lambda: _frames(imm, metric, u, field, tols),
-                  lambda point: _frames(imm, metric, point, field, tols),
+    return replay(lambda: _frames(imm, metric, u, field, tols, orders),
+                  lambda point: _frames(imm, metric, point, field, tols, orders),
                   u if u.ndim == 2 else ())
 
 
-def _frames(imm, metric, u, field, tols) -> FramePacket:
-    psi = imm.jets(u, 3)
+def _frames(imm, metric, u, field, tols, orders) -> FramePacket:
+    psi = imm.jets(u, orders[0])
     x = _batch_first(np.array([p.d[0] for p in psi]), 1)
     jac = _jacobian(psi, u, tols)
     mp = metric.at(x, order=1)
@@ -241,13 +257,22 @@ def _frames(imm, metric, u, field, tols) -> FramePacket:
     packet = FramePacket(u=u, x=x, jacobian=jac, ambient=mp, g_coord=g_coord,
                          tangents=tangents, tangent_coeffs=B, normals=normals,
                          h_frame=h_frame, h_coord=h_coord, immersion=imm,
-                         metric=metric, psi=psi, field=field, tols=tols)
+                         metric=metric, psi=psi, field=field, tols=tols, orders=orders)
     if field is None:
         return packet
-    split = decompose_field(packet, field.at(x, order=0).components)
-    return replace(packet, v_tan=split.v_tan, v_nor=split.v_nor,
-                   v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm,
-                   v_tan_frame=split.tan_coeffs, v_nor_frame=split.nor_coeffs)
+    try:
+        read = field.at(x, order=orders[1])
+    except DomainEvalError:
+        if orders[1] == 0:
+            raise
+        read = field.at(x, order=0)
+    split = decompose_field(packet, read.components)
+    packet = replace(packet, v_tan=split.v_tan, v_nor=split.v_nor,
+                     v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm,
+                     v_tan_frame=split.tan_coeffs, v_nor_frame=split.nor_coeffs)
+    if read.jacobian is not None:
+        vars(packet)["field_jet"] = read        # field_jet is this read
+    return packet
 
 
 def over_sample(terms, packet: FramePacket, *args):
@@ -256,7 +281,7 @@ def over_sample(terms, packet: FramePacket, *args):
     raises alone, with the packet `frames` builds there (errors.replay)."""
     def single(i):
         return terms(frames(packet.immersion, packet.metric, packet.u[i], packet.field,
-                            packet.tols), *(a[i] for a in args))
+                            packet.tols, packet.orders), *(a[i] for a in args))
 
     return replay(lambda: terms(packet, *args), single, range(len(packet.u)))
 

@@ -54,23 +54,46 @@ class SceneReport:
     classification: dict | None
 
 
+#: what a check reads of the shared packet beyond frames and V's value:
+#: ∇̃V (V's 1-jet) or the induced metric (Ψ's 3-jets)
+_PACKET_READS = {"tangential-theorem": "dv", "torqued-props": "dv", "warp-fit": "dv",
+                 "normal-theorem": "induced", "gauss-equation": "induced"}
+
+
+class _kept(cached_property):
+    """A cached_property that also keeps the GeometryError its function
+    raised and raises it again, so that a computation that fails is not
+    repeated by every check that reads it."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is not None and self.attrname in ctx.raised:
+            raise ctx.raised[self.attrname]
+        try:
+            return super().__get__(ctx, owner)
+        except GeometryError as err:
+            ctx.raised[self.attrname] = err
+            raise
+
+
 class _RunContext:
     """Lazily shared state between checks of one run."""
 
-    def __init__(self, scene: Scene, points: int):
+    def __init__(self, scene: Scene, points: int, requested):
         self.scene = scene
         self.points = points
         self.tols: Tolerances = scene.tolerances
+        self.reads = {_PACKET_READS.get(name) for name in requested}
+        self.raised = {}
 
     def rng(self, purpose: str):
         return np.random.default_rng([self.scene.seed, CHECK_NAMES.index(purpose)])
 
-    @cached_property
+    @_kept
     def ambient_points(self):
         count = max(self.points, self.tols.class_min_points)
         return sample_ambient_points(self.scene, count, self.rng("classify"))
 
-    @cached_property
+    @_kept
     def param_points(self):
         if self.scene.immersion is None:
             raise PreconditionError("check needs a submanifold")
@@ -83,7 +106,7 @@ class _RunContext:
             raise PreconditionError("check needs a vector field")
         return self.scene.field
 
-    @cached_property
+    @_kept
     def classification(self) -> SceneClassification:
         """The field's classification; GeometryError if a number of the
         report's classification block is not finite, as no check may judge
@@ -94,11 +117,14 @@ class _RunContext:
                 raise GeometryError(f"{key} {value} is not finite")
         return c
 
-    @cached_property
+    @_kept
     def packet(self) -> FramePacket:
-        """The FramePacket of the whole parameter sample, shared by every check."""
+        """The FramePacket of the whole parameter sample, shared by every
+        check: Ψ read to order 3 if a requested check reads the induced
+        metric (else 2), V to order 1 if one reads ∇̃V (else 0)."""
+        orders = (3 if "induced" in self.reads else 2, 1 if "dv" in self.reads else 0)
         return frames(self.scene.immersion, self.scene.metric,
-                      self.param_points, self.scene.field, self.tols)
+                      self.param_points, self.scene.field, self.tols, orders)
 
     @property
     def field_packet(self) -> FramePacket:
@@ -106,7 +132,7 @@ class _RunContext:
         self.field          # a missing field outranks frame errors
         return self.packet
 
-    @cached_property
+    @_kept
     def rect_report(self) -> rect.RectifyingSceneReport:
         return rect.rectifying_over(self.field_packet)
 
@@ -289,7 +315,7 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
         if name not in _CHECKS:
             raise SceneSchemaError(
                 f"unknown check '{name}' (known: {', '.join(CHECK_NAMES)})")
-    ctx = _RunContext(scene, points)
+    ctx = _RunContext(scene, points, requested)
     # an overflow or a NaN is judged by the checks' own guards (a non-finite
     # residual never passes), not announced by numpy on stderr
     with quiet():

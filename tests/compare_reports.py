@@ -4,14 +4,17 @@ For each of the nine built-ins at seeds 42 and 7 and N = 200 points (the
 18 reports tests/test_golden_reports.py holds), each checkout computes
 `report_to_json(run(scene, points=N))`, the table `render_report` prints
 for `torseform check` and `exit_code` of the report in its own process,
-importing the package from its own src/.  It does the same for a fixed
-list of scene documents that reach the failure paths (FAILURE_SCENES),
-recording instead the type and message of the exception if loading the
-scene or `run` raises.  The script prints one line per report, `same` or
-`DIFFERS`, then a summary for each group, with its count of checks that
-moved from fail to pass and from error to pass, and exits 1 if any report,
-table, exit code or exception differs.  Below each `DIFFERS` line it says how: whether
-the exit codes, statuses, verdicts, keys and strings (or the exceptions)
+importing the package from its own src/.  It does the same for each of
+those built-ins' checks run alone (`run(scene, checks=[name])`, keys
+`single:<scene>-s<seed>:<check>`), as what a run computes depends on the
+checks it was asked for, and for a fixed list of scene documents that
+reach the failure paths (FAILURE_SCENES), recording instead the type and
+message of the exception if loading the scene or `run` raises.  The
+script prints one line per report, `same` or `DIFFERS`, then a summary for
+each group (built-in, one-check-at-a-time, failure-path), with its count of
+checks that moved from fail to pass and from error to pass, and exits 1 if
+any report, table, exit code or exception differs.  Below each `DIFFERS`
+line it says how: whether the exit codes, statuses, verdicts, keys and strings (or the exceptions)
 agree, how many witness numbers moved (a witness point's coordinates and
 the values there), and the largest |Δ|/max(1, |x|) over the other numbers,
 with its path; then each check whose status moved, as `check: old → new`:
@@ -139,15 +142,20 @@ from torseform import (builtin_names, builtin_scene, exit_code, load_scene,
 from torseform.scenes import with_seed
 points, seeds = int(sys.argv[1]), [int(s) for s in sys.argv[2:]]
 
-def record(load):
+def record(load, checks=None):
     try:
-        report = run(load(), points=points)
+        report = run(load(), checks, points=points)
     except Exception as err:
         return ["raised", type(err).__name__, str(err)]
     return [exit_code(report), report_to_json(report), render_report(report)]
 
-out = {f"{name}-s{seed}": record(lambda: with_seed(builtin_scene(name), seed))
-       for name in builtin_names() for seed in seeds}
+out = {}
+for name in builtin_names():
+    for seed in seeds:
+        load = lambda: with_seed(builtin_scene(name), seed)
+        out[f"{name}-s{seed}"] = record(load)
+        for check in builtin_scene(name).checks:
+            out[f"single:{name}-s{seed}:{check}"] = record(load, [check])
 for doc in json.load(sys.stdin):
     out[f"failure:{doc['name']}"] = record(lambda: load_scene(doc))
 print(json.dumps(out))
@@ -155,8 +163,9 @@ print(json.dumps(out))
 
 
 def reports(checkout: Path) -> dict:
-    """{"<scene>-s<seed>" or "failure:<scene>": [exit code, JSON report,
-    table] or ["raised", exception type, message]} computed by `checkout`."""
+    """{"<scene>-s<seed>", "single:<scene>-s<seed>:<check>" or
+    "failure:<scene>": [exit code, JSON report, table] or ["raised",
+    exception type, message]} computed by `checkout`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", CHILD, str(POINTS), *map(str, SEEDS)],
                           input=json.dumps(FAILURE_SCENES), capture_output=True,
@@ -228,6 +237,15 @@ def status_moves(mine, theirs) -> list:
             for name in dict.fromkeys([*old, *new]) if old.get(name) != new.get(name)]
 
 
+#: (name, key prefix) of each group of reports
+GROUPS = (("built-in", ""), ("one-check-at-a-time", "single:"), ("failure-path", "failure:"))
+
+
+def _group(key: str) -> str:
+    """The key prefix of the group that holds `key`."""
+    return next((prefix for _, prefix in GROUPS if prefix and key.startswith(prefix)), "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="checkout to compare against")
@@ -243,10 +261,10 @@ def main(argv=None) -> int:
             print(f"  {how_it_differs(mine.get(key), theirs.get(key))}")
             for check, old, new in status_moves(mine.get(key), theirs.get(key)):
                 print(f"  {check}: {old} → {new}")
-    for group, failure in (("built-in", False), ("failure-path", True)):
-        group_keys = [key for key in keys if key.startswith("failure:") == failure]
+    for group, prefix in GROUPS:
+        group_keys = [key for key in keys if _group(key) == prefix]
         same = sum(key not in differing for key in group_keys)
-        seeds = "each scene's seed" if failure else f"seeds {SEEDS}"
+        seeds = "each scene's seed" if prefix == "failure:" else f"seeds {SEEDS}"
         moves = [(old, new) for key in group_keys
                  for _, old, new in status_moves(mine.get(key), theirs.get(key))]
         print(f"{same} of {len(group_keys)} {group} reports byte-identical "

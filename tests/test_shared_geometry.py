@@ -6,13 +6,21 @@ rebuilds geometry instead of reading the shared copy shows up as extra calls.
 
 import functools
 import importlib
+import json
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import torseform.immersion as immersion_mod
 import torseform.metric as metric_mod
 import torseform.runner as runner_mod
-from torseform import builtin_scene, run
+from compare_reports import FAILURE_SCENES
+from torseform import (VectorField, builtin_names, builtin_scene, load_scene, report_to_json,
+                       run)
+from torseform.errors import GeometryError
+from torseform.scenes import with_seed
 
 # the package attribute `torseform.classify` is the function, not the module
 classify_mod = importlib.import_module("torseform.classify")
@@ -141,8 +149,8 @@ def test_rectifying_does_not_pay_for_unread_geometry(monkeypatch):
 
 def test_warp_fit_reads_the_shared_packet(monkeypatch):
     # rectifying, warp-fit and gauss-equation read one packet: frames once,
-    # and the field once at order 0 and once at order 1 (the fit warp-fit
-    # reads), each at every sampled point and nowhere else
+    # and the field once, at order 1 (the split and the fit warp-fit reads),
+    # at every sampled point and nowhere else
     sampled = sampled_parameters(monkeypatch)
     frames = record_points(monkeypatch, (runner_mod, immersion_mod), "frames", at=2)
     field_at = record_orders(monkeypatch, metric_mod.VectorField)
@@ -150,4 +158,171 @@ def test_warp_fit_reads_the_shared_packet(monkeypatch):
     assert [c.name for c in report.checks] == ["gauss-equation", "rectifying", "warp-fit"]
     assert all(c.status == "pass" for c in report.checks)
     assert np.array_equal(np.concatenate(frames), sampled)
-    assert sorted(field_at) == [(0, N), (1, N)]
+    assert field_at == [(1, N)]
+
+
+def record_jet_orders(monkeypatch) -> list:
+    """Patch Immersion.jets to record (order, points) of each call above
+    order 0, which the parameter sampler's admissibility test makes."""
+    calls = []
+    original = immersion_mod.Immersion.jets
+
+    @functools.wraps(original)
+    def recorded(self, u, order):
+        if order > 0:
+            calls.append((order, len(np.atleast_2d(u))))
+        return original(self, u, order)
+
+    monkeypatch.setattr(immersion_mod.Immersion, "jets", recorded)
+    return calls
+
+
+def test_psi_is_read_to_the_order_the_checks_need(monkeypatch):
+    # rectifying and warp-fit read frames and ∇̃V, never the induced metric:
+    # Ψ is read once, to order 2; gauss-equation reads the induced metric,
+    # and Ψ is read once, to order 3
+    psi = record_jet_orders(monkeypatch)
+    report = run(builtin_scene("rectifying-psi"), ["rectifying", "warp-fit"], points=N)
+    assert all(c.status == "pass" for c in report.checks)
+    assert psi == [(2, N)]
+    psi.clear()
+    report = run(builtin_scene("rectifying-psi"), ["gauss-equation"], points=N)
+    assert report.checks[0].status == "pass"
+    assert psi == [(3, N)]
+
+
+def test_a_tangent_axis_reads_psi_to_order_3_on_first_use(monkeypatch):
+    # rectifying alone on the cone reads Ψ to order 2; its axis is tangent,
+    # so it judges the normal-axis terms, whose induced metric reads Ψ to
+    # order 3 then, and gives the entry of a run that read order 3 at once
+    psi = record_jet_orders(monkeypatch)
+    alone = run(builtin_scene("cone"), ["rectifying"], points=N)
+    assert psi == [(2, N), (3, N)]
+    assert alone.checks[0].details["mode"] == "tangent-axis-hypersurface"
+    psi.clear()
+    eager = run(builtin_scene("cone"), ["rectifying", "gauss-equation"], points=N)
+    assert psi == [(3, N)]
+    entries = [json.loads(report_to_json(r))["checks"] for r in (alone, eager)]
+    assert entries[0][0]["name"] == "rectifying"
+    assert json.dumps(entries[0][0]) == json.dumps(entries[1][1])
+
+
+def test_a_failing_1_jet_fails_only_the_checks_that_read_it():
+    # on the plane x1 = 0, sqrt(x1) has a value and no derivative: the
+    # packet splits V on an order-0 read, so rectifying judges as it does
+    # alone, and tangential-theorem, which reads ∇̃V, is the 1-jet's error
+    doc = {"name": "sqrt-at-0", "field": ["1+sqrt(x1)", "0", "0"],
+           "ambient": {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                       "domain": [[-1, 1]] * 3},
+           "submanifold": {"dim": 2, "domain": [[-1, 1], [-1, 1]],
+                           "immersion": ["0*u1", "u1", "u2"]},
+           "checks": ["rectifying", "tangential-theorem"]}
+    scene = load_scene(doc)
+    both = json.loads(report_to_json(run(scene, points=N)))["checks"]
+    alone = json.loads(report_to_json(run(scene, ["rectifying"], points=N)))["checks"]
+    assert [c["name"] for c in both] == ["tangential-theorem", "rectifying"]
+    assert both[0]["status"] == "error"
+    assert both[0]["details"]["error"] == "DomainEvalError"
+    assert alone[0]["status"] == "fail"
+    assert json.dumps(both[1]) == json.dumps(alone[0])
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_check_run_alone_reports_as_in_the_full_run(name, seed):
+    # what a run reads depends on the checks asked for: each check alone
+    # gives its entry of the full run byte for byte, and the classification
+    # block where it reads one
+    scene = with_seed(builtin_scene(name), seed)
+    full = json.loads(report_to_json(run(scene, points=50)))
+    entries = {c["name"]: json.dumps(c) for c in full["checks"]}
+    for check in scene.checks:
+        alone = json.loads(report_to_json(run(scene, [check], points=50)))
+        assert [json.dumps(c) for c in alone["checks"]] == [entries[check]]
+        assert alone["classification"] in (None, full["classification"])
+        if check == "classify":
+            assert alone["classification"] == full["classification"]
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """Patch owner.name to count its calls, one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def recorded(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_a_classification_that_raises_is_made_once(monkeypatch):
+    # the class residual |w + f v| of 1e150·x overflows; both checks are
+    # errors from the one classification the run made
+    doc = next(d for d in FAILURE_SCENES if d["name"] == "overflowing-class-residual")
+    made = counted(monkeypatch, runner_mod, "classify_field")
+    report = run(load_scene(dict(doc, checks=["classify", "geodesic-unit"])), points=N)
+    assert len(made) == 1
+    assert [c.status for c in report.checks] == ["error", "error"]
+    assert report.checks[0].details == report.checks[1].details
+    assert report.classification is None
+
+
+def test_a_packet_that_raises_is_made_once(monkeypatch):
+    # Ψ = (u1, u1, 0) loses rank everywhere; the three checks are errors
+    # from the one packet the run built
+    doc = {"name": "rank-1", "field": ["0", "0", "1"],
+           "ambient": {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+                       "domain": [[-3, 3]] * 3},
+           "submanifold": {"dim": 2, "domain": [[0, 1], [0, 1]], "immersion": ["u1", "u1", "0"]},
+           "checks": ["rectifying", "normal-theorem", "gauss-equation"]}
+    built = counted(monkeypatch, runner_mod, "frames")
+    report = run(load_scene(doc), points=N)
+    assert len(built) == 1
+    assert [c.status for c in report.checks] == ["error"] * 3
+    assert {c.details["error"] for c in report.checks} == {"RankDeficiencyError"}
+
+
+_leaves = st.one_of(st.sampled_from(["x1", "x2", "x3"]),
+                    st.floats(0.0, 10.0).map(lambda v: f"{v!r}"))
+_fields = st.recursive(_leaves, lambda kids: st.one_of(
+    st.tuples(kids, st.sampled_from("+-*/^"), kids).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+    st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "atan", "tanh"]), kids)
+    .map(lambda t: f"{t[0]}({t[1]})")), max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(_fields, min_size=3, max_size=3), st.integers(2, 50), st.integers(0, 2**32 - 1))
+@example(["x1^x2", "x2^x3", "x3"], 2, 0)
+@example(["x1^x2", "x2^x3", "x3"], 50, 1)
+def test_a_batch_reads_the_field_alike_at_order_0_and_1(components, count, seed):
+    # the packet splits V on its order-1 read where a check reads ∇̃V, and on
+    # its order-0 read otherwise: over N >= 2 points both give the same bits,
+    # a varying exponent included (both take exp(log) for it), but for an
+    # exponent flat in value over the batch (the case below)
+    try:
+        field = VectorField(components)
+        points = np.random.default_rng(seed).uniform(0.5, 2.0, (count, 3))
+        value = field.at(points, 0).components
+    except (ValueError, GeometryError):
+        return                  # a domain error at a sample point, or a bad parse
+    assert field.at(points, 1).components.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("field, points", [
+    # at one point an exponent's values agree, so order 0 takes the pow row,
+    # while its 1-jet varies, so order 1 takes exp(log)
+    (["x1^x2", "x2"], [[1.23, 1.97]]),
+    # an exponent that is flat in value over the batch but not in its jet
+    (["x1^atan(1e20*x2)", "x2"], [[0.6, 0.9], [1.7, 1.4]]),
+])
+def test_order_0_and_1_can_differ_where_an_exponent_is_flat(field, points):
+    # expr._apply judges an exponent constant from its values at order 0 and
+    # from its jet above, so the two reads differ in the last bit here
+    field = VectorField(field)
+    value = field.at(np.array(points), 0).components[..., 0]
+    jet_value = field.at(np.array(points), 1).components[..., 0]
+    assert np.all(abs(value - jet_value) <= 4e-16 * abs(value))
+    assert value.tobytes() != jet_value.tobytes()
