@@ -66,7 +66,7 @@ class FramePacket:
     sample: then every array below has a leading batch axis (u (N, n),
     tangents (N, n, m), ...) and every float is an (N,) array.
 
-    ambient               order-1 ambient metric at x = Ψ(u)
+    ambient               ambient metric at x = Ψ(u), of order 1 or 2
     psi                   Ψ's jets at u, to orders[0] (2 or 3)
     tangents[i]           orthonormal tangent frame e_i (ambient components)
     tangent_coeffs[i, k]  e_i = Σ_k B[i, k] ∂Ψ/∂uᵏ
@@ -81,8 +81,9 @@ class FramePacket:
     ambient2, field_jet, induced, dcoord, fit, a_vperp and dv_frame are
     computed on first use, once for the whole sample, and kept: checks that
     read them share one copy, the others do not pay for them.  field_jet is
-    V's read in `frames` where that was of order 1, and induced reads Ψ's
-    3-jets where those were not read.
+    V's read in `frames` where that was of order 1, ambient2 is `ambient`
+    where that was of order 2, and induced reads Ψ's 3-jets where those
+    were not read.
     """
 
     u: np.ndarray
@@ -173,8 +174,11 @@ class FramePacket:
 
 def _jacobian(psi, u, tols: Tolerances) -> np.ndarray:
     """J[a, i] = ∂Ψ^a/∂uⁱ from Ψ's jets (at each point of a batch); raises
-    RankDeficiencyError where J loses rank."""
+    RankDeficiencyError where J loses rank, σₙ <= rank_tol·σ₁.  The SVD that
+    judges this runs only where _full_rank cannot certify every point."""
     jac = _batch_first(np.array([p.d[1] for p in psi]), 2)
+    if _full_rank(jac, tols.rank_tol):
+        return jac
     sv = np.linalg.svd(jac, compute_uv=False)
     bad = sv[..., -1] <= tols.rank_tol * sv[..., 0]
     if np.any(bad):
@@ -182,6 +186,18 @@ def _jacobian(psi, u, tols: Tolerances) -> np.ndarray:
             f"immersion is degenerate at u={first_where(bad, np.asarray(u)).tolist()}: "
             f"singular values {first_where(bad, sv).tolist()}")
     return jac
+
+
+def _full_rank(jac, rank_tol: float) -> bool:
+    """Whether σₙ > rank_tol·σ₁ certainly holds for J at every point, from
+    K = JᵀJ: σₙ²/σ₁² >= det K / (tr K)ⁿ, and the bound's factor 4, its floor
+    1e-8 and the smallest normal float leave room for the rounding of det K
+    and tr K.  NaN, inf and underflow certify nothing."""
+    with ex.quiet():
+        K = np.swapaxes(jac, -1, -2) @ jac
+        trace_n = np.trace(K, axis1=-2, axis2=-1) ** K.shape[-1]
+        bound = np.maximum(max(1e-8, 4.0 * rank_tol * rank_tol) * trace_n, np.finfo(float).tiny)
+        return bool(np.all(np.linalg.det(K) > bound))
 
 
 def induced_metric(imm: Immersion, metric: MetricField, u,
@@ -194,9 +210,10 @@ def induced_metric(imm: Immersion, metric: MetricField, u,
 
 
 def pull_back_metric(psi, metric: MetricField, u, tols: Tolerances) -> MetricAtPoint:
-    """The induced metric at u from Ψ's 3-jets there."""
+    """The induced metric at u from Ψ's 3-jets there; the metric's literal
+    entries stay floats (jet_inner)."""
     env = {name: psi[a].truncate(2) for a, name in enumerate(metric.var_names)}
-    gj = metric.entry_jets(env)
+    gj = metric.literal_entries(env)
     dpsi = [[p.derivative_jet(i) for p in psi] for i in range(psi[0].nvars)]   # ∂Ψ/∂uⁱ
     pulled = [[jet_inner(gj, dpsi[i], dpsi[j]) for j in range(i + 1)]
               for i in range(len(dpsi))]
@@ -210,9 +227,11 @@ def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = N
 
     Ψ's and V's tapes are each read once, to `orders`: Ψ's to 2 or 3 (3
     holds the jets the induced metric reads), V's to 0 or 1 (1 holds ∇̃V).
-    An order-1 read of V that fails where its value does not (sqrt at 0)
-    leaves the split on an order-0 read, and field_jet raises the 1-jet's
-    error.
+    The metric is read once, to order 2 (ambient2, for curvature) where Ψ's
+    is read to 3, else to order 1.  A read of V or of the metric that fails
+    at the higher order where it does not at the lower (sqrt at 0) leaves
+    the packet on the lower read, and field_jet or ambient2 raises the
+    higher read's error.
 
     The tangent frame Gram-Schmidts the coordinate tangents in index order;
     the normal frame is the complement a complete QR gives in the ambient
@@ -230,7 +249,12 @@ def _frames(imm, metric, u, field, tols, orders) -> FramePacket:
     psi = imm.jets(u, orders[0])
     x = _batch_first(np.array([p.d[0] for p in psi]), 1)
     jac = _jacobian(psi, u, tols)
-    mp = metric.at(x, order=1)
+    try:        # to order 2, the ambient's curvature, where the induced metric's is read
+        mp = metric.at(x, order=2 if orders[0] >= 3 else 1)
+    except DomainEvalError:
+        if orders[0] < 3:
+            raise
+        mp = metric.at(x, order=1)
     G = mp.g
     g_coord = np.swapaxes(jac, -1, -2) @ G @ jac
 
@@ -249,7 +273,10 @@ def _frames(imm, metric, u, field, tols, orders) -> FramePacket:
     # second fundamental tensor in coordinates:
     #   S[a, i, j] = ∂²Ψᵃ/∂uⁱ∂uʲ + Γ̃ᵃ(∂ᵢΨ, ∂ⱼΨ), then h(∂ᵢ,∂ⱼ) = S_ij^⊥
     hess = _batch_first(np.array([p.d[2] for p in psi]), 3)     # hess[a, i, j]
-    S = hess + np.swapaxes(jac, -1, -2)[..., None, :, :] @ mp.gamma @ jac[..., None, :, :]
+    if mp.flat:     # Γ̃ = 0; laid out and signed as the sum below, so products round alike
+        S = np.add(hess, 0.0, order="C")
+    else:
+        S = hess + np.swapaxes(jac, -1, -2)[..., None, :, :] @ mp.gamma @ jac[..., None, :, :]
     hn = _contract(normals @ G, S)                               # hn[q, i, j] = g̃(S_ij, ξ_q)
     h_coord = np.moveaxis(_contract(np.swapaxes(normals, -1, -2), hn), -3, -1)
     h_frame = B[..., None, :, :] @ hn @ np.swapaxes(B, -1, -2)[..., None, :, :]
@@ -258,20 +285,21 @@ def _frames(imm, metric, u, field, tols, orders) -> FramePacket:
                          tangents=tangents, tangent_coeffs=B, normals=normals,
                          h_frame=h_frame, h_coord=h_coord, immersion=imm,
                          metric=metric, psi=psi, field=field, tols=tols, orders=orders)
-    if field is None:
-        return packet
-    try:
-        read = field.at(x, order=orders[1])
-    except DomainEvalError:
-        if orders[1] == 0:
-            raise
-        read = field.at(x, order=0)
-    split = decompose_field(packet, read.components)
-    packet = replace(packet, v_tan=split.v_tan, v_nor=split.v_nor,
-                     v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm,
-                     v_tan_frame=split.tan_coeffs, v_nor_frame=split.nor_coeffs)
-    if read.jacobian is not None:
-        vars(packet)["field_jet"] = read        # field_jet is this read
+    if field is not None:
+        try:
+            read = field.at(x, order=orders[1])
+        except DomainEvalError:
+            if orders[1] == 0:
+                raise
+            read = field.at(x, order=0)
+        split = decompose_field(packet, read.components)
+        packet = replace(packet, v_tan=split.v_tan, v_nor=split.v_nor,
+                         v_tan_norm=split.tan_norm, v_nor_norm=split.nor_norm,
+                         v_tan_frame=split.tan_coeffs, v_nor_frame=split.nor_coeffs)
+        if read.jacobian is not None:
+            vars(packet)["field_jet"] = read    # field_jet is this read
+    if mp.d2g is not None:
+        vars(packet)["ambient2"] = mp           # ambient2 is this read
     return packet
 
 

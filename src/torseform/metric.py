@@ -4,7 +4,9 @@ All quantities are evaluated pointwise from metric jets, at one point or at
 each point of a sample: the data of a sample of N points carries a leading
 batch axis (g of shape (N, m, m), and so on) and every formula below is
 written over it: Γ, ∂Γ, R and R(X,Y)Z as stacked matrix products, index
-permutations with `...` einsums.  A constant metric holds Γ = 0 and R = 0.
+permutations with `...` einsums.  A constant metric holds Γ = 0 and R = 0,
+and its data says so (`MetricAtPoint.flat`): R(X,Y)Z is then zeros and ∇V
+is ∂V, with no product of the zeros computed.
 
     Γᵏᵢⱼ   = ½ gᵏˡ (∂ᵢ g_lj + ∂ⱼ g_li − ∂ˡ g_ij)
     Rˡ_kij = ∂ᵢ Γˡⱼₖ − ∂ⱼ Γˡᵢₖ + Γˡᵢₐ Γᵃⱼₖ − Γˡⱼₐ Γᵃᵢₖ
@@ -54,6 +56,7 @@ class MetricAtPoint:
 
     dg[a, i, j]     = ∂_a g_ij          (present when order >= 1)
     d2g[a, b, i, j] = ∂_a ∂_b g_ij      (present when order >= 2)
+    flat            g is constant, so Γ = 0 and R = 0 (MetricField.at)
     """
 
     point: np.ndarray
@@ -61,6 +64,7 @@ class MetricAtPoint:
     dg: np.ndarray | None = None
     d2g: np.ndarray | None = None
     spd_tol: float = DEFAULT.spd_tol
+    flat: bool = False
 
     @classmethod
     def from_jets(cls, point, jets, order: int, spd_tol: float) -> "MetricAtPoint":
@@ -183,6 +187,20 @@ class MetricField:
         values = eval_jet_env(self.tape, env)
         return [[values[k] for k in row] for row in _symmetric_index(self.dim)]
 
+    def literal_entries(self, env) -> list:
+        """The entries as entry_jets gives them, but a literal entry stays a
+        float; a constant metric's are its held g, and no tape runs."""
+        if self.constant:
+            return self._hold().g.tolist()
+        values = self.tape.run(env)
+        return [[values[k] for k in row] for row in _symmetric_index(self.dim)]
+
+    def _hold(self) -> MetricAtPoint:
+        """A constant metric's data at a point, walked and checked once."""
+        if self._held is None:
+            self._held = self._walk(np.zeros(self.dim), 0)
+        return self._held
+
     def at(self, point: Sequence[float], order: int = 2) -> MetricAtPoint:
         """Evaluate the metric and its derivatives to the requested order at
         a point, or at each row of an (N, m) array of points with one run of
@@ -190,14 +208,12 @@ class MetricField:
 
         A constant metric is walked and checked once, by the first call that
         succeeds; later calls return its g, Cholesky factor and coframe at
-        every point, with zero derivatives, Γ and curvature."""
+        every point, with zero derivatives, Γ and curvature, marked flat."""
         if not self.constant:
             return self._walk(point, order)
         point = chart_points(point, self.dim)
-        if self._held is None:
-            self._held = self._walk(np.zeros(self.dim), 0)
-        batch, m = point.shape[:-1], self.dim
-        g, factor, coframe = self._held.g, self._held.factor, self._held.coframe
+        held, batch, m = self._hold(), point.shape[:-1], self.dim
+        g, factor, coframe = held.g, held.factor, held.coframe
         if batch:
             # a walk leaves the batch axis last in memory; so does this g,
             # so that products with it round alike
@@ -206,7 +222,8 @@ class MetricField:
         else:
             g, factor, coframe = g.copy(), factor.copy(), coframe.copy()
         dg, d2g = (np.zeros(batch + (m,) * (k + 2)) if order >= k else None for k in (1, 2))
-        mp = MetricAtPoint(point=point, g=g, dg=dg, d2g=d2g, spd_tol=self.spd_tol)
+        mp = MetricAtPoint(point=point, g=g, dg=dg, d2g=d2g, spd_tol=self.spd_tol,
+                           flat=True)
         # Γ and R of a constant metric vanish like its derivatives, and share their zeros
         data = dict(factor=factor, coframe=coframe, gamma=dg, curvature=d2g)
         vars(mp).update((k, v) for k, v in data.items() if v is not None)
@@ -220,13 +237,16 @@ class MetricField:
 def jet_inner(gjets, a, b) -> Jet:
     """Σ_ij g_ij a^i b^j over jets, summed in index order.  Entries that are
     the constant 0 add nothing and are skipped: most entries of a diagonal
-    metric, whose products would otherwise dominate the induced metric."""
+    metric, whose products would otherwise dominate the induced metric.  An
+    entry may be a float, a literal (MetricField.literal_entries): 1
+    multiplies nothing and another value scales the product, so that no
+    constant goes through a Leibniz product."""
     acc = None
     for i, row in enumerate(gjets):
         for j, gij in enumerate(row):
-            if gij.is_zero():
+            if gij == 0.0 if isinstance(gij, float) else gij.is_zero():
                 continue
-            term = gij * a[i] * b[j]
+            term = a[i] * b[j] if gij == 1.0 else gij * a[i] * b[j]
             acc = term if acc is None else acc + term
     return acc if acc is not None else gjets[0][0] * a[0] * b[0]
 
@@ -302,8 +322,10 @@ def riemann_components(mp: MetricAtPoint) -> np.ndarray:
 
 
 def riemann(mp: MetricAtPoint, X, Y, Z) -> np.ndarray:
-    """R(X, Y)Z at the point (or points)."""
+    """R(X, Y)Z at the point (or points); zeros where the metric is flat."""
     X, Y, Z = (np.asarray(a, float) for a in (X, Y, Z))
+    if mp.flat:
+        return np.zeros(np.broadcast_shapes(X.shape, Y.shape, Z.shape, mp.g.shape[:-1]))
     zxy = Z[..., :, None, None] * X[..., None, :, None] * Y[..., None, None, :]
     R = mp.curvature                    # one (m, m³) @ (m³,) product at each point
     return mv(R.reshape(R.shape[:-3] + (-1,)), zxy.reshape(zxy.shape[:-3] + (-1,)))
@@ -337,9 +359,12 @@ def sectional_curvature(mp: MetricAtPoint, u, v,
 
 
 def covariant_jacobian(mp: MetricAtPoint, field: VectorAtPoint) -> np.ndarray:
-    """D[j, k] = (∇_{∂_j} V)^k = ∂_j V^k + Γᵏⱼᵦ V^b at the point (or points)."""
+    """D[j, k] = (∇_{∂_j} V)^k = ∂_j V^k + Γᵏⱼᵦ V^b at the point (or points);
+    ∂_j V^k where the metric is flat."""
     if field.jacobian is None:
         raise PreconditionError("covariant derivative needs the field jacobian")
+    if mp.flat:     # laid out and signed as the sum below, so that products round alike
+        return np.swapaxes(np.ascontiguousarray(field.jacobian), -1, -2) + 0.0
     return (np.swapaxes(field.jacobian, -1, -2)
             + np.einsum("...kjb,...b->...jk", mp.gamma, field.components))
 

@@ -347,7 +347,7 @@ def _rejection_sample(box, count, rng, admissible):
             keep = admissible(block)
         except GeometryError:
             keep = [single(x) for x in block]
-        out.extend(x for x, kept in zip(block, keep) if kept)
+        out.extend(block[np.asarray(keep, dtype=bool)])
     return out
 
 

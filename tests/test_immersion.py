@@ -5,14 +5,26 @@ constant-curvature formula h(X, Y) = −g(X, Y) N/r on round spheres, and the
 shape operator of the Clifford torus worked out by hand.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import radial_unit_field
 from torseform import (Immersion, decompose_field, frames,
-                       gauss_equation_residual, induced_metric, riemann,
-                       shape_operator)
+                       gauss_equation_residual, induced_metric, load_scene, report_to_json,
+                       riemann, run, shape_operator)
+from torseform.config import Tolerances
 from torseform.errors import NonNormalVectorError, RankDeficiencyError
+from torseform.expr import quiet
+from torseform.immersion import _full_rank, _jacobian
+from torseform.jets import Jet
+from torseform.linalg import first_where
+from torseform.metric import _batch_first
+from torseform.scenes import BUILTIN_DOCUMENTS
 
 #: three parameter points of a sphere, for packets with a batch axis
 SPHERE_US = np.array([[0.9, 0.6], [1.2, 2.0], [2.0, 4.5]])
@@ -330,3 +342,112 @@ class TestGaussEquation:
                 u = rng.uniform(-1.5, 1.5, size=imm.n)
                 pk = frames(imm, metric, u)
                 assert np.max(np.abs(pk.h_frame)) <= 1e-9
+
+
+def psi_with(jac) -> list:
+    """Ψ's order-1 jets over a batch whose Jacobians are jac, (N, m, n)."""
+    N, m, n = jac.shape
+    return [Jet(1, n, [np.zeros(N), np.ascontiguousarray(jac[:, a, :].T)]) for a in range(m)]
+
+
+def svd_rule(psi, u, tols):
+    """_jacobian as the SVD alone judges it, at every point: the rule that
+    the screen may skip but never changes."""
+    jac = _batch_first(np.array([p.d[1] for p in psi]), 2)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    bad = sv[..., -1] <= tols.rank_tol * sv[..., 0]
+    if np.any(bad):
+        raise RankDeficiencyError(
+            f"immersion is degenerate at u={first_where(bad, np.asarray(u)).tolist()}: "
+            f"singular values {first_where(bad, sv).tolist()}")
+    return jac
+
+
+def outcome(judge, jac, rank_tol):
+    """What judge(ψ, u, tols) gives: the Jacobian's bytes or the exception."""
+    u = np.arange(2.0 * len(jac)).reshape(-1, 2)
+    with quiet():
+        try:
+            return "ok", judge(psi_with(jac), u, Tolerances(rank_tol=rank_tol)).tobytes()
+        except Exception as err:        # the SVD's own LinAlgError included
+            return type(err).__name__, str(err)
+
+
+def count_svds(monkeypatch) -> list:
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+_points = st.lists(st.tuples(st.booleans(), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=5)
+
+
+class TestRankScreen:
+    """_jacobian skips its SVD where det K > max(1e-8, 4·rank_tol²)·(tr K)ⁿ,
+    K = JᵀJ, holds at every point; it must raise, with the same message,
+    exactly where the SVD rule σₙ <= rank_tol·σ₁ does."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(n=st.integers(1, 3), extra=st.integers(1, 2), points=_points,
+           rank_tol=st.sampled_from([1e-10, 1e-6, 1e-3, 0.05, 0.3]),
+           scale=st.sampled_from([1e-150, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e150]),
+           spoil=st.sampled_from([None, "nan", "inf", "-inf", "zero"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_screen_raises_exactly_where_the_svd_rule_does(self, n, extra, points,
+                                                               rank_tol, scale, spoil, seed):
+        # σ₁ = 1 and σₙ/σ₁ = rank_tol·10^d (near) or 10^((d − 1)/2) at each point
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        jac = []
+        for near, d, size in points:
+            ratio = min(rank_tol * 10.0 ** d if near else 10.0 ** ((d - 1.0) / 2.0), 1.0)
+            middle = np.sort(rng.uniform(ratio, 1.0, max(n - 2, 0)))[::-1]
+            sigma = np.concatenate(([1.0], middle, [ratio]))[:n]
+            U = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :n]
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            jac.append(scale * 10.0 ** size * (U * sigma) @ V.T)
+        jac = np.array(jac)
+        if spoil is not None:
+            at, row = rng.integers(len(jac)), rng.integers(m)
+            jac[at, row] = 0.0 if spoil == "zero" else float(spoil)
+        assert outcome(_jacobian, jac, rank_tol) == outcome(svd_rule, jac, rank_tol)
+
+    def test_a_well_conditioned_batch_runs_no_svd(self, monkeypatch):
+        svds = count_svds(monkeypatch)
+        jac = np.random.default_rng(1).standard_normal((50, 4, 3))
+        assert outcome(_jacobian, jac, 1e-10) == outcome(svd_rule, jac, 1e-10)
+        assert len(svds) == 1       # the rule's, not the screen's
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("spoil", [None, np.nan, np.inf])
+    def test_what_the_screen_cannot_certify_goes_to_the_svd(self, monkeypatch, scale, spoil):
+        # det K and (tr K)ⁿ underflow or overflow, or a point is not finite
+        jac = np.random.default_rng(2).standard_normal((6, 3, 2))
+        jac[3, 1] = jac[3, 1] if spoil is None else spoil
+        jac *= scale
+        with quiet():
+            assert not _full_rank(jac, 1e-10)
+        svds = count_svds(monkeypatch)
+        assert outcome(_jacobian, jac, 1e-10) == outcome(svd_rule, jac, 1e-10)
+        assert len(svds) == 2
+
+    def test_a_scene_rank_tol_reaches_the_svd_rule(self, monkeypatch):
+        # the cone's σ₂/σ₁ is min(u1, √2)/max(u1, √2) >= 0.35 on u1 in
+        # [0.5, 2]: rank_tol 0.5 refuses the points with u1 < 0.71, and 0.3
+        # refuses none, though the screen certifies no point under it
+        # (det K/(tr K)² <= 1/4 < 4·0.3²), so the SVD judges every point
+        svds = count_svds(monkeypatch)
+        doc = BUILTIN_DOCUMENTS["cone"]
+        default = json.loads(report_to_json(run(load_scene(doc), points=50)))
+        assert svds == []
+        loose = load_scene(dict(doc, tolerances={"rank_tol": 0.3}))
+        assert json.loads(report_to_json(run(loose, points=50)))["checks"] == default["checks"]
+        assert len(svds) == 1
+        strict = run(load_scene(dict(doc, tolerances={"rank_tol": 0.5})), points=50)
+        assert [c.status for c in strict.checks] == ["error", "error"]
+        details = strict.checks[0].details
+        assert details["error"] == "RankDeficiencyError"
+        sv = re.fullmatch(r"immersion is degenerate at u=\[(.*), .*\]: "
+                          r"singular values \[(.*), (.*)\]", details["message"])
+        assert float(sv[1]) < 1 / np.sqrt(2) and float(sv[3]) <= 0.5 * float(sv[2])

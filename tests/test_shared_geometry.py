@@ -161,6 +161,48 @@ def test_warp_fit_reads_the_shared_packet(monkeypatch):
     assert field_at == [(1, N)]
 
 
+def test_a_curved_ambient_is_read_once_to_order_2(monkeypatch):
+    # gauss-equation reads the ambient's curvature: frames reads the metric
+    # once, to order 2, and that read is the packet's ambient2
+    doc = next(d for d in FAILURE_SCENES if d["name"] == "hemisphere")
+    metric_at = record_orders(monkeypatch, metric_mod.MetricField)
+    report = run(load_scene(dict(doc, checks=["rectifying", "gauss-equation"])), points=50)
+    assert [c.status for c in report.checks] == ["pass", "pass"]
+    assert metric_at == [(2, 50)]
+
+
+def test_a_failing_order_2_metric_fails_only_the_checks_that_read_it(monkeypatch):
+    # on the plane x1 = 1e-103, 1/x1 has a value and a first derivative but
+    # its second overflows: the packet is built on an order-1 read of the
+    # metric, so rectifying and tangential-theorem judge as they do alone,
+    # and gauss-equation, which reads 2-jets of the metric, is their error
+    doc = {"name": "steep", "field": ["1", "0", "0"],
+           "ambient": {"dim": 3, "metric": [["1+1e-250/x1"], ["0", "1"], ["0", "0", "1"]],
+                       "domain": [[-1, 1]] * 3},
+           "submanifold": {"dim": 2, "domain": [[-1, 1], [-1, 1]],
+                           "immersion": ["1e-103+0*u1", "u1", "u2"]},
+           "checks": ["rectifying", "tangential-theorem", "gauss-equation"]}
+    scene = load_scene(doc)
+    metric_at = record_orders(monkeypatch, metric_mod.MetricField)
+    both = json.loads(report_to_json(run(scene, points=N)))["checks"]
+    assert metric_at[:2] == [(2, N), (1, N)]
+    with pytest.raises(GeometryError) as order2:
+        scene.metric.at(np.full((1, 3), 1e-103), order=2)
+    assert [c["name"] for c in both] == ["tangential-theorem", "gauss-equation", "rectifying"]
+    assert both[1]["status"] == "error"
+    assert both[1]["details"] == {"error": "DomainEvalError", "message": str(order2.value)}
+    for entry in (both[0], both[2]):
+        alone = json.loads(report_to_json(run(scene, [entry["name"]], points=N)))["checks"]
+        assert json.dumps(alone[0]) == json.dumps(entry)
+    # the packet's ambient2 raises the order-2 read's error on first use
+    us = np.random.default_rng(0).uniform(-1, 1, (N, 2))
+    packet = immersion_mod.frames(scene.immersion, scene.metric, us, tols=scene.tolerances)
+    assert packet.ambient.d2g is None and packet.ambient.dg is not None
+    with pytest.raises(GeometryError) as read:
+        packet.ambient2
+    assert type(read.value) is type(order2.value) and str(read.value) == str(order2.value)
+
+
 def record_jet_orders(monkeypatch) -> list:
     """Patch Immersion.jets to record (order, points) of each call above
     order 0, which the parameter sampler's admissibility test makes."""
