@@ -3,10 +3,11 @@
 Given an immersion Ψ: U ⊂ ℝⁿ → (ℝᵐ, g̃) the module computes, at a parameter
 point u:
 
-  - the induced metric g_ij = g̃(∂Ψ/∂uⁱ, ∂Ψ/∂uʲ) with its 2-jets (so the
-    intrinsic curvature of the submanifold is available),
   - an orthonormal tangent frame by Gram-Schmidt of the coordinate tangents
     and the normal frame that completes it by one complete QR,
+  - the induced metric g_ij = g̃(∂Ψ/∂uⁱ, ∂Ψ/∂uʲ), which that Gram-Schmidt
+    factors, with 2-jets by the chain rule from Ψ's 3-jets and g̃'s 2-jets
+    (so the intrinsic curvature of the submanifold is available),
   - the second fundamental form h(X, Y) = (∇̃_X Y)^⊥ and shape operators A_ξ
     with g(A_ξ X, Y) = g̃(h(X, Y), ξ),
   - tangential/normal decomposition of an attached ambient field, and the
@@ -33,9 +34,9 @@ from .errors import (DomainEvalError, NonNormalVectorError, PreconditionError,
                      RankDeficiencyError, replay)
 from .jets import chart_names, eval_jet_env, jet_variables
 from .linalg import (cholesky_pivots, first_where, frame_collapses, item, lower_inverse,
-                     mv, norm, orthonormalize)
+                     mv, norm, orthonormalize, refuse_pivots)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
-                     _batch_first, _contract, covariant_jacobian, jet_inner, riemann)
+                     _batch_first, _contract, covariant_jacobian, riemann)
 
 
 class Immersion:
@@ -68,8 +69,9 @@ class FramePacket:
 
     ambient               ambient metric at x = Ψ(u), of order 1 or 2
     psi                   Ψ's jets at u, to orders[0] (2 or 3)
+    g_coord, g_factor     the induced metric g = JᵀG̃J and its Cholesky factor L
     tangents[i]           orthonormal tangent frame e_i (ambient components)
-    tangent_coeffs[i, k]  e_i = Σ_k B[i, k] ∂Ψ/∂uᵏ
+    tangent_coeffs[i, k]  e_i = Σ_k B[i, k] ∂Ψ/∂uᵏ, B = L⁻¹
     normals[α]            orthonormal normal frame ξ_α
     h_frame[α, i, j]      g̃(h(e_i, e_j), ξ_α)
     h_coord[i, j, :]      ambient components of h(∂ᵢ, ∂ⱼ)
@@ -82,8 +84,9 @@ class FramePacket:
     computed on first use, once for the whole sample, and kept: checks that
     read them share one copy, the others do not pay for them.  field_jet is
     V's read in `frames` where that was of order 1, ambient2 is `ambient`
-    where that was of order 2, and induced reads Ψ's 3-jets where those
-    were not read.
+    where that was of order 2.  induced is g_coord with L and B as its
+    factor and coframe and its 2-jets by the chain rule (pull_back_metric),
+    which reads Ψ's 3-jets where `frames` did not.
     """
 
     u: np.ndarray
@@ -91,6 +94,7 @@ class FramePacket:
     jacobian: np.ndarray
     ambient: MetricAtPoint
     g_coord: np.ndarray
+    g_factor: np.ndarray
     tangents: np.ndarray
     tangent_coeffs: np.ndarray
     normals: np.ndarray
@@ -127,9 +131,8 @@ class FramePacket:
 
     @cached_property
     def induced(self) -> MetricAtPoint:
-        """Induced metric at u with 2-jets, from Ψ's 3-jets."""
-        psi = self.psi if self.orders[0] >= 3 else self.immersion.jets(self.u, 3)
-        return pull_back_metric(psi, self.metric, self.u, self.tols)
+        """Induced metric at u with 2-jets (pull_back_metric)."""
+        return pull_back_metric(self)
 
     @cached_property
     def dcoord(self) -> np.ndarray:
@@ -202,22 +205,55 @@ def _full_rank(jac, rank_tol: float) -> bool:
 
 def induced_metric(imm: Immersion, metric: MetricField, u,
                    tols: Tolerances = DEFAULT) -> MetricAtPoint:
-    """Pullback metric at u (or at each row of an (N, n) array) with 2-jets,
-    differentiated through Ψ's 3-jets."""
-    psi = imm.jets(u, 3)
-    _jacobian(psi, u, tols)
-    return pull_back_metric(psi, metric, u, tols)
+    """Pullback metric at u (or at each row of an (N, n) array) with 2-jets."""
+    return frames(imm, metric, u, tols=tols).induced
 
 
-def pull_back_metric(psi, metric: MetricField, u, tols: Tolerances) -> MetricAtPoint:
-    """The induced metric at u from Ψ's 3-jets there; the metric's literal
-    entries stay floats (jet_inner)."""
-    env = {name: psi[a].truncate(2) for a, name in enumerate(metric.var_names)}
-    gj = metric.literal_entries(env)
-    dpsi = [[p.derivative_jet(i) for p in psi] for i in range(psi[0].nvars)]   # ∂Ψ/∂uⁱ
-    pulled = [[jet_inner(gj, dpsi[i], dpsi[j]) for j in range(i + 1)]
-              for i in range(len(dpsi))]
-    return MetricAtPoint.from_jets(u, pulled, 2, tols.spd_tol)
+def pull_back_metric(packet: FramePacket) -> MetricAtPoint:
+    """The induced metric g = g_coord at the packet's u, whose Cholesky factor
+    L and coframe B = L⁻¹ are the tangent frame's, positive definite where
+    every pivot L_ii² is above spd_tol (a NaN pivot is left to the checks).
+    Its 2-jets follow by the chain rule from J, H_k = ∂_k J, T_kl = ∂_k∂_l J
+    and g̃'s 2-jets at x, with D_k = ∂g̃·J_k (J_k the k-th column of J):
+        ∂_k g = P_k + P_kᵀ + Jᵀ D_k J,  P_k = H_kᵀ g̃ J,
+        ∂_k∂_l g = Q + Qᵀ + Jᵀ(∂²g̃(J_k, J_l) + ∂g̃·H_kl)J,
+        Q = T_klᵀ g̃ J + H_kᵀ g̃ H_l + Jᵀ D_k H_l + Jᵀ D_l H_k,
+    with the terms in ∂g̃ and ∂²g̃ computed only off a flat ambient."""
+    psi = packet.psi if packet.orders[0] >= 3 else packet.immersion.jets(packet.u, 3)
+    J, G = packet.jacobian, packet.g_ambient
+    batch, (m, n), Jt = J.shape[:-2], J.shape[-2:], np.swapaxes(J, -1, -2)
+    hess = _batch_first(np.array([p.d[2] for p in psi]), 3)            # hess[a, k, i]
+    H = np.moveaxis(hess, -3, -2)                                      # H[k] = H_k
+    T = np.moveaxis(_batch_first(np.array([p.d[3] for p in psi]), 4), -4, -2)  # T[k, l]
+    GJ, Ht = G @ J, np.swapaxes(H, -1, -2)
+    dg = _symmetrized(Ht @ GJ[..., None, :, :])
+    Q = (np.swapaxes(T, -1, -2) @ GJ[..., None, None, :, :]
+         + Ht[..., :, None, :, :] @ (G[..., None, :, :] @ H)[..., None, :, :, :])
+    if packet.ambient.flat:
+        d2g = _symmetrized(Q)
+    else:
+        amb = packet.ambient2
+        dG = amb.dg.reshape(batch + (m, m * m))
+        JD = Jt[..., None, :, :] @ (Jt @ dG).reshape(batch + (n, m, m))     # JD[k] = Jᵀ D_k
+        C = JD[..., :, None, :, :] @ H[..., None, :, :, :]                 # C[k, l] = Jᵀ D_k H_l
+        # M[k, l] = ∂²g̃(J_k, J_l) + ∂g̃·H_kl
+        d2G = (Jt @ amb.d2g.reshape(batch + (m, -1))).reshape(batch + (n, m, m * m))
+        dGH = np.swapaxes(hess.reshape(batch + (m, n * n)), -1, -2) @ dG
+        M = (Jt[..., None, :, :] @ d2G + dGH.reshape(batch + (n, n, m * m))).reshape(
+            batch + (n, n, m, m))
+        dg = dg + JD @ J[..., None, :, :]
+        d2g = (_symmetrized(Q + C + np.swapaxes(C, -3, -4))
+               + Jt[..., None, None, :, :] @ M @ J[..., None, None, :, :])
+    L, spd_tol = packet.g_factor, packet.tols.spd_tol
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    refuse_pivots(pivots, pivots <= spd_tol, spd_tol)
+    mp = MetricAtPoint(point=packet.u, g=packet.g_coord, dg=dg, d2g=d2g, spd_tol=spd_tol)
+    vars(mp).update(factor=L, coframe=packet.tangent_coeffs)
+    return mp
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    return a + np.swapaxes(a, -1, -2)
 
 
 def frames(imm: Immersion, metric: MetricField, u, field: VectorField | None = None,
@@ -281,7 +317,7 @@ def _frames(imm, metric, u, field, tols, orders) -> FramePacket:
     h_coord = np.moveaxis(_contract(np.swapaxes(normals, -1, -2), hn), -3, -1)
     h_frame = B[..., None, :, :] @ hn @ np.swapaxes(B, -1, -2)[..., None, :, :]
 
-    packet = FramePacket(u=u, x=x, jacobian=jac, ambient=mp, g_coord=g_coord,
+    packet = FramePacket(u=u, x=x, jacobian=jac, ambient=mp, g_coord=g_coord, g_factor=L,
                          tangents=tangents, tangent_coeffs=B, normals=normals,
                          h_frame=h_frame, h_coord=h_coord, immersion=imm,
                          metric=metric, psi=psi, field=field, tols=tols, orders=orders)

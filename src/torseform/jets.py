@@ -113,26 +113,9 @@ class Jet:
         return (self.d[2].copy() if self.order >= 2
                 else np.zeros((self.nvars, self.nvars) + self.batch))
 
-    def derivative_jet(self, i: int) -> "Jet":
-        """Jet of ∂_i f, one order lower."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.order - 1, self.nvars,
-                   [item(self.d[1][i])] + [t[i] for t in self.d[2:]])
-
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet(order, self.nvars, self.d[:order + 1])
-
     def is_constant(self) -> bool:
         """No derivative is nonzero (at any point of a batch)."""
         return not any(t.any() for t in self.d[1:])
-
-    def is_zero(self) -> bool:
-        """The constant 0 (at every point of a batch)."""
-        v = self.d[0]
-        return (not v.any() if isinstance(v, np.ndarray) else v == 0.0) and self.is_constant()
 
     # -- arithmetic -----------------------------------------------------------
 

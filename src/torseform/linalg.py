@@ -104,13 +104,18 @@ def cholesky_spd(a: np.ndarray, spd_tol: float) -> np.ndarray:
     pivot); positive definiteness is a hard requirement, not a warning.
     """
     L, pivots = cholesky_pivots(a)
-    bad = ~(pivots > spd_tol)
+    refuse_pivots(pivots, ~(pivots > spd_tol), spd_tol)
+    return L
+
+
+def refuse_pivots(pivots, bad, spd_tol: float) -> None:
+    """Raise SingularMetricError where `bad` holds, naming the first such
+    point of a stack and, there, the first such pivot."""
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
         raise SingularMetricError(
             f"matrix is not positive definite: pivot {where[-1]} is "
             f"{pivots[where]:.3e} (tol {spd_tol:.1e})")
-    return L
 
 
 def lower_inverse(L: np.ndarray) -> np.ndarray:

@@ -187,14 +187,6 @@ class MetricField:
         values = eval_jet_env(self.tape, env)
         return [[values[k] for k in row] for row in _symmetric_index(self.dim)]
 
-    def literal_entries(self, env) -> list:
-        """The entries as entry_jets gives them, but a literal entry stays a
-        float; a constant metric's are its held g, and no tape runs."""
-        if self.constant:
-            return self._hold().g.tolist()
-        values = self.tape.run(env)
-        return [[values[k] for k in row] for row in _symmetric_index(self.dim)]
-
     def _hold(self) -> MetricAtPoint:
         """A constant metric's data at a point, walked and checked once."""
         if self._held is None:
@@ -232,23 +224,6 @@ class MetricField:
     def _walk(self, point, order: int) -> MetricAtPoint:
         env = jet_variables(self.var_names, point, order)
         return MetricAtPoint.from_jets(point, self.entry_jets(env), order, self.spd_tol)
-
-
-def jet_inner(gjets, a, b) -> Jet:
-    """Σ_ij g_ij a^i b^j over jets, summed in index order.  Entries that are
-    the constant 0 add nothing and are skipped: most entries of a diagonal
-    metric, whose products would otherwise dominate the induced metric.  An
-    entry may be a float, a literal (MetricField.literal_entries): 1
-    multiplies nothing and another value scales the product, so that no
-    constant goes through a Leibniz product."""
-    acc = None
-    for i, row in enumerate(gjets):
-        for j, gij in enumerate(row):
-            if gij == 0.0 if isinstance(gij, float) else gij.is_zero():
-                continue
-            term = a[i] * b[j] if gij == 1.0 else gij * a[i] * b[j]
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else gjets[0][0] * a[0] * b[0]
 
 
 class VectorField:

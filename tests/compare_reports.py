@@ -51,6 +51,9 @@ def _radial(m):
 
 
 E3 = _euclidean(3)
+#: hyperbolic space H³ in the chart ds² + e^{2s}(dx² + dy²)
+HYPERBOLIC = {"dim": 3, "metric": [["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]],
+              "domain": [[0, 1], [-1, 1], [-1, 1]]}
 ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
               "torqued-props", "gauss-equation", "rectifying", "warp-fit",
               "ambient-decomposition"]
@@ -71,7 +74,11 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: that is NaN (0·inf) on a thin band about x3 = 1.2, which holds no sample
 #: point; and the hemisphere (totally geodesic H² ⊂ H³ in the chart
 #: ds² + e^{2s}(dx² + dy²), V = ∂ₛ), the one proper rectifying scene in a
-#: curved ambient, whose Γ̃ reaches E(λ) through ∇̃V.  The last eight are
+#: curved ambient, whose Γ̃ reaches E(λ) through ∇̃V.  Two more read the
+#: induced metric's chain rule through a curved ambient's ∂g̃ and ∂²g̃: the
+#: hemisphere under the Gauss equation, and in the same chart the warped
+#: circle (s, θ) ↦ (s, ½ cos θ, ½ sin θ), ruled by the geodesics of V = ∂ₛ
+#: so that V is tangent, under the normal theorem and the Gauss equation.  The last eight are
 #: refused when they are loaded: a type error, an unknown key, an empty check
 #: list, an expression that ends early, one whose error is on its second
 #: line, a domain with an infinite end, which JSON has not but Python's json
@@ -109,10 +116,17 @@ FAILURE_SCENES = [
      "ambient": dict(E3, domain=[[2e-200, 3e-200]] * 3),
      "field": ["1e308*(x1-1e-200)", "1e308*(x2-1e-200)", "1e308*(x3-1e-200)"]},
     {"name": "hemisphere", "field": ["1", "0", "0"], "checks": ["rectifying", "warp-fit"],
-     "ambient": {"dim": 3, "metric": [["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]],
-                 "domain": [[0, 1], [-1, 1], [-1, 1]]},
+     "ambient": HYPERBOLIC,
      "submanifold": {"dim": 2, "domain": [[0.2, 0.6], [-0.4, 0.4]],
                      "immersion": ["-0.5*log(1-u1^2-u2^2)", "u1", "u2"]}},
+    {"name": "hemisphere-gauss", "field": ["1", "0", "0"],
+     "checks": ["rectifying", "gauss-equation"], "ambient": HYPERBOLIC,
+     "submanifold": {"dim": 2, "domain": [[0.2, 0.6], [-0.4, 0.4]],
+                     "immersion": ["-0.5*log(1-u1^2-u2^2)", "u1", "u2"]}},
+    {"name": "warped-circle", "field": ["1", "0", "0"],
+     "checks": ["normal-theorem", "gauss-equation"], "ambient": HYPERBOLIC,
+     "submanifold": {"dim": 2, "domain": [[0.1, 0.9], [0.1, 6.2]],
+                     "immersion": ["u1", "0.5*cos(u2)", "0.5*sin(u2)"]}},
     {"name": "overflowing-class-residual", "field": ["1e150*x1", "1e150*x2"],
      "checks": ["geodesic-unit"], "seed": 44,
      "ambient": {"dim": 2, "metric": [["1"], ["0", "1"]], "domain": [[1, 2], [1, 2]]}},

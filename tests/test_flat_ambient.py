@@ -1,8 +1,9 @@
 """A constant ambient metric is flat, Γ̃ = 0 and R̃ = 0, and its data says so
 (MetricAtPoint.flat): the immersed path then computes no product of those
-zeros, and a literal metric entry stays a float in the induced metric.  What
-it gives must be what the general computation gives, bit for bit, and in
-the same memory layout, as products round by it.
+zeros.  What it gives must be what the general computation gives, bit for
+bit, and in the same memory layout, as products round by it.  The induced
+metric's 2-jets, which the chain rule gives with the ∂g̃ terms only off a
+flat ambient, must be those of the metric composed with Ψ, flat or curved.
 """
 
 import dataclasses
@@ -13,16 +14,17 @@ import pytest
 import torseform.immersion as immersion_mod
 from torseform import (Immersion, MetricField, VectorField, builtin_names, builtin_scene,
                        frames, report_to_json, run)
-from torseform.config import DEFAULT
 from torseform.expr import Tape
 from torseform.jets import Jet
-from torseform.metric import (MetricAtPoint, covariant_jacobian, jet_inner, plane_curvature,
-                              riemann)
+from torseform.linalg import item
+from torseform.metric import MetricAtPoint, covariant_jacobian, plane_curvature, riemann
 from torseform.scenes import with_seed
 
 DENSE = [["2"], ["0.5", "3"], ["-0.25", "sqrt(2)/3", "1.5"]]
 #: literal entries of 0, 1 and another value beside entries that vary
 MIXED = [["1"], ["0", "exp(2*x1)"], ["0.5", "0", "4+x2^2"]]
+#: a dense metric whose every entry varies, positive definite where it is read
+CURVED = [["1+x1^2"], ["0.3*sin(x2)", "2+cos(x3)"], ["0.1*x3", "0.1*x1*x2", "1+x2^2"]]
 CONSTANT = [name for name in builtin_names() if builtin_scene(name).metric.constant]
 
 
@@ -97,29 +99,34 @@ def test_covariant_jacobian_is_the_general_sum(flat_data):
         assert same(covariant_jacobian(mp, vap), covariant_jacobian(unflagged(mp), vap))
 
 
-def general_pull_back(psi, metric, u) -> MetricAtPoint:
-    """The induced metric with every entry of g̃ a jet, constants included,
-    through Leibniz products."""
-    env = {name: psi[a].truncate(2) for a, name in enumerate(metric.var_names)}
-    gj = metric.entry_jets(env)
-    assert all(isinstance(gij, Jet) for row in gj for gij in row)
-    dpsi = [[p.derivative_jet(i) for p in psi] for i in range(psi[0].nvars)]
-    pulled = [[jet_inner(gj, dpsi[i], dpsi[j]) for j in range(i + 1)] for i in range(len(dpsi))]
+def composed_pull_back(imm, metric, u) -> MetricAtPoint:
+    """g_ij = Σ_ab g̃_ab(Ψ) ∂ᵢΨᵃ ∂ⱼΨᵇ over 2-jets: the metric's tape run over
+    Ψ's jets, constants included, and Leibniz products with ∂Ψ's jets."""
+    psi = imm.jets(u, 3)
+    gj = metric.entry_jets({name: Jet(2, p.nvars, p.d[:3])
+                            for name, p in zip(metric.var_names, psi)})
+    dpsi = [[Jet(2, p.nvars, [item(p.d[1][i])] + [t[i] for t in p.d[2:]]) for p in psi]
+            for i in range(imm.n)]
+    pairs = [(a, b) for a in range(metric.dim) for b in range(metric.dim)]
+    pulled = [[sum(gj[a][b] * dpsi[i][a] * dpsi[j][b] for a, b in pairs) for j in range(i + 1)]
+              for i in range(imm.n)]
     return MetricAtPoint.from_jets(u, pulled, 2, metric.spd_tol)
 
 
-@pytest.mark.parametrize("entries", ["euclidean", DENSE, MIXED])
-def test_pull_back_keeps_literals_as_floats_with_the_general_values(entries):
+@pytest.mark.parametrize("entries", ["euclidean", DENSE, MIXED, CURVED],
+                         ids=["euclidean", "dense", "mixed", "curved"])
+def test_the_chain_rule_is_the_metric_composed_with_psi(entries):
     metric = metric_of(entries)
     imm = Immersion(["u1*cos(u2)", "u1*sin(u2)", "0.5+u1^2"], 2)
     us = np.random.default_rng(3).uniform(0.5, 1.5, (7, 2))
     for u in (us, us[0]):
-        psi = imm.jets(u, 3)
-        pulled = immersion_mod.pull_back_metric(psi, metric, u, DEFAULT)
-        general = general_pull_back(psi, metric, u)
+        packet, reference = frames(imm, metric, u), composed_pull_back(imm, metric, u)
+        induced = packet.induced
+        assert induced.factor is packet.g_factor and induced.coframe is packet.tangent_coeffs
         for name in ("g", "dg", "d2g"):
-            assert np.array_equal(getattr(pulled, name), getattr(general, name))
-            assert getattr(pulled, name).shape == getattr(general, name).shape
+            got, want = getattr(induced, name), getattr(reference, name)
+            assert got.shape == want.shape, name
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), name
 
 
 def test_frames_on_a_flat_ambient_are_those_of_the_general_path(monkeypatch):

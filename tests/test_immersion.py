@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import radial_unit_field
-from torseform import (Immersion, decompose_field, frames,
+from torseform import (Immersion, MetricField, decompose_field, frames,
                        gauss_equation_residual, induced_metric, load_scene, report_to_json,
                        riemann, run, shape_operator)
 from torseform.config import Tolerances
@@ -23,7 +23,7 @@ from torseform.expr import quiet
 from torseform.immersion import _full_rank, _jacobian
 from torseform.jets import Jet
 from torseform.linalg import first_where
-from torseform.metric import _batch_first
+from torseform.metric import _batch_first, plane_curvature
 from torseform.scenes import BUILTIN_DOCUMENTS
 
 #: three parameter points of a sphere, for packets with a batch axis
@@ -92,6 +92,15 @@ class TestInducedMetric:
         assert ind.g == pytest.approx(chart.g, abs=1e-12)
         assert ind.dg == pytest.approx(chart.dg, abs=1e-10)
         assert ind.d2g == pytest.approx(chart.d2g, abs=1e-9)
+
+    def test_hemisphere_in_hyperbolic_space_has_curvature_minus_one(self):
+        # the totally geodesic H² ⊂ H³ in the chart ds² + e^{2s}(dx² + dy²)
+        metric = MetricField([["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]])
+        imm = Immersion(["-0.5*log(1-u1^2-u2^2)", "u1", "u2"], n=2)
+        us = np.random.default_rng(5).uniform(-0.6, 0.6, (9, 2))
+        for u in (us, us[0]):
+            K = plane_curvature(induced_metric(imm, metric, u), [1.0, 0.0], [0.0, 1.0])[0]
+            assert np.all(np.abs(K + 1.0) <= 1e-12)
 
     def test_rank_deficiency_detected(self, euclid3):
         pinched = Immersion(["u1", "u1", "0"], n=2, domain=[[0, 1], [0, 1]])

@@ -67,19 +67,6 @@ class TestArithmetic:
         assert jet.gradient()[0] == pytest.approx(3.0 * 4.0)        # p x^(p-1)
         assert jet.gradient()[1] == pytest.approx(8.0 * math.log(2.0))
 
-    def test_derivative_jet(self):
-        jet = eval_jet(parse("x1^3*x2"), [1.5, -0.5], 3)
-        d1 = jet.derivative_jet(0)
-        assert d1.order == 2
-        assert d1.value == pytest.approx(3.0 * 1.5 ** 2 * -0.5)
-        assert d1.gradient()[1] == pytest.approx(3.0 * 1.5 ** 2)
-
-    def test_truncate(self):
-        jet = eval_jet(parse("exp(x1)"), [0.3], 3)
-        t = jet.truncate(1)
-        assert t.order == 1
-        assert all(sum(a) <= 1 for a in t.coeffs)
-
 
 def _substitute(outer_ast, inner_ast):
     """Replace every variable of the outer AST with the inner AST."""

@@ -14,12 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torseform.immersion as immersion_mod
+import torseform.linalg as linalg_mod
 import torseform.metric as metric_mod
 import torseform.runner as runner_mod
 from compare_reports import FAILURE_SCENES
 from torseform import (VectorField, builtin_names, builtin_scene, load_scene, report_to_json,
                        run)
 from torseform.errors import GeometryError
+from torseform.expr import Tape
 from torseform.scenes import with_seed
 
 # the package attribute `torseform.classify` is the function, not the module
@@ -28,20 +30,27 @@ classify_mod = importlib.import_module("torseform.classify")
 N = 12
 
 
-def record_points(monkeypatch, owners, name, at=0) -> list:
-    """Patch `name` in every owner to record the points it is called on: its
-    positional argument `at`, one point or a row per point."""
+def record_points(monkeypatch, owners, name, at=0, of=lambda arg: arg) -> list:
+    """Patch `name` in every owner to record the points it is called on:
+    of(its positional argument `at`), one point or a row per point."""
     calls = []
     original = getattr(owners[0], name)
 
     @functools.wraps(original)
     def recorded(*args, **kwargs):
-        calls.append(np.atleast_2d(args[at]))
+        calls.append(np.atleast_2d(of(args[at])))
         return original(*args, **kwargs)
 
     for owner in owners:
         monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def record_induced(monkeypatch) -> list:
+    """Record the parameter points of each packet whose induced metric is
+    built."""
+    return record_points(monkeypatch, (immersion_mod,), "pull_back_metric",
+                         of=lambda packet: packet.u)
 
 
 def sampled_parameters(monkeypatch) -> list:
@@ -65,7 +74,7 @@ def test_cone_builds_each_packet_once(monkeypatch):
     # (the induced and the order-2 ambient metric) of N points each
     sampled = sampled_parameters(monkeypatch)
     frames = record_points(monkeypatch, (runner_mod, immersion_mod), "frames", at=2)
-    induced = record_points(monkeypatch, (immersion_mod,), "pull_back_metric", at=2)
+    induced = record_induced(monkeypatch)
     curvature = []
     riemann = metric_mod.riemann_components
 
@@ -139,7 +148,7 @@ def test_rectifying_does_not_pay_for_unread_geometry(monkeypatch):
     # are evaluated once at each sampled point
     metric_at = record_orders(monkeypatch, metric_mod.MetricField)
     field_at = record_orders(monkeypatch, metric_mod.VectorField)
-    induced = record_points(monkeypatch, (immersion_mod,), "pull_back_metric", at=2)
+    induced = record_induced(monkeypatch)
     report = run(builtin_scene("unit-sphere"), points=N)
     assert [c.name for c in report.checks] == ["rectifying"]
     assert metric_at == [(1, N)]
@@ -169,6 +178,36 @@ def test_a_curved_ambient_is_read_once_to_order_2(monkeypatch):
     report = run(load_scene(dict(doc, checks=["rectifying", "gauss-equation"])), points=50)
     assert [c.status for c in report.checks] == ["pass", "pass"]
     assert metric_at == [(2, 50)]
+
+
+def test_a_curved_ambient_runs_its_metric_tape_once(monkeypatch):
+    # frames runs the metric's tape once, to order 2, and the induced
+    # metric's 2-jets come from that read by the chain rule, not from a
+    # second run over Ψ's jets
+    doc = next(d for d in FAILURE_SCENES if d["name"] == "hemisphere")
+    scene = load_scene(dict(doc, checks=["rectifying", "gauss-equation"]))
+    runs, tape_run = [], Tape.run
+
+    def counting_run(self, env):
+        if self is scene.metric.tape:
+            runs.append(env)
+        return tape_run(self, env)
+
+    monkeypatch.setattr(Tape, "run", counting_run)
+    report = run(scene, points=50)
+    assert [c.status for c in report.checks] == ["pass", "pass"]
+    assert len(runs) == 1
+
+
+def test_the_induced_metric_shares_the_tangent_frame_factor(monkeypatch):
+    # one factor and one inverse hold the flat ambient metric, one of each
+    # makes the tangent frame, and the induced metric reuses the latter
+    factors = record_points(monkeypatch, (linalg_mod, immersion_mod), "cholesky_pivots")
+    inverses = record_points(monkeypatch, (linalg_mod, immersion_mod, metric_mod),
+                             "lower_inverse")
+    report = run(builtin_scene("clifford-torus"), ["gauss-equation"], points=50)
+    assert report.checks[0].status == "pass"
+    assert (len(factors), len(inverses)) == (2, 2)
 
 
 def test_a_failing_order_2_metric_fails_only_the_checks_that_read_it(monkeypatch):
