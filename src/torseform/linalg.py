@@ -5,13 +5,15 @@ Every helper takes one matrix or a stack of them with a leading batch axis
 is factored once, g = L Lᵀ; L⁻¹ comes from that factor (`lower_inverse`), and
 no general LU solve runs on a triangular matrix.  One pivot recurrence on floats
 serves `pivots_pass` and a stack LAPACK refuses; `frame_collapses` is the one
-collapse test of a Gram-Schmidt.
+collapse test of a Gram-Schmidt.  `judge` is the one verdict of a reduced
+check, each term's maximum over the sample against its bound.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,3 +167,26 @@ def worst(values) -> tuple[float, int]:
     largest, so it is what gets reported."""
     index = int(np.argmax(values))
     return float(values[index]), index
+
+
+def judge(table: dict) -> tuple[dict, bool]:
+    """({key: reduce_max(values)}, whether every maximum is within its bound)
+    for a table {key: (values over the sample, bound)}; a NaN maximum is
+    within no bound, so it never passes."""
+    terms = {key: reduce_max(values) for key, (values, _) in table.items()}
+    return terms, all(terms[key] <= bound for key, (_, bound) in table.items())
+
+
+@dataclass(frozen=True)
+class Judged:
+    """A reduced check's report, `Judged(*judge(table), ...)`; its terms read
+    as attributes too (`rep.max_det`)."""
+
+    terms: dict
+    passed: bool
+
+    def __getattr__(self, name):
+        try:
+            return vars(self)["terms"][name]
+        except KeyError:
+            raise AttributeError(name) from None

@@ -12,10 +12,11 @@ when V^⊥ ⊥ Im h.
 Hypersurfaces with tangent axis are handled as a separate mode (V^⊥ = 0 is
 outside the definition but the determinant corollary still applies).
 
-Every check reduces over one FramePacket of the whole parameter sample: the
-per-point terms are array expressions over its batch axis of the frame
-arrays the packet holds once per sample, h_frame, V's frame coefficients
-t and c, A_{V^⊥} and the frame matrix of ∇̃V along the tangents.
+Every check reduces over one FramePacket of the whole parameter sample: its
+per-point terms are array expressions of the frame arrays the packet holds
+(h_frame, V's frame coefficients t and c, A_{V^⊥}, the frame matrix of ∇̃V),
+written once in one table {report key: (terms, Tolerances bound)} per check,
+which `linalg.judge` turns into each key's maximum and the verdict.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 
 from .classify import TORQUED
 from .config import DEFAULT, Tolerances
-from .errors import PreconditionError
+from .errors import GeometryError, PreconditionError
 from .immersion import FramePacket, Immersion, frames, over_sample
-from .linalg import dot, item, mv, norm, reduce_max, worst
+from .linalg import Judged, dot, item, judge, mv, norm, reduce_max, worst
 from .metric import MetricField, VectorField, plane_curvature, riemann
 
 
@@ -65,13 +66,13 @@ def rectifying_at(packet: FramePacket) -> RectifyingPointReport:
 
 
 @dataclass(frozen=True)
-class RectifyingSceneReport:
+class RectifyingSceneReport(Judged):
+    """The first term is the residual; a proper verdict needs every point
+    proper, and in hypersurface mode the terms are 0 and normal_report judges."""
+
     mode: str                  # "proper-rectifying" | "tangent-axis-hypersurface"
-    max_residual: float
     residual_witness: np.ndarray | None
     all_proper: bool
-    max_a_vperp: float
-    passed: bool
     normal_report: object = None   # NormalCaseReport in hypersurface mode
 
 
@@ -90,37 +91,41 @@ def rectifying_over(packet: FramePacket) -> RectifyingSceneReport:
     """rectifying_scene over a batched packet that carries the field."""
     tols = packet.tols
     rep = rectifying_at(packet)
+    terms, passed = judge({"max_residual": (rep.residual, tols.rect_tol),
+                           "max_a_vperp": (rep.a_vperp_frob, tols.a_vperp_tol)})
     if packet.codim == 1 and reduce_max(rep.v_nor_norm) <= tols.proper_tol:
         normal_rep = normal_over(packet)
         return RectifyingSceneReport(
-            mode="tangent-axis-hypersurface", max_residual=0.0,
-            residual_witness=None, all_proper=False, max_a_vperp=0.0,
-            passed=normal_rep.passed, normal_report=normal_rep)
+            dict.fromkeys(terms, 0.0), normal_rep.passed, mode="tangent-axis-hypersurface",
+            residual_witness=None, all_proper=False, normal_report=normal_rep)
 
-    max_res, at = worst(rep.residual)
     all_proper = bool(np.all(rep.proper))
-    max_a = reduce_max(rep.a_vperp_frob)
-    passed = (max_res <= tols.rect_tol and all_proper and max_a <= tols.a_vperp_tol)
     return RectifyingSceneReport(
-        mode="proper-rectifying", max_residual=max_res,
-        residual_witness=packet.u[at], all_proper=all_proper,
-        max_a_vperp=max_a, passed=passed)
+        terms, passed and all_proper, mode="proper-rectifying",
+        residual_witness=packet.u[worst(rep.residual)[1]], all_proper=all_proper)
 
 
 # ---------------------------------------------------------------------------
 # Tangent/normal characterization checks
 # ---------------------------------------------------------------------------
 
-def _vanishing(packet: FramePacket, attr: str, label: str) -> float:
-    """max of a component norm over the sample; raises PreconditionError
-    unless it is finite and within proper_tol, where a component vanishes."""
+#: the symbol of each component norm of V that a packet holds
+_NORMS = {"v_tan_norm": "|V^⊤|", "v_nor_norm": "|V^⊥|"}
+
+
+def _component_max(packet: FramePacket, attr: str, vanishing: str = "") -> float:
+    """max over the sample of V's component norm `attr`: GeometryError where
+    it is not finite, as a NaN neither vanishes nor not, and, for a component
+    named `vanishing`, PreconditionError unless it is within proper_tol."""
     if packet.field is None:
         raise PreconditionError("check needs a vector field on the submanifold")
     value, at = worst(getattr(packet, attr))
-    if not value <= packet.tols.proper_tol:
-        u = packet.u[at]
-        raise PreconditionError(f"{label} = {value:.3e} at u={u.tolist()}",
-                                witness=u)
+    u = packet.u[at]
+    if not np.isfinite(value):
+        raise GeometryError(f"max {_NORMS[attr]} = {value} is not finite at u={u.tolist()}")
+    if vanishing and not value <= packet.tols.proper_tol:
+        raise PreconditionError(f"{vanishing} does not vanish: {_NORMS[attr]} = "
+                                f"{value:.3e} at u={u.tolist()}", witness=u)
     return value
 
 
@@ -135,15 +140,12 @@ def _max_det(packet: FramePacket):
 
 
 @dataclass(frozen=True)
-class TangentialCaseReport:
+class TangentialCaseReport(Judged):
     """V normal to M: V^⊥ must be parallel in the normal bundle and an
     umbilic direction with A_{V^⊥} = −f Id."""
 
     max_v_tan: float
-    max_normal_derivative: float      # max |D_X V^⊥| over frame directions
-    max_umbilic_defect: float         # max |A_{V^⊥} + f Id|
     witness_umbilic: np.ndarray
-    passed: bool
 
 
 def verify_tangential_vanishes(imm: Immersion, metric: MetricField,
@@ -154,16 +156,13 @@ def verify_tangential_vanishes(imm: Immersion, metric: MetricField,
 
 def tangential_over(packet: FramePacket) -> TangentialCaseReport:
     """verify_tangential_vanishes over a batched packet that carries the field."""
-    max_v_tan = _vanishing(packet, "v_tan_norm",
-                           "tangential component does not vanish: |V^⊤|")
+    max_v_tan = _component_max(packet, "v_tan_norm", "tangential component")
     ds, umb = over_sample(_tangential_terms, packet)
-    max_d = reduce_max(ds)
-    max_umb, at = worst(umb)
     tols = packet.tols
     return TangentialCaseReport(
-        max_v_tan=max_v_tan, max_normal_derivative=max_d,
-        max_umbilic_defect=max_umb, witness_umbilic=packet.u[at],
-        passed=(max_d <= tols.parallel_normal_tol and max_umb <= tols.umbilic_tol))
+        *judge({"max_normal_derivative": (ds, tols.parallel_normal_tol),   # |D_X V^⊥|
+                "max_umbilic_defect": (umb, tols.umbilic_tol)}),          # |A_{V^⊥} + f Id|
+        max_v_tan=max_v_tan, witness_umbilic=packet.u[worst(umb)[1]])
 
 
 def _tangential_terms(packet: FramePacket):
@@ -173,18 +172,13 @@ def _tangential_terms(packet: FramePacket):
 
 
 @dataclass(frozen=True)
-class NormalCaseReport:
+class NormalCaseReport(Judged):
     """V tangent to M: every shape operator is singular, h(·, V^⊤) = 0, and
     ambient and intrinsic curvature agree on planes containing V^⊤."""
 
     max_v_nor: float
-    max_det: float
-    max_h_vtan: float
-    max_curvature_mismatch: float     # |g̃(R̃(X,Y)V^⊤, W) − g(R(X,Y)V^⊤, W)|
-    max_sectional_mismatch: float     # |K̃(π) − K(π)|, π = Span{X, V^⊤}
     max_ambient_sectional: float
     max_intrinsic_sectional: float
-    passed: bool
 
 
 def verify_normal_vanishes(imm: Immersion, metric: MetricField,
@@ -195,18 +189,17 @@ def verify_normal_vanishes(imm: Immersion, metric: MetricField,
 
 def normal_over(packet: FramePacket) -> NormalCaseReport:
     """verify_normal_vanishes over a batched packet that carries the field."""
-    max_v_nor = _vanishing(packet, "v_nor_norm",
-                           "normal component does not vanish: |V^⊥|")
+    max_v_nor = _component_max(packet, "v_nor_norm", "normal component")
     dets, hs, curvs, secs = over_sample(_normal_terms, packet)
-    max_det, max_h, max_curv = map(reduce_max, (dets, hs, curvs))
-    max_sec, max_amb, max_int = (reduce_max(secs[:, j]) for j in range(3))
     tols = packet.tols
     return NormalCaseReport(
-        max_v_nor=max_v_nor, max_det=max_det, max_h_vtan=max_h,
-        max_curvature_mismatch=max_curv, max_sectional_mismatch=max_sec,
-        max_ambient_sectional=max_amb, max_intrinsic_sectional=max_int,
-        passed=(max_det <= tols.det_tol and max_h <= tols.h_tangent_tol
-                and max_curv <= tols.curv_match_tol and max_sec <= tols.curv_match_tol))
+        *judge({"max_det": (dets, tols.det_tol),
+                "max_h_vtan": (hs, tols.h_tangent_tol),
+                # |g̃(R̃(X,Y)V^⊤, W) − g(R(X,Y)V^⊤, W)| and |K̃(π) − K(π)|, π = Span{X, V^⊤}
+                "max_curvature_mismatch": (curvs, tols.curv_match_tol),
+                "max_sectional_mismatch": (secs[:, 0], tols.curv_match_tol)}),
+        max_v_nor=max_v_nor, max_ambient_sectional=reduce_max(secs[:, 1]),
+        max_intrinsic_sectional=reduce_max(secs[:, 2]))
 
 
 def _normal_terms(packet: FramePacket):
@@ -239,19 +232,14 @@ def _normal_terms(packet: FramePacket):
 
 
 @dataclass(frozen=True)
-class TorquedCaseReport:
+class TorquedCaseReport(Judged):
     """Characterization of torqued axes: with V tangent, V^⊤ is concircular
     on M and every A_ξ is singular; with V normal, A_{V^⊥} = −f Id,
-    D_X V^⊥ = 0 for X ⊥ W^⊤ and D_{W^⊤} V^⊥ = |W^⊤|² V^⊥."""
+    D_X V^⊥ = 0 for X ⊥ W^⊤ and D_{W^⊤} V^⊥ = |W^⊤|² V^⊥.  The other
+    case's terms are 0."""
 
     case: str                      # "tangent" | "normal"
-    max_concircular_residual: float = 0.0
-    max_det: float = 0.0
-    max_umbilic_defect: float = 0.0
-    max_normal_derivative: float = 0.0
-    max_w_derivative_defect: float = 0.0
     w_tangent_vanishes: bool = False
-    passed: bool = False
 
 
 def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
@@ -261,35 +249,32 @@ def torqued_over(packet: FramePacket, classification) -> TorquedCaseReport:
         raise PreconditionError(
             f"torqued characterization requires a torqued verdict, got "
             f"'{classification.verdict}'")
-    max_tan = reduce_max(packet.v_tan_norm)
-    max_nor = reduce_max(packet.v_nor_norm)
+    max_tan, max_nor = (_component_max(packet, attr) for attr in _NORMS)
     tols = packet.tols
-
+    concs = dets = umbs = ds = wds = 0.0
+    w_tangent_vanishes = False
     if max_nor <= tols.proper_tol:
         # Case V^⊥ = 0: V^⊤ = V on M, concircular intrinsically by the Gauss
         # formula, shape operators singular.
+        case = "tangent"
         concs, dets = over_sample(_concircular_terms, packet)
-        max_conc, max_det = reduce_max(concs), reduce_max(dets)
-        return TorquedCaseReport(
-            case="tangent", max_concircular_residual=max_conc, max_det=max_det,
-            passed=(max_conc <= tols.curv_match_tol and max_det <= tols.det_tol))
-
-    if max_tan <= tols.proper_tol:
+    elif max_tan <= tols.proper_tol:
         # Case V^⊤ = 0: umbilic direction plus the normal-connection
         # identities along W^⊤.
+        case = "normal"
         umbs, ds, wds, w_tangent = over_sample(_torqued_normal_terms, packet)
-        max_umb, max_d, max_wd = reduce_max(umbs), reduce_max(ds), reduce_max(wds)
-        return TorquedCaseReport(
-            case="normal", max_umbilic_defect=max_umb,
-            max_normal_derivative=max_d, max_w_derivative_defect=max_wd,
-            w_tangent_vanishes=not np.any(w_tangent),
-            passed=(max_umb <= tols.umbilic_tol
-                    and max_d <= tols.parallel_normal_tol
-                    and max_wd <= tols.curv_match_tol))
-
-    raise PreconditionError(
-        f"neither component vanishes on the sample "
-        f"(max |V^⊤| = {max_tan:.3e}, max |V^⊥| = {max_nor:.3e})")
+        w_tangent_vanishes = not np.any(w_tangent)
+    else:
+        raise PreconditionError(
+            f"neither component vanishes on the sample "
+            f"(max |V^⊤| = {max_tan:.3e}, max |V^⊥| = {max_nor:.3e})")
+    return TorquedCaseReport(
+        *judge({"max_concircular_residual": (concs, tols.curv_match_tol),
+                "max_det": (dets, tols.det_tol),
+                "max_umbilic_defect": (umbs, tols.umbilic_tol),
+                "max_normal_derivative": (ds, tols.parallel_normal_tol),
+                "max_w_derivative_defect": (wds, tols.curv_match_tol)}),
+        case=case, w_tangent_vanishes=w_tangent_vanishes)
 
 
 def _concircular_terms(packet: FramePacket):

@@ -31,10 +31,6 @@ from .scenes import (CHECK_NAMES, Scene, sample_ambient_points,
 
 PASS, FAIL, NA, ERROR = "pass", "fail", "n/a", "error"
 
-#: the normal-axis theorem's terms; they also judge a tangent-axis hypersurface
-NORMAL_TERMS = ("max_det", "max_h_vtan", "max_curvature_mismatch",
-                "max_sectional_mismatch")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -148,12 +144,11 @@ def _result(name: str, passed: bool, residual, witness=None, **details) -> Check
                        witness=witness, details=details)
 
 
-def _reduced(name: str, rep, terms, witness=None, **shown) -> CheckResult:
-    """The verdict of `rep`, whose residual is the largest of its fields
-    `terms`; the details are `shown` and each term."""
-    values = {term: getattr(rep, term) for term in terms}
-    return _result(name, rep.passed, reduce_max(list(values.values())), witness,
-                   **shown, **values)
+def _reduced(name: str, rep, witness=None, **shown) -> CheckResult:
+    """The verdict of a judged report (linalg.Judged), whose residual is the
+    largest of its terms; the details are `shown` and each term."""
+    return _result(name, rep.passed, reduce_max(list(rep.terms.values())), witness,
+                   **shown, **rep.terms)
 
 
 def _check_classify(ctx: _RunContext) -> CheckResult:
@@ -192,32 +187,30 @@ def _check_gauss(ctx: _RunContext) -> CheckResult:
 
 def _check_rectifying(ctx: _RunContext) -> CheckResult:
     rep = ctx.rect_report
-    details = {"mode": rep.mode, "all_proper": rep.all_proper,
-               "max_a_vperp": rep.max_a_vperp}
+    # the first term is the residual, the others are judged details
+    (_, residual), *judged = rep.terms.items()
+    details = dict(judged, mode=rep.mode, all_proper=rep.all_proper)
     if rep.mode == "tangent-axis-hypersurface":
-        return _reduced("rectifying", rep.normal_report, NORMAL_TERMS, **details)
-    return _result("rectifying", rep.passed, rep.max_residual,
-                   _witness(rep.residual_witness), **details)
+        return _reduced("rectifying", rep.normal_report, **details)
+    return _result("rectifying", rep.passed, residual, _witness(rep.residual_witness),
+                   **details)
 
 
 def _check_tangential(ctx: _RunContext) -> CheckResult:
     rep = rect.tangential_over(ctx.field_packet)
-    return _reduced("tangential-theorem", rep,
-                    ("max_normal_derivative", "max_umbilic_defect"),
-                    _witness(rep.witness_umbilic), max_v_tan=rep.max_v_tan)
+    return _reduced("tangential-theorem", rep, _witness(rep.witness_umbilic),
+                    max_v_tan=rep.max_v_tan)
 
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
     rep = rect.normal_over(ctx.field_packet)
-    return _reduced("normal-theorem", rep, NORMAL_TERMS, max_v_nor=rep.max_v_nor)
+    return _reduced("normal-theorem", rep, max_v_nor=rep.max_v_nor)
 
 
 def _check_torqued(ctx: _RunContext) -> CheckResult:
     classification = ctx.classification   # a missing verdict outranks frame errors
     rep = rect.torqued_over(ctx.packet, classification)
-    return _reduced("torqued-props", rep,
-                    ("max_concircular_residual", "max_det", "max_umbilic_defect",
-                     "max_normal_derivative", "max_w_derivative_defect"), case=rep.case)
+    return _reduced("torqued-props", rep, case=rep.case)
 
 
 def _check_warp_fit(ctx: _RunContext) -> CheckResult:
@@ -243,10 +236,7 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
 def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
     rep = wp.verify_ambient_decomposition(ctx.scene.metric, ctx.field, ctx.ambient_points,
                                           ctx.classification, ctx.tols)
-    return _reduced("ambient-decomposition", rep,
-                    ("max_geodesic_defect", "max_lambda_ode_defect",
-                     "max_connection_form_defect", "max_fiber_lambda_derivative"),
-                    _witness(rep.witness))
+    return _reduced("ambient-decomposition", rep, _witness(rep.witness))
 
 
 #: in execution order: classification first, rectifying before warp

@@ -31,8 +31,8 @@ from .errors import (DomainEvalError, GeometryError, ModelViolationError,
                      PreconditionError, replay)
 from .immersion import FramePacket, Immersion
 from .jets import eval_jet
-from .linalg import (dot, first_where, mv, orthonormalize, reduce_max, solve_spd,
-                     worst)
+from .linalg import (Judged, dot, first_where, judge, mv, orthonormalize, reduce_max,
+                     solve_spd, worst)
 from .metric import (MetricAtPoint, MetricField, VectorAtPoint, VectorField,
                      covariant_jacobian, unit_and_norm_at)
 
@@ -248,13 +248,8 @@ def warping_ode_over(packet: FramePacket) -> WarpingODE:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AmbientDecompositionReport:
-    max_geodesic_defect: float        # (a) |∇̃_{E₁}E₁|
-    max_lambda_ode_defect: float      # (b) |E₁(λ) − f (1 − λ²)|
-    max_connection_form_defect: float  # (c) |<∇̃_{E_j}E₁, E_k> − (f/λ) δ_jk|
-    max_fiber_lambda_derivative: float  # (d) |E_j(λ)|, j >= 2
-    witness: np.ndarray
-    passed: bool
+class AmbientDecompositionReport(Judged):
+    witness: np.ndarray     # the point of the largest of the four defects
 
 
 def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f) -> np.ndarray:
@@ -290,14 +285,14 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
     fits = classification.batch_at(points)
     values = _decomposition_defects(classification.metric_at, classification.field_at,
                                     fits.f)
-    max_a, max_b, max_c, max_d = map(reduce_max, values.T)
-    _, at = worst(np.max(values, axis=-1, initial=0.0))
+    a, b, c, d = values.T
     return AmbientDecompositionReport(
-        max_geodesic_defect=max_a, max_lambda_ode_defect=max_b,
-        max_connection_form_defect=max_c, max_fiber_lambda_derivative=max_d,
-        witness=fits.point[at],
-        passed=(max_a <= tols.geodesic_tol
-                and reduce_max([max_b, max_c, max_d]) <= tols.decomp_tol))
+        *judge({"max_geodesic_defect": (a, tols.geodesic_tol),          # |∇̃_{E₁}E₁|
+                "max_lambda_ode_defect": (b, tols.decomp_tol),          # |E₁(λ) − f (1 − λ²)|
+                # |<∇̃_{E_j}E₁, E_k> − (f/λ) δ_jk| and |E_j(λ)|, j, k >= 2
+                "max_connection_form_defect": (c, tols.decomp_tol),
+                "max_fiber_lambda_derivative": (d, tols.decomp_tol)}),
+        witness=fits.point[worst(np.max(values, axis=-1, initial=0.0))[1]])
 
 
 def build_warped_ambient(lambda_expr, fiber_metric, s_range, fiber_domain,

@@ -12,7 +12,7 @@ reach the failure paths (FAILURE_SCENES), recording instead the type and
 message of the exception if loading the scene or `run` raises.  The
 script prints one line per report, `same` or `DIFFERS`, then a summary for
 each group (built-in, one-check-at-a-time, failure-path), with its count of
-checks that moved from fail to pass and from error to pass, and exits 1 if
+checks that moved from fail, error or n/a to pass, and exits 1 if
 any report, table, exit code or exception differs.  Below each `DIFFERS`
 line it says how: whether the exit codes, statuses, verdicts, keys and strings (or the exceptions)
 agree, how many witness numbers moved (a witness point's coordinates and
@@ -54,6 +54,14 @@ E3 = _euclidean(3)
 #: hyperbolic space H³ in the chart ds² + e^{2s}(dx² + dy²)
 HYPERBOLIC = {"dim": 3, "metric": [["1"], ["0", "exp(2*x1)"], ["0", "0", "exp(2*x1)"]],
               "domain": [[0, 1], [-1, 1], [-1, 1]]}
+#: the twisted product ds² + λ²(dx² + dy²), λ = e^s (1 + x²/4), in which
+#: λ ∂ₛ is torqued, and its fiber s = 0.2, to which λ ∂ₛ is normal
+TWISTED_LAMBDA = "exp(x1)*(1+x2^2/4)"
+TWISTED = {"dim": 3, "domain": [[-0.8, 0.8]] * 3,
+           "metric": [["1"], ["0", f"({TWISTED_LAMBDA})^2"], ["0", "0", f"({TWISTED_LAMBDA})^2"]]}
+TWISTED_FIBER = {"dim": 2, "immersion": ["0.2", "u1", "u2"], "domain": [[-0.8, 0.8]] * 2}
+#: a term that is 0·inf = NaN everywhere
+NAN = "+0*(1e308*10)"
 ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
               "torqued-props", "gauss-equation", "rectifying", "warp-fit",
               "ambient-decomposition"]
@@ -78,7 +86,12 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: induced metric's chain rule through a curved ambient's ∂g̃ and ∂²g̃: the
 #: hemisphere under the Gauss equation, and in the same chart the warped
 #: circle (s, θ) ↦ (s, ½ cos θ, ½ sin θ), ruled by the geodesics of V = ∂ₛ
-#: so that V is tangent, under the normal theorem and the Gauss equation.  The last eight are
+#: so that V is tangent, under the normal theorem and the Gauss equation.  In
+#: three V is NaN on the whole sample, which is no vanishing component: the
+#: cone under the normal theorem and the Clifford torus under the tangential
+#: theorem, each with a NaN term in V¹, and the twisted product's fiber under
+#: torqued-props, with λ ∂ₛ NaN on the plane s = 0.2 that holds the fiber and
+#: no classification point.  The last eight are
 #: refused when they are loaded: a type error, an unknown key, an empty check
 #: list, an expression that ends early, one whose error is on its second
 #: line, a domain with an infinite end, which JSON has not but Python's json
@@ -127,6 +140,18 @@ FAILURE_SCENES = [
      "checks": ["normal-theorem", "gauss-equation"], "ambient": HYPERBOLIC,
      "submanifold": {"dim": 2, "domain": [[0.1, 0.9], [0.1, 6.2]],
                      "immersion": ["u1", "0.5*cos(u2)", "0.5*sin(u2)"]}},
+    {"name": "cone-nan-field", "ambient": E3, "exclude_radius": 0.1,
+     "field": [_radial(3)[0] + NAN] + _radial(3)[1:], "checks": ["normal-theorem"],
+     "submanifold": {"dim": 2, "domain": [[0.5, 2.0], [0.1, 6.2]],
+                     "immersion": ["u1*cos(u2)", "u1*sin(u2)", "u1"]}},
+    {"name": "clifford-torus-nan-field", "ambient": _euclidean(4), "exclude_radius": 0.1,
+     "field": [_radial(4)[0] + NAN] + _radial(4)[1:], "checks": ["tangential-theorem"],
+     "submanifold": {"dim": 2, "domain": [[0.1, 6.2], [0.1, 6.2]],
+                     "immersion": ["cos(u1)/sqrt(2)", "sin(u1)/sqrt(2)",
+                                   "cos(u2)/sqrt(2)", "sin(u2)/sqrt(2)"]}},
+    {"name": "twisted-fiber-nan-field", "ambient": TWISTED, "submanifold": TWISTED_FIBER,
+     "field": [f"{TWISTED_LAMBDA}+0*(1e307*(17.9769335-(x1-0.2)^2))", "0", "0"],
+     "checks": ["classify", "torqued-props"]},
     {"name": "overflowing-class-residual", "field": ["1e150*x1", "1e150*x2"],
      "checks": ["geodesic-unit"], "seed": 44,
      "ambient": {"dim": 2, "metric": [["1"], ["0", "1"]], "domain": [[1, 2], [1, 2]]}},
@@ -283,8 +308,9 @@ def main(argv=None) -> int:
                  for _, old, new in status_moves(mine.get(key), theirs.get(key))]
         print(f"{same} of {len(group_keys)} {group} reports byte-identical "
               f"(report_to_json, render_report and exit code or exception, "
-              f"N = {POINTS}, {seeds}); status moves fail → pass: "
-              f"{moves.count(('fail', 'pass'))}, error → pass: {moves.count(('error', 'pass'))}")
+              f"N = {POINTS}, {seeds}); status moves "
+              + ", ".join(f"{old} → pass: {moves.count((old, 'pass'))}"
+                          for old in ("fail", "error", "n/a")))
     return 1 if differing else 0
 
 

@@ -1,6 +1,7 @@
 """Small SPD algebra from one Cholesky factor: L⁻¹ row by row over a stack,
 one LAPACK solve per SPD system, no general solve on a triangular factor
-anywhere in a run, and the completion of a g-orthonormal set by one QR."""
+anywhere in a run, the completion of a g-orthonormal set by one QR, and the
+one judgement of a reduced check."""
 
 import math
 
@@ -9,8 +10,8 @@ import pytest
 
 from torseform import builtin_names, builtin_scene, run
 from torseform.errors import SingularMetricError
-from torseform.linalg import (_pivot_recurrence, cholesky_pivots, cholesky_spd,
-                              lower_inverse, orthonormalize, solve_spd)
+from torseform.linalg import (Judged, _pivot_recurrence, cholesky_pivots, cholesky_spd,
+                              judge, lower_inverse, orthonormalize, solve_spd)
 
 EPS = np.finfo(float).eps
 
@@ -216,3 +217,23 @@ def test_no_general_solve_on_a_triangular_matrix(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "solve", guarded)
     run(builtin_scene(name), points=20)
     assert not any(seen)
+
+
+class TestJudge:
+    def test_each_term_is_its_maximum_within_its_bound(self):
+        terms, passed = judge({"a": (np.array([[0.5, 2.0], [1.0, 0.0]]), 2.0), "b": (0.0, 0.0)})
+        assert terms == {"a": 2.0, "b": 0.0} and type(terms["a"]) is float and passed
+        assert judge({"a": (np.array([0.5]), 1.0), "b": (np.array([2.0]), 1.0)}) == (
+            {"a": 0.5, "b": 2.0}, False)
+
+    @pytest.mark.parametrize("values", [[math.nan, 0.0], [0.0, math.nan]])
+    def test_a_nan_never_passes(self, values):
+        # wherever the NaN is, not only first as Python's max would keep it
+        terms, passed = judge({"a": (np.array(values), math.inf), "b": (0.0, 1.0)})
+        assert math.isnan(terms["a"]) and not passed
+
+    def test_a_report_reads_its_terms_as_attributes(self):
+        rep = Judged(*judge({"max_det": (np.array([1e-9, 3e-9]), 1e-8)}))
+        assert rep.max_det == 3e-9 and rep.passed
+        with pytest.raises(AttributeError):
+            rep.max_h_vtan

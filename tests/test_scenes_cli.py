@@ -26,11 +26,12 @@ from torseform import scenes as scenes_module
 from torseform.scenes import BUILTIN_DOCUMENTS, CHECK_NAMES, SCENE_SCHEMA, with_seed
 from torseform import rectifying as rect_module
 from torseform import warped as warped_module
+from compare_reports import FAILURE_SCENES, TWISTED, TWISTED_FIBER, TWISTED_LAMBDA
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: each check whose verdict judges several report fields: a built-in that
-#: runs it, the function that makes its report, and those fields
+#: each check whose verdict judges several report terms: a built-in that
+#: runs it, the function that makes its report, and the report's terms
 REDUCED_CHECKS = [
     ("tangential-theorem", "clifford-torus", rect_module, "tangential_over",
      ["max_normal_derivative", "max_umbilic_defect"]),
@@ -47,9 +48,28 @@ REDUCED_CHECKS = [
     # normal-axis terms
     ("rectifying", "cone", rect_module, "normal_over",
      ["max_det", "max_h_vtan", "max_curvature_mismatch", "max_sectional_mismatch"]),
-    # a proper rectifying surface: |A_{V^⊥}| is a detail the verdict judges
-    ("rectifying", "rectifying-psi", rect_module, "rectifying_over", ["max_a_vperp"]),
+    # a proper rectifying surface: max_residual is the residual, and |A_{V^⊥}|
+    # a detail the verdict judges
+    ("rectifying", "rectifying-psi", rect_module, "rectifying_over",
+     ["max_residual", "max_a_vperp"]),
 ]
+
+
+def record_results(monkeypatch, owners, name, of=None) -> list:
+    """Patch `name` in the module `owners` (or in each of a tuple of them) to
+    record what it returns, or its positional argument `of`."""
+    owners = owners if isinstance(owners, tuple) else (owners,)
+    original, seen = getattr(owners[0], name), []
+
+    def recorded(*args):
+        result = original(*args)
+        seen.append(result if of is None else args[of])
+        return result
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded)
+    return seen
+
 
 E3 = {"dim": 3, "metric": [["1"], ["0", "1"], ["0", "0", "1"]], "domain": [[-3, 3]] * 3}
 #: a parallel field with no submanifold, and a radius-2 sphere with no field
@@ -845,19 +865,24 @@ class TestCli:
             assert check["status"] == "error" and check["residual"] is None
             assert check["details"]["error"] == "NonFiniteResidual"
 
-    @pytest.mark.parametrize("check, scene, module, function, term", [
-        pytest.param(check, scene, module, function, term, id=f"{check}-{term}")
+    @pytest.mark.parametrize("check, scene, module, function, terms, term", [
+        pytest.param(check, scene, module, function, terms, term, id=f"{check}-{term}")
         for check, scene, module, function, terms in REDUCED_CHECKS for term in terms])
     def test_a_nan_in_any_term_of_a_reduced_check_is_an_error(
-            self, monkeypatch, check, scene, module, function, term):
+            self, monkeypatch, check, scene, module, function, terms, term):
         # the residual is the largest of the report's terms: a NaN in any of
         # them, not only the first (which Python's max would keep), is an error
         original = getattr(module, function)
 
         def with_nan(*args):
-            rep = (rect_module.TorquedCaseReport(case="tangent", passed=True)
-                   if check == "torqued-props" else original(*args))
-            return dataclasses.replace(rep, **{term: float("nan")})
+            if check == "torqued-props":
+                rep = rect_module.TorquedCaseReport(dict.fromkeys(terms, 0.0), True,
+                                                    case="tangent")
+            else:
+                rep = original(*args)
+                # the report judges exactly the terms named here
+                assert sorted(rep.terms) == sorted(terms)
+            return dataclasses.replace(rep, terms={**rep.terms, term: float("nan")})
 
         monkeypatch.setattr(module, function, with_nan)
         report = run(builtin_scene(scene), checks=[check], points=20)
@@ -868,6 +893,59 @@ class TestCli:
         assert result.details == {"error": "NonFiniteResidual",
                                   "message": f"{key} nan is not finite"}
         assert exit_code(report) == 3
+
+    def test_torqued_props_judges_the_terms_its_row_names(self, monkeypatch):
+        # the twisted product's fiber, to which the torqued field is normal
+        reports = record_results(monkeypatch, rect_module, "torqued_over")
+        doc = {"name": "twisted-fiber", "ambient": TWISTED, "submanifold": TWISTED_FIBER,
+               "field": [TWISTED_LAMBDA, "0", "0"], "checks": ["classify", "torqued-props"]}
+        report = run(load_scene(doc), points=20)
+        assert [c.status for c in report.checks] == ["pass", "pass"]
+        [terms] = [terms for check, *_, terms in REDUCED_CHECKS if check == "torqued-props"]
+        [rep] = reports
+        assert rep.case == "normal" and sorted(rep.terms) == sorted(terms)
+
+    @pytest.mark.parametrize("points", [20, 200])
+    @pytest.mark.parametrize("name, check, component", [
+        ("cone-nan-field", "normal-theorem", "|V^⊥|"),
+        ("clifford-torus-nan-field", "tangential-theorem", "|V^⊤|"),
+        ("twisted-fiber-nan-field", "torqued-props", "|V^⊤|")])
+    def test_a_nan_component_is_an_error_not_a_vanishing_precondition(
+            self, name, check, component, points):
+        # V is NaN on the whole sample: its component neither vanishes nor
+        # not, so the check errs (exit 3), naming it, and is not n/a (exit 1)
+        [doc] = [doc for doc in FAILURE_SCENES if doc["name"] == name]
+        report = run(load_scene(doc), points=points)
+        [result] = [c for c in report.checks if c.name == check]
+        assert result.status == "error" and result.residual is None
+        assert result.details["error"] == "GeometryError"
+        assert result.details["message"].startswith(f"max {component} = nan is not finite at u=[")
+        assert exit_code(report) == 3
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_a_reduced_check_reports_the_maxima_of_its_table(self, monkeypatch, name, seed):
+        # one reducer: the residual is the largest judged term (rectifying in
+        # proper mode: its first, max_residual), each judged term in the
+        # details is the maximum of its values, and a witness is a row of the
+        # run's sample
+        tables = record_results(monkeypatch, (rect_module, warped_module), "judge", of=0)
+        samples = [record_results(monkeypatch, runner_module, f"sample_{kind}_points")
+                   for kind in ("parameter", "ambient")]
+        scene = with_seed(builtin_scene(name), seed)
+        for check in set(scene.checks) & {row[0] for row in REDUCED_CHECKS}:
+            for seen in (tables, *samples):
+                seen.clear()
+            [result] = run(scene, checks=[check], points=50).checks
+            maxima = {key: float(np.max(values)) for key, (values, _) in tables[-1].items()}
+            if result.details.get("mode") == "proper-rectifying":
+                assert result.residual == maxima.pop(next(iter(maxima)))
+            else:
+                assert result.residual == max(maxima.values())
+            assert {key: result.details[key] for key in maxima} == maxima
+            if result.witness is not None:
+                [sample] = [rows for seen in samples for rows in seen]
+                assert result.witness["point"] in np.asarray(sample).tolist()
 
     def test_scene_without_submanifold_reports_na_for_submanifold_checks(self, tmp_path):
         # the run is not aborted: each check that needs a submanifold is n/a
