@@ -53,12 +53,13 @@ class Immersion:
         self.domain = None if domain is None else tuple((float(a), float(b)) for a, b in domain)
 
     def jets(self, u: Sequence[float], order: int):
-        """Jets of Ψ's components at u, or at each row of an (N, n) array
-        (floats at order 0 at a point), by one run of the tape."""
+        """Jets of Ψ's components at u, or at each row of an (N, n) array,
+        by one run of the tape; a point's jets are its row of a batch's."""
         return eval_jet_env(self.tape, jet_variables(self.var_names, u, order))
 
     def point(self, u: Sequence[float]) -> np.ndarray:
-        return np.array(ex.eval_float(self.tape, dict(zip(self.var_names, u))))
+        """Ψ(u), the values of the order-0 jets."""
+        return np.array([p.value for p in self.jets(u, 0)])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ A Jet of order K in n variables holds d[0..K]: d[0] is the value and d[k] the
 tensor of k-th partial derivatives, shape (n,)*k + batch.  At one point the
 batch shape is () and d[0] is a float; over a sample of N points it is (N,),
 a trailing axis, so that the arithmetic below is the same in both cases and
-one run of an expression evaluates it at every point.  Products follow
+one run of an expression evaluates it at every point.  A point is seeded as
+jets at every order, order 0 included, so its values are its batch row's:
+a / b is a × (1/b) at a point as over a batch.  Products follow
 Leibniz's rule; every elementary function, constant power and reciprocal
 goes through one Faà di Bruno composition fed with the function's
 derivatives at the point, read from the single function table
@@ -203,13 +205,9 @@ def chart_names(dim: int, prefix: str = "x") -> tuple:
 
 def jet_variables(names: Sequence[str], values, order: int) -> dict:
     """Seed jets for the chart variables at a point (n values) or at each
-    point of a batch (an (N, n) array).  Order 0 at a point binds the
-    coordinates themselves, as floats."""
+    point of a batch (an (N, n) array), at every order alike, so that a
+    point's results are its row of a batch's."""
     n = len(names)
-    if order == 0 and np.ndim(values) == 1:
-        if len(values) != n:
-            raise ValueError("names/values length mismatch")
-        return dict(zip(names, map(float, values)))
     columns = chart_points(values, n).T
     return {name: Jet.variable(i, columns[i], n, order) for i, name in enumerate(names)}
 
@@ -227,10 +225,8 @@ def eval_jet_env(expression, env: Mapping[str, Jet]):
     """Evaluate an expression, or every expression of a Tape (a list), over
     an environment of jets sharing variable set, order and batch; literals
     stay floats until they meet a jet, and a constant result is a constant
-    jet.  Over floats (order 0 at a point, see jet_variables): eval_float."""
+    jet."""
     probe = next(iter(env.values()))
-    if not isinstance(probe, Jet):
-        return ex.eval_float(expression, env)
     tape = expression if isinstance(expression, ex.Tape) else ex.Tape((expression,))
     out = [v if isinstance(v, Jet) else Jet.constant(v, probe.nvars, probe.order, probe.batch)
            for v in tape.run(env)]
@@ -246,5 +242,4 @@ def eval_jet(expression: ex.Expr, point: Sequence[float], order: int,
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     if names is None:
         names = chart_names(np.shape(point)[-1])
-    out = eval_jet_env(expression, jet_variables(names, point, order))
-    return out if isinstance(out, Jet) else Jet(0, len(names), [out])
+    return eval_jet_env(expression, jet_variables(names, point, order))

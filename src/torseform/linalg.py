@@ -3,8 +3,8 @@
 Every helper takes one matrix or a stack of them with a leading batch axis
 (a sample of points) and applies the same rule at each point.  An SPD matrix
 is factored once, g = L Lᵀ; L⁻¹ comes from that factor (`lower_inverse`), and
-no general LU solve runs on a triangular matrix.  One pivot recurrence on floats
-serves `pivots_pass` and a stack LAPACK refuses; `frame_collapses` is the one
+no general LU solve runs on a triangular matrix.  A pivot recurrence on floats
+finds where a stack that LAPACK refuses fails; `frame_collapses` is the one
 collapse test of a Gram-Schmidt.  `judge` is the one verdict of a reduced
 check, each term's maximum over the sample against its bound.
 """
@@ -52,9 +52,9 @@ def first_where(bad, values):
 
 def _pivot_recurrence(a: np.ndarray):
     """(L, pivots) of one matrix as lists of Python floats, by the textbook
-    recurrence, pivot d_j = a_jj − Σ_k<j L_jk², which for a small system costs
-    less than one LAPACK factorisation.  L's rows are its lower triangle; the
-    rows and the pivots after a pivot that is not positive are NaN."""
+    recurrence, pivot d_j = a_jj − Σ_k<j L_jk², for a matrix LAPACK's
+    factorisation refuses.  L's rows are its lower triangle; the rows and the
+    pivots after a pivot that is not positive are NaN."""
     m, L, pivots = len(a), [], []
     for j, row in enumerate(a.tolist()):
         lj = []
@@ -80,13 +80,6 @@ def cholesky_pivots(a: np.ndarray):
         L = [row + [0.0] * (a.shape[-1] - len(row)) for rows in L for row in rows]
         return np.reshape(L, a.shape), np.reshape(pivots, a.shape[:-1])
     return L, np.diagonal(L, axis1=-2, axis2=-1) ** 2
-
-
-def pivots_pass(a: np.ndarray, spd_tol: float) -> bool:
-    """a is one matrix whose float pivots (_pivot_recurrence) are all above
-    spd_tol and 0: positive definite, with no factor.  False decides
-    nothing: cholesky_spd then judges a, and raises its own error."""
-    return a.ndim == 2 and all(map(max(spd_tol, 0.0).__lt__, _pivot_recurrence(a)[1]))
 
 
 def frame_collapses(pivots, gram, tol):
@@ -133,12 +126,10 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
 
 def solve_spd(a: np.ndarray, b: np.ndarray, spd_tol: float) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a (..., m, m) and a vector
-    b (..., m): cholesky_spd checks a's pivots, then one LAPACK solve of a.
-    One matrix whose float pivots are all above spd_tol skips cholesky_spd;
-    any other meets it, and with it cholesky_spd's own error."""
+    b (..., m): cholesky_spd checks a's pivots, and raises its own error,
+    then one LAPACK solve of a."""
     a = np.asarray(a, dtype=float)
-    if not pivots_pass(a, spd_tol):
-        cholesky_spd(a, spd_tol)
+    cholesky_spd(a, spd_tol)
     return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 

@@ -30,7 +30,7 @@ from . import expr as ex
 from .config import DEFAULT, Tolerances
 from .errors import DegeneratePlaneError, OrderInsufficientError, PreconditionError
 from .jets import Jet, chart_names, chart_points, eval_jet_env, jet_variables
-from .linalg import cholesky_spd, dot, first_where, item, lower_inverse, mv, pivots_pass
+from .linalg import cholesky_spd, dot, first_where, item, lower_inverse, mv
 
 
 @functools.cache
@@ -68,24 +68,24 @@ class MetricAtPoint:
 
     @classmethod
     def from_jets(cls, point, jets, order: int, spd_tol: float) -> "MetricAtPoint":
-        """Metric data from entry jets of the given order (floats at order 0
-        at a point), read from the lower triangle jets[i][j], j <= i; g must
-        be positive definite (at every point of a batch).  Jets over a batch
-        give batched data."""
+        """Metric data from entry jets of the given order, read from the
+        lower triangle jets[i][j], j <= i; g must be positive definite (at
+        every point of a batch), which its Cholesky factor checks and keeps.
+        Jets over a batch give batched data."""
         m = len(jets)
         lower = [jets[i][j] for i in range(m) for j in range(i + 1)]
         index = _symmetric_index(m)
 
         def tensor(k):
             # t[i, j, a..., batch] = ∂^k g_ij, reordered to [batch, a..., i, j]
-            t = np.array([jet.d[k] if isinstance(jet, Jet) else jet for jet in lower])[index]
+            t = np.array([jet.d[k] for jet in lower])[index]
             return t.transpose(tuple(range(k + 2, t.ndim)) + tuple(range(2, k + 2))
                                + (0, 1))
 
         mp = cls(point=np.asarray(point, dtype=float), g=tensor(0),
                  dg=tensor(1) if order >= 1 else None,
                  d2g=tensor(2) if order >= 2 else None, spd_tol=spd_tol)
-        pivots_pass(mp.g, spd_tol) or mp.factor     # g must be positive definite
+        mp.factor       # g must be positive definite
         return mp
 
     @property
@@ -145,12 +145,11 @@ class VectorAtPoint:
 
     @classmethod
     def from_jets(cls, jets, order: int) -> "VectorAtPoint":
-        """Components from their jets (floats at order 0 at a point); the
-        jacobian when order >= 1."""
+        """Components from their jets; the jacobian when order >= 1."""
         jacobian = (_batch_first(np.array([jet.d[1] for jet in jets]), 2)
                     if order >= 1 else None)
-        values = [jet.d[0] if isinstance(jet, Jet) else jet for jet in jets]
-        return cls(components=_batch_first(np.array(values), 1), jacobian=jacobian)
+        return cls(components=_batch_first(np.array([jet.d[0] for jet in jets]), 1),
+                   jacobian=jacobian)
 
 
 def euclidean_rows(m: int) -> list:
@@ -182,8 +181,8 @@ class MetricField:
         return cls(euclidean_rows(m))
 
     def entry_jets(self, env) -> list:
-        """Entries evaluated over a jet environment (floats at order 0 at a
-        point), each lower-triangle entry once, by one run of the tape."""
+        """Entries evaluated over a jet environment, each lower-triangle
+        entry once, by one run of the tape."""
         values = eval_jet_env(self.tape, env)
         return [[values[k] for k in row] for row in _symmetric_index(self.dim)]
 
@@ -238,8 +237,8 @@ class VectorField:
         self.tape = ex.Tape(self.exprs)
 
     def component_jets(self, env) -> list:
-        """The components evaluated over a jet environment (floats at order 0
-        at a point), shared subtrees once, by one run of the tape."""
+        """The components evaluated over a jet environment, shared subtrees
+        once, by one run of the tape."""
         return eval_jet_env(self.tape, env)
 
     def at(self, point: Sequence[float], order: int = 1) -> VectorAtPoint:

@@ -215,6 +215,10 @@ def _check_torqued(ctx: _RunContext) -> CheckResult:
 
 def _check_warp_fit(ctx: _RunContext) -> CheckResult:
     rep = ctx.rect_report
+    # a rectifying term that is not finite decides no precondition
+    for key, value in rep.terms.items():
+        if not np.isfinite(value):
+            raise GeometryError(f"rectifying {key} {value} is not finite")
     if rep.mode != "proper-rectifying" or not rep.passed:
         raise PreconditionError("scene is not a passing proper rectifying scene")
     packet = ctx.packet

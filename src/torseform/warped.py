@@ -77,25 +77,24 @@ def trace_integral_curve(imm: Immersion, metric: MetricField, field: VectorField
     Records (s, u, λ = |V^⊤|, f) per node; a node's right-hand side is the
     next step's first stage, and f is fitted at all nodes in one batch after
     the integration.  A right-hand side reads Ψ(u) and J = ∂Ψ/∂u from
-    Immersion.jets(u, 1) and V at Ψ(u) by one order-0 read.  If the curve
-    would leave the parameter box the partial curve is returned with
-    exited_domain set; a right-hand side that is not finite raises
-    GeometryError, as it is no exit.  A fit error at a node outranks an
-    integration error after it, as when each node was fitted in turn.
+    Immersion.jets(u, 1) and g̃ and V at Ψ(u) by one order-0 read each (of
+    a constant metric, its held g: MetricField.at).  If the curve would
+    leave the parameter box the partial curve is returned with exited_domain
+    set; a right-hand side that is not finite raises GeometryError, as it is
+    no exit.  A fit error at a node outranks an integration error after it,
+    as when each node was fitted in turn.
     """
     if imm.domain is None:
         raise PreconditionError("immersion has no parameter domain box")
     domain = imm.domain
-    counter, G = {"n": 0}, None
+    counter = {"n": 0}
 
     def tangential(u):
-        nonlocal G      # a constant metric's g is read once, at the first x
         counter["n"] += 1
         psi = imm.jets(u, 1)        # x = Ψ(u) and J[a, i] = ∂Ψ^a/∂uⁱ
         x = np.array([p.value for p in psi])
         jac = np.stack([p.gradient() for p in psi])
-        G = G if metric.constant and G is not None else metric.at(x, order=0).g
-        A = jac.T @ G                           # Jᵀ G once: k = Jᵀ G J, b = Jᵀ G V
+        A = jac.T @ metric.at(x, order=0).g     # Jᵀ G once: k = Jᵀ G J, b = Jᵀ G V
         k = A @ jac
         coords = solve_spd(k, A @ field.at(x, order=0).components, tols.spd_tol)
         lam = float(np.sqrt(max(coords @ k @ coords, 0.0)))

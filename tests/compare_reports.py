@@ -91,7 +91,9 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: cone under the normal theorem and the Clifford torus under the tangential
 #: theorem, each with a NaN term in V¹, and the twisted product's fiber under
 #: torqued-props, with λ ∂ₛ NaN on the plane s = 0.2 that holds the fiber and
-#: no classification point.  The last eight are
+#: no classification point.  rectifying-psi with that NaN term in V¹ under
+#: warp-fit alone: its precondition reads a rectifying report whose terms
+#: are NaN, so the warp fit errs rather than being n/a.  The last eight are
 #: refused when they are loaded: a type error, an unknown key, an empty check
 #: list, an expression that ends early, one whose error is on its second
 #: line, a domain with an infinite end, which JSON has not but Python's json
@@ -152,6 +154,11 @@ FAILURE_SCENES = [
     {"name": "twisted-fiber-nan-field", "ambient": TWISTED, "submanifold": TWISTED_FIBER,
      "field": [f"{TWISTED_LAMBDA}+0*(1e307*(17.9769335-(x1-0.2)^2))", "0", "0"],
      "checks": ["classify", "torqued-props"]},
+    {"name": "rectifying-psi-nan-field", "ambient": _euclidean(4), "seed": 42,
+     "exclude_radius": 0.1, "field": [_radial(4)[0] + NAN] + _radial(4)[1:],
+     "submanifold": {"dim": 2, "domain": [[0.5, 3.0], [0.1, 6.2]],
+                     "immersion": ["0.8*u1*cos(u2)", "0.8*u1*sin(u2)", "0.6*u1", "1"]},
+     "checks": ["warp-fit"]},
     {"name": "overflowing-class-residual", "field": ["1e150*x1", "1e150*x2"],
      "checks": ["geodesic-unit"], "seed": 44,
      "ambient": {"dim": 2, "metric": [["1"], ["0", "1"]], "domain": [[1, 2], [1, 2]]}},

@@ -68,10 +68,8 @@ class TestSolveSpd:
 
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_one_system_is_lapack_solve_bitwise_without_a_factor(self, monkeypatch, m):
-        # its float pivots pass: no Cholesky factor, and np.linalg.solve's bits
-        real, factored = np.linalg.cholesky, []
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or real(a))
+    def test_one_system_is_lapack_solve_bitwise(self, m):
+        # the pivot check leaves the solve as it is: np.linalg.solve's bits
         rng = np.random.default_rng(m)
         for cond in (1.0, 1e4, 1e10):
             for seed in range(100):
@@ -79,7 +77,6 @@ class TestSolveSpd:
                 b = rng.standard_normal(m)
                 want = np.linalg.solve(a, b[:, None])[:, 0]
                 assert solve_spd(a, b, 1e-12).tobytes() == want.tobytes()
-        assert factored == []
 
     @pytest.mark.parametrize("a, spd_tol", [
         ([[1.0, 1.0], [1.0, 1.0]], 1e-12),                  # singular

@@ -228,10 +228,10 @@ class TestVectorFieldJets:
     def test_a_point_reads_alike_from_a_list_a_tuple_or_an_array(self, source):
         # order 0 at one point reads V on the coordinates as given: a list or
         # a tuple of floats, of numpy scalars, or an array give the same
-        # components, bit for bit
+        # components, bit for bit, those of the point's row of a batch
         field = VectorField(source)
-        for p in np.random.default_rng(4).uniform(0.1, 3.0, size=(50, 3)):
-            want = np.array(ex.eval_float(field.tape, dict(zip(field.var_names, p.tolist()))))
+        points = np.random.default_rng(4).uniform(0.1, 3.0, size=(50, 3))
+        for p, want in zip(points, field.at(points, order=0).components):
             for form in (p.tolist(), tuple(p.tolist()), list(p), p):
                 got = field.at(form, order=0).components
                 assert type(got) is np.ndarray and got.tobytes() == want.tobytes()

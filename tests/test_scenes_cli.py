@@ -922,6 +922,22 @@ class TestCli:
         assert result.details["message"].startswith(f"max {component} = nan is not finite at u=[")
         assert exit_code(report) == 3
 
+    @pytest.mark.parametrize("points", [20, 200])
+    @pytest.mark.parametrize("checks", [["warp-fit"], ["rectifying", "warp-fit"]])
+    def test_warp_fit_on_a_nan_field_is_an_error_not_a_failed_precondition(self, checks,
+                                                                          points):
+        # a NaN rectifying term neither passes nor fails: warp-fit errs
+        # (exit 3), naming it, and is not n/a; rectifying keeps its own error
+        [doc] = [doc for doc in FAILURE_SCENES if doc["name"] == "rectifying-psi-nan-field"]
+        report = run(load_scene(dict(doc, checks=checks)), points=points)
+        *rectifying, warp_fit = report.checks
+        assert warp_fit.name == "warp-fit" and warp_fit.status == "error"
+        assert warp_fit.details == {"error": "GeometryError",
+                                    "message": "rectifying max_residual nan is not finite"}
+        assert [(c.status, c.details["error"]) for c in rectifying] == (
+            [("error", "NonFiniteResidual")] if rectifying else [])
+        assert exit_code(report) == 3
+
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("name", builtin_names())
     def test_a_reduced_check_reports_the_maxima_of_its_table(self, monkeypatch, name, seed):

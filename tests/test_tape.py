@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import random_expression
-from torseform import (MetricField, VectorField, build_warped_ambient, builtin_names,
-                       builtin_scene, eval_float)
+from torseform import (Immersion, MetricField, VectorField, build_warped_ambient,
+                       builtin_names, builtin_scene, eval_float)
 from torseform.errors import DomainEvalError, JetDomainError
 from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, apply, parse,
                             row, to_source)
@@ -243,13 +243,36 @@ class TestTapeErrors:
         assert tape.blank == [None, None]
 
 
+def order_zero_values(imm):
+    """Ψ's order-0 jets at u, or at each point of a batch, as their values
+    with the batch axis first."""
+    def read(u):
+        jets = imm.jets(u, 0)
+        assert all(isinstance(p, Jet) and p.order == 0 for p in jets)
+        return np.moveaxis(np.array([p.value for p in jets]), 0, -1)
+    return read
+
+
 class TestOrderZeroPoints:
-    """Order 0 at a point binds floats: the values are eval_float's."""
+    """Order 0 at a point reads as its row of a batch of distinct points,
+    byte for byte: a / b is a × (1/b) at both.  Variable exponents such as
+    2^x1 are left out: a batch whose exponent differs between its points
+    takes exp(log(base)·exponent), a point the 'pow' row, a separate break."""
 
     @staticmethod
     def same(got, want):
         got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def rows(self, read, points):
+        for point, want in zip(points, read(points)):
+            self.same(read(point), want)
+
+    def immersion_rows(self, imm, us):
+        values = order_zero_values(imm)
+        self.rows(values, us)
+        for u, want in zip(us, values(us)):
+            self.same(imm.point(u), want)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_field_components_and_immersion_points(self, name):
@@ -257,31 +280,36 @@ class TestOrderZeroPoints:
         rng = np.random.default_rng(11)
         if scene.field is not None:
             lo, hi = np.array(scene.domain).T
-            for x in lo + (hi - lo) * rng.random((5, len(lo))):
-                env = dict(zip(scene.field.var_names, map(float, x)))
-                self.same(scene.field.at(x, 0).components,
-                          [eval_float(e, env) for e in scene.field.exprs])
+            xs = lo + (hi - lo) * rng.random((5, len(lo)))
+            self.rows(lambda x: scene.field.at(x, 0).components, xs)
+            if not scene.metric.constant:
+                self.rows(lambda x: scene.metric.at(x, 0).g, xs)
         if scene.immersion is not None:
-            imm = scene.immersion
-            lo, hi = np.array(imm.domain).T
-            for u in lo + (hi - lo) * rng.random((5, len(lo))):
-                env = dict(zip(imm.var_names, map(float, u)))
-                self.same(imm.point(u), [eval_float(e, env) for e in imm.exprs])
+            lo, hi = np.array(scene.immersion.domain).T
+            self.immersion_rows(scene.immersion, lo + (hi - lo) * rng.random((5, len(lo))))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_field_components(self, seed):
         field = VectorField(random_sources(seed)[:3])
-        for x in np.random.default_rng(seed).uniform(-2, 2, size=(5, 3)):
-            env = dict(zip(field.var_names, map(float, x)))
-            self.same(field.at(x, 0).components, [eval_float(e, env) for e in field.exprs])
+        self.rows(lambda x: field.at(x, 0).components,
+                  np.random.default_rng(seed).uniform(-2, 2, size=(5, 3)))
 
     def test_metric_on_a_non_constant_warped_chart(self):
         metric = warped_metric("1.2*cosh(0.7*x1)")
         assert not metric.constant
-        for x in np.random.default_rng(5).uniform(-1, 1, size=(5, 4)):
-            env = dict(zip(metric.var_names, map(float, x)))
-            self.same(metric.at(x, 0).g,
-                      [[eval_float(e, env) for e in row] for row in metric.exprs])
+        self.rows(lambda x: metric.at(x, 0).g,
+                  np.random.default_rng(5).uniform(-1, 1, size=(5, 4)))
+
+    def test_a_curved_metric_with_divisions(self):
+        metric = MetricField([["2+1/(1+x1^2)"], ["x1/(9+x2)", "1+exp(2*x1)/(2+x2^2)"]])
+        assert not metric.constant
+        self.rows(lambda x: metric.at(x, 0).g,
+                  np.random.default_rng(2).uniform(-2, 2, size=(40, 2)))
+
+    def test_a_quotient_at_a_point(self):
+        # at u1 = -1.25 a float division rounds 3/u1 and u1/3 once, a batch's
+        # a × (1/b) twice, one ulp apart
+        self.immersion_rows(Immersion(["3/u1", "u1/3"], 1), np.array([[-1.25], [0.7]]))
 
 
 class TestSquare:

@@ -483,9 +483,9 @@ class TestBatchedNodeFits:
 
     @pytest.mark.parametrize("name", sorted(set(CURVES) - CHART_EXITS))
     def test_node_fit_reads_metric_and_field_once_on_the_node_array(self, monkeypatch, name):
-        # every right-hand side reads the field at one point, and a curved
-        # metric too; a constant metric is read at one point once per curve.
-        # The node fit reads both at all nodes
+        # every right-hand side reads the metric and the field at one point
+        # (a constant metric returns its held data); the node fit reads both
+        # at all nodes
         ranks = {MetricField: [], VectorField: []}
         for cls, seen in ranks.items():
             def recording(owner, point, order, at=cls.at, seen=seen):
@@ -494,37 +494,34 @@ class TestBatchedNodeFits:
             monkeypatch.setattr(cls, "at", recording)
         args = CURVES[name]()
         curve = trace_integral_curve(*args)
-        reads = {MetricField: 1 if args[1].constant else curve.rhs_evaluations,
-                 VectorField: curve.rhs_evaluations}
         assert args[1].constant == (name != "warped-exp-tube")
         for cls, seen in ranks.items():
             assert seen.count((2, 1)) == 1
-            assert seen.count((1, 0)) == reads[cls] == len(seen) - 1
+            assert seen.count((1, 0)) == curve.rhs_evaluations == len(seen) - 1
 
-    def test_no_right_hand_side_factors_a_matrix(self, monkeypatch):
-        # each right-hand side's 2×2 system passes its pivot check in floats,
-        # and the node fit solves its normal equations in closed form: the
-        # curve's only Cholesky factor is the constant metric's, once
+    def test_a_right_hand_side_factors_only_its_system(self, monkeypatch):
+        # each right-hand side's 2×2 system meets its pivot check once, and
+        # the node fit solves its normal equations in closed form: besides,
+        # the curve factors only the constant metric, once, when it is held
         args = CURVES["rectifying-psi"]()
         real, factored = np.linalg.cholesky, []
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: factored.append(np.shape(a)) or real(a))
         curve = trace_integral_curve(*args)
         assert curve.rhs_evaluations == 412
-        assert factored == [(4, 4)]
+        assert factored == [(4, 4)] + [(2, 2)] * 412
 
-    def test_no_curved_right_hand_side_factors_a_matrix(self, monkeypatch):
-        # g read at a stage point passes its pivot check in floats, and no
-        # right-hand side reads its factor; the curve's only Cholesky factor
-        # is the node fit's stack of the metric, as its normal equations are
-        # solved in closed form
+    def test_a_curved_right_hand_side_factors_g_and_its_system(self, monkeypatch):
+        # g read at a stage point is checked by its factor, then the 2×2
+        # system by its own; the node fit factors the stack of the metric
+        # once, as its normal equations are solved in closed form
         args = CURVES["warped-exp-tube"]()
         real, factored = np.linalg.cholesky, []
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: factored.append(np.shape(a)) or real(a))
         curve = trace_integral_curve(*args)
         assert curve.rhs_evaluations == 481
-        assert factored == [(len(curve.samples), 3, 3)]
+        assert factored == [(3, 3), (2, 2)] * 481 + [(len(curve.samples), 3, 3)]
 
     @pytest.mark.parametrize("name", sorted(set(CURVES) - CHART_EXITS))
     def test_one_right_hand_side_per_node(self, name):
