@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,11 +170,14 @@ def judge(table: dict) -> tuple[dict, bool]:
 
 @dataclass(frozen=True)
 class Judged:
-    """A reduced check's report, `Judged(*judge(table), ...)`; its terms read
-    as attributes too (`rep.max_det`)."""
+    """A reduced check's report, `Judged(*judge(table), ..., witness=...)`;
+    its terms read as attributes too (`rep.max_det`).  `witness` is the
+    sample point its check names, by that check's own rule, or None where it
+    names none."""
 
     terms: dict
     passed: bool
+    witness: np.ndarray | None = field(default=None, kw_only=True)
 
     def __getattr__(self, name):
         try:

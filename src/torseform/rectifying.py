@@ -68,10 +68,11 @@ def rectifying_at(packet: FramePacket) -> RectifyingPointReport:
 @dataclass(frozen=True)
 class RectifyingSceneReport(Judged):
     """The first term is the residual; a proper verdict needs every point
-    proper, and in hypersurface mode the terms are 0 and normal_report judges."""
+    proper, and its witness is the point of the largest residual.  In
+    hypersurface mode the terms are 0, normal_report judges and there is no
+    witness."""
 
     mode: str                  # "proper-rectifying" | "tangent-axis-hypersurface"
-    residual_witness: np.ndarray | None
     all_proper: bool
     normal_report: object = None   # NormalCaseReport in hypersurface mode
 
@@ -97,12 +98,12 @@ def rectifying_over(packet: FramePacket) -> RectifyingSceneReport:
         normal_rep = normal_over(packet)
         return RectifyingSceneReport(
             dict.fromkeys(terms, 0.0), normal_rep.passed, mode="tangent-axis-hypersurface",
-            residual_witness=None, all_proper=False, normal_report=normal_rep)
+            all_proper=False, normal_report=normal_rep)
 
     all_proper = bool(np.all(rep.proper))
     return RectifyingSceneReport(
         terms, passed and all_proper, mode="proper-rectifying",
-        residual_witness=packet.u[worst(rep.residual)[1]], all_proper=all_proper)
+        all_proper=all_proper, witness=packet.u[worst(rep.residual)[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +143,10 @@ def _max_det(packet: FramePacket):
 @dataclass(frozen=True)
 class TangentialCaseReport(Judged):
     """V normal to M: V^⊥ must be parallel in the normal bundle and an
-    umbilic direction with A_{V^⊥} = −f Id."""
+    umbilic direction with A_{V^⊥} = −f Id; the witness is the point of the
+    largest umbilic defect."""
 
     max_v_tan: float
-    witness_umbilic: np.ndarray
 
 
 def verify_tangential_vanishes(imm: Immersion, metric: MetricField,
@@ -162,7 +163,7 @@ def tangential_over(packet: FramePacket) -> TangentialCaseReport:
     return TangentialCaseReport(
         *judge({"max_normal_derivative": (ds, tols.parallel_normal_tol),   # |D_X V^⊥|
                 "max_umbilic_defect": (umb, tols.umbilic_tol)}),          # |A_{V^⊥} + f Id|
-        max_v_tan=max_v_tan, witness_umbilic=packet.u[worst(umb)[1]])
+        max_v_tan=max_v_tan, witness=packet.u[worst(umb)[1]])
 
 
 def _tangential_terms(packet: FramePacket):

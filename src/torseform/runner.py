@@ -144,9 +144,11 @@ def _result(name: str, passed: bool, residual, witness=None, **details) -> Check
                        witness=witness, details=details)
 
 
-def _reduced(name: str, rep, witness=None, **shown) -> CheckResult:
+def _reduced(name: str, rep, **shown) -> CheckResult:
     """The verdict of a judged report (linalg.Judged), whose residual is the
-    largest of its terms; the details are `shown` and each term."""
+    largest of its terms and whose witness is the report's own point, if it
+    names one; the details are `shown` and each term."""
+    witness = None if rep.witness is None else _witness(rep.witness)
     return _result(name, rep.passed, reduce_max(list(rep.terms.values())), witness,
                    **shown, **rep.terms)
 
@@ -192,14 +194,12 @@ def _check_rectifying(ctx: _RunContext) -> CheckResult:
     details = dict(judged, mode=rep.mode, all_proper=rep.all_proper)
     if rep.mode == "tangent-axis-hypersurface":
         return _reduced("rectifying", rep.normal_report, **details)
-    return _result("rectifying", rep.passed, residual, _witness(rep.residual_witness),
-                   **details)
+    return _result("rectifying", rep.passed, residual, _witness(rep.witness), **details)
 
 
 def _check_tangential(ctx: _RunContext) -> CheckResult:
     rep = rect.tangential_over(ctx.field_packet)
-    return _reduced("tangential-theorem", rep, _witness(rep.witness_umbilic),
-                    max_v_tan=rep.max_v_tan)
+    return _reduced("tangential-theorem", rep, max_v_tan=rep.max_v_tan)
 
 
 def _check_normal(ctx: _RunContext) -> CheckResult:
@@ -240,7 +240,7 @@ def _check_warp_fit(ctx: _RunContext) -> CheckResult:
 def _check_ambient_decomposition(ctx: _RunContext) -> CheckResult:
     rep = wp.verify_ambient_decomposition(ctx.scene.metric, ctx.field, ctx.ambient_points,
                                           ctx.classification, ctx.tols)
-    return _reduced("ambient-decomposition", rep, _witness(rep.witness))
+    return _reduced("ambient-decomposition", rep)
 
 
 #: in execution order: classification first, rectifying before warp
@@ -325,18 +325,6 @@ def run(scene: Scene, checks=None, points: int = 50) -> SceneReport:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def report_to_json(report: SceneReport) -> str:
     """Machine block: full precision, deterministic key order."""
     payload = {
@@ -346,11 +334,11 @@ def report_to_json(report: SceneReport) -> str:
         "checks": [{
             "name": c.name,
             "status": c.status,
-            "residual": _jsonable(c.residual),
-            "witness": _jsonable(c.witness),
-            "details": _jsonable(c.details),
+            "residual": c.residual,
+            "witness": c.witness,
+            "details": c.details,
         } for c in report.checks],
-        "classification": _jsonable(report.classification),
+        "classification": report.classification,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

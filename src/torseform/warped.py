@@ -246,11 +246,6 @@ def warping_ode_over(packet: FramePacket) -> WarpingODE:
 # Ambient decomposition checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AmbientDecompositionReport(Judged):
-    witness: np.ndarray     # the point of the largest of the four defects
-
-
 def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f) -> np.ndarray:
     """Defects (a, b, c, d) on the last axis, at the point or at each point of
     a batch, from order-1 metric and field data and the fitted f there."""
@@ -271,12 +266,13 @@ def _decomposition_defects(mp: MetricAtPoint, vap: VectorAtPoint, f) -> np.ndarr
 
 def verify_ambient_decomposition(metric: MetricField, field: VectorField,
                                  points, classification: SceneClassification,
-                                 tols: Tolerances = DEFAULT) -> AmbientDecompositionReport:
+                                 tols: Tolerances = DEFAULT) -> Judged:
     """Check the proof identities of the warped-product decomposition at the
     given ambient points (the scene verdict must be anti-torqued), with f
     from the fits that `classification` made there and the order-1 metric
-    and field data it fitted them from, in one batch.  Unread `metric` and
-    `field` stay, as tests/test_acceptance.py passes them by position."""
+    and field data it fitted them from, in one batch.  The witness is the
+    point of the largest of the four defects.  Unread `metric` and `field`
+    stay, as tests/test_acceptance.py passes them by position."""
     if classification.verdict != ANTI_TORQUED:
         raise PreconditionError(
             f"ambient decomposition requires an anti-torqued verdict, got "
@@ -285,7 +281,7 @@ def verify_ambient_decomposition(metric: MetricField, field: VectorField,
     values = _decomposition_defects(classification.metric_at, classification.field_at,
                                     fits.f)
     a, b, c, d = values.T
-    return AmbientDecompositionReport(
+    return Judged(
         *judge({"max_geodesic_defect": (a, tols.geodesic_tol),          # |∇̃_{E₁}E₁|
                 "max_lambda_ode_defect": (b, tols.decomp_tol),          # |E₁(λ) − f (1 − λ²)|
                 # |<∇̃_{E_j}E₁, E_k> − (f/λ) δ_jk| and |E_j(λ)|, j, k >= 2

@@ -60,6 +60,25 @@ TWISTED_LAMBDA = "exp(x1)*(1+x2^2/4)"
 TWISTED = {"dim": 3, "domain": [[-0.8, 0.8]] * 3,
            "metric": [["1"], ["0", f"({TWISTED_LAMBDA})^2"], ["0", "0", f"({TWISTED_LAMBDA})^2"]]}
 TWISTED_FIBER = {"dim": 2, "immersion": ["0.2", "u1", "u2"], "domain": [[-0.8, 0.8]] * 2}
+#: the checks of an ambient scene with an anti-torqued field
+AMBIENT_CHECKS = ["classify", "geodesic-unit", "ambient-decomposition"]
+
+
+def scaled_radial(c):
+    """E⁴ with V = c·x/√(1 + c²|x|²), anti-torqued and not unit (|V| < 1)."""
+    r2 = "+".join(f"x{i}^2" for i in range(1, 5))
+    return {"name": f"scaled-radial-{c}", "ambient": _euclidean(4), "exclude_radius": 0.1,
+            "field": [f"{c}*x{i}/sqrt(1+{c * c}*({r2}))" for i in range(1, 5)],
+            "checks": AMBIENT_CHECKS}
+
+
+#: H³ as the upper half-space (dx² + dy² + dz²)/z², a chart that is no
+#: product ds² + λ² g_F in x3, with the unit geodesic field −z∂_z
+UPPER_HALF_SPACE = {"name": "upper-half-space", "field": ["0", "0", "-x3"],
+                    "checks": AMBIENT_CHECKS,
+                    "ambient": {"dim": 3, "domain": [[-1, 1], [-1, 1], [0.5, 2]],
+                                "metric": [["1/x3^2"], ["0", "1/x3^2"],
+                                           ["0", "0", "1/x3^2"]]}}
 #: a term that is 0·inf = NaN everywhere
 NAN = "+0*(1e308*10)"
 ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem",
@@ -86,7 +105,11 @@ ALL_CHECKS = ["classify", "geodesic-unit", "tangential-theorem", "normal-theorem
 #: induced metric's chain rule through a curved ambient's ∂g̃ and ∂²g̃: the
 #: hemisphere under the Gauss equation, and in the same chart the warped
 #: circle (s, θ) ↦ (s, ½ cos θ, ½ sin θ), ruled by the geodesics of V = ∂ₛ
-#: so that V is tangent, under the normal theorem and the Gauss equation.  In
+#: so that V is tangent, under the normal theorem and the Gauss equation.  Two
+#: more pass ambient-decomposition on a term that is 0 in every built-in: the
+#: radial field c·x/√(1 + c²|x|²) at c = 1, whose E₁(λ) = f(1 − λ²) has a
+#: factor 1 − λ² that is not 0, and the upper half-space, whose ∂|V| has a
+#: ∂g term that is not 0.  In
 #: three V is NaN on the whole sample, which is no vanishing component: the
 #: cone under the normal theorem and the Clifford torus under the tangential
 #: theorem, each with a NaN term in V¹, and the twisted product's fiber under
@@ -162,6 +185,8 @@ FAILURE_SCENES = [
     {"name": "overflowing-class-residual", "field": ["1e150*x1", "1e150*x2"],
      "checks": ["geodesic-unit"], "seed": 44,
      "ambient": {"dim": 2, "metric": [["1"], ["0", "1"]], "domain": [[1, 2], [1, 2]]}},
+    scaled_radial(1),
+    UPPER_HALF_SPACE,
     {"name": "type-error", "ambient": dict(E3, dim="two"), "field": ["1", "0", "0"],
      "checks": ["classify"]},
     {"name": "unknown-key", "ambient": E3, "field": ["1", "0", "0"], "checks": ["classify"],

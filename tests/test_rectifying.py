@@ -110,7 +110,7 @@ class TestSceneVerdicts:
         assert rep.mode == "proper-rectifying"
         assert not rep.passed
         assert rep.max_residual >= 0.99
-        assert rep.residual_witness is not None
+        assert rep.witness is not None
 
     def test_hypersurface_tangent_axis_mode(self, euclid3):
         cone = Immersion(["u1*cos(u2)", "u1*sin(u2)", "u1"],

@@ -99,6 +99,39 @@ FIXED_BOUNDS = ["a_vperp_tol", "parallel_normal_tol", "umbilic_tol", "det_tol",
                 "h_tangent_tol", "curv_match_tol", "gauss_tol"]
 
 
+def plane_in_e3(ambient=(), submanifold=()) -> str:
+    """The plane x3 = 0 in E³ with a parallel field, its ambient and
+    submanifold entries updated, as scene-file text."""
+    doc = {"name": "plane", "ambient": dict(E3, **dict(ambient)), "field": ["1", "0", "0"],
+           "checks": ["classify"],
+           "submanifold": {"dim": 2, "immersion": ["u1", "u2", "0"],
+                           "domain": [[-1, 1], [-1, 1]], **dict(submanifold)}}
+    return json.dumps(doc)
+
+
+#: scene files the schema admits and `load_scene_file` refuses, each with its
+#: one line on stderr (<path> is the file's path)
+LOAD_REFUSALS = {
+    "ambient-domain-count": (plane_in_e3(ambient={"domain": [[-3, 3]] * 2}),
+                             "$.ambient.domain: expected 3 intervals, got 2"),
+    "metric-row-length": (plane_in_e3(ambient={"metric": [["1"], ["0", "1", "0", "0"],
+                                                          ["0", "0", "1"]]}),
+                          "$.ambient.metric[1]: row must have 2 (lower triangle) or 3 "
+                          "entries, got 4"),
+    "immersion-count": (plane_in_e3(submanifold={"immersion": ["u1", "u2"]}),
+                        "$.submanifold.immersion: expected 3 components, got 2"),
+    "parameter-domain-count": (plane_in_e3(submanifold={"domain": [[-1, 1]]}),
+                               "$.submanifold.domain: expected 2 intervals, got 1"),
+    "empty-parameter-interval": (plane_in_e3(submanifold={"domain": [[1, 1], [-1, 1]]}),
+                                 "$.submanifold.domain: empty interval [1, 1]"),
+    "immersion-parse": (plane_in_e3(submanifold={"immersion": ["u1", "u2+", "0"]}),
+                        "$.submanifold.immersion: line 1:4: expected a number, identifier "
+                        "or '(', found '<end>'"),
+    "not-json": ('{"name": ', "<path>: not valid JSON: Expecting value: line 1 column 10 "
+                              "(char 9)"),
+}
+
+
 def minimal_doc(**overrides):
     doc = {
         "name": "mini",
@@ -777,6 +810,16 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == (f"error: $.ambient.domain[0]: interval [{lo}, 1e+308] is too "
                                "wide: its width is not a finite number\n")
+
+    @pytest.mark.parametrize("case", LOAD_REFUSALS)
+    def test_load_refusal_exit_two(self, case, tmp_path, capsys):
+        from torseform import cli
+
+        text, message = LOAD_REFUSALS[case]
+        path = tmp_path / "scene.json"
+        path.write_text(text)
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message.replace('<path>', str(path))}\n"
 
     def test_a_check_never_imports_jsonschema(self):
         # jsonschema is the tests' oracle for the scene validator, not a

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import torseform.warped as warped_mod
+from compare_reports import AMBIENT_CHECKS, UPPER_HALF_SPACE, scaled_radial
 from conftest import radial_unit_field
 from torseform import (Immersion, MetricField, VectorField, builtin_scene,
                        build_warped_ambient, classify, cumulative_simpson,
@@ -250,6 +251,24 @@ class TestAmbientDecomposition:
         pts, classification = self._classified(euclid3, field, rng, -1, 1, 3)
         with pytest.raises(PreconditionError):
             verify_ambient_decomposition(euclid3, field, pts, classification)
+
+    @staticmethod
+    def _statuses(doc):
+        report = run(load_scene(doc), points=200)
+        assert report.classification["verdict"] == "anti-torqued"
+        return {c.name: c.status for c in report.checks}
+
+    @pytest.mark.parametrize("c", [0.3, 1, 5])
+    def test_non_unit_axis_meets_the_lambda_ode_factor(self, c):
+        # |V| < 1, so E₁(λ) = f(1 − λ²) reads the factor 1 − λ², which a
+        # unit axis makes 0; geodesic-unit judges only a unit field
+        assert self._statuses(scaled_radial(c)) == {
+            "classify": "pass", "geodesic-unit": "n/a", "ambient-decomposition": "pass"}
+
+    def test_non_product_chart_meets_the_metric_derivative_term(self):
+        # in (dx² + dy² + dz²)/z² with V = −z∂_z, ∂|V|² has a ∂g·V·V term
+        # that is not 0, which every product chart with V ∝ ∂ₛ makes 0
+        assert self._statuses(UPPER_HALF_SPACE) == dict.fromkeys(AMBIENT_CHECKS, "pass")
 
 
 class TestBuildWarpedAmbient:
