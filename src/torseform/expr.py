@@ -278,6 +278,9 @@ def tokenize(text: str) -> list:
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
 
+_ADDITIVE, _MULTIPLICATIVE = ("+", "-"), ("*", "/")    # token texts; no other kind shares one
+
+
 def parse(text: str, variables: Iterable[str] | None = None) -> Expr:
     """Parse an expression; when `variables` is given, any identifier outside
     that set is a ParseError at its position."""
@@ -287,58 +290,52 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Expr:
     def fail(message, token):
         raise _error(text, token[2], message)
 
-    def at(*ops) -> bool:       # whether the next token is one of the operators `ops`
-        return tokens[pos][1] in ops
-
-    def take():
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1]
-
-    def expect(op):
-        if not at(op):
-            fail(f"expected '{op}', found {tokens[pos][1]!r}", tokens[pos])
-        take()
-
     def expression() -> Expr:
+        nonlocal pos
         node = term()
-        while at("+", "-"):
-            node = BinOp(take()[1], node, term())
+        while tokens[pos][1] in _ADDITIVE:
+            pos += 1
+            node = BinOp(tokens[pos - 1][1], node, term())
         return node
 
     def term() -> Expr:
+        nonlocal pos
         node = unary()
-        while at("*", "/"):
-            node = BinOp(take()[1], node, unary())
+        while tokens[pos][1] in _MULTIPLICATIVE:
+            pos += 1
+            node = BinOp(tokens[pos - 1][1], node, unary())
         return node
 
     def unary() -> Expr:
-        if at("-"):
-            take()
+        nonlocal pos
+        if tokens[pos][1] == "-":
+            pos += 1
             return Neg(unary())
         base = atom()
-        if at("^"):                 # power := atom ("^" unary)?
-            take()
+        if tokens[pos][1] == "^":     # power := atom ("^" unary)?
+            pos += 1
             return BinOp("^", base, unary())
         return base
 
     def atom() -> Expr:
-        kind, word, _ = token = take()
+        nonlocal pos
+        kind, word, _ = token = tokens[pos]
+        pos += 1
         if kind == "num":
             value = float(word)
             if not math.isfinite(value):
                 fail(f"number {word} is out of range", token)
             return Num(value)
         if kind == "ident":
-            if at("("):
+            if tokens[pos][1] == "(":
                 if word not in FUNCTIONS:
                     fail(f"unknown function '{word}'", token)
-                take()
+                pos += 1
                 args = [expression()]
-                while at(","):
-                    take()
+                while tokens[pos][1] == ",":
+                    pos += 1
                     args.append(expression())
-                expect(")")
+                close()
                 arity = FUNCTIONS[word].arity
                 if len(args) != arity:
                     fail(f"'{word}' takes {arity} argument(s), got {len(args)}", token)
@@ -350,14 +347,23 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Expr:
             return Var(word)
         if word == "(":
             node = expression()
-            expect(")")
+            close()
             return node
         fail(f"expected a number, identifier or '(', found {word!r}", token)
 
-    node = expression()
-    if tokens[pos][0] != "eof":
-        fail(f"unexpected trailing input {tokens[pos][1]!r}", tokens[pos])
-    return node
+    def close():
+        nonlocal pos
+        if tokens[pos][1] != ")":
+            fail(f"expected ')', found {tokens[pos][1]!r}", tokens[pos])
+        pos += 1
+
+    try:
+        node = expression()
+        if tokens[pos][0] != "eof":
+            fail(f"unexpected trailing input {tokens[pos][1]!r}", tokens[pos])
+        return node
+    finally:        # every cycle of the closures runs through unary: break them,
+        del unary   # so that reference counting, not the collector, frees them
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +466,18 @@ def _square(x):
     return apply("pow", x, 2.0)
 
 
+def _reciprocal(b):
+    """1/b of a jet, by its 'pow' row; a float or an array passes through,
+    so that `_divide` makes one true division of it."""
+    return b.reciprocal() if hasattr(b, "d") else b
+
+
+def _divide(a, r):
+    """a / b from r = `_reciprocal(b)`: a × r for a jet, as `Jet.__truediv__`
+    and `__rtruediv__` compute it, else a true division by b."""
+    return a * r if hasattr(r, "d") else a / r
+
+
 class Tape:
     """A flat program for a sequence of expressions: one instruction per
     structurally distinct compound subtree (literals keyed by value and
@@ -468,6 +486,10 @@ class Tape:
     writes a register that nothing reads any more, so a run holds no more
     values than a walk would.  `nodes[k]` is instruction k's subtree, named
     when it fails; the tape keeps no copy of the expressions.
+
+    `a / b` is two instructions, `_divide(a, 1/b)` after `_reciprocal(b)`,
+    which is placed once per structurally distinct b and named by the first
+    division by b: the divisions of x/|x| by one radius share its reciprocal.
 
     `x^2` with the literal exponent 2 is one square instruction, `x * x`, of
     its own op (so it stays apart from an `x*x` in the same tape): it gives
@@ -482,6 +504,13 @@ class Tape:
         self.nodes, self.first_read = [], {}    # variable -> instructions before its read
         literals, operands, placed = {}, [], {}
 
+        def place(key, node, op, args):     # -> the instruction of `key`, placed once
+            k = placed.setdefault(key, len(placed))
+            if k == len(self.nodes):
+                self.nodes.append(node)
+                operands.append((op, args))
+            return k
+
         def visit(node):    # -> the key of node's register: literal, name or instruction
             if isinstance(node, Num):
                 key = (node.value, math.copysign(1.0, node.value))
@@ -495,13 +524,14 @@ class Tape:
                             (_square, (node.left,)) if node.op == "^" and node.right == _TWO
                             else (_ARITHMETIC.get(node.op, "pow"), (node.left, node.right)))
                 args = tuple(map(visit, kids))
-                key = placed.setdefault((type(node), op) + args, len(placed))
-                if key == len(self.nodes):
-                    self.nodes.append(node)
-                    operands.append((op, args))
+                if op is operator.truediv:      # one 1/b per distinct b
+                    b = args[1:]
+                    op, args = _divide, (args[0], place((_reciprocal,) + b, node, _reciprocal, b))
+                key = place((type(node), op) + args, node, op, args)
             return key
 
         outputs = [visit(e) for e in exprs]
+        del visit       # it holds itself: break the cycle, as in `parse`
         self.literals, self.names = list(literals.values()), tuple(self.first_read)
         register = {key: i for i, key in enumerate([*literals, *self.names])}
         fresh = itertools.count(len(register))

@@ -165,6 +165,8 @@ class Jet:
         return call("pow", self, -1.0)
 
     def __truediv__(self, other):
+        """a × (1/b), as a tape computes it (`expr._divide`) with one 1/b
+        for every division by b."""
         if not isinstance(other, Jet):
             return self * (1.0 / float(other))
         return self * other.reciprocal()

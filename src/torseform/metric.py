@@ -165,12 +165,15 @@ class MetricField:
         self.dim = m
         self.var_names = chart_names(m)
         self.spd_tol = spd_tol
-        lower = []
+        lower, parsed = [], {}      # each distinct entry text is parsed once
         for i, row in enumerate(entries):
             if len(row) not in (i + 1, m):
                 raise ValueError(
                     f"metric row {i} must have {i + 1} (lower triangle) or {m} entries")
-            lower += [ex.ensure_expr(row[j], self.var_names) for j in range(i + 1)]
+            for e in row[:i + 1]:
+                if isinstance(e, str) and e not in parsed:
+                    parsed[e] = ex.parse(e, self.var_names)
+                lower.append(parsed[e] if isinstance(e, str) else ex.ensure_expr(e, self.var_names))
         self.tape = ex.Tape(lower)
         self.exprs = tuple(tuple(lower[k] for k in row) for row in _symmetric_index(m))
         self.constant = not self.tape.names

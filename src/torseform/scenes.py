@@ -121,36 +121,42 @@ def _is(instance, kind: str) -> bool:
     return isinstance(instance, _TYPES[kind]) and not isinstance(instance, bool)
 
 
-def _errors(instance, schema: dict, path: tuple):
-    """(path, message) of each error of `instance` under `schema`, with
-    jsonschema's messages and in its order, for the keywords SCENE_SCHEMA uses.
-    An instance of the wrong type has no other error that best_match picks."""
+def _errors(instance, schema: dict, path: tuple, out: list) -> list:
+    """`out` with (path, message) of each error of `instance` under `schema`
+    appended, with jsonschema's messages and in its order, for the keywords
+    SCENE_SCHEMA uses.  An instance of the wrong type has no other error that
+    best_match picks."""
     kind = schema["type"]
     if not _is(instance, kind):
-        yield path, f"{instance!r} is not of type {kind!r}"
+        out.append((path, f"{instance!r} is not of type {kind!r}"))
     elif kind == "object":
         known, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
-        yield from ((path, f"{key!r} is a required property")
-                    for key in schema.get("required", ()) if key not in instance)
+        out += [(path, f"{key!r} is a required property")
+                for key in schema.get("required", ()) if key not in instance]
         extras = sorted((key for key in instance if key not in known), key=str)
         if extra is False and extras:
-            yield path, (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
-                         f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+            out.append((path, f"Additional properties are not allowed "
+                              f"({', '.join(map(repr, extras))} "
+                              f"{'was' if len(extras) == 1 else 'were'} unexpected)"))
         for key in extras if isinstance(extra, dict) else ():
-            yield from _errors(instance[key], extra, path + (key,))
+            _errors(instance[key], extra, path + (key,), out)
         for key, sub in known.items():
             if key in instance:
-                yield from _errors(instance[key], sub, path + (key,))
+                _errors(instance[key], sub, path + (key,), out)
     elif kind in ("array", "string"):
         least = schema.get("minItems", schema.get("minLength", 0))
         if len(instance) < least:
-            yield path, f"{instance!r} {'should be non-empty' if least == 1 else 'is too short'}"
+            out.append((path, f"{instance!r} "
+                              f"{'should be non-empty' if least == 1 else 'is too short'}"))
         if len(instance) > schema.get("maxItems", math.inf):
-            yield path, f"{instance!r} is too long"
+            out.append((path, f"{instance!r} is too long"))
+        items = schema.get("items", {})
         for i, item in enumerate(instance if kind == "array" else ()):
-            yield from _errors(item, schema["items"], path + (i,))
+            if not (len(items) == 1 and _is(item, items["type"])):  # else a type that holds
+                _errors(item, items, path + (i,), out)
     elif instance < schema.get("minimum", -math.inf):
-        yield path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+        out.append((path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"))
+    return out
 
 
 def _nonfinite(instance, path: tuple):
@@ -185,14 +191,15 @@ def _json_path(path: tuple) -> str:
 def _validate(instance, schema: dict = SCENE_SCHEMA, path: tuple = ()):
     """Raise SceneSchemaError for the error jsonschema.validate would raise, chosen
     as best_match chooses: the shortest path, the largest sibling, the first met."""
-    errors = list(_errors(instance, schema, path))
+    errors = _errors(instance, schema, path, [])
     if errors:
         path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
         _fail(_json_path(path), message)
 
 
 def load_scene(document: dict) -> Scene:
-    """Validate a scene document and compile its expressions."""
+    """Validate a scene document and compile its expressions; the scene
+    holds its own copy of the document, read back from its JSON text."""
     _validate(document)
 
     amb = document["ambient"]
@@ -264,8 +271,12 @@ def load_scene(document: dict) -> Scene:
         if c not in CHECK_NAMES:
             _fail("$.checks", f"unknown check '{c}' (known: {', '.join(CHECK_NAMES)})")
     # a document refused for any other reason keeps its message
-    for path, message in _nonfinite(document, ()):
-        _fail(_json_path(path), message)
+    try:
+        text = json.dumps(document, allow_nan=False)
+    except (TypeError, ValueError):     # a float that is not finite, else json.dumps's own error
+        text = None
+        for path, message in _nonfinite(document, ()):
+            _fail(_json_path(path), message)
     for key in ("ambient", "submanifold") if immersion else ("ambient",):
         _refuse_too_wide(key, document[key]["domain"])
 
@@ -281,13 +292,15 @@ def load_scene(document: dict) -> Scene:
         tolerances=tolerances,
         exclude_radius=float(document.get("exclude_radius", 0.0)),
         expected_verdict=document.get("expected_verdict"),
-        document=json.loads(json.dumps(document)),
+        document=json.loads(text or json.dumps(document)),
     )
 
 
 def with_seed(scene: Scene, seed: int) -> Scene:
     """The scene with another seed: only the seed is validated, as the rest
-    of the document was when the scene was loaded, and nothing is parsed."""
+    of the document was when the scene was loaded, and nothing is parsed:
+    the new scene shares the compiled pieces, and its document is the
+    scene's with the new seed, copied at the top level only."""
     _validate(seed, SCENE_SCHEMA["properties"]["seed"], ("seed",))
     return replace(scene, seed=seed, document=dict(scene.document, seed=seed))
 

@@ -1,14 +1,15 @@
-"""Run textual mutants of the geometry core against tier-1 and the reports.
+"""Run textual mutants of the source against tier-1 and the reports.
 
 Each mutant replaces a text that occurs exactly once under src/ by another,
-breaking one formula.  For each mutant the script copies this checkout
-(without .git and caches) to a temporary directory and applies the mutant
-there.  It then runs the tier-1 suite in the copy, stopping at the first
-failure (tests/test_mutants.py, which checks that every old text is in
-place, is left out); if every test passes, it runs tests/compare_reports.py in the copy
-against this checkout.  It prints one line per mutant, `killed by <first
-failing test>`, `killed by report <first differing key>` or `SURVIVED`, with
-its wall time, and exits 1 if any mutant survived:
+breaking one formula or one rule of the evaluation.  For each mutant the
+script copies this checkout (without .git and caches) to a temporary
+directory and applies the mutant there.  It then runs the tier-1 suite in
+the copy, stopping at the first failure (tests/test_mutants.py, which checks
+that every old text is in place, is left out); if every test passes, it runs
+tests/compare_reports.py in the copy against this checkout.  It prints one
+line per mutant, `killed by <first failing test>`, `killed by report <first
+differing key>` or `SURVIVED`, with its wall time, and exits 1 if any mutant
+survived:
 
     python tests/mutants.py [NAME ...]
 
@@ -50,6 +51,21 @@ MUTANTS = {
         'np.einsum("...aij,...i,...j->...a", mp.dg, v, v)',
         '0.0 * np.einsum("...aij,...i,...j->...a", mp.dg, v, v)',
         "∂_a |V|² = ∂_a g_ij V^i V^j + 2 g_ij V^i ∂_a V^j loses its ∂g term"),
+    "reciprocal-key-drops-denominator": Mutant(
+        "src/torseform/expr.py",
+        "place((_reciprocal,) + b, node, _reciprocal, b)",
+        "place((_reciprocal,), node, _reciprocal, b)",
+        "a / b is a × (1/b) with b's own reciprocal, not the tape's first"),
+    "schema-items-skip-nested": Mutant(
+        "src/torseform/scenes.py",
+        'if not (len(items) == 1 and _is(item, items["type"])):',
+        'if not _is(item, items["type"]):',
+        "an array item of the right type still has its own items validated"),
+    "tape-keeps-its-visit-cycle": Mutant(
+        "src/torseform/expr.py",
+        "        del visit       # it holds itself: break the cycle, as in `parse`\n",
+        "",
+        "what a tape's build leaves is freed by reference counting, not by the collector"),
 }
 
 #: what a copy leaves out of the checkout

@@ -356,6 +356,16 @@ class TestConstantMetric:
     def test_metric_with_a_variable_is_walked(self):
         assert not MetricField([["1"], ["0", "x1^2"]]).constant
 
+    def test_each_distinct_entry_text_is_parsed_once(self, monkeypatch):
+        parsed, parse = [], ex.parse
+        monkeypatch.setattr(ex, "parse", lambda text, variables=None: (
+            parsed.append(text) or parse(text, variables)))
+        metric = MetricField([["1"], ["0", "1"], ["0", "x1^2", "1"], [0, 0.0, "x1^2", "1"]])
+        assert parsed == ["1", "0", "x1^2"]
+        # an entry that is no text is taken as it is, as before
+        assert metric.exprs[3][:2] == (ex.Num(0.0), ex.Num(0.0))
+        assert metric.exprs[2][1] is metric.exprs[3][2] is metric.exprs[1][2]
+
 
 @pytest.mark.parametrize("points", [[0.3, -1.2, 2.0, 0.5],
                                     [[0.3, -1.2, 2.0, 0.5], [1.0, 2.0, 0.1, -0.4]]])

@@ -58,7 +58,8 @@ def test_a_check_run_enters_numpy_errstate_once(monkeypatch, errstates):
             derivatives=counting(function.derivatives)))
     runner.run(builtin_scene("rectifying-psi"), points=20)
     # frames, the induced metric and the fits run several tapes and rows
-    assert counts["runs"] >= 5 and counts["rows"] >= 10
+    # (the field's four divisions by one radius share its reciprocal)
+    assert counts["runs"] >= 5 and counts["rows"] >= 8
     assert errstates == [{"all": "ignore"}]
 
 

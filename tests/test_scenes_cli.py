@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -263,6 +264,22 @@ class TestSchema:
             load_scene(doc)
         assert str(err.value) == f"{where} is not a finite number"
 
+    def test_a_value_json_cannot_write_raises_after_every_scene_rule(self):
+        # a float that is not finite is refused by its path, an interval too
+        # wide by its own; only then does json's own error reach the caller
+        end = np.int64(-1)      # a number to the schema, not to json
+        doc = minimal_doc(exclude_radius=math.nan)
+        doc["ambient"]["domain"][0][0] = end
+        with pytest.raises(SceneSchemaError, match=r"^\$\.exclude_radius: nan is not a finite"):
+            load_scene(doc)
+        doc = minimal_doc()
+        doc["ambient"]["domain"] = [[end, 1], [-1e308, 1e308]]
+        with pytest.raises(SceneSchemaError, match=r"^\$\.ambient\.domain\[1\]: interval"):
+            load_scene(doc)
+        doc["ambient"]["domain"][1] = [-1, 1]
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            load_scene(doc)
+
     # finite ends whose width overflows: each document reached a verdict at
     # sampled points with an infinite coordinate (classify passed, rectifying
     # passed in tangent-axis-hypersurface mode)
@@ -440,6 +457,24 @@ class TestBuiltins:
 
 
 class TestRunner:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_a_check_leaves_no_garbage_for_the_cycle_collector(self, name, capsys):
+        # what a check builds (closures, tapes, expressions) is freed by
+        # reference counting as soon as it is dropped, so a process that
+        # runs checks back to back does not pay for collections
+        from torseform import cli
+
+        argv = ["check", f"builtin:{name}", "--points", "20"]
+        cli.main(argv)          # first use: lazy imports, the cached argument parser
+        gc.collect()
+        gc.disable()
+        try:
+            cli.main(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
     def test_deterministic_reports(self):
         a = report_to_json(run(builtin_scene("rectifying-psi"), points=15))
         b = report_to_json(run(builtin_scene("rectifying-psi"), points=15))

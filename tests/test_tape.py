@@ -6,6 +6,7 @@ for bit, every derivative tensor included, and raise the walker's errors."""
 
 from __future__ import annotations
 
+import collections
 import inspect
 import itertools
 import math
@@ -14,6 +15,7 @@ import operator
 import numpy as np
 import pytest
 
+import torseform.expr as ex
 from conftest import random_expression
 from torseform import (Immersion, MetricField, VectorField, build_warped_ambient,
                        builtin_names, builtin_scene, eval_float)
@@ -21,6 +23,7 @@ from torseform.errors import DomainEvalError, JetDomainError
 from torseform.expr import (FUNCTIONS, BinOp, Call, Neg, Num, Tape, Var, apply, parse,
                             row, to_source)
 from torseform.jets import Jet, call, eval_jet_env, jet_variables
+from torseform.scenes import _radial_unit_field
 
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -372,3 +375,60 @@ class TestSquare:
                 got = outcome(eval_jet_env, Tape(exprs), env)
                 assert got[0] is DomainEvalError and got[1].endswith(f"'{failing}'")
                 assert got == outcome(walked, exprs, env)
+
+
+class TestSharedReciprocal:
+    """a / b is a × (1/b) with one reciprocal instruction per structurally
+    distinct b; floats and arrays still divide truly."""
+
+    @staticmethod
+    def reciprocals(tape) -> list:
+        """The subtree named by each reciprocal instruction of `tape`."""
+        return [to_source(node) for node, (op, *_) in zip(tape.nodes, tape.code)
+                if getattr(op, "__name__", None) == "_reciprocal"]
+
+    @pytest.mark.parametrize("points", [[0.8, 1.1, 0.6, 1.0], [[0.8, 1.1, 0.6, 1.0],
+                                                               [-2.0, 0.5, 1.5, -0.3]]])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_a_unit_field_divides_by_one_radius_once(self, monkeypatch, order, points):
+        field = VectorField(_radial_unit_field(4))
+        called, real = collections.Counter(), ex._row
+
+        def counting(name, *args):
+            called[name] += 1
+            return real(name, *args)
+
+        monkeypatch.setattr(ex, "_row", counting)
+        field.at(np.array(points), order)
+        assert called == collections.Counter({"pow": 1, "sqrt": 1})
+
+    def test_one_reciprocal_instruction_per_distinct_denominator(self):
+        tape = Tape([parse(src) for src in ("x1/(x2+1)", "3/(x2+1)", "(x2+1)/x1")])
+        # each named by the first division by its denominator
+        assert self.reciprocals(tape) == ["x1/(x2+1)", "(x2+1)/x1"]
+
+    @pytest.mark.parametrize("x", [3.0, -1.25, 0.7, 1e-300, 7e300])
+    def test_a_float_quotient_is_a_true_division(self, x):
+        got = eval_float(parse("1/x1+2/x1"), {"x1": x})
+        assert type(got) is float and bits(got) == bits(1 / x + 2 / x)
+
+    @pytest.mark.parametrize("points", [[-1.25, 0.7, 2.0], [[-1.25, 0.7, 2.0], [0.3, -4.0, 1.5]]])
+    @pytest.mark.parametrize("order", range(4))
+    def test_a_jet_quotient_is_jet_truediv(self, order, points):
+        env = jet_variables(("x1", "x2", "x3"), np.array(points), order)
+        x1, x2, x3 = env["x1"], env["x2"], env["x3"]
+        tape = Tape([parse("1/x1+2/x1"), parse("x2/x1-x3/x1"), parse("x1/4")])
+        got = tape.run(env)
+        want = [1.0 / x1 + 2.0 / x1, x2 / x1 - x3 / x1, x1 / 4.0]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("points", [[1.0, 1.0, 0.0], [[1.5, 0.5, 0.2], [1.0, 1.0, 0.0]]])
+    def test_a_zero_denominator_is_named_by_its_first_division(self, points):
+        tape = Tape([parse(src) for src in ("x3/(x2-x2)", "log(x1-2)", "x1/(x2-x2)")])
+        envs = [dict(zip(("x1", "x2", "x3"), np.atleast_2d(points)[0].tolist()))]
+        envs += [jet_variables(("x1", "x2", "x3"), np.array(points), order)
+                 for order in range(3)]
+        for env in envs:
+            with pytest.raises(DomainEvalError) as err:
+                tape.run(env)
+            assert (err.value.reason, err.value.subexpr) == ("division by zero", "x3/(x2-x2)")
